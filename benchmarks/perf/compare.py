@@ -3,14 +3,15 @@
     python benchmarks/perf/compare.py BASE.json NEW.json [NEW2.json ...]
 
 Each file is what ``run.py`` writes: one or more runs per workload (use
-``run.py --repeat N`` for a set of runs).  For every end-to-end metric of
+``run.py --repeat 10`` for a set of ten runs).  For every end-to-end metric of
 ``BENCHMARK.json`` and every workload it prints each side's median and
 quartiles over its untraced runs, and one verdict per candidate file:
 
+* ``unresolved`` -- either side has fewer than two runs, so its spread is
+  unknown; or either side's spread (quartile distance over median) is wider
+  than the bound, unless every candidate run beats every base run;
 * ``worse`` -- the candidate's median is worse than the base's by more than
   the metric's bound;
-* ``unresolved`` -- either side's spread (quartile distance over median) is
-  wider than the bound, unless every candidate run beats every base run;
 * ``better`` -- the candidate's median beats the base's by more than either
   side's spread;
 * ``unchanged`` -- anything else.
@@ -47,6 +48,8 @@ def spread(summary: Summary) -> float:
 
 def verdict(base: Sequence[float], new: Sequence[float], better: str, bound: float) -> str:
     """The verdict for one metric on one workload (see the module docstring)."""
+    if len(base) < 2 or len(new) < 2:
+        return "unresolved"
     sign = 1.0 if better == "lower" else -1.0
     base_summary, new_summary = summarize(base), summarize(new)
     base_median, new_median = base_summary[1], new_summary[1]

@@ -55,9 +55,21 @@ def steal_seconds() -> Optional[float]:
     return int(fields[8]) / os.sysconf("SC_CLK_TCK") if len(fields) > 8 else None
 
 
+def result_counts(result: Any) -> Dict[str, float]:
+    """Per-layer counters an evaluation reports itself (its engine stats are per-call)."""
+    stats = result.engine_stats
+    return {
+        "eval.shots": result.shots_spent or 0,
+        "engine.execute.unique": stats.unique_executions,
+        "engine.execute.dedup_hits": stats.dedup_hits,
+        "engine.execute.cache_hits": stats.cache_hits,
+    }
+
+
 def run_one(spec: WorkloadSpec, instance: Instance, tracer: Optional[Tracer]) -> Dict[str, Any]:
     """Evaluate and check one instance; an exception is a failure, never fatal."""
     result = None
+    counts: Dict[str, float] = {}
     start = time.perf_counter()
     try:
         if tracer is None:
@@ -67,6 +79,7 @@ def run_one(spec: WorkloadSpec, instance: Instance, tracer: Optional[Tracer]) ->
                 result = instance.evaluate()
         seconds = time.perf_counter() - start
         reason = spec.check(instance, result)
+        counts = result_counts(result)
     except Exception:
         seconds = time.perf_counter() - start
         reason = traceback.format_exc()
@@ -78,7 +91,7 @@ def run_one(spec: WorkloadSpec, instance: Instance, tracer: Optional[Tracer]) ->
         "ok": reason is None,
         "cuts": None if result is None else result.plan.num_cuts,
         "variants": None if result is None else result.num_variant_evaluations,
-        "shots": None if result is None else result.shots_spent,
+        "counts": counts,
     }
 
 

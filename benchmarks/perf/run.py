@@ -148,7 +148,7 @@ def per_layer(run: Dict[str, Any]) -> Dict[str, float]:
     """Mean per evaluation of every span time, call count and counter."""
     rows = [dict(row) for row in run["per_eval"]]
     for row, sample in zip(rows, run["evals"]):
-        row["eval.shots"] = sample["shots"] or 0
+        row.update(sample["counts"])
         for name, parts in UNIONS.items():
             row[name] = sum(row.get(part, 0.0) for part in parts)
     names = sorted({name for row in rows for name in row})

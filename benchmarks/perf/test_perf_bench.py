@@ -172,6 +172,9 @@ def test_a_failed_check_or_exception_counts_as_failure():
     instance = spec.warmup(np.random.default_rng(0))
     result = instance.evaluate()
     assert spec.check(instance, result) is None
+    sample = measure.run_one(spec, instance, None)
+    assert sample["ok"] is True
+    assert sample["counts"]["engine.execute.unique"] == result.num_variant_evaluations > 0
     result.probabilities = result.probabilities + 1e-6
     assert spec.check(instance, result) is not None
 
@@ -180,7 +183,7 @@ def test_a_failed_check_or_exception_counts_as_failure():
 
     broken = SimpleNamespace(workload=instance.workload, evaluate=explode)
     sample = measure.run_one(spec, broken, None)
-    assert sample["ok"] is False and sample["cuts"] is None
+    assert sample["ok"] is False and sample["cuts"] is None and sample["counts"] == {}
 
 
 @pytest.mark.parametrize(
@@ -192,7 +195,10 @@ def test_a_failed_check_or_exception_counts_as_failure():
         ([10.0, 10.1, 9.9, 10.0], [8.0, 8.1, 7.9, 8.0], "higher", "worse"),
         ([10.0, 14.0, 6.0, 10.0], [10.0, 10.1, 9.9, 10.0], "lower", "unresolved"),
         ([10.0, 14.0, 6.0, 10.0], [3.0, 4.0, 5.0, 5.5], "lower", "better"),
-        ([8192.0], [8192.0], "lower", "unchanged"),
+        ([8192.0, 8192.0], [8192.0, 8192.0], "lower", "unchanged"),
+        # One run per side has no measurable spread, so not even a tiny gain counts.
+        ([10.0], [9.99], "lower", "unresolved"),
+        ([10.0, 10.0], [12.0], "lower", "unresolved"),
     ],
 )
 def test_compare_verdicts(base, new, better, expected):
@@ -201,9 +207,7 @@ def test_compare_verdicts(base, new, better, expected):
 
 def test_compare_exits_nonzero_on_worse(tmp_path):
     def write(name: str, values: list) -> str:
-        runs = [
-            {"workload": "w", "trace": 0, "metrics": {"eval_s_p50": value}} for value in values
-        ]
+        runs = [{"workload": "w", "trace": 0, "metrics": {"eval_s_p50": value}} for value in values]
         path = tmp_path / name
         path.write_text(json.dumps({"env": {}, "runs": runs}))
         return str(path)

@@ -44,49 +44,34 @@ Counts = Dict[str, float]
 class Target:
     """One wrapped callable: ``attr`` is ``"function"`` or ``"Class.method"``.
 
-    ``before(args, kwargs)`` runs before the call and ``count(args, kwargs,
-    result, before_value)`` after it; the counts it returns are added to the
-    evaluation's counters as ``<span>.<key>``.  Both run inside the
-    overhead window.
+    ``count(args, kwargs, result)`` runs after the call, inside the overhead
+    window; the counts it returns are added to the evaluation's counters as
+    ``<span>.<key>``.
     """
 
     span: str
     module: str
     attr: str
-    count: Optional[Callable[..., Counts]] = None
-    before: Optional[Callable[..., Any]] = None
+    count: Optional[Callable[[Tuple, Dict, Any], Counts]] = None
 
 
-def _engine_stats(args: Tuple, kwargs: Dict) -> Any:
-    return args[0].stats
-
-
-def _execute_counts(args: Tuple, kwargs: Dict, result: Any, before: Any) -> Counts:
-    delta = args[0].stats.since(before)
-    return {
-        "unique": delta.unique_executions,
-        "dedup_hits": delta.dedup_hits,
-        "cache_hits": delta.cache_hits,
-    }
-
-
-def _batched_counts(args: Tuple, kwargs: Dict, result: Any, before: Any) -> Counts:
+def _batched_counts(args: Tuple, kwargs: Dict, result: Any) -> Counts:
     variants = args[0]
     rows = len(variants)
     width = variants[0].circuit.num_qubits if rows else 0
     return {"rows": rows, "amps": rows * 2**width}
 
 
-def _sample_counts(args: Tuple, kwargs: Dict, result: Any, before: Any) -> Counts:
+def _sample_counts(args: Tuple, kwargs: Dict, result: Any) -> Counts:
     shots = args[1] if len(args) > 1 else kwargs["shots"]
     return {"shots": int(shots)}
 
 
-def _request_counts(args: Tuple, kwargs: Dict, result: Any, before: Any) -> Counts:
+def _request_counts(args: Tuple, kwargs: Dict, result: Any) -> Counts:
     return {"requests": len(result)}
 
 
-def _task_counts(args: Tuple, kwargs: Dict, result: Any, before: Any) -> Counts:
+def _task_counts(args: Tuple, kwargs: Dict, result: Any) -> Counts:
     tasks = args[2] if len(args) > 2 else kwargs["tasks"]
     return {"tasks": len(tasks)}
 
@@ -115,13 +100,7 @@ TARGETS: Tuple[Target, ...] = (
     ),
     Target("cutting.optimize", "repro.cutting.shot_overhead", "optimize_overhead_weights"),
     Target("engine.allocate", "repro.engine.allocation", "allocate_shots"),
-    Target(
-        "engine.execute",
-        "repro.engine.engine",
-        "ParallelEngine.run_batch_timed",
-        count=_execute_counts,
-        before=_engine_stats,
-    ),
+    Target("engine.execute", "repro.engine.engine", "ParallelEngine.run_batch_timed"),
     Target(
         "engine.shards",
         "repro.engine.engine",
@@ -157,6 +136,7 @@ TARGETS: Tuple[Target, ...] = (
     Target("cutting.dd", "repro.cutting.dynamic_definition", "reconstruct_dynamic"),
     Target("cutting.dd_level", "repro.cutting.dynamic_definition", "binned_probabilities"),
 )
+
 
 @dataclass
 class _Frame:
@@ -231,7 +211,6 @@ class Tracer:
         if not self._active():
             return fn(*args, **kwargs)
         entered = self._clock()
-        before = target.before(args, kwargs) if target.before is not None else None
         frame = _Frame(target.span)
         self._stack.append(frame)
         frame.start = self._clock()
@@ -244,7 +223,7 @@ class Tracer:
             self._close(frame, end)
             if target.count is not None and result is not None:
                 counters = self.counters[self._eval_id]
-                for key, value in target.count(args, kwargs, result, before).items():
+                for key, value in target.count(args, kwargs, result).items():
                     counters[f"{target.span}.{key}"] += value
             exited = self._clock()
             self.overhead_s[self._eval_id] += (frame.start - entered) + (exited - end)
@@ -305,15 +284,15 @@ def _wrap(tracer: Tracer, target: Target, original: Callable) -> Callable:
 
 
 @contextmanager
-def install(tracer: Tracer, targets: Tuple[Target, ...] = TARGETS) -> Iterator[int]:
-    """Wrap every target at every alias; restore the originals on exit.
+def install(tracer: Tracer) -> Iterator[int]:
+    """Wrap every one of :data:`TARGETS` at every alias; restore the originals on exit.
 
     Yields the number of attribute bindings patched.
     """
     _import_all()
     patched: List[Tuple[Any, str, Any]] = []
     try:
-        for target in targets:
+        for target in TARGETS:
             owner, name, original = resolve(target)
             wrapper = _wrap(tracer, target, original)
             if isinstance(owner, type):
