@@ -56,9 +56,6 @@ class CuttingFormulation:
     """Builds and solves the cutting ILP for one circuit + configuration."""
 
     def __init__(self, circuit: Circuit, config: CutConfig) -> None:
-        if circuit.num_qubits <= config.device_size:
-            # Cutting is still legal (the paper sets N > D), but warn through metadata.
-            pass
         self._dag = QRAwareDag(circuit)
         self._config = config
         self._model = Model("qrcc" if config.enable_qubit_reuse else "cutqc")

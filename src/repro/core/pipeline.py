@@ -13,7 +13,9 @@ This is the main public entry point of the library:
 
 from __future__ import annotations
 
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -25,9 +27,11 @@ from ..cutting import (
     CutReconstructor,
     CutSolution,
     DynamicDefinitionResult,
+    GateCut,
     SamplingExecutor,
     SubcircuitSpec,
     VariantExecutor,
+    WireCut,
     effective_wire_cuts,
     extract_subcircuits,
     postprocessing_cost,
@@ -53,6 +57,7 @@ from ..workloads import Workload, WorkloadKind
 from .config import CutConfig
 from .formulation import CuttingFormulation
 from .greedy import GreedyCutter
+from .qr_dag import QRAwareDag
 
 if TYPE_CHECKING:
     # repro.service layers *above* this module (the session subsumes the old
@@ -64,6 +69,67 @@ __all__ = ["CutPlan", "EvaluationResult", "cut_circuit", "cut_circuit_cutqc", "e
 #: Above this padded-operation count the exact ILP is replaced by the greedy cutter
 #: unless the caller explicitly forces the ILP.
 DEFAULT_ILP_SIZE_LIMIT = 4000
+
+#: Most cut decisions :func:`cut_circuit` keeps for reuse (least recently used
+#: evicted first).  A parameter sweep needs one entry per structure.
+PLAN_CACHE_SIZE = 128
+
+
+@dataclass(frozen=True)
+class _CutDecision:
+    """The angle-free part of a :class:`CutSolution`: everything but its circuit."""
+
+    op_subcircuit: Dict[int, int]
+    wire_cuts: Tuple[WireCut, ...]
+    gate_cuts: Tuple[GateCut, ...]
+    gate_cut_placement: Dict[int, Tuple[int, int]]
+    metadata: Dict[str, object]
+
+    @classmethod
+    def of(cls, solution: CutSolution) -> "_CutDecision":
+        return cls(
+            op_subcircuit=dict(solution.op_subcircuit),
+            wire_cuts=tuple(solution.wire_cuts),
+            gate_cuts=tuple(solution.gate_cuts),
+            gate_cut_placement=dict(solution.gate_cut_placement),
+            metadata=dict(solution.metadata),
+        )
+
+    def solution_over(self, padded: Circuit) -> CutSolution:
+        """The decision applied to ``padded`` (fresh containers, validated)."""
+        solution = CutSolution(
+            circuit=padded,
+            op_subcircuit=dict(self.op_subcircuit),
+            wire_cuts=list(self.wire_cuts),
+            gate_cuts=list(self.gate_cuts),
+            gate_cut_placement=dict(self.gate_cut_placement),
+            metadata=dict(self.metadata),
+        )
+        solution.validate()
+        return solution
+
+
+#: Cut decisions by circuit structure (see :func:`cut_circuit`).  Keys hold no
+#: angles and values no circuits, so an entry is the same whichever angles
+#: solved it first.
+_PLAN_CACHE: "OrderedDict[Tuple[Any, ...], _CutDecision]" = OrderedDict()  # qrcclint: disable=mutable-default-arg -- deliberate process-local memo: the cut search reads only the structure key, entries are immutable once stored, access holds _PLAN_CACHE_LOCK, bounded by PLAN_CACHE_SIZE
+_PLAN_CACHE_LOCK = threading.Lock()
+
+
+def _cached_decision(key: Tuple[Any, ...]) -> Optional[_CutDecision]:
+    with _PLAN_CACHE_LOCK:
+        decision = _PLAN_CACHE.get(key)
+        if decision is not None:
+            _PLAN_CACHE.move_to_end(key)
+        return decision
+
+
+def _store_decision(key: Tuple[Any, ...], decision: _CutDecision) -> None:
+    with _PLAN_CACHE_LOCK:
+        _PLAN_CACHE[key] = decision
+        _PLAN_CACHE.move_to_end(key)
+        while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
+            _PLAN_CACHE.popitem(last=False)
 
 
 @dataclass
@@ -314,6 +380,15 @@ def cut_circuit(
     unless ``force_ilp`` is set.  ``InfeasibleError`` propagates when the model is
     proven infeasible (the paper's *no-solution* entries).
 
+    The cut search reads only the circuit's structure and ``config``, never its
+    angles, so the decision is reused: a call whose qubit count, operation
+    names, qubits and tags, ``config`` and method (ILP or greedy) match an
+    earlier call in this process applies that call's decision to this circuit
+    instead of solving again.  A parameter sweep therefore solves once.  The
+    last :data:`PLAN_CACHE_SIZE` decisions are kept; failed searches are not.
+    On a reused decision ``solve_time`` is the time this call took, not the
+    original solve's.
+
     Args:
         circuit: the circuit to cut.
         config: the cutting meta parameters (device size, cut budgets, delta...).
@@ -339,16 +414,19 @@ def cut_circuit(
         config.enable_qubit_reuse if enable_reuse_extraction is None else enable_reuse_extraction
     )
 
-    formulation = CuttingFormulation(circuit, config)
-    padded_size = len(formulation.dag.padded_circuit)
-    use_greedy = force_greedy or (padded_size > DEFAULT_ILP_SIZE_LIMIT and not force_ilp)
-
-    if use_greedy:
-        solution = GreedyCutter(circuit, config).cut()
-        method = "greedy"
+    padded = QRAwareDag(circuit).padded_circuit
+    use_greedy = force_greedy or (len(padded) > DEFAULT_ILP_SIZE_LIMIT and not force_ilp)
+    structure = tuple((op.name, op.qubits, op.tag) for op in circuit.operations)
+    key = (circuit.num_qubits, structure, config, use_greedy)
+    decision = _cached_decision(key)
+    if decision is not None:
+        solution = decision.solution_over(padded)
     else:
-        solution = formulation.solve_and_decode()
-        method = "ilp"
+        if use_greedy:
+            solution = GreedyCutter(circuit, config).cut()
+        else:
+            solution = CuttingFormulation(circuit, config).solve_and_decode()
+        _store_decision(key, _CutDecision.of(solution))
     solve_time = perf_clock() - start
     specs = extract_subcircuits(solution, enable_reuse=use_reuse)
     return CutPlan(
@@ -357,7 +435,7 @@ def cut_circuit(
         solution=solution,
         subcircuits=specs,
         solve_time=solve_time,
-        method=method,
+        method="greedy" if use_greedy else "ilp",
     )
 
 
