@@ -43,7 +43,6 @@ from harness import (
     SOLVER_TIME_LIMIT,
     add_device_arguments,
     add_engine_arguments,
-    bench_backend,
     device_farm,
     is_paper_scale,
     add_smoke_argument,
@@ -76,7 +75,7 @@ def _evaluate(
         max_subcircuits=3,
         time_limit=SOLVER_TIME_LIMIT,
     )
-    engine_config = EngineConfig(max_workers=jobs, backend=bench_backend(), devices=devices)
+    engine_config = EngineConfig(max_workers=jobs, devices=devices)
     if devices is not None:
         engine_config = engine_config.with_(routing=routing)
     return evaluate_workload(workload, config, engine_config=engine_config)

@@ -7,8 +7,8 @@ evaluates Ising-chain expectation workloads — the regime where the
 ``sum(w^2/p)`` variance proxy is tight; see the caveat in docs/engine.md —
 under two legs:
 
-* **identity** — ``EngineConfig(optimize_overhead="none")`` (the default) must
-  reproduce the legacy keyword path *bit for bit* on every seed: the optimizer
+* **identity** — an explicit ``EngineConfig(optimize_overhead="none")`` must
+  reproduce the default config *bit for bit* on every seed: the optimizer
   is a pure insertion between enumeration and allocation, and switched off it
   must leave every downstream number untouched.
 * **reduction** — with ``optimize_overhead="weights"`` the same workload is
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import warnings
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import pytest
@@ -94,25 +93,20 @@ def generate_overhead_rows(
                 ),
             )
             off_errors.append(abs(off.expectation_error))
-            # Identity leg: the explicit "none" config must match the legacy
-            # keyword spelling bit for bit (the deprecation shim forwards to
-            # the same session, and the optimizer block never runs).
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = evaluate_workload(
-                    workload,
-                    config,
-                    shots=budget,
-                    seed=seed,
-                    engine_config=EngineConfig(max_workers=jobs),
-                )
+            # Identity leg: the explicit "none" config must match the default
+            # config bit for bit (the optimizer block never runs).
+            default = evaluate_workload(
+                workload,
+                config,
+                engine_config=EngineConfig(max_workers=jobs, shots=budget, seed=seed),
+            )
             rows.append(
                 {
                     "leg": "identity",
                     "workload": label,
                     "seed": seed,
                     "total_shots": budget,
-                    "identical": legacy.expectation_value == off.expectation_value,
+                    "identical": default.expectation_value == off.expectation_value,
                     # Columns the reduction row fills; blank here so the
                     # printed table shows every field (format_table keys off
                     # the first row).
@@ -168,7 +162,7 @@ def check_rows(rows: Sequence[Dict[str, object]]) -> None:
     reduction = [row for row in rows if row["leg"] == "reduction"]
     broken = [(row["workload"], row["seed"]) for row in identity if not row["identical"]]
     assert not broken, (
-        f"optimize_overhead='none' diverged from the legacy keyword path for "
+        f"optimize_overhead='none' diverged from the default config for "
         f"{broken} — the off mode must be bit-identical to the pre-optimizer "
         f"pipeline"
     )
@@ -225,7 +219,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
     add_smoke_argument(
         parser,
         "fixed seeds; asserts optimize_overhead='none' is bit-identical to the "
-        "legacy keyword path on every seed and that 'weights' reaches the "
+        "default config on every seed and that 'weights' reaches the "
         "unoptimized full-budget error on a >= 2x smaller budget for every "
         "workload",
     )

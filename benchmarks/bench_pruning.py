@@ -36,7 +36,6 @@ from harness import (
     add_engine_arguments,
     add_pruning_arguments,
     add_smoke_argument,
-    bench_backend,
     bench_jobs,
     publish,
     run_once,
@@ -128,7 +127,7 @@ def pruned_row(
     policy = (
         PruningPolicy.none() if fraction <= 0.0 else PruningPolicy.budget_fraction(fraction)
     )
-    config = EngineConfig(max_workers=jobs, chunk_size=chunk_size, backend=bench_backend())
+    config = EngineConfig(max_workers=jobs, chunk_size=chunk_size)
     with ParallelEngine(config=config) as engine:
         reconstructor = CutReconstructor(solution, engine=engine)
         weights: Dict[str, float] = {}

@@ -70,8 +70,6 @@ def sampled_error(
     chunk_size: Optional[int] = None,
 ) -> float:
     """|reconstructed - exact| for one finite-shot reconstruction."""
-    # backend= is deliberately not set: the engine always wraps the explicit
-    # SamplingExecutor here, so EngineConfig.backend would never be consulted.
     executor = SamplingExecutor(shots=budget, seed=seed)
     config = EngineConfig(max_workers=jobs, chunk_size=chunk_size)
     with ParallelEngine(executor, config) as engine:

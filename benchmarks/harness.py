@@ -18,7 +18,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -50,19 +50,6 @@ DEFAULT_PRUNE_FRACTION = float(os.environ.get("QRCC_BENCH_PRUNE", "0"))
 #: Default farm routing policy (``--routing`` / ``QRCC_BENCH_ROUTING``).
 DEFAULT_ROUTING = os.environ.get("QRCC_BENCH_ROUTING", "best_fit")
 
-#: Default exact-execution backend (``--backend`` / ``QRCC_BENCH_BACKEND``):
-#: "batched" (vectorized same-structure variant groups) or "scalar".
-DEFAULT_BACKEND = os.environ.get("QRCC_BENCH_BACKEND", "batched")
-
-#: Default reconstruction contraction mode (``--contraction`` /
-#: ``QRCC_BENCH_CONTRACTION``): "planned" (cost-modelled fused kernels, sharded
-#: across the worker pool) or "naive" (the reference walk) — bit-identical.
-DEFAULT_CONTRACTION = os.environ.get("QRCC_BENCH_CONTRACTION", "planned")
-
-#: Default sharded-contraction worker count (``--contraction-workers`` /
-#: ``QRCC_BENCH_CONTRACTION_WORKERS``); empty means follow ``--jobs``.
-DEFAULT_CONTRACTION_WORKERS = os.environ.get("QRCC_BENCH_CONTRACTION_WORKERS", "")
-
 #: Default device farm as comma-separated qubit widths (``--device-widths`` /
 #: ``QRCC_BENCH_DEVICE_WIDTHS``); empty means no farm (the implicit simulator).
 DEFAULT_DEVICE_WIDTHS = os.environ.get("QRCC_BENCH_DEVICE_WIDTHS", "")
@@ -91,30 +78,6 @@ def add_engine_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentPa
         type=int,
         default=None,
         help="variant requests per worker task (default: auto, ~4 chunks/worker)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("batched", "scalar"),
-        default=DEFAULT_BACKEND,
-        help="exact executor the engine builds when none is supplied: 'batched' "
-        "(vectorized same-structure variant groups, bit-identical to scalar) "
-        "or 'scalar' (default from QRCC_BENCH_BACKEND or batched)",
-    )
-    parser.add_argument(
-        "--contraction",
-        choices=("planned", "naive"),
-        default=DEFAULT_CONTRACTION,
-        help="reconstruction contraction mode: 'planned' (cost-modelled fused "
-        "kernels, sharded across the pool) or 'naive' (reference walk); "
-        "bit-identical either way (default from QRCC_BENCH_CONTRACTION "
-        "or planned)",
-    )
-    parser.add_argument(
-        "--contraction-workers",
-        type=int,
-        default=int(DEFAULT_CONTRACTION_WORKERS) if DEFAULT_CONTRACTION_WORKERS else None,
-        help="workers for sharded contraction (default: follow --jobs; from "
-        "QRCC_BENCH_CONTRACTION_WORKERS when set)",
     )
     return parser
 
@@ -279,32 +242,6 @@ def bench_jobs(argv: Optional[Sequence[str]] = None) -> int:
     add_engine_arguments(parser)
     args, _ = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
     return max(1, args.jobs)
-
-
-def bench_backend(argv: Optional[Sequence[str]] = None) -> str:
-    """The ``--backend`` value for a harness (CLI, else QRCC_BENCH_BACKEND, else batched).
-
-    Mirrors :func:`bench_jobs`, so deep harness call chains can resolve the
-    engine backend at the point where they build an :class:`~repro.engine.EngineConfig`
-    without threading one more parameter through every signature.
-    """
-    parser = argparse.ArgumentParser(add_help=False)
-    add_engine_arguments(parser)
-    args, _ = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
-    return args.backend
-
-
-def bench_contraction(argv: Optional[Sequence[str]] = None) -> Tuple[str, Optional[int]]:
-    """The ``(--contraction, --contraction-workers)`` pair for a harness.
-
-    Mirrors :func:`bench_backend`: CLI first, else the ``QRCC_BENCH_CONTRACTION``
-    / ``QRCC_BENCH_CONTRACTION_WORKERS`` environment variables, else
-    ``("planned", None)`` — ``None`` workers means follow ``--jobs``.
-    """
-    parser = argparse.ArgumentParser(add_help=False)
-    add_engine_arguments(parser)
-    args, _ = parser.parse_known_args(sys.argv[1:] if argv is None else argv)
-    return args.contraction, args.contraction_workers
 
 
 def is_paper_scale() -> bool:

@@ -14,21 +14,18 @@ This is the main public entry point of the library:
 from __future__ import annotations
 
 import threading
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..circuits import Circuit
 from ..cutting import (
     ContractionReport,
-    CutReconstructor,
     CutSolution,
     DynamicDefinitionResult,
     GateCut,
-    SamplingExecutor,
     SubcircuitSpec,
     VariantExecutor,
     WireCut,
@@ -38,31 +35,19 @@ from ..cutting import (
 )
 from ..cutting.shot_overhead import OverheadReport
 from ..engine import (
-    ALLOCATION_POLICIES,
-    DeviceSpec,
     EngineConfig,
     EngineStats,
     ParallelEngine,
-    PruningPolicy,
     PruningReport,
-    ResultCache,
     ShotAllocation,
-    allocate_shots,
-    prune_requests,
 )
-from ..exceptions import ConfigError, CuttingError
-from ..simulator import simulate_statevector
+from ..exceptions import CuttingError
 from ..utils.timing import perf_clock
-from ..workloads import Workload, WorkloadKind
+from ..workloads import Workload
 from .config import CutConfig
 from .formulation import CuttingFormulation
 from .greedy import GreedyCutter
 from .qr_dag import QRAwareDag
-
-if TYPE_CHECKING:
-    # repro.service layers *above* this module (the session subsumes the old
-    # pipeline body); importing it at runtime would be circular.
-    from ..service.stopping import StoppingRule, StreamingConfig
 
 __all__ = ["CutPlan", "EvaluationResult", "cut_circuit", "cut_circuit_cutqc", "evaluate_workload"]
 
@@ -465,68 +450,6 @@ def cut_circuit_cutqc(circuit: Circuit, config: CutConfig, **kwargs: Any) -> Cut
     return cut_circuit(circuit, baseline, enable_reuse_extraction=False, **kwargs)
 
 
-#: The engine-level keywords :func:`evaluate_workload` still accepts as
-#: deprecated aliases of the same-named :class:`~repro.engine.EngineConfig`
-#: fields (the config is the single source of truth).
-_DEPRECATED_ENGINE_KWARGS: Tuple[str, ...] = (
-    "shots",
-    "allocation",
-    "seed",
-    "pruning",
-    "devices",
-    "routing",
-    "streaming",
-    "stopping",
-    "qubit_limit",
-    "recursion_depth",
-)
-
-#: Field defaults the conflict check compares against (an EngineConfig carrying
-#: only defaults is silent on every knob, so a kwarg never conflicts with it).
-_CONFIG_DEFAULTS = EngineConfig()
-
-
-def _check_deprecated_kwargs(supplied: Dict[str, Any], resolved: EngineConfig) -> None:
-    """Warn on each legacy engine kwarg; reject kwarg-vs-config conflicts.
-
-    Every non-``None`` entry of ``supplied`` emits a :class:`DeprecationWarning`
-    naming the :class:`~repro.engine.EngineConfig` field that replaces it.  A
-    kwarg whose config field is still at its default simply applies (the config
-    is silent on that knob); a kwarg that *disagrees* with an explicitly
-    configured field raises :class:`~repro.exceptions.ConfigError` — silently
-    preferring either side would make the other a lie.
-    """
-    for name, value in supplied.items():
-        if value is None:
-            continue
-        warnings.warn(
-            f"evaluate_workload(..., {name}=...) is deprecated; set "
-            f"EngineConfig({name}=...) and pass it as engine_config (or on the "
-            "supplied engine) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        configured: Any = getattr(resolved, name)
-        default: Any = getattr(_CONFIG_DEFAULTS, name)
-        comparable: Any = value
-        if name == "pruning":
-            # Policy names and PruningPolicy instances must compare by meaning
-            # ("none" == PruningPolicy.none()), not by representation.
-            configured = PruningPolicy.resolve(configured)
-            default = PruningPolicy.resolve(default)
-            comparable = PruningPolicy.resolve(value)
-        elif name == "devices":
-            comparable = tuple(value)
-        if configured == default:
-            continue
-        if configured != comparable:
-            raise ConfigError(
-                f"{name} is set both as a deprecated keyword ({value!r}) and on "
-                f"the EngineConfig ({getattr(resolved, name)!r}) with different "
-                "values; drop the keyword and keep the config"
-            )
-
-
 def evaluate_workload(
     workload: Workload,
     config: CutConfig,
@@ -536,16 +459,6 @@ def evaluate_workload(
     force_greedy: bool = False,
     engine: Optional[ParallelEngine] = None,
     engine_config: Optional[EngineConfig] = None,
-    shots: Optional[int] = None,
-    allocation: Optional[str] = None,
-    seed: Optional[int] = None,
-    pruning: Union[None, str, PruningPolicy] = None,
-    devices: Optional[Sequence[DeviceSpec]] = None,
-    routing: Optional[str] = None,
-    streaming: Optional[StreamingConfig] = None,
-    stopping: Optional[StoppingRule] = None,
-    qubit_limit: Optional[int] = None,
-    recursion_depth: Optional[int] = None,
 ) -> EvaluationResult:
     """Cut, execute and reconstruct a workload end-to-end.
 
@@ -589,7 +502,9 @@ def evaluate_workload(
     * ``shots`` + ``allocation`` + ``seed`` — finite-shot evaluation: estimate
       every subcircuit variant from samples through a
       :class:`~repro.cutting.sampling.SamplingExecutor` (built here, seeded
-      with ``seed``, when no executor/engine is supplied), the budget split
+      with ``seed``, when no executor/engine is supplied; a ``seed`` next to a
+      supplied executor or engine raises :class:`~repro.exceptions.CuttingError`
+      — seed those at construction), the budget split
       across the enumerated batch by ``allocation`` (``"uniform"``,
       ``"weighted"`` or ``"variance"``).  At a fixed seed the result is
       bit-identical for any ``max_workers``; the split is reported on
@@ -601,8 +516,7 @@ def evaluate_workload(
       at every cut and feed the reduced-variance per-variant weights to the
       shot allocator, the pruning ranking and the streaming re-planner; the
       pass is reported on ``result.overhead_report``.  ``"none"`` (the
-      default) is bit-identical to the pre-optimizer pipeline.  Config-only —
-      there is deliberately no keyword alias.  See
+      default) is bit-identical to the pre-optimizer pipeline.  See
       :mod:`repro.cutting.shot_overhead`.
     * ``pruning`` — truncated contraction: drop the small-|contraction-weight|
       tail of the enumerated batch before execution (a policy name or a
@@ -634,34 +548,9 @@ def evaluate_workload(
       ``result.dynamic_result``.  For wide circuits also pass
       ``compute_reference=False``.  See
       :mod:`repro.cutting.dynamic_definition`.
-
-    Deprecated keyword aliases: ``shots``, ``allocation``, ``seed``,
-    ``pruning``, ``devices``, ``routing``, ``streaming``, ``stopping``,
-    ``qubit_limit`` and ``recursion_depth`` are still accepted directly (six
-    PRs grew them before the config became the single source of truth).  Each
-    emits a :class:`DeprecationWarning` and behaves exactly like the matching
-    config field; a kwarg that disagrees with an explicitly configured field
-    raises :class:`~repro.exceptions.ConfigError` instead of silently picking
-    a side.
     """
-    _check_deprecated_kwargs(
-        {
-            "shots": shots,
-            "allocation": allocation,
-            "seed": seed,
-            "pruning": pruning,
-            "devices": devices,
-            "routing": routing,
-            "streaming": streaming,
-            "stopping": stopping,
-            "qubit_limit": qubit_limit,
-            "recursion_depth": recursion_depth,
-        },
-        engine.config if engine is not None else (engine_config or _CONFIG_DEFAULTS),
-    )
-    # Imported lazily: repro.service layers *above* this module (the session
-    # subsumes the old pipeline body) and importing it here at module level
-    # would be circular.
+    # Imported lazily: repro.service layers *above* this module and importing
+    # it here at module level would be circular.
     from ..service.session import EvaluationSession
 
     session = EvaluationSession(
@@ -673,245 +562,5 @@ def evaluate_workload(
         force_greedy=force_greedy,
         engine=engine,
         engine_config=engine_config,
-        shots=shots,
-        allocation=allocation,
-        seed=seed,
-        pruning=pruning,
-        devices=devices,
-        routing=routing,
-        streaming=streaming,
-        stopping=stopping,
-        qubit_limit=qubit_limit,
-        recursion_depth=recursion_depth,
     )
     return session.run()
-
-
-def _evaluate_workload_batch(
-    workload: Workload,
-    config: CutConfig,
-    executor: Optional[VariantExecutor] = None,
-    compute_reference: bool = True,
-    force_ilp: bool = False,
-    force_greedy: bool = False,
-    engine: Optional[ParallelEngine] = None,
-    engine_config: Optional[EngineConfig] = None,
-    shots: Optional[int] = None,
-    allocation: Optional[str] = None,
-    seed: Optional[int] = None,
-    pruning: Optional[object] = None,
-    devices: Optional[Sequence[DeviceSpec]] = None,
-    routing: Optional[str] = None,
-) -> EvaluationResult:
-    """The pre-service monolithic pipeline body, kept verbatim as a test oracle.
-
-    :func:`evaluate_workload` now delegates to
-    :class:`repro.service.EvaluationSession`; the regression suite pins the
-    session's batch path bit-identical to this original implementation.  Not
-    public API — prefer :func:`evaluate_workload`.
-    """
-    if workload.kind == WorkloadKind.PROBABILITY and config.enable_gate_cuts:
-        raise CuttingError(
-            "gate cutting cannot be used for probability-vector workloads (Section 2.3.2)"
-        )
-    if engine is not None and (executor is not None or engine_config is not None):
-        raise CuttingError(
-            "pass either a prebuilt engine or executor/engine_config, not both"
-        )
-    if seed is not None and (engine is not None or executor is not None):
-        raise CuttingError(
-            "seed only applies to the SamplingExecutor evaluate_workload builds "
-            "itself; seed a supplied executor/engine at construction instead"
-        )
-    if engine is not None and (devices is not None or routing is not None):
-        raise CuttingError(
-            "devices/routing configure the engine evaluate_workload builds "
-            "itself; a supplied engine carries its own farm (set "
-            "EngineConfig(devices=..., routing=...) when constructing it)"
-        )
-    resolved_config = engine.config if engine is not None else (engine_config or EngineConfig())
-    if devices is None:
-        devices = resolved_config.devices
-    if routing is not None and devices is None:
-        raise CuttingError("routing needs devices (a farm to route onto)")
-    if shots is None:
-        shots = resolved_config.shots
-    if allocation is None:
-        allocation = resolved_config.allocation
-    if allocation not in ALLOCATION_POLICIES:
-        raise CuttingError(
-            f"allocation must be one of {ALLOCATION_POLICIES}, got {allocation!r}"
-        )
-    if pruning is None:
-        pruning = resolved_config.pruning
-    pruning_policy = PruningPolicy.resolve(pruning)
-    if seed is not None and shots is None:
-        raise CuttingError(
-            "seed seeds the finite-shot SamplingExecutor and needs shots "
-            "(exact evaluation has nothing to seed)"
-        )
-    owns_engine = engine is None
-    if engine is None:
-        if executor is None and shots is not None:
-            # cache_size applies to the executor built here, mirroring the
-            # engine's own default-executor branch below.
-            executor = SamplingExecutor(
-                shots=shots, seed=seed, cache=ResultCache(resolved_config.cache_size)
-            )
-        build_config = engine_config or EngineConfig()
-        if devices is not None:
-            build_config = build_config.with_(
-                devices=tuple(devices),
-                routing=routing if routing is not None else build_config.routing,
-            )
-        # Pass executor=None through so engine_config.cache_size can size the
-        # default executor's cache; an explicit executor keeps its own cache.
-        engine = ParallelEngine(executor, build_config)
-    if shots is not None and not hasattr(engine.executor, "set_allocation"):
-        raise CuttingError(
-            f"shots={shots} needs a sampling-capable executor with per-variant shot "
-            f"allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
-        )
-    if shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
-        # Fail before anything (pilot batches included) executes: per-device
-        # backends never see the engine executor's allocation, so the budget
-        # would be reported as spent without being honored.
-        raise CuttingError(
-            "shots cannot combine with a heterogeneous device farm (devices "
-            "with noise/executor_factory run their own backends and would "
-            "silently ignore the per-variant shot allocation); use devices "
-            "that share the engine executor, or drop shots"
-        )
-    try:
-        stats_before = engine.stats
-        cut_start = perf_clock()
-        plan = cut_circuit(
-            workload.circuit, config, force_ilp=force_ilp, force_greedy=force_greedy
-        )
-        cut_seconds = perf_clock() - cut_start
-        if engine.farm is not None:
-            # Fail before enumerating anything: a plan wider than every device
-            # can never execute, and the error names the shortfall.
-            engine.farm.check_width(plan.max_width)
-        reconstructor = CutReconstructor(
-            plan.solution, specs=plan.subcircuits, engine=engine
-        )
-        executions_before = engine.executions
-        result = EvaluationResult(plan=plan)
-
-        # Phase one: enumerate every variant the contraction will need,
-        # accumulating contraction weights in the same walk when the shot
-        # allocator or the pruning pass will want them (the loop is the
-        # exponential cost).
-        needs_weights = not pruning_policy.is_none or (
-            shots is not None and allocation in ("weighted", "variance")
-        )
-        weights = {} if needs_weights else None
-        enumerate_start = perf_clock()
-        if workload.kind == WorkloadKind.EXPECTATION:
-            batch = reconstructor.enumerate_expectation_requests(
-                workload.observable, weights_out=weights
-            )
-        else:
-            batch = reconstructor.enumerate_probability_requests(weights_out=weights)
-        enumerate_seconds = perf_clock() - enumerate_start
-
-        # Optional truncated contraction: drop the small-weight tail before
-        # anything executes; allocation and execution see only the survivors.
-        missing_mode = "execute"
-        prune_seconds = 0.0
-        if not pruning_policy.is_none:
-            prune_start = perf_clock()
-            batch, pruning_report = prune_requests(batch, weights, pruning_policy)
-            result.pruning_report = pruning_report
-            missing_mode = "skip"
-            prune_seconds = perf_clock() - prune_start
-
-        # Optional shot allocation (finite-shot evaluation only).
-        allocate_seconds = 0.0
-        execute_seconds = 0.0
-        if shots is not None:
-            allocate_start = perf_clock()
-            shot_allocation = allocate_shots(
-                batch, shots, allocation, weights=weights, engine=engine
-            )
-            engine.apply_allocation(shot_allocation)
-            result.shot_allocation = shot_allocation
-            # The pilot batch (variance policy) is execution, not allocation math.
-            execute_seconds += shot_allocation.pilot_seconds
-            allocate_seconds = (
-                perf_clock() - allocate_start - shot_allocation.pilot_seconds
-            )
-
-        # Execute the batch; timing comes from this call itself, never from
-        # deltas of the engine's lifetime counters (those are inflated by
-        # concurrent batches when an engine is shared across threads).
-        table, batch_seconds = engine.run_batch_timed(batch)
-        execute_seconds += batch_seconds
-
-        # Phase two: contract over the results table (no execution inside).
-        # Under pruning the table is partial and missing variants contribute
-        # exactly zero ("skip"); otherwise any straggler executes on demand.
-        contract_start = perf_clock()
-        if workload.kind == WorkloadKind.EXPECTATION:
-            result.expectation_value = reconstructor.reconstruct_expectation(
-                workload.observable, table=table, missing=missing_mode
-            )
-        else:
-            result.probabilities = reconstructor.reconstruct_probabilities(
-                table=table, missing=missing_mode
-            )
-        contract_seconds = perf_clock() - contract_start
-        result.contraction_report = reconstructor.last_contraction_report
-
-        reference_seconds = 0.0
-        if compute_reference:
-            reference_start = perf_clock()
-            if workload.kind == WorkloadKind.EXPECTATION:
-                result.reference_expectation = simulate_statevector(
-                    workload.circuit
-                ).expectation(workload.observable)
-            else:
-                result.reference_probabilities = simulate_statevector(
-                    workload.circuit
-                ).probabilities()
-            reference_seconds = perf_clock() - reference_start
-        reconstruct_seconds = enumerate_seconds + contract_seconds
-        result.num_variant_evaluations = engine.executions - executions_before
-        # Per-call delta: on a shared engine, lifetime counters would conflate
-        # unrelated workloads (the cumulative view stays on engine.stats).
-        result.engine_stats = engine.stats.since(stats_before)
-        result.timings = {
-            "cut": cut_seconds,
-            "execute": execute_seconds,
-            "reconstruct": reconstruct_seconds,
-            "total": cut_seconds
-            + execute_seconds
-            + reconstruct_seconds
-            + allocate_seconds
-            + prune_seconds
-            + reference_seconds,
-        }
-        # Break reconstruct's contraction half into its planned stages; the
-        # "reconstruct" key above stays the enumerate + contract wall so the
-        # "total" identity is unchanged.
-        report = result.contraction_report
-        if report is not None:
-            result.timings["plan"] = report.plan_seconds
-            result.timings["contract"] = report.contract_seconds
-            result.timings["merge"] = report.merge_seconds
-        if shots is not None:
-            result.timings["allocate"] = allocate_seconds
-        if not pruning_policy.is_none:
-            result.timings["prune"] = prune_seconds
-        if compute_reference:
-            result.timings["reference"] = reference_seconds
-        return result
-    finally:
-        if shots is not None:
-            # Never leave a per-evaluation allocation applied to a (possibly
-            # shared) engine: later batches would sample stale per-variant
-            # counts.  result.engine_stats above snapshotted the policy first.
-            engine.clear_allocation()
-        if owns_engine:
-            engine.close()

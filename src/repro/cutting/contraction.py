@@ -74,6 +74,7 @@ from ..utils.timing import perf_clock
 
 __all__ = [
     "CHUNK_ELEMENT_BUDGET",
+    "CONTRACTION_MODES",
     "MIN_SHARD_FLOPS",
     "ContractionCost",
     "ContractionPlan",
@@ -86,6 +87,10 @@ __all__ = [
     "output_index_blocks",
     "plan_contraction",
 ]
+
+#: Reconstruction contraction modes, chosen per ``reconstruct_*`` call:
+#: ``"planned"`` (the default) or ``"naive"``, the reference walk it pins.
+CONTRACTION_MODES = ("planned", "naive")
 
 #: Estimated interpreter cost (in flop-equivalents) of one per-subcircuit visit
 #: in the naive Python walk: dict building, memo lookups, float boxing.

@@ -43,11 +43,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import CONTRACTION_MODES, ParallelEngine, VariantResult, request_key
+from ..engine import ParallelEngine, VariantResult, request_key
 from ..exceptions import ReconstructionError
 from ..utils.pauli import PauliObservable, PauliString
 from ..utils.timing import perf_clock
 from .contraction import (
+    CONTRACTION_MODES,
     ContractionReport,
     ShardUtilization,
     balanced_blocks,
@@ -289,7 +290,7 @@ class CutReconstructor:
         self,
         table: Optional[Mapping[str, VariantResult]] = None,
         missing: str = "execute",
-        contraction: Optional[str] = None,
+        contraction: str = "planned",
         qubit_limit: Optional[int] = None,
         recursion_depth: Optional[int] = None,
         zoom_fanout: int = 2,
@@ -306,13 +307,13 @@ class CutReconstructor:
                 exactly zero (truncated contraction over a *pruned* batch, see
                 :mod:`repro.engine.pruning`), ``"error"`` raises
                 :class:`~repro.exceptions.ReconstructionError`.
-            contraction: ``"planned"`` (cost-modelled vectorized kernels,
-                sharded across the engine's contraction workers) or
-                ``"naive"`` (the serial scalar walk); ``None`` (default) uses
-                the engine config's ``contraction`` mode.  Both paths are
-                bit-identical (see :mod:`repro.cutting.contraction`); only
-                wall clock differs.  The run's stage timings and shard
-                utilization land on :attr:`last_contraction_report`.
+            contraction: ``"planned"`` (the default: cost-modelled
+                vectorized kernels, sharded across the engine's workers) or
+                ``"naive"`` (the serial scalar walk, kept as the reference
+                implementation).  Both paths are bit-identical (see
+                :mod:`repro.cutting.contraction`); only wall clock differs.
+                The run's stage timings and shard utilization land on
+                :attr:`last_contraction_report`.
             qubit_limit: switch to *dynamic definition*: never materialise the
                 ``2**n`` vector; instead contract into binned distributions of
                 at most ``2**qubit_limit`` elements per recursion level and
@@ -335,7 +336,7 @@ class CutReconstructor:
             :class:`~repro.cutting.DynamicDefinitionResult`.
         """
         self._check_missing_mode(missing)
-        mode = self._resolve_contraction(contraction)
+        self._check_contraction_mode(contraction)
         if qubit_limit is None and recursion_depth is not None:
             raise ReconstructionError("recursion_depth needs qubit_limit (dynamic definition)")
         if table is None and qubit_limit is None:
@@ -346,7 +347,7 @@ class CutReconstructor:
                 "gate cuts only support expectation values (Section 2.3.2)"
             )
         if qubit_limit is not None:
-            if mode != "planned":
+            if contraction != "planned":
                 raise ReconstructionError(
                     "dynamic definition (qubit_limit) requires the planned "
                     "contraction mode; the naive walk materialises the full vector"
@@ -367,7 +368,7 @@ class CutReconstructor:
         # cache also never crosses the process boundary — shard workers receive
         # the dense stacks themselves.
         cache: Dict[Tuple, np.ndarray] = {}
-        if mode == "planned":
+        if contraction == "planned":
             return self._reconstruct_probabilities_planned(table, missing, cache)
         return self._reconstruct_probabilities_naive(table, missing, cache)
 
@@ -376,7 +377,7 @@ class CutReconstructor:
         observable: PauliObservable,
         table: Optional[Mapping[str, VariantResult]] = None,
         missing: str = "execute",
-        contraction: Optional[str] = None,
+        contraction: str = "planned",
     ) -> float:
         """Expectation value of ``observable`` on the original circuit's output.
 
@@ -388,22 +389,21 @@ class CutReconstructor:
                 from ``table`` — ``"execute"`` (default) runs it on demand,
                 ``"skip"`` contributes exactly zero (truncated contraction over
                 a pruned batch), ``"error"`` raises.
-            contraction: ``"planned"`` (vectorized kernels, observable terms
-                sharded across the engine's contraction workers) or
-                ``"naive"`` (the serial scalar walk); ``None`` (default) uses
-                the engine config's ``contraction`` mode.  Bit-identical
-                either way; see :meth:`reconstruct_probabilities`.
+            contraction: ``"planned"`` (the default: vectorized kernels,
+                observable terms sharded across the engine's workers) or
+                ``"naive"`` (the serial scalar walk).  Bit-identical either
+                way; see :meth:`reconstruct_probabilities`.
 
         Returns:
             The reconstructed expectation value (a float).
         """
         self._check_missing_mode(missing)
-        mode = self._resolve_contraction(contraction)
+        self._check_contraction_mode(contraction)
         if table is None:
             table = self.engine.run_batch(self.enumerate_expectation_requests(observable))
         # Per-call stacks, for the same staleness reason as reconstruct_probabilities.
         cache: Dict[Tuple, np.ndarray] = {}
-        if mode == "planned":
+        if contraction == "planned":
             return self._reconstruct_expectation_planned(observable, table, missing, cache)
         return self._reconstruct_expectation_naive(observable, table, missing, cache)
 
@@ -414,14 +414,12 @@ class CutReconstructor:
                 f"missing must be 'execute', 'skip' or 'error', got {missing!r}"
             )
 
-    def _resolve_contraction(self, contraction: Optional[str]) -> str:
-        if contraction is None:
-            contraction = getattr(self.engine.config, "contraction", "planned")
+    @staticmethod
+    def _check_contraction_mode(contraction: str) -> None:
         if contraction not in CONTRACTION_MODES:
             raise ReconstructionError(
                 f"contraction must be one of {CONTRACTION_MODES}, got {contraction!r}"
             )
-        return contraction
 
     # ------------------------------------------------------- naive contraction paths
     def _reconstruct_probabilities_naive(
@@ -502,8 +500,8 @@ class CutReconstructor:
         return value
 
     # ----------------------------------------------------- planned contraction paths
-    def _contraction_workers(self) -> int:
-        return getattr(self.engine, "contraction_workers", 1)
+    def _shard_workers(self) -> int:
+        return getattr(self.engine, "workers", 1)
 
     def _probability_structure(self, workers: int) -> Dict[str, object]:
         """Cached plan, index maps and scatter blocks for probability mode."""
@@ -534,7 +532,7 @@ class CutReconstructor:
     ) -> np.ndarray:
         """Planned path: dense per-subcircuit stacks, sharded vectorized kron."""
         plan_start = perf_clock()
-        workers = self._contraction_workers()
+        workers = self._shard_workers()
         structure = self._probability_structure(workers)
         plan = structure["plan"]
         plan_seconds = perf_clock() - plan_start
@@ -617,7 +615,7 @@ class CutReconstructor:
     ) -> float:
         """Planned path: dense value tables, terms sharded over the pool."""
         plan_start = perf_clock()
-        workers = self._contraction_workers()
+        workers = self._shard_workers()
         structure = self._expectation_structure(workers, len(observable.terms))
         plan = structure["plan"]
         plan_seconds = perf_clock() - plan_start

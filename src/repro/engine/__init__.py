@@ -27,7 +27,7 @@ from .cache import (
     build_cache_namespace,
     scoped_cache_namespace,
 )
-from .config import BACKENDS, CONTRACTION_MODES, OVERHEAD_MODES, EngineConfig
+from .config import OVERHEAD_MODES, EngineConfig
 from .devices import (
     ROUTING_POLICIES,
     DeviceFarm,
@@ -45,8 +45,6 @@ from .requests import (
 
 __all__ = [
     "ALLOCATION_POLICIES",
-    "BACKENDS",
-    "CONTRACTION_MODES",
     "DEFAULT_CACHE_BYTES",
     "DEFAULT_CACHE_SIZE",
     "DeviceFarm",

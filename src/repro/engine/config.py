@@ -16,13 +16,13 @@ from typing import TYPE_CHECKING, Any, Optional, Sequence, Union
 if TYPE_CHECKING:  # The service layer sits above the engine; import only for types.
     from ..service.stopping import StoppingRule, StreamingConfig
 
-from ..exceptions import ReproError
+from ..exceptions import ConfigError
 from .allocation import ALLOCATION_POLICIES
 from .cache import DEFAULT_CACHE_SIZE
 from .devices import ROUTING_POLICIES, DeviceSpec
 from .pruning import PruningPolicy
 
-__all__ = ["CONTRACTION_MODES", "EngineConfig", "BACKENDS", "OVERHEAD_MODES"]
+__all__ = ["EngineConfig", "OVERHEAD_MODES"]
 
 #: Sampling-overhead optimization modes (see
 #: :mod:`repro.cutting.shot_overhead`): ``"none"`` skips the pass and stays
@@ -30,29 +30,16 @@ __all__ = ["CONTRACTION_MODES", "EngineConfig", "BACKENDS", "OVERHEAD_MODES"]
 #: per-cut basis sampling weights.
 OVERHEAD_MODES = ("none", "weights")
 
-#: Exact-execution backends an engine can build when no executor is supplied.
-BACKENDS = ("batched", "scalar")
-
-#: Reconstruction contraction modes (see :mod:`repro.cutting.contraction`).
-CONTRACTION_MODES = ("planned", "naive")
-
 
 @dataclass(frozen=True)
 class EngineConfig:
     """Knobs of the batched parallel variant-execution engine.
 
     Attributes:
-        backend: which exact executor the engine builds when none is supplied —
-            ``"batched"`` (the default, the vectorized
-            :class:`~repro.cutting.executors.BatchedExactExecutor`: same-structure
-            variants share one ``(batch, 2**n)`` simulation pass) or
-            ``"scalar"`` (the one-variant-at-a-time
-            :class:`~repro.cutting.executors.ExactExecutor`).  The two are
-            bit-identical result for result, so this knob trades nothing but
-            speed; an executor you pass yourself always wins over it.
         max_workers: parallel workers for batch execution.  ``1`` (the default)
             executes in-process with no pool; ``None`` uses ``os.cpu_count()``.
-            Exposed as ``--jobs`` by the benchmark harnesses.
+            Sharded contraction uses the same worker budget and pool.  Exposed
+            as ``--jobs`` by the benchmark harnesses.
         use_threads: dispatch chunks to a thread pool instead of a process pool.
             Process pools are the default because the exact branching simulator
             is CPU-bound pure Python/NumPy; threads only help when an executor
@@ -102,18 +89,6 @@ class EngineConfig:
         routing: farm routing policy — ``"round_robin"``, ``"least_loaded"``
             or ``"best_fit"`` (the default).  Ignored when ``devices`` is
             ``None``.
-        contraction: how reconstruction contracts over the variant results
-            table — ``"planned"`` (the default: cost-modelled vectorized
-            kernels with output/term sharding across the worker pool, see
-            :mod:`repro.cutting.contraction`) or ``"naive"`` (the serial
-            scalar walk).  The two are bit-identical result for result — the
-            planned path pins the naive reduction order — so, like
-            ``backend``, this knob trades nothing but speed.
-        contraction_workers: worker budget for sharded contraction; ``None``
-            (the default) follows ``max_workers``.  Sharding uses the same
-            process/thread pool as batch execution (``use_threads`` applies);
-            with one worker the planned kernels still run, just unsharded and
-            in-process.
         streaming: a :class:`~repro.service.StreamingConfig` making finite-shot
             evaluations consume their budget in cumulative rounds through an
             :class:`~repro.service.EvaluationSession` (requires ``shots``).
@@ -138,8 +113,10 @@ class EngineConfig:
             to fully resolve every zoomed path.
         seed: base seed for finite-shot sampling (requires ``shots``; ``None``,
             the default, derives per-variant seeds from fingerprints alone).
-            Only consulted when the session builds its own sampling executor —
-            pass the seed to your executor/engine directly otherwise.
+            It seeds the sampling executor an evaluation builds itself; an
+            evaluation given its own executor or engine rejects a config seed
+            with :class:`~repro.exceptions.CuttingError` (seed those at
+            construction instead).
         optimize_overhead: cut-parameter sampling-overhead minimization mode —
             ``"none"`` (the default: skip the pass, bit-identical to the
             pre-optimizer pipeline) or ``"weights"`` (optimize the free
@@ -163,9 +140,6 @@ class EngineConfig:
     pruning: Union[str, PruningPolicy] = "none"
     devices: Optional[Sequence[DeviceSpec]] = None
     routing: str = "best_fit"
-    backend: str = "batched"
-    contraction: str = "planned"
-    contraction_workers: Optional[int] = None
     streaming: Optional[StreamingConfig] = None
     stopping: Optional[StoppingRule] = None
     qubit_limit: Optional[int] = None
@@ -174,66 +148,62 @@ class EngineConfig:
     optimize_overhead: str = "none"
 
     def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ReproError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        if self.contraction not in CONTRACTION_MODES:
-            raise ReproError(
-                f"contraction must be one of {CONTRACTION_MODES}, got {self.contraction!r}"
-            )
-        if self.contraction_workers is not None and self.contraction_workers < 1:
-            raise ReproError(
-                f"contraction_workers must be >= 1 or None, got {self.contraction_workers}"
-            )
         if self.max_workers is not None and self.max_workers < 1:
-            raise ReproError(f"max_workers must be >= 1 or None, got {self.max_workers}")
+            raise ConfigError(f"max_workers must be >= 1 or None, got {self.max_workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
-            raise ReproError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
+            raise ConfigError(f"chunk_size must be >= 1 or None, got {self.chunk_size}")
         if self.cache_size < 0:
-            raise ReproError(f"cache_size must be >= 0, got {self.cache_size}")
+            raise ConfigError(f"cache_size must be >= 0, got {self.cache_size}")
         if self.shots is not None and self.shots < 1:
-            raise ReproError(f"shots must be >= 1 or None, got {self.shots}")
+            raise ConfigError(f"shots must be >= 1 or None, got {self.shots}")
         if self.allocation not in ALLOCATION_POLICIES:
-            raise ReproError(
+            raise ConfigError(
                 f"allocation must be one of {ALLOCATION_POLICIES}, got {self.allocation!r}"
             )
         # Normalising here (rather than at use sites) surfaces bad policy names
         # or a bare "top_k" at construction time with a real message.
         PruningPolicy.resolve(self.pruning)
         if self.routing not in ROUTING_POLICIES:
-            raise ReproError(
+            raise ConfigError(
                 f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}"
             )
         if self.streaming is not None or self.stopping is not None:
             # Imported lazily: repro.service sits above the engine layer, and
-            # these fields are None on every pre-service configuration.
+            # these fields are None on every non-streaming configuration.
             from ..service.stopping import StoppingRule, StreamingConfig
 
             if self.streaming is not None and not isinstance(self.streaming, StreamingConfig):
-                raise ReproError(
+                raise ConfigError(
                     f"streaming must be a StreamingConfig or None, "
                     f"got {type(self.streaming).__name__}"
                 )
             if self.stopping is not None and not isinstance(self.stopping, StoppingRule):
-                raise ReproError(
+                raise ConfigError(
                     f"stopping must be a StoppingRule or None, "
                     f"got {type(self.stopping).__name__}"
                 )
+            if self.shots is None:
+                raise ConfigError(
+                    "streaming/stopping need a finite shot budget (shots=...): exact "
+                    "evaluation produces its answer in one pass and has no rounds to "
+                    "stream or terminate early"
+                )
         if self.qubit_limit is not None and self.qubit_limit < 1:
-            raise ReproError(f"qubit_limit must be >= 1 or None, got {self.qubit_limit}")
+            raise ConfigError(f"qubit_limit must be >= 1 or None, got {self.qubit_limit}")
         if self.recursion_depth is not None:
             if self.recursion_depth < 1:
-                raise ReproError(
+                raise ConfigError(
                     f"recursion_depth must be >= 1 or None, got {self.recursion_depth}"
                 )
             if self.qubit_limit is None:
-                raise ReproError(
+                raise ConfigError(
                     "recursion_depth configures the dynamic-definition zoom and "
                     "needs qubit_limit"
                 )
         if self.seed is not None and self.shots is None:
-            raise ReproError("seed configures finite-shot sampling and needs shots")
+            raise ConfigError("seed configures finite-shot sampling and needs shots")
         if self.optimize_overhead not in OVERHEAD_MODES:
-            raise ReproError(
+            raise ConfigError(
                 f"optimize_overhead must be one of {OVERHEAD_MODES}, "
                 f"got {self.optimize_overhead!r}"
             )

@@ -20,6 +20,7 @@ completion order.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from concurrent.futures import Executor as _PoolBase
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -155,13 +156,9 @@ class ParallelEngine:
     def __init__(self, executor: Any = None, config: Optional[EngineConfig] = None) -> None:
         self._config = config or EngineConfig()
         if executor is None:
-            from ..cutting.executors import BatchedExactExecutor, ExactExecutor
+            from ..cutting.executors import BatchedExactExecutor
 
-            cache = ResultCache(self._config.cache_size)
-            if self._config.backend == "batched":
-                executor = BatchedExactExecutor(cache=cache)
-            else:
-                executor = ExactExecutor(cache=cache)
+            executor = BatchedExactExecutor(cache=ResultCache(self._config.cache_size))
         # A caller-supplied executor keeps whatever cache it was built with:
         # config.cache_size only sizes the cache of engine-created executors,
         # so an explicit memory bound is never silently replaced.
@@ -245,7 +242,7 @@ class ParallelEngine:
         start = perf_clock()
         # A farm always routes (even serially): feasibility is checked and
         # utilization tracked regardless of worker count.
-        needs_dispatch = self._farm is not None or self._effective_workers() > 1
+        needs_dispatch = self._farm is not None or self.workers > 1
         dispatch = self._dispatch if needs_dispatch else None
         table = self._executor.run_batch(variants, dispatch=dispatch)
         seconds = perf_clock() - start
@@ -304,11 +301,14 @@ class ParallelEngine:
 
     # ------------------------------------------------------------------ sharding
     @property
-    def contraction_workers(self) -> int:
-        """Worker budget for sharded contraction (config override or ``max_workers``)."""
-        workers = self._config.contraction_workers
+    def workers(self) -> int:
+        """Worker budget of batch execution and sharded contraction.
+
+        ``max_workers``, or the CPU count when it is ``None``.
+        """
+        workers = self._config.max_workers
         if workers is None:
-            return self._effective_workers()
+            workers = os.cpu_count() or 1
         return max(1, workers)
 
     def map_shards(
@@ -320,8 +320,8 @@ class ParallelEngine:
         picklable module-level function whose arguments carry *all* its state
         (dense NumPy tables, index maps) — shards share no memos or caches, so
         nothing leaks across the process boundary.  Work is submitted to the
-        same pool batch execution uses; with one task or one contraction
-        worker everything runs in-process.
+        same pool batch execution uses; with one task or one worker
+        everything runs in-process.
 
         Returns ``(results, fell_back)``.  A broken pool mid-map follows the
         execute-stage semantics of :meth:`_run_tasks`: shards that completed
@@ -331,7 +331,7 @@ class ParallelEngine:
         caller.
         """
         tasks = list(tasks)
-        if len(tasks) <= 1 or self.contraction_workers <= 1:
+        if len(tasks) <= 1 or self.workers <= 1:
             return [fn(*args) for args in tasks], False
         pool = self._ensure_pool()
         if pool is None:
@@ -370,18 +370,11 @@ class ParallelEngine:
             return results, True
 
     # ------------------------------------------------------------------ dispatch
-    def _effective_workers(self) -> int:
-        workers = self._config.max_workers
-        if workers is None:
-            import os
-
-            workers = os.cpu_count() or 1
-        return max(1, workers)
 
     def _chunked(self, pending: Sequence[PendingRequest]) -> List[List[PendingRequest]]:
         size = self._config.chunk_size
         if size is None:
-            size = max(1, math.ceil(len(pending) / (self._effective_workers() * 4)))
+            size = max(1, math.ceil(len(pending) / (self.workers * 4)))
         return [list(pending[i : i + size]) for i in range(0, len(pending), size)]
 
     def _dispatch(
@@ -484,7 +477,7 @@ class ParallelEngine:
         specs: Dict[int, Tuple] = {}
         # max_workers=1 stays serial in-process even under a multi-device farm:
         # routing models *placement*, the worker count models *this host*.
-        if len(tasks) > 1 and self._effective_workers() > 1:
+        if len(tasks) > 1 and self.workers > 1:
             if not self._config.use_threads:
                 # Pre-flight every distinct executor's spawn spec; one
                 # unpicklable backend degrades the whole batch to serial (mixed
@@ -588,14 +581,12 @@ class ParallelEngine:
     def _ensure_pool(self) -> Optional[_PoolBase]:
         if self._pool is not None or self._pool_broken:
             return self._pool
-        # One pool serves both batch execution and sharded contraction; size it
-        # for whichever wants more (they default to the same count).
-        workers = max(self._effective_workers(), self.contraction_workers)
+        # One pool serves both batch execution and sharded contraction.
         try:
             if self._config.use_threads:
-                self._pool = ThreadPoolExecutor(max_workers=workers)
+                self._pool = ThreadPoolExecutor(max_workers=self.workers)
             else:
-                self._pool = ProcessPoolExecutor(max_workers=workers)
+                self._pool = ProcessPoolExecutor(max_workers=self.workers)
         except (OSError, ValueError, PermissionError, ImportError) as error:
             if not self._config.fallback_to_serial:
                 raise

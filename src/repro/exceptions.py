@@ -62,11 +62,13 @@ class InfeasibleVariantError(DeviceError):
 
 
 class ConfigError(ReproError):
-    """Raised for invalid streaming/stopping service configurations.
+    """Raised for invalid engine, streaming or stopping configurations.
 
-    In particular, a :class:`~repro.service.StoppingRule` that could never
-    terminate a session (no shot budget, no deadline, no round cap) is rejected
-    here — at construction time — instead of hanging a service queue later.
+    :class:`~repro.engine.EngineConfig` raises it at construction for every
+    knob value or knob combination it can check on its own.  In particular,
+    a :class:`~repro.service.StoppingRule` that could never terminate a
+    session (no shot budget, no deadline, no round cap) is rejected here — at
+    construction time — instead of hanging a service queue later.
     """
 
 

@@ -134,8 +134,13 @@ class ServiceQueue:
             tenant: the tenant to account the submission against.
             shots: finite-shot budget reserved against the tenant's budget at
                 admission (``None`` = exact evaluation, nothing to meter).
-            **kwargs: forwarded to :class:`~repro.service.EvaluationSession`
-                (``streaming=``, ``stopping=``, ``allocation=``, ...).
+            **kwargs: per-session policy overrides forwarded to
+                :class:`~repro.service.EvaluationSession` on the queue's shared
+                engine: ``allocation``, ``pruning``, ``streaming``,
+                ``stopping``, ``qubit_limit``, ``recursion_depth`` and
+                ``optimize_overhead`` (plus ``compute_reference``,
+                ``force_ilp`` and ``force_greedy``).  Seeds, device farms and
+                routing belong to the shared engine's own config.
 
         Returns:
             A :class:`SessionTicket`.  ``status == "queued"`` means admitted;

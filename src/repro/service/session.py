@@ -1,15 +1,15 @@
 """One evaluation as a stateful streaming session: prepare, step rounds, finish.
 
-:class:`EvaluationSession` is the layered replacement for the monolithic
-pipeline body: it enumerates variants *once*, then consumes the shot budget in
-cumulative rounds (each round's per-variant sample is a bitwise prefix of the
-next, so the final round reproduces the one-shot batch draw exactly), folding
-every round's fresh chunk into an :class:`~repro.service.IncrementalReconstructor`
-whose running confidence interval feeds an optional
-:class:`~repro.service.StoppingRule`.  ``streaming=None`` (the default)
-degenerates to a single full-batch step that is bit-identical — cache keys,
-seeds, timings structure and all — to the pre-service pipeline, which is what
-lets :func:`repro.core.evaluate_workload` stay a thin wrapper.
+:class:`EvaluationSession` is the library's one evaluation path: it
+enumerates variants *once*, then consumes the shot budget in cumulative rounds
+(each round's per-variant sample is a bitwise prefix of the next, so the final
+round reproduces the one-shot batch draw exactly), folding every round's fresh
+chunk into an :class:`~repro.service.IncrementalReconstructor` whose running
+confidence interval feeds an optional :class:`~repro.service.StoppingRule`.
+``streaming=None`` (the default) degenerates to a single full-batch step, and
+a streaming session run to completion reproduces that batch step bit for bit
+(cache keys, seeds and all).  :func:`repro.core.evaluate_workload` is a thin
+wrapper over :meth:`EvaluationSession.run`.
 
 Sessions are single-threaded state machines (``prepare -> step* -> finish``);
 :class:`~repro.service.ServiceQueue` multiplexes many of them over one shared
@@ -21,13 +21,11 @@ wrapped in a snapshot window and the deltas are accumulated per session.
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 from ..cutting import CutReconstructor, SamplingExecutor, VariantExecutor
 from ..cutting.shot_overhead import optimize_overhead_weights
 from ..engine import (
-    ALLOCATION_POLICIES,
-    DeviceSpec,
     EngineConfig,
     EngineStats,
     ParallelEngine,
@@ -37,7 +35,6 @@ from ..engine import (
     prune_requests,
 )
 from ..engine.allocation import _MIN_SIGMA, _sigma_estimate, largest_remainder_split
-from ..engine.config import OVERHEAD_MODES
 from ..engine.devices import DeviceUtilization
 from ..exceptions import ConfigError, CuttingError
 from ..utils.timing import perf_clock
@@ -96,6 +93,13 @@ def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStat
 class EvaluationSession:
     """One workload evaluation as an incremental, early-terminable session.
 
+    The policy keywords (``shots`` through ``optimize_overhead``) override the
+    same-named fields of the engine's (or ``engine_config``'s)
+    :class:`~repro.engine.EngineConfig` for this session only; ``None`` keeps
+    the config's value.  The merged settings are validated as one
+    ``EngineConfig``, so an invalid value or combination raises
+    :class:`~repro.exceptions.ConfigError` at construction.
+
     Args:
         workload: the workload (circuit + kind + observable) to evaluate.
         config: the cutting meta parameters (a ``CutConfig``).
@@ -110,26 +114,26 @@ class EvaluationSession:
             session then never closes it.  Mutually exclusive with
             ``executor``/``engine_config``.
         engine_config: an :class:`~repro.engine.EngineConfig` to build a
-            per-session engine from (closed when the session finishes).
+            per-session engine from (closed when the session finishes).  Its
+            ``seed``, ``devices`` and ``routing`` configure that engine and
+            its sampling executor; a config ``seed`` alongside a supplied
+            executor or engine raises :class:`~repro.exceptions.CuttingError`
+            (seed those at construction instead).
         shots: total finite-shot budget (``None`` = exact execution).
         allocation: shot-allocation policy (``"uniform"``, ``"weighted"``,
-            ``"variance"``); defaults to the engine config's.
-        seed: base seed for the sampling executor the session builds itself
-            (needs ``shots``; rejected alongside a supplied executor/engine).
+            ``"variance"``).
         pruning: truncated-contraction policy (name or
-            :class:`~repro.engine.PruningPolicy`); defaults to the config's.
-        devices: a device farm for the engine the session builds itself.
-        routing: the farm's routing policy (needs ``devices``).
+            :class:`~repro.engine.PruningPolicy`).
         streaming: a :class:`~repro.service.StreamingConfig` spreading the
             budget over cumulative rounds (needs ``shots``); ``None`` (the
             default, unless the engine config sets one) runs the one-shot
-            batch path, bit-identical to the classic pipeline.
+            batch path.
         stopping: a :class:`~repro.service.StoppingRule` checked after every
             round (needs ``shots``; implies a default ``StreamingConfig`` when
             ``streaming`` is unset).  Early termination records its reason on
             ``EvaluationResult.termination_reason``.
         qubit_limit: dynamic-definition reconstruction for probability
-            workloads (defaults to the engine config's): never materialise the
+            workloads: never materialise the
             full ``2**n`` output vector; contract into binned distributions of
             at most ``2**qubit_limit`` elements per recursion level, zoom into
             the heavy bins, and report a sparse
@@ -140,10 +144,10 @@ class EvaluationSession:
             recursion level, so the stopping rule's confidence interval and the
             per-level intervals compose with the zoom.
         recursion_depth: recursion levels for the dynamic-definition zoom
-            (needs ``qubit_limit``; defaults to the engine config's); ``None``
-            spends exactly enough levels to fully resolve every zoomed path.
+            (needs ``qubit_limit``); ``None`` spends exactly enough levels to
+            fully resolve every zoomed path.
         optimize_overhead: cut-parameter sampling-overhead minimization mode
-            (``"none"`` or ``"weights"``; defaults to the engine config's).
+            (``"none"`` or ``"weights"``).
             With ``"weights"`` the session optimizes the per-cut basis
             sampling weights after enumeration (see
             :mod:`repro.cutting.shot_overhead`) and feeds the reduced-variance
@@ -172,10 +176,7 @@ class EvaluationSession:
         engine_config: Optional[EngineConfig] = None,
         shots: Optional[int] = None,
         allocation: Optional[str] = None,
-        seed: Optional[int] = None,
         pruning: Optional[object] = None,
-        devices: Optional[Sequence[DeviceSpec]] = None,
-        routing: Optional[str] = None,
         streaming: Optional[StreamingConfig] = None,
         stopping: Optional[StoppingRule] = None,
         qubit_limit: Optional[int] = None,
@@ -190,88 +191,28 @@ class EvaluationSession:
             raise CuttingError(
                 "pass either a prebuilt engine or executor/engine_config, not both"
             )
-        if seed is not None and (engine is not None or executor is not None):
+        overrides = {
+            "shots": shots,
+            "allocation": allocation,
+            "pruning": pruning,
+            "streaming": streaming,
+            "stopping": stopping,
+            "qubit_limit": qubit_limit,
+            "recursion_depth": recursion_depth,
+            "optimize_overhead": optimize_overhead,
+        }
+        base = engine.config if engine is not None else (engine_config or EngineConfig())
+        # EngineConfig validates every knob (and knob combination) it holds;
+        # only the checks that need the workload, executor or engine stay here.
+        settings = base.with_(
+            **{name: value for name, value in overrides.items() if value is not None}
+        )
+        if settings.seed is not None and (engine is not None or executor is not None):
             raise CuttingError(
-                "seed only applies to the SamplingExecutor evaluate_workload builds "
+                "seed only applies to the SamplingExecutor the session builds "
                 "itself; seed a supplied executor/engine at construction instead"
             )
-        if engine is not None and (devices is not None or routing is not None):
-            raise CuttingError(
-                "devices/routing configure the engine evaluate_workload builds "
-                "itself; a supplied engine carries its own farm (set "
-                "EngineConfig(devices=..., routing=...) when constructing it)"
-            )
-        resolved_config = engine.config if engine is not None else (engine_config or EngineConfig())
-        if seed is None and engine is None and executor is None:
-            # The config seed only applies to the SamplingExecutor the session
-            # builds itself (a supplied executor/engine carries its own seed).
-            seed = resolved_config.seed
-        if devices is None:
-            devices = resolved_config.devices
-        if routing is not None and devices is None:
-            raise CuttingError("routing needs devices (a farm to route onto)")
-        if shots is None:
-            shots = resolved_config.shots
-        if allocation is None:
-            allocation = resolved_config.allocation
-        if allocation not in ALLOCATION_POLICIES:
-            raise CuttingError(
-                f"allocation must be one of {ALLOCATION_POLICIES}, got {allocation!r}"
-            )
-        if pruning is None:
-            pruning = resolved_config.pruning
-        pruning_policy = PruningPolicy.resolve(pruning)
-        if optimize_overhead is None:
-            optimize_overhead = resolved_config.optimize_overhead
-        if optimize_overhead not in OVERHEAD_MODES:
-            raise ConfigError(
-                f"optimize_overhead must be one of {OVERHEAD_MODES}, "
-                f"got {optimize_overhead!r}"
-            )
-        if seed is not None and shots is None:
-            raise CuttingError(
-                "seed seeds the finite-shot SamplingExecutor and needs shots "
-                "(exact evaluation has nothing to seed)"
-            )
-        if streaming is None:
-            streaming = resolved_config.streaming
-        if stopping is None:
-            stopping = resolved_config.stopping
-        if streaming is not None and not isinstance(streaming, StreamingConfig):
-            raise ConfigError(
-                f"streaming must be a StreamingConfig or None, got {type(streaming).__name__}"
-            )
-        if stopping is not None and not isinstance(stopping, StoppingRule):
-            raise ConfigError(
-                f"stopping must be a StoppingRule or None, got {type(stopping).__name__}"
-            )
-        if stopping is not None and streaming is None:
-            # A stopping rule without an explicit round plan still needs rounds
-            # to check itself between; give it the default cadence.
-            streaming = StreamingConfig()
-        if streaming is not None and shots is None:
-            raise ConfigError(
-                "streaming/stopping need a finite shot budget (shots=...): exact "
-                "evaluation produces its answer in one pass and has no rounds to "
-                "stream or terminate early"
-            )
-        if qubit_limit is None:
-            qubit_limit = resolved_config.qubit_limit
-        if recursion_depth is None:
-            recursion_depth = resolved_config.recursion_depth
-        if qubit_limit is not None and qubit_limit < 1:
-            raise ConfigError(f"qubit_limit must be >= 1 or None, got {qubit_limit}")
-        if recursion_depth is not None:
-            if recursion_depth < 1:
-                raise ConfigError(
-                    f"recursion_depth must be >= 1 or None, got {recursion_depth}"
-                )
-            if qubit_limit is None:
-                raise ConfigError(
-                    "recursion_depth configures the dynamic-definition zoom and "
-                    "needs qubit_limit"
-                )
-        if qubit_limit is not None and workload.kind != WorkloadKind.PROBABILITY:
+        if settings.qubit_limit is not None and workload.kind != WorkloadKind.PROBABILITY:
             raise ConfigError(
                 "qubit_limit (dynamic definition) bins the reconstructed "
                 "probability vector and only applies to probability workloads; "
@@ -283,34 +224,32 @@ class EvaluationSession:
         self.compute_reference = compute_reference
         self.force_ilp = force_ilp
         self.force_greedy = force_greedy
-        self.shots = shots
-        self.allocation_policy = allocation
-        self.pruning_policy = pruning_policy
-        self.streaming = streaming
-        self.stopping = stopping
-        self.qubit_limit = qubit_limit
-        self.recursion_depth = recursion_depth
-        self.optimize_overhead = optimize_overhead
+        self.shots = settings.shots
+        self.allocation_policy = settings.allocation
+        self.pruning_policy = PruningPolicy.resolve(settings.pruning)
+        # A stopping rule without an explicit round plan still needs rounds to
+        # check itself between; give it the default cadence.
+        self.streaming = settings.streaming
+        if settings.stopping is not None and self.streaming is None:
+            self.streaming = StreamingConfig()
+        self.stopping = settings.stopping
+        self.qubit_limit = settings.qubit_limit
+        self.recursion_depth = settings.recursion_depth
+        self.optimize_overhead = settings.optimize_overhead
 
         self.owns_engine = engine is None
         if engine is None:
-            if executor is None and shots is not None:
+            if executor is None and self.shots is not None:
                 executor = SamplingExecutor(
-                    shots=shots, seed=seed, cache=ResultCache(resolved_config.cache_size)
+                    shots=self.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
                 )
-            build_config = engine_config or EngineConfig()
-            if devices is not None:
-                build_config = build_config.with_(
-                    devices=tuple(devices),
-                    routing=routing if routing is not None else build_config.routing,
-                )
-            engine = ParallelEngine(executor, build_config)
-        if shots is not None and not hasattr(engine.executor, "set_allocation"):
+            engine = ParallelEngine(executor, settings)
+        if self.shots is not None and not hasattr(engine.executor, "set_allocation"):
             raise CuttingError(
-                f"shots={shots} needs a sampling-capable executor with per-variant shot "
-                f"allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
+                f"shots={self.shots} needs a sampling-capable executor with per-variant "
+                f"shot allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
             )
-        if shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
+        if self.shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
             raise CuttingError(
                 "shots cannot combine with a heterogeneous device farm (devices "
                 "with noise/executor_factory run their own backends and would "

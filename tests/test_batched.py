@@ -24,7 +24,7 @@ from repro.cutting import (
     ExactExecutor,
 )
 from repro.engine import EngineConfig, ParallelEngine, request_key
-from repro.exceptions import CuttingError, ReproError, SimulationError
+from repro.exceptions import CuttingError, SimulationError
 from repro.simulator import (
     BatchedStatevector,
     Statevector,
@@ -224,20 +224,16 @@ class TestRealCutEnumerations:
         _assert_tables_bit_identical(scalar, batched)
 
     def test_evaluate_workload_backends_bit_identical(self):
+        # ExactExecutor is the scalar reference the default batched engine
+        # must reproduce bit for bit.
         workload = make_workload("REG", 6, degree=3, layers=1, seed=5)
         config = CutConfig(device_size=4)
         scalar = evaluate_workload(
-            workload, config, engine_config=EngineConfig(backend="scalar")
+            workload, config, engine=ParallelEngine(ExactExecutor())
         )
-        batched = evaluate_workload(
-            workload, config, engine_config=EngineConfig(backend="batched")
-        )
+        batched = evaluate_workload(workload, config)
         assert scalar.expectation_value == batched.expectation_value
         assert scalar.num_variant_evaluations == batched.num_variant_evaluations
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ReproError, match="backend"):
-            EngineConfig(backend="gpu")
 
 
 # --------------------------------------------------------------------------- engine dispatch

@@ -15,9 +15,9 @@ from repro.cutting import (
     GateCut,
     plan_contraction,
 )
-from repro.cutting.contraction import balanced_blocks
-from repro.engine import CONTRACTION_MODES, EngineConfig, ParallelEngine
-from repro.exceptions import ReconstructionError, ReproError
+from repro.cutting.contraction import CONTRACTION_MODES, balanced_blocks
+from repro.engine import EngineConfig, ParallelEngine
+from repro.exceptions import ReconstructionError
 from repro.simulator import simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 
@@ -301,34 +301,14 @@ class TestConfigAndEngine:
     def test_contraction_modes_exported(self):
         assert CONTRACTION_MODES == ("planned", "naive")
 
-    def test_config_validates_contraction(self):
-        with pytest.raises(ReproError, match="contraction"):
-            EngineConfig(contraction="fast")
-        with pytest.raises(ReproError, match="contraction_workers"):
-            EngineConfig(contraction_workers=0)
-        config = EngineConfig(contraction="naive", contraction_workers=3)
-        assert config.contraction == "naive"
-        assert config.contraction_workers == 3
-
     def test_reconstructor_rejects_bad_mode(self, chain_wire_cut_solution):
         reconstructor = CutReconstructor(chain_wire_cut_solution)
         with pytest.raises(ReconstructionError, match="contraction"):
             reconstructor.reconstruct_probabilities(contraction="wat")
 
-    def test_engine_config_mode_is_the_default(self, chain_wire_cut_solution):
-        engine = ParallelEngine(config=EngineConfig(contraction="naive"))
-        reconstructor = CutReconstructor(chain_wire_cut_solution, engine=engine)
-        reconstructor.reconstruct_probabilities()
-        assert reconstructor.last_contraction_report.mode == "naive"
-
-    def test_contraction_workers_follow_max_workers(self):
-        assert ParallelEngine(config=EngineConfig(max_workers=3)).contraction_workers == 3
-        assert (
-            ParallelEngine(
-                config=EngineConfig(max_workers=1, contraction_workers=4)
-            ).contraction_workers
-            == 4
-        )
+    def test_shard_workers_follow_max_workers(self):
+        assert ParallelEngine(config=EngineConfig(max_workers=3)).workers == 3
+        assert ParallelEngine(config=EngineConfig(max_workers=1)).workers == 1
 
     def test_map_shards_serial_paths(self):
         engine = ParallelEngine(config=EngineConfig(max_workers=1))
@@ -455,18 +435,11 @@ class TestPipelineIntegration:
 
         workload = make_workload("QFT", 5)
         config = CutConfig(device_size=3)
-        planned = evaluate_workload(
-            workload,
-            config,
-            compute_reference=False,
-            engine_config=EngineConfig(contraction="planned"),
+        planned = evaluate_workload(workload, config, compute_reference=False)
+        reconstructor = CutReconstructor(
+            planned.plan.solution, specs=planned.plan.subcircuits
         )
-        naive = evaluate_workload(
-            workload,
-            config,
-            compute_reference=False,
-            engine_config=EngineConfig(contraction="naive"),
-        )
-        assert planned.probabilities.tobytes() == naive.probabilities.tobytes()
-        assert naive.contraction_report.mode == "naive"
+        naive = reconstructor.reconstruct_probabilities(contraction="naive")
+        assert planned.probabilities.tobytes() == naive.tobytes()
+        assert reconstructor.last_contraction_report.mode == "naive"
         assert planned.contraction_report.mode == "planned"

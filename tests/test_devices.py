@@ -361,8 +361,9 @@ class TestEngineIntegration:
         noisy = [DeviceSpec("n", 3, noise=NoiseModel(0.01, 0.001, 0.0))]
         with pytest.raises(CuttingError, match="heterogeneous"):
             evaluate_workload(
-                workload, CutConfig(device_size=3, max_subcircuits=2),
-                shots=1000, seed=1, devices=noisy,
+                workload,
+                CutConfig(device_size=3, max_subcircuits=2),
+                engine_config=EngineConfig(shots=1000, seed=1, devices=noisy),
             )
         # Direct engine users hit the same wall at apply time.
         from repro.cutting import SamplingExecutor
@@ -405,7 +406,9 @@ class TestPipelineIntegration:
         workload = self._workload()
         plain = evaluate_workload(workload, self.CONFIG)
         farmed = evaluate_workload(
-            workload, self.CONFIG, devices=[DeviceSpec("only", plain.plan.max_width)]
+            workload,
+            self.CONFIG,
+            engine_config=EngineConfig(devices=[DeviceSpec("only", plain.plan.max_width)]),
         )
         assert farmed.expectation_value == plain.expectation_value  # bit-identical
         assert farmed.num_variant_evaluations == plain.num_variant_evaluations
@@ -415,7 +418,11 @@ class TestPipelineIntegration:
     def test_variant_wider_than_every_device_raises(self):
         workload = self._workload()
         with pytest.raises(InfeasibleVariantError, match="widest"):
-            evaluate_workload(workload, self.CONFIG, devices=[DeviceSpec("tiny", 2)])
+            evaluate_workload(
+                workload,
+                self.CONFIG,
+                engine_config=EngineConfig(devices=[DeviceSpec("tiny", 2)]),
+            )
 
     def test_serial_parallel_identity_per_device_lane_under_sampling(self):
         workload = self._workload()
@@ -427,11 +434,13 @@ class TestPipelineIntegration:
             evaluate_workload(
                 workload,
                 self.CONFIG,
-                shots=3000,
-                seed=11,
-                devices=devices,
-                routing="least_loaded",
-                engine_config=EngineConfig(max_workers=workers),
+                engine_config=EngineConfig(
+                    max_workers=workers,
+                    shots=3000,
+                    seed=11,
+                    devices=devices,
+                    routing="least_loaded",
+                ),
             )
             for workers in (1, 3)
         ]
@@ -445,8 +454,10 @@ class TestPipelineIntegration:
         result = evaluate_workload(
             workload,
             self.CONFIG,
-            devices=[DeviceSpec("a", 3), DeviceSpec("b", 3)],
-            routing="round_robin",
+            engine_config=EngineConfig(
+                devices=[DeviceSpec("a", 3), DeviceSpec("b", 3)],
+                routing="round_robin",
+            ),
         )
         assigned = sum(report.assigned for report in result.device_utilization)
         assert assigned == result.engine_stats.unique_executions
@@ -455,16 +466,16 @@ class TestPipelineIntegration:
         assert result.engine_stats.routing == "round_robin"
 
     def test_devices_with_supplied_engine_rejected(self):
+        # A supplied engine carries its own farm; a per-call one cannot join it.
         workload = self._workload()
         with ParallelEngine(ExactExecutor()) as engine:
-            with pytest.raises(CuttingError):
+            with pytest.raises(CuttingError, match="not both"):
                 evaluate_workload(
-                    workload, self.CONFIG, engine=engine, devices=[DeviceSpec("a", 3)]
+                    workload,
+                    self.CONFIG,
+                    engine=engine,
+                    engine_config=EngineConfig(devices=[DeviceSpec("a", 3)]),
                 )
-
-    def test_routing_without_devices_rejected(self):
-        with pytest.raises(CuttingError):
-            evaluate_workload(self._workload(), self.CONFIG, routing="best_fit")
 
     def test_farm_on_a_supplied_engine_config_is_used(self):
         workload = self._workload()

@@ -233,18 +233,22 @@ class TestConfigGuards:
             evaluate_workload(
                 make_workload("VQE", 5, layers=1),
                 CutConfig(device_size=3),
-                qubit_limit=2,
+                engine_config=EngineConfig(qubit_limit=2),
             )
 
     def test_session_validates_knobs(self):
         workload = make_workload("QFT", 4)
         config = CutConfig(device_size=3)
         with pytest.raises(ConfigError, match="qubit_limit"):
-            evaluate_workload(workload, config, qubit_limit=0)
+            evaluate_workload(workload, config, engine_config=EngineConfig(qubit_limit=0))
         with pytest.raises(ConfigError, match="recursion_depth"):
-            evaluate_workload(workload, config, qubit_limit=2, recursion_depth=0)
+            evaluate_workload(
+                workload,
+                config,
+                engine_config=EngineConfig(qubit_limit=2, recursion_depth=0),
+            )
         with pytest.raises(ConfigError, match="needs qubit_limit"):
-            evaluate_workload(workload, config, recursion_depth=2)
+            evaluate_workload(workload, config, engine_config=EngineConfig(recursion_depth=2))
 
 
 # ------------------------------------------------------------ pipeline wiring
@@ -254,7 +258,10 @@ class TestPipelineWiring:
         config = CutConfig(device_size=3)
         full = evaluate_workload(workload, config, compute_reference=False)
         result = evaluate_workload(
-            workload, config, compute_reference=False, qubit_limit=4
+            workload,
+            config,
+            compute_reference=False,
+            engine_config=EngineConfig(qubit_limit=4),
         )
         assert result.probabilities is None
         dynamic = result.dynamic_result
@@ -271,7 +278,10 @@ class TestPipelineWiring:
         config = CutConfig(device_size=3)
         full = evaluate_workload(workload, config, compute_reference=False)
         result = evaluate_workload(
-            workload, config, compute_reference=False, qubit_limit=2
+            workload,
+            config,
+            compute_reference=False,
+            engine_config=EngineConfig(qubit_limit=2),
         )
         dynamic = result.dynamic_result
         captured = float(
@@ -299,19 +309,19 @@ class TestStreamingComposition:
         batch = evaluate_workload(
             workload,
             config,
-            shots=4096,
-            seed=7,
             compute_reference=False,
-            qubit_limit=2,
+            engine_config=EngineConfig(shots=4096, seed=7, qubit_limit=2),
         )
         streamed = evaluate_workload(
             workload,
             config,
-            shots=4096,
-            seed=7,
             compute_reference=False,
-            qubit_limit=2,
-            streaming=StreamingConfig(rounds=4),
+            engine_config=EngineConfig(
+                shots=4096,
+                seed=7,
+                qubit_limit=2,
+                streaming=StreamingConfig(rounds=4),
+            ),
         )
         batch_bins = [(h.index, h.probability) for h in batch.dynamic_result.bins]
         stream_bins = [(h.index, h.probability) for h in streamed.dynamic_result.bins]

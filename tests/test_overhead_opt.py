@@ -1,6 +1,6 @@
 """Tests for sampling-overhead minimization (repro.cutting.shot_overhead) and
 the consolidated evaluate_workload request object (EngineConfig as the single
-source of truth, legacy engine keywords as deprecated aliases)."""
+source of truth for engine knobs)."""
 
 import itertools
 import math
@@ -18,7 +18,7 @@ from repro.cutting import (
     variant_profile,
 )
 from repro.cutting.variants import SubcircuitVariant, VariantSettings
-from repro.engine import PruningPolicy, request_key
+from repro.engine import request_key
 from repro.exceptions import ConfigError, ReproError
 from repro.workloads import make_workload
 
@@ -325,53 +325,29 @@ class TestEngineConfigValidation:
                 ising_workload, ising_config, shots=512, optimize_overhead="weights"
             )
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("shots", 512),
+            ("allocation", "weighted"),
+            ("seed", 3),
+            ("pruning", "threshold"),
+            ("devices", ()),
+            ("routing", "best_fit"),
+            ("streaming", None),
+            ("stopping", None),
+            ("qubit_limit", 2),
+            ("recursion_depth", 1),
+        ],
+    )
+    def test_engine_knobs_are_config_only(self, ising_workload, ising_config, name, value):
+        # The keyword spellings these knobs once had are gone for good.
+        with pytest.raises(TypeError):
+            evaluate_workload(ising_workload, ising_config, **{name: value})
+
 
 class TestDeprecatedEngineKwargs:
-    def test_legacy_kwargs_warn_and_match_config_first(
-        self, ising_workload, ising_config
-    ):
-        config_first = evaluate_workload(
-            ising_workload,
-            ising_config,
-            engine_config=EngineConfig(shots=512, seed=3),
-        )
-        with pytest.warns(DeprecationWarning, match="shots"):
-            legacy = evaluate_workload(ising_workload, ising_config, shots=512, seed=3)
-        assert legacy.expectation_value == config_first.expectation_value
-
-    def test_conflicting_kwarg_and_config_raise(self, ising_workload, ising_config):
-        with pytest.raises(ConfigError, match="deprecated keyword"):
-            evaluate_workload(
-                ising_workload,
-                ising_config,
-                shots=512,
-                engine_config=EngineConfig(shots=1024),
-            )
-
-    def test_equal_kwarg_and_config_only_warn(self, ising_workload, ising_config):
-        with pytest.warns(DeprecationWarning):
-            result = evaluate_workload(
-                ising_workload,
-                ising_config,
-                shots=512,
-                seed=0,
-                engine_config=EngineConfig(shots=512, seed=0),
-            )
-        assert result.shot_allocation is not None
-        assert result.shot_allocation.total_shots == 512
-
-    def test_pruning_policy_spellings_do_not_false_conflict(
-        self, ising_workload, ising_config
-    ):
-        # "none" (string) and PruningPolicy.none() resolve to the same policy;
-        # the conflict check must compare resolved policies, not raw values.
-        with pytest.warns(DeprecationWarning, match="pruning"):
-            evaluate_workload(
-                ising_workload,
-                ising_config,
-                pruning="none",
-                engine_config=EngineConfig(pruning=PruningPolicy.none()),
-            )
+    """The config spelling that replaced the removed engine keywords."""
 
     def test_config_seed_feeds_the_sampling_executor(self, ising_workload, ising_config):
         seeded = evaluate_workload(

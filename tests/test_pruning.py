@@ -308,7 +308,9 @@ class TestPartialTableReconstruction:
         config = CutConfig(device_size=4, max_subcircuits=2)
         baseline = evaluate_workload(workload, config)
         pruned = evaluate_workload(
-            workload, config, pruning=PruningPolicy.budget_fraction(0.05)
+            workload,
+            config,
+            engine_config=EngineConfig(pruning=PruningPolicy.budget_fraction(0.05)),
         )
         assert pruned.pruning_report is not None
         l1_error = float(np.abs(pruned.probabilities - baseline.probabilities).sum())
@@ -320,7 +322,11 @@ class TestPipelineComposition:
         workload = make_workload("VQE", 6, layers=1)
         config = CutConfig(device_size=4, max_subcircuits=2, enable_gate_cuts=True)
         default = evaluate_workload(workload, config)
-        explicit = evaluate_workload(workload, config, pruning="none")
+        explicit = evaluate_workload(
+            workload,
+            config,
+            engine_config=EngineConfig(pruning="none"),
+        )
         assert explicit.pruning_report is None
         assert explicit.expectation_value == default.expectation_value
         assert explicit.num_variant_evaluations == default.num_variant_evaluations
@@ -329,8 +335,16 @@ class TestPipelineComposition:
     def test_none_is_bit_identical_under_shots(self):
         workload = make_workload("VQE", 6, layers=1)
         config = CutConfig(device_size=4, max_subcircuits=2, enable_gate_cuts=True)
-        default = evaluate_workload(workload, config, shots=2048, seed=7)
-        explicit = evaluate_workload(workload, config, shots=2048, seed=7, pruning="none")
+        default = evaluate_workload(
+            workload,
+            config,
+            engine_config=EngineConfig(shots=2048, seed=7),
+        )
+        explicit = evaluate_workload(
+            workload,
+            config,
+            engine_config=EngineConfig(shots=2048, seed=7, pruning="none"),
+        )
         assert explicit.expectation_value == default.expectation_value
 
     def test_pruned_evaluation_reports_and_bounds(self):
@@ -340,7 +354,9 @@ class TestPipelineComposition:
         )
         baseline = evaluate_workload(workload, config)
         pruned = evaluate_workload(
-            workload, config, pruning=PruningPolicy.budget_fraction(0.01)
+            workload,
+            config,
+            engine_config=EngineConfig(pruning=PruningPolicy.budget_fraction(0.01)),
         )
         report = pruned.pruning_report
         assert isinstance(report, PruningReport)
@@ -373,10 +389,12 @@ class TestPipelineComposition:
         result = evaluate_workload(
             workload,
             config,
-            shots=shots,
-            allocation="variance",
-            seed=11,
-            pruning=PruningPolicy.budget_fraction(0.01),
+            engine_config=EngineConfig(
+                shots=shots,
+                allocation="variance",
+                seed=11,
+                pruning=PruningPolicy.budget_fraction(0.01),
+            ),
         )
         report = result.pruning_report
         allocation = result.shot_allocation
@@ -398,10 +416,12 @@ class TestPipelineComposition:
         result = evaluate_workload(
             workload,
             config,
-            shots=shots,
-            allocation="weighted",
-            seed=3,
-            pruning=PruningPolicy.budget_fraction(0.01),
+            engine_config=EngineConfig(
+                shots=shots,
+                allocation="weighted",
+                seed=3,
+                pruning=PruningPolicy.budget_fraction(0.01),
+            ),
         )
         allocation = result.shot_allocation
         assert allocation.assigned_shots == shots

@@ -15,7 +15,13 @@ from repro.engine import (
     largest_remainder_split,
     request_key,
 )
-from repro.exceptions import AllocationError, CuttingError, ReproError, SimulationError
+from repro.exceptions import (
+    AllocationError,
+    ConfigError,
+    CuttingError,
+    ReproError,
+    SimulationError,
+)
 from repro.simulator import distribution_to_counts, sample_counts
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
@@ -263,9 +269,11 @@ class TestEvaluateWorkloadShots:
 
     def test_serial_parallel_identity_at_fixed_seed(self, small_case):
         workload, config = small_case
-        serial = evaluate_workload(workload, config, shots=2000, seed=9)
+        serial = evaluate_workload(
+            workload, config, engine_config=EngineConfig(shots=2000, seed=9)
+        )
         parallel = evaluate_workload(
-            workload, config, shots=2000, seed=9, engine_config=EngineConfig(max_workers=2)
+            workload, config, engine_config=EngineConfig(shots=2000, seed=9, max_workers=2)
         )
         assert parallel.expectation_value == serial.expectation_value
 
@@ -278,7 +286,10 @@ class TestEvaluateWorkloadShots:
                 [
                     abs(
                         evaluate_workload(
-                            workload, config, shots=shots, seed=seed, compute_reference=False
+                            workload,
+                            config,
+                            compute_reference=False,
+                            engine_config=EngineConfig(shots=shots, seed=seed),
                         ).expectation_value
                         - exact
                     )
@@ -292,7 +303,10 @@ class TestEvaluateWorkloadShots:
     def test_allocation_reported_and_exact(self, small_case, policy):
         workload, config = small_case
         result = evaluate_workload(
-            workload, config, shots=3000, allocation=policy, seed=2, compute_reference=False
+            workload,
+            config,
+            compute_reference=False,
+            engine_config=EngineConfig(shots=3000, allocation=policy, seed=2),
         )
         allocation = result.shot_allocation
         assert isinstance(allocation, ShotAllocation)
@@ -307,8 +321,7 @@ class TestEvaluateWorkloadShots:
         result = evaluate_workload(
             workload,
             config,
-            engine_config=EngineConfig(shots=2000, allocation="weighted"),
-            seed=1,
+            engine_config=EngineConfig(shots=2000, allocation="weighted", seed=1),
             compute_reference=False,
         )
         assert result.shot_allocation is not None
@@ -318,14 +331,42 @@ class TestEvaluateWorkloadShots:
     def test_exact_executor_with_shots_rejected(self, small_case):
         workload, config = small_case
         with pytest.raises(CuttingError, match="sampling-capable"):
-            evaluate_workload(workload, config, executor=ExactExecutor(), shots=100)
+            evaluate_workload(
+                workload,
+                config,
+                executor=ExactExecutor(),
+                engine_config=EngineConfig(shots=100),
+            )
 
     def test_seed_with_supplied_executor_rejected(self, small_case):
+        # The config seed only seeds a session-built sampling executor; next
+        # to a supplied executor it would be silently dropped.
         workload, config = small_case
-        with pytest.raises(CuttingError, match="seed"):
+        with pytest.raises(CuttingError, match="seed only applies"):
             evaluate_workload(
-                workload, config, executor=SamplingExecutor(shots=10), shots=100, seed=3
+                workload,
+                config,
+                executor=SamplingExecutor(shots=10),
+                engine_config=EngineConfig(shots=4096, seed=3),
             )
+        # Seeding the executor itself is the supported spelling, and the
+        # config's shot budget still applies to it.
+        result = evaluate_workload(
+            workload,
+            config,
+            executor=SamplingExecutor(shots=4096, seed=3),
+            engine_config=EngineConfig(shots=200),
+            compute_reference=False,
+        )
+        assert result.shot_allocation.assigned_shots == 200
+
+    def test_seed_on_shared_engine_rejected(self, small_case):
+        workload, config = small_case
+        with ParallelEngine(
+            SamplingExecutor(shots=10), EngineConfig(shots=4096, seed=3)
+        ) as engine:
+            with pytest.raises(CuttingError, match="seed only applies"):
+                evaluate_workload(workload, config, engine=engine)
 
     def test_exact_evaluations_have_no_allocation(self, small_case):
         workload, config = small_case
@@ -335,15 +376,15 @@ class TestEvaluateWorkloadShots:
 
     def test_seed_without_shots_rejected(self, small_case):
         workload, config = small_case
-        with pytest.raises(CuttingError, match="seed"):
-            evaluate_workload(workload, config, seed=7)
+        with pytest.raises(ConfigError, match="seed"):
+            evaluate_workload(workload, config, engine_config=EngineConfig(seed=7))
 
     def test_shared_engine_allocation_cleared_after_call(self, small_case):
         workload, config = small_case
         executor = SamplingExecutor(shots=4096, seed=3)
-        with ParallelEngine(executor) as engine:
+        with ParallelEngine(executor, EngineConfig(shots=200)) as engine:
             result = evaluate_workload(
-                workload, config, engine=engine, shots=200, compute_reference=False
+                workload, config, engine=engine, compute_reference=False
             )
             # The per-evaluation allocation must not leak into later batches.
             assert executor.allocation == {}
@@ -359,35 +400,6 @@ class TestConfigFirstSampling:
     @pytest.fixture
     def small_case(self):
         return make_workload("VQE", 5, layers=1), CutConfig(device_size=3, max_subcircuits=2)
-
-    def test_config_first_matches_legacy_kwargs(self, small_case):
-        workload, config = small_case
-        with pytest.warns(DeprecationWarning):
-            legacy = evaluate_workload(
-                workload, config, shots=2000, seed=9, compute_reference=False
-            )
-        config_first = evaluate_workload(
-            workload,
-            config,
-            engine_config=EngineConfig(shots=2000, seed=9),
-            compute_reference=False,
-        )
-        assert config_first.expectation_value == legacy.expectation_value
-        assert config_first.shot_allocation.assigned_shots == 2000
-
-    def test_config_seed_ignored_for_supplied_executors(self, small_case):
-        # A config seed only configures the session-built sampling executor; a
-        # caller-supplied executor keeps its own seed (the same-named *keyword*
-        # is a hard error, the config field is a soft default).
-        workload, config = small_case
-        result = evaluate_workload(
-            workload,
-            config,
-            executor=SamplingExecutor(shots=4096, seed=3),
-            engine_config=EngineConfig(shots=200, seed=9),
-            compute_reference=False,
-        )
-        assert result.shot_allocation.assigned_shots == 200
 
     def test_allocation_policy_from_config(self, small_case):
         workload, config = small_case
@@ -419,7 +431,9 @@ class TestPerCallTimingBugfix:
     def test_total_is_sum_of_stages(self):
         workload = make_workload("VQE", 5, layers=1)
         config = CutConfig(device_size=3, max_subcircuits=2)
-        result = evaluate_workload(workload, config, shots=1000, seed=0)
+        result = evaluate_workload(
+            workload, config, engine_config=EngineConfig(shots=1000, seed=0)
+        )
         timings = result.timings
         expected = (
             timings["cut"]

@@ -76,9 +76,11 @@ class TestConcurrentSessions:
             solo = evaluate_workload(
                 workload(seed),
                 CONFIG,
-                shots=SHOTS,
-                seed=0,
-                streaming=StreamingConfig(rounds=3),
+                engine_config=EngineConfig(
+                    shots=SHOTS,
+                    seed=0,
+                    streaming=StreamingConfig(rounds=3),
+                ),
             )
             assert ticket.result.expectation_value == solo.expectation_value
             assert ticket.result.termination_reason == "completed"

@@ -3,7 +3,9 @@ incremental reconstructor's accumulator and confidence intervals, streaming
 sessions' bit-identity with the batch pipeline, and the never-terminating
 configuration guards."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from repro import (
     StreamingConfig,
     evaluate_workload,
 )
-from repro.core.pipeline import _evaluate_workload_batch
+from repro.engine import PruningPolicy
 from repro.service.incremental import StreamingMoments, difference_tables
 from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.workloads import make_workload
@@ -29,6 +31,68 @@ from strategies import moment_chunks, small_workload
 SMALL_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
 #: Plenty per variant for the 60-variant VQE cut, and divisible many ways.
 SMALL_SHOTS = 6144
+
+#: Seeded snapshots of the pre-service batch pipeline, recorded before that
+#: copy of the session body was deleted; every case ran under SMALL_CONFIG.
+GOLDEN = json.loads((Path(__file__).parent / "golden_evaluations.json").read_text())["cases"]
+
+
+def _qft5():
+    return make_workload("QFT", 5)
+
+
+GOLDEN_CASES = {
+    "vqe5_exact": (small_workload, EngineConfig()),
+    "vqe5_shots": (small_workload, EngineConfig(shots=SMALL_SHOTS, seed=11)),
+    "vqe5_variance": (
+        small_workload,
+        EngineConfig(shots=SMALL_SHOTS, seed=11, allocation="variance"),
+    ),
+    "vqe5_weighted_pruned": (
+        small_workload,
+        EngineConfig(
+            shots=SMALL_SHOTS,
+            seed=11,
+            allocation="weighted",
+            pruning=PruningPolicy.budget_fraction(0.05),
+        ),
+    ),
+    "qft5_exact": (_qft5, EngineConfig()),
+    "qft5_shots": (_qft5, EngineConfig(shots=8192, seed=5)),
+}
+
+
+def _evaluate_golden_case(name):
+    make, engine_config = GOLDEN_CASES[name]
+    return evaluate_workload(
+        make(), SMALL_CONFIG, compute_reference=False, engine_config=engine_config
+    )
+
+
+def _assert_matches_golden(name, result):
+    golden = GOLDEN[name]
+    assert result.num_variant_evaluations == golden["num_variant_evaluations"]
+    shots = None
+    if result.shot_allocation is not None:
+        shots = {
+            key: int(count)
+            for key, count in result.shot_allocation.shots_by_fingerprint.items()
+        }
+    assert shots == golden["shots_by_fingerprint"]
+    # Values are pinned to 1e-12, not bits: expectation values go through
+    # BLAS (np.vdot), whose summation order may differ between machines.
+    if golden["expectation_value"] is None:
+        assert result.expectation_value is None
+    else:
+        assert result.expectation_value == pytest.approx(
+            golden["expectation_value"], rel=0, abs=1e-12
+        )
+    if golden["probabilities"] is None:
+        assert result.probabilities is None
+    else:
+        np.testing.assert_allclose(
+            result.probabilities, golden["probabilities"], rtol=0, atol=1e-12
+        )
 
 
 class TestPrefixStableSampler:
@@ -171,18 +235,18 @@ class TestDifferenceTables:
 
 class TestStreamingBitIdentity:
     def test_streaming_disabled_matches_legacy_pipeline(self):
-        workload = small_workload()
-        new = evaluate_workload(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=11)
-        old = _evaluate_workload_batch(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=11)
-        assert new.expectation_value == old.expectation_value
-        assert new.num_variant_evaluations == old.num_variant_evaluations
-        assert new.rounds == 1 and new.termination_reason is None
+        result = _evaluate_golden_case("vqe5_shots")
+        _assert_matches_golden("vqe5_shots", result)
+        assert result.rounds == 1 and result.termination_reason is None
 
     def test_exact_path_matches_legacy_pipeline(self):
-        workload = small_workload()
-        new = evaluate_workload(workload, SMALL_CONFIG)
-        old = _evaluate_workload_batch(workload, SMALL_CONFIG)
-        assert new.expectation_value == old.expectation_value
+        _assert_matches_golden("vqe5_exact", _evaluate_golden_case("vqe5_exact"))
+
+    @pytest.mark.parametrize(
+        "name", ["vqe5_variance", "vqe5_weighted_pruned", "qft5_exact", "qft5_shots"]
+    )
+    def test_policies_match_legacy_pipeline(self, name):
+        _assert_matches_golden(name, _evaluate_golden_case(name))
 
     @given(rounds=st.integers(min_value=1, max_value=7), seed=st.integers(0, 50))
     @settings(
@@ -194,13 +258,19 @@ class TestStreamingBitIdentity:
         # Run-to-completion streaming must reproduce the one-shot batch draw
         # exactly, for any round count and seed (the prefix-stable identity).
         workload = small_workload()
-        batch = evaluate_workload(workload, SMALL_CONFIG, shots=SMALL_SHOTS, seed=seed)
+        batch = evaluate_workload(
+            workload,
+            SMALL_CONFIG,
+            engine_config=EngineConfig(shots=SMALL_SHOTS, seed=seed),
+        )
         streamed = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=seed,
-            streaming=StreamingConfig(rounds=rounds),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=seed,
+                streaming=StreamingConfig(rounds=rounds),
+            ),
         )
         assert streamed.expectation_value == batch.expectation_value
         assert streamed.termination_reason == "completed"
@@ -210,9 +280,11 @@ class TestStreamingBitIdentity:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=3,
-            streaming=StreamingConfig(rounds=4),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=3,
+                streaming=StreamingConfig(rounds=4),
+            ),
         )
         assert result.rounds == 4
         assert result.half_width is not None and result.half_width > 0
@@ -223,17 +295,21 @@ class TestStreamingBitIdentity:
         serial = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=5,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=5,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         parallel = evaluate_workload(
             workload,
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=5,
-            engine_config=EngineConfig(max_workers=2),
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                max_workers=2,
+                shots=SMALL_SHOTS,
+                seed=5,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         assert parallel.expectation_value == serial.expectation_value
 
@@ -243,10 +319,12 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            streaming=StreamingConfig(rounds=6),
-            stopping=StoppingRule(shot_budget=SMALL_SHOTS // 2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                streaming=StreamingConfig(rounds=6),
+                stopping=StoppingRule(shot_budget=SMALL_SHOTS // 2),
+            ),
         )
         assert result.termination_reason == "budget_exhausted"
         assert result.shots_spent < SMALL_SHOTS
@@ -256,10 +334,12 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            streaming=StreamingConfig(rounds=6),
-            stopping=StoppingRule(max_rounds=2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                streaming=StreamingConfig(rounds=6),
+                stopping=StoppingRule(max_rounds=2),
+            ),
         )
         assert result.termination_reason == "max_rounds"
         assert result.rounds == 2
@@ -268,9 +348,11 @@ class TestStoppingRules:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=0,
-            stopping=StoppingRule(max_rounds=2),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=0,
+                stopping=StoppingRule(max_rounds=2),
+            ),
         )
         assert result.termination_reason == "max_rounds"
 
@@ -322,13 +404,17 @@ class TestConfigGuards:
     def test_streaming_without_shots_rejected(self):
         with pytest.raises(ConfigError, match="shot budget"):
             evaluate_workload(
-                small_workload(), SMALL_CONFIG, streaming=StreamingConfig(rounds=2)
+                small_workload(),
+                SMALL_CONFIG,
+                engine_config=EngineConfig(streaming=StreamingConfig(rounds=2)),
             )
 
     def test_streaming_wrong_type_rejected(self):
         with pytest.raises(ConfigError, match="StreamingConfig"):
             evaluate_workload(
-                small_workload(), SMALL_CONFIG, shots=SMALL_SHOTS, streaming=4
+                small_workload(),
+                SMALL_CONFIG,
+                engine_config=EngineConfig(shots=SMALL_SHOTS, streaming=4),
             )
 
     def test_engine_config_validates_streaming_types(self):
@@ -346,7 +432,9 @@ class TestConfigGuards:
             stopping=StoppingRule(max_rounds=2),
         )
         result = evaluate_workload(
-            small_workload(), SMALL_CONFIG, engine_config=config, seed=1
+            small_workload(),
+            SMALL_CONFIG,
+            engine_config=config.with_(seed=1),
         )
         assert result.termination_reason == "max_rounds"
 
@@ -358,9 +446,11 @@ class TestSerialization:
         result = evaluate_workload(
             small_workload(),
             SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=2,
-            streaming=StreamingConfig(rounds=3),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS,
+                seed=2,
+                streaming=StreamingConfig(rounds=3),
+            ),
         )
         payload = result.to_dict()
         assert payload["rounds"] == 3
@@ -383,20 +473,11 @@ class TestSerialization:
 class TestSessionLifecycle:
     def test_manual_drive_matches_run(self):
         workload = small_workload()
-        auto = evaluate_workload(
-            workload,
-            SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=9,
-            streaming=StreamingConfig(rounds=3),
+        engine_config = EngineConfig(
+            shots=SMALL_SHOTS, seed=9, streaming=StreamingConfig(rounds=3)
         )
-        session = EvaluationSession(
-            workload,
-            SMALL_CONFIG,
-            shots=SMALL_SHOTS,
-            seed=9,
-            streaming=StreamingConfig(rounds=3),
-        )
+        auto = evaluate_workload(workload, SMALL_CONFIG, engine_config=engine_config)
+        session = EvaluationSession(workload, SMALL_CONFIG, engine_config=engine_config)
         try:
             session.prepare()
             while session.step():
