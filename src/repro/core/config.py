@@ -9,13 +9,12 @@ linearised per-cut costs (3.25 and 4.2 in the paper, valid below 240 total cuts)
 Execution-side knobs live in :class:`~repro.engine.EngineConfig` (re-exported here
 for convenience): ``max_workers`` is the parallel worker count for variant batch
 execution (the benchmark harnesses expose it as ``--jobs``; ``1`` = serial,
-``None`` = all cores), ``use_threads`` swaps the default process pool for a thread
-pool, ``chunk_size`` sets requests per worker task (``None`` auto-sizes to about
-four chunks per worker), ``cache_size`` bounds the shared LRU variant-result cache
-(``0`` disables caching), and ``fallback_to_serial`` degrades gracefully on
-platforms without worker-pool support.  Parallelism settings never change the
-numbers — the same cut plan replayed at any worker count produces bit-identical
-results — only the wall clock.
+``None`` = all cores) of its process pool, ``chunk_size`` sets requests per worker
+task (``None`` auto-sizes to about four chunks per worker), and ``cache_size`` bounds
+the shared LRU variant-result cache (``0`` disables caching).  A platform without
+worker-pool support degrades to serial execution with a warning.  Parallelism
+settings never change the numbers — the same cut plan replayed at any worker count
+produces bit-identical results — only the wall clock.
 
 Finite-shot knobs: ``shots`` sets a total sampling budget per evaluation (the
 Section 2.2 shots-based model — every subcircuit variant becomes a finite-sample

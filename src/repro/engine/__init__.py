@@ -2,7 +2,7 @@
 
 This subsystem decouples *what* must be executed (every ``(subcircuit, settings,
 pauli_term)`` variant a reconstruction contraction will need) from *how* it is
-executed (serially, or chunked across a process/thread pool, with request-level
+executed (serially, or chunked across a process pool, with request-level
 dedup and a shared bounded result cache).  See :mod:`repro.engine.engine` for the
 orchestrator, :mod:`repro.engine.requests` for fingerprints and deterministic
 seeding, :mod:`repro.engine.allocation` for shot-budget allocation across a

@@ -38,12 +38,12 @@ class EngineConfig:
     Attributes:
         max_workers: parallel workers for batch execution.  ``1`` (the default)
             executes in-process with no pool; ``None`` uses ``os.cpu_count()``.
-            Sharded contraction uses the same worker budget and pool.  Exposed
-            as ``--jobs`` by the benchmark harnesses.
-        use_threads: dispatch chunks to a thread pool instead of a process pool.
-            Process pools are the default because the exact branching simulator
-            is CPU-bound pure Python/NumPy; threads only help when an executor
-            releases the GIL (or for debugging without pickling).
+            Sharded contraction uses the same worker budget and process pool.
+            Exposed as ``--jobs`` by the benchmark harnesses.  When the
+            platform cannot provide a pool (restricted sandboxes, missing
+            semaphores), the pool breaks mid-batch or an executor cannot be
+            pickled, the engine warns and finishes the batch serially; results
+            are identical either way, only wall-clock changes.
         chunk_size: requests per worker task.  ``None`` auto-sizes to roughly
             four chunks per worker, which amortises submission overhead while
             keeping the pool load-balanced.
@@ -51,10 +51,6 @@ class EngineConfig:
             disables result caching entirely.  Applies when the engine creates
             its own default executor; an executor you construct yourself keeps
             the cache it was built with (pass ``cache=ResultCache(n)`` there).
-        fallback_to_serial: when the platform cannot provide a worker pool
-            (restricted sandboxes, missing semaphores), silently execute the
-            batch serially instead of raising.  Results are identical either
-            way; only wall-clock changes.
         shots: total finite-shot budget for one evaluation (``None`` = exact
             execution, the default).  :func:`repro.core.evaluate_workload`
             splits the budget across the enumerated variant batch (see
@@ -131,10 +127,8 @@ class EngineConfig:
     """
 
     max_workers: Optional[int] = 1
-    use_threads: bool = False
     chunk_size: Optional[int] = None
     cache_size: int = DEFAULT_CACHE_SIZE
-    fallback_to_serial: bool = True
     shots: Optional[int] = None
     allocation: str = "uniform"
     pruning: Union[str, PruningPolicy] = "none"

@@ -5,11 +5,10 @@ reconstructor *enumerates* every subcircuit variant its contraction will need an
 hands the whole batch over; the engine dedups the batch by fingerprint, satisfies
 repeats from the shared LRU cache, and dispatches the remaining unique requests —
 serially in-process when ``max_workers == 1``, otherwise chunked across a
-``concurrent.futures`` pool (processes by default, threads on request).  With a
-device farm configured (:mod:`repro.engine.devices`), each unique request is
-first routed to a device whose qubit capacity fits the variant's post-reuse
-width; device lanes bound per-device concurrency and feed the utilization
-report.
+process pool.  With a device farm configured (:mod:`repro.engine.devices`),
+each unique request is first routed to a device whose qubit capacity fits the
+variant's post-reuse width; device lanes bound per-device concurrency and feed
+the utilization report.
 
 Determinism is a hard guarantee: stochastic executors are seeded per request from
 the request fingerprint (see :func:`repro.engine.requests.seed_from_fingerprint`),
@@ -22,10 +21,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from concurrent.futures import Executor as _PoolBase
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache
 from .config import EngineConfig
@@ -37,6 +35,12 @@ __all__ = ["EngineStats", "ParallelEngine"]
 
 #: A pending request as handed to a dispatch backend: (fingerprint, variant, seed).
 PendingRequest = Tuple[str, object, Optional[Tuple[int, ...]]]
+
+#: One unit of pool work: ``fn(*args)``.
+Call = Tuple[Callable[..., Any], Tuple]
+
+#: Placeholder for a result the pool has not (yet) delivered.
+_PENDING = object()
 
 
 def _run_chunk(executor: Any, chunk: Sequence[PendingRequest]) -> List[Tuple[str, VariantResult]]:
@@ -58,13 +62,6 @@ def _execute_chunk(
 ) -> List[Tuple[str, VariantResult]]:
     """Process-pool worker: rebuild the executor from its spawn spec, run a chunk."""
     return _run_chunk(executor_cls(*spawn_args), chunk)
-
-
-def _execute_chunk_shared(
-    executor: Any, chunk: Sequence[PendingRequest]
-) -> List[Tuple[str, VariantResult]]:
-    """Thread-pool worker: run a chunk directly on the shared executor."""
-    return _run_chunk(executor, chunk)
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ class ParallelEngine:
         set_scope = getattr(self._executor, "set_cache_scope", None)
         if set_scope is not None:
             set_scope(None if self._farm is None else self._farm.cache_scope())
-        self._pool: Optional[_PoolBase] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_broken = False
         self._batches = 0
         self._execute_seconds = 0.0
@@ -323,51 +320,13 @@ class ParallelEngine:
         same pool batch execution uses; with one task or one worker
         everything runs in-process.
 
-        Returns ``(results, fell_back)``.  A broken pool mid-map follows the
-        execute-stage semantics of :meth:`_run_tasks`: shards that completed
-        are salvaged, the rest rerun serially in order, a ``RuntimeWarning``
-        fires, and ``fell_back`` is ``True`` — results are identical either
-        way because shards are independent and merged deterministically by the
-        caller.
+        Returns ``(results, fell_back)``; a broken pool degrades to serial as
+        described in :meth:`_pool_map`, and ``fell_back`` is then ``True`` —
+        results are identical either way because shards are independent and
+        merged deterministically by the caller.
         """
-        tasks = list(tasks)
-        if len(tasks) <= 1 or self.workers <= 1:
-            return [fn(*args) for args in tasks], False
-        pool = self._ensure_pool()
-        if pool is None:
-            return [fn(*args) for args in tasks], False
-        sentinel = object()
-        results: List = [sentinel] * len(tasks)
-        futures = []
-        collected = 0
-        try:
-            for args in tasks:
-                futures.append(pool.submit(fn, *args))
-            for index, future in enumerate(futures):
-                results[index] = future.result()
-                collected += 1
-            return results, False
-        except (OSError, RuntimeError, BrokenPipeError) as error:
-            if not self._config.fallback_to_serial:
-                raise
-            warnings.warn(
-                f"sharded contraction dispatch failed ({error!r}); falling back "
-                "to serial contraction with salvaged shards",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            for index in range(collected, len(futures)):
-                future = futures[index]
-                if not future.cancel():
-                    try:
-                        results[index] = future.result()
-                    except Exception:
-                        pass  # rerun serially below
-            self._teardown_pool(broken=True)
-            for index, args in enumerate(tasks):
-                if results[index] is sentinel:
-                    results[index] = fn(*args)
-            return results, True
+        calls = [(fn, tuple(args)) for args in tasks]
+        return self._pool_map(calls, calls)
 
     # ------------------------------------------------------------------ dispatch
 
@@ -473,89 +432,96 @@ class ParallelEngine:
         self, tasks: Sequence[Tuple[object, List[PendingRequest]]]
     ) -> List[Tuple[str, VariantResult]]:
         """Execute ``(executor, chunk)`` tasks — one pool across all executors."""
-        pool = None
-        specs: Dict[int, Tuple] = {}
+        local: List[Call] = [(_run_chunk, (executor, chunk)) for executor, chunk in tasks]
+        remote: Optional[List[Call]] = None
         # max_workers=1 stays serial in-process even under a multi-device farm:
         # routing models *placement*, the worker count models *this host*.
         if len(tasks) > 1 and self.workers > 1:
-            if not self._config.use_threads:
-                # Pre-flight every distinct executor's spawn spec; one
-                # unpicklable backend degrades the whole batch to serial (mixed
-                # serial/pooled execution would reorder nothing but buys
-                # little, and the warning in _spawnable already fired).
-                for task_executor, _ in tasks:
-                    if id(task_executor) not in specs:
-                        specs[id(task_executor)] = self._spawnable(task_executor)
-                if all(spec[0] is not None for spec in specs.values()):
-                    pool = self._ensure_pool()
+            # Pre-flight every distinct executor's spawn spec; the first
+            # unpicklable backend degrades the whole batch to serial (the
+            # warning in _spawnable fires).
+            specs: Dict[int, Tuple] = {}
+            for executor, _ in tasks:
+                spec = specs.get(id(executor)) or self._spawnable(executor)
+                if spec is None:
+                    break
+                specs[id(executor)] = spec
             else:
-                pool = self._ensure_pool()
-        if pool is None:
-            results: List[Tuple[str, VariantResult]] = []
-            for task_executor, chunk in tasks:
-                results.extend(_execute_chunk_shared(task_executor, chunk))
-            return results
-        results = []
-        futures = []
-        collected = 0  # futures fully collected, in submission order
-        try:
-            # Submission happens inside the try: a pool that broke between
-            # batches raises at submit(), which must fall back like any other
-            # mid-batch breakage.
-            for task_executor, chunk in tasks:
-                if self._config.use_threads:
-                    futures.append(pool.submit(_execute_chunk_shared, task_executor, chunk))
-                else:
-                    futures.append(
-                        pool.submit(_execute_chunk, *specs[id(task_executor)], chunk)
-                    )
-            for future in futures:
-                results.extend(future.result())
-                collected += 1
-            return results
-        except (OSError, RuntimeError, BrokenPipeError) as error:
-            # Pool breakage (BrokenProcessPool is a RuntimeError).  Executor
-            # pickling is pre-flighted in _spawnable, so failures here are
-            # infrastructure, not payload; the serial rerun reproduces any
-            # genuine execution error with a clean traceback.
-            if not self._config.fallback_to_serial:
-                raise
-            warnings.warn(
-                f"parallel dispatch failed ({error!r}); falling back to serial execution",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            # Salvage every chunk that still completed — rerunning them would
-            # double-execute variants, inflating wall clock and wasting shot
-            # budget under an active allocation.  Only chunks that never
-            # produced results rerun serially.
-            unfinished: List[Tuple[object, List[PendingRequest]]] = []
-            for index in range(collected, len(futures)):
-                future = futures[index]
-                if not future.cancel():
-                    # Already finished (or still running on a thread pool, in
-                    # which case result() waits for it rather than redoing it).
-                    try:
-                        results.extend(future.result())
-                        continue
-                    except Exception:
-                        pass
-                unfinished.append(tasks[index])
-            # Tasks whose submit() never went through have no future at all.
-            unfinished.extend(tasks[len(futures) :])
-            self._teardown_pool(broken=True)
-            for task_executor, chunk in unfinished:
-                results.extend(_execute_chunk_shared(task_executor, chunk))
-            return results
+                remote = [
+                    (_execute_chunk, (*specs[id(executor)], chunk)) for executor, chunk in tasks
+                ]
+        chunks, _ = self._pool_map(local, remote)
+        return [pair for chunk in chunks for pair in chunk]
 
-    def _spawnable(self, executor: Any) -> Tuple[Any, Any]:
+    def _pool_map(
+        self, local: Sequence[Call], remote: Optional[Sequence[Call]]
+    ) -> Tuple[List, bool]:
+        """Run every call of ``local`` in order; return ``(results, fell_back)``.
+
+        ``remote`` holds the same calls in their worker-pool form, or ``None``
+        to keep everything in-process.  With one call, one worker or no pool,
+        the ``local`` calls run in-process on the caller's own objects (never
+        on a copy rebuilt for transport, which would lose in-process memos).
+
+        Only a broken pool degrades: ``BrokenExecutor`` from ``result()``, or
+        ``RuntimeError``/``OSError`` from ``submit()`` (a pool shut down
+        between calls).  Calls that still completed are salvaged — rerunning
+        them would double-execute variants and waste shot budget under an
+        active allocation — the rest rerun in-process in order, one
+        ``RuntimeWarning`` fires and ``fell_back`` is ``True``.  Any other
+        exception is the task's own: pending calls are cancelled, it
+        propagates unchanged, and the pool stays usable.
+        """
+        pool = None
+        if remote is not None and len(local) > 1 and self.workers > 1:
+            pool = self._ensure_pool()
+        if remote is None or pool is None:
+            return [fn(*args) for fn, args in local], False
+        results: List = [_PENDING] * len(local)
+        futures: List[Future] = []
+        error: Optional[BaseException] = None
+        try:
+            for fn, args in remote:
+                futures.append(pool.submit(fn, *args))
+        except (RuntimeError, OSError) as submit_error:
+            error = submit_error
+        if error is None:
+            try:
+                for index, future in enumerate(futures):
+                    results[index] = future.result()
+                return results, False
+            except BrokenExecutor as broken:
+                error = broken
+            except BaseException:
+                for future in futures:
+                    future.cancel()
+                raise
+        warnings.warn(
+            f"worker pool failed ({error!r}); falling back to serial execution "
+            "of the unfinished tasks",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        for index, future in enumerate(futures):
+            if results[index] is _PENDING and not future.cancel():
+                try:
+                    results[index] = future.result()
+                except Exception:
+                    pass  # rerun in-process below
+        self._teardown_pool(broken=True)
+        for index, (fn, args) in enumerate(local):
+            if results[index] is _PENDING:
+                results[index] = fn(*args)
+        return results, True
+
+    def _spawnable(self, executor: Any) -> Optional[Tuple]:
         """Pre-flight the executor's spawn spec for process-pool transport.
 
         Pickling is checked *before* anything is submitted: a task that fails to
         pickle inside the pool's management thread can leave the pool in a state
         that hangs shutdown, so unpicklable executors never reach it.  Returns
-        ``(None, None)`` (serial fallback) when the spec cannot cross the
-        process boundary.
+        ``None`` (serial fallback) when the spec cannot cross the process
+        boundary.
         """
         import pickle
 
@@ -567,36 +533,27 @@ class ParallelEngine:
             pickle.dumps(spec)
             return spec
         except Exception as error:
-            if not self._config.fallback_to_serial:
-                raise
             warnings.warn(
                 f"executor cannot be shipped to worker processes ({error!r}); "
-                "running serially (consider EngineConfig(use_threads=True) or a "
-                "custom spawn_spec)",
+                "running serially (give it a picklable spawn_spec)",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return None, None
+            return None
 
-    def _ensure_pool(self) -> Optional[_PoolBase]:
+    def _ensure_pool(self) -> Optional[ProcessPoolExecutor]:
         if self._pool is not None or self._pool_broken:
             return self._pool
         # One pool serves both batch execution and sharded contraction.
         try:
-            if self._config.use_threads:
-                self._pool = ThreadPoolExecutor(max_workers=self.workers)
-            else:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
-        except (OSError, ValueError, PermissionError, ImportError) as error:
-            if not self._config.fallback_to_serial:
-                raise
+            self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        except (OSError, ValueError, ImportError) as error:
             warnings.warn(
                 f"could not start a worker pool ({error!r}); running serially",
                 RuntimeWarning,
                 stacklevel=2,
             )
             self._pool_broken = True
-            self._pool = None
         return self._pool
 
     def _teardown_pool(self, broken: bool = False) -> None:

@@ -1,12 +1,6 @@
 """Simulation backends: exact statevector, batched vectorized, dynamic, shots, noise."""
 
-from .batched import (
-    BatchedStatevector,
-    branch_bound,
-    simulate_batch,
-    simulate_variant_group,
-    variant_group_key,
-)
+from .batched import branch_bound, simulate_variant_group, variant_group_key
 from .dynamic import Branch, BranchedResult, BranchingSimulator, simulate_dynamic
 from .expectation import (
     basis_rotation_circuit,
@@ -36,7 +30,6 @@ __all__ = [
     "Branch",
     "BranchedResult",
     "BranchingSimulator",
-    "BatchedStatevector",
     "DeviceModel",
     "NoiseModel",
     "NoisySimulator",
@@ -44,7 +37,6 @@ __all__ = [
     "apply_gate",
     "apply_gate_batch",
     "branch_bound",
-    "simulate_batch",
     "simulate_variant_group",
     "variant_group_key",
     "basis_rotation_circuit",

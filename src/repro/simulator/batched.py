@@ -43,19 +43,10 @@ import numpy as np
 from ..circuits import Circuit
 from ..circuits.gates import SINGLE_QUBIT_GATES
 from ..exceptions import SimulationError
-from ..utils.pauli import PauliObservable, PauliString, init_state_vector
 from .dynamic import _DEFAULT_PRUNE_THRESHOLD, _FLIP, SIGNED_MEASUREMENT_PREFIX
-from .statevector import (
-    _PAULI_MATRICES,
-    Statevector,
-    _apply_matrix,
-    _validate_gate,
-    _validate_size,
-)
+from .statevector import _apply_matrix, _validate_gate, _validate_size
 
 __all__ = [
-    "BatchedStatevector",
-    "simulate_batch",
     "simulate_variant_group",
     "variant_group_key",
     "branch_bound",
@@ -252,210 +243,6 @@ def _segment_steps(
                 ).astype(complex)
                 steps.append(("gv", qubit, stack))
     return steps
-
-
-# --------------------------------------------------------------------------- batched state
-class BatchedStatevector:
-    """A stack of pure states on ``num_qubits`` qubits, evolved together.
-
-    ``data`` has shape ``(batch, 2**num_qubits)``; row ``b`` is one statevector
-    under the same LSB-first basis convention as :class:`Statevector`.  Gate
-    application is vectorized across the batch through the shared elementwise
-    kernel, so evolving a batch is bit-identical, row for row, to evolving each
-    state alone.
-    """
-
-    def __init__(self, data: np.ndarray, num_qubits: Optional[int] = None) -> None:
-        data = np.asarray(data, dtype=complex)
-        if data.ndim != 2:
-            raise SimulationError(
-                f"BatchedStatevector expects a (batch, 2**n) array, got shape {data.shape}"
-            )
-        inferred = int(np.log2(data.shape[1])) if data.shape[1] else 0
-        if 2**inferred != data.shape[1]:
-            raise SimulationError(
-                f"statevector length {data.shape[1]} is not a power of two"
-            )
-        if num_qubits is not None and num_qubits != inferred:
-            raise SimulationError(
-                f"statevector length {data.shape[1]} does not match {num_qubits} qubits"
-            )
-        _validate_size(inferred)
-        self._data = data
-        self._num_qubits = inferred
-
-    # ------------------------------------------------------------------ constructors
-    @staticmethod
-    def zero_states(batch: int, num_qubits: int) -> "BatchedStatevector":
-        """``batch`` copies of ``|0...0>`` on ``num_qubits`` qubits."""
-        if batch < 1:
-            raise SimulationError(f"batch must be >= 1, got {batch}")
-        _validate_size(num_qubits)
-        data = np.zeros((batch, 2**num_qubits), dtype=complex)
-        data[:, 0] = 1.0
-        return BatchedStatevector(data)
-
-    @staticmethod
-    def from_labels(labels_batch: Sequence[Sequence[str]]) -> "BatchedStatevector":
-        """One product state per row from per-qubit labels (``labels[0]`` = qubit 0)."""
-        if not labels_batch:
-            raise SimulationError("labels_batch must contain at least one label row")
-        rows = []
-        for labels in labels_batch:
-            state = np.array([1.0 + 0.0j])
-            for label in labels:
-                state = np.kron(init_state_vector(label), state)
-            rows.append(state)
-        if len({row.shape for row in rows}) != 1:
-            raise SimulationError("all label rows must describe the same qubit count")
-        return BatchedStatevector(np.stack(rows))
-
-    # ------------------------------------------------------------------ accessors
-    @property
-    def batch_size(self) -> int:
-        return self._data.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return self._num_qubits
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._data
-
-    def row(self, index: int) -> Statevector:
-        """The single :class:`Statevector` at batch position ``index``."""
-        return Statevector(self._data[index].copy())
-
-    # ------------------------------------------------------------------ evolution
-    def apply_gate(self, matrix: np.ndarray, qubits: Sequence[int]) -> "BatchedStatevector":
-        """Apply one gate to every row; ``matrix`` may be shared ``(2**k, 2**k)``
-        or a per-row ``(batch, 2**k, 2**k)`` stack.  Returns a new instance."""
-        _validate_gate(matrix, qubits, self._num_qubits)
-        if matrix.ndim == 3 and matrix.shape[0] != self.batch_size:
-            raise SimulationError(
-                f"per-row matrix stack has {matrix.shape[0]} entries for a batch "
-                f"of {self.batch_size} states"
-            )
-        return BatchedStatevector(
-            _apply_matrix(self._data, matrix, qubits, self._num_qubits)
-        )
-
-    def evolved(self, circuit: Circuit) -> "BatchedStatevector":
-        """Apply every unitary of ``circuit`` to all rows (validated once)."""
-        if circuit.num_qubits != self._num_qubits:
-            raise SimulationError(
-                f"circuit has {circuit.num_qubits} qubits but states have "
-                f"{self._num_qubits}"
-            )
-        data = self._data
-        for op in circuit:
-            if not op.is_unitary:
-                raise SimulationError(
-                    "BatchedStatevector.evolved only handles unitary circuits; use "
-                    "simulate_variant_group for circuits with measure/reset"
-                )
-            matrix = op.matrix()
-            _validate_gate(matrix, op.qubits, self._num_qubits)
-            data = _apply_matrix(data, matrix, op.qubits, self._num_qubits)
-        return BatchedStatevector(data)
-
-    # ------------------------------------------------------------------ extraction
-    def probabilities(self) -> np.ndarray:
-        """Per-row computational-basis probabilities, shape ``(batch, 2**n)``."""
-        return np.abs(self._data) ** 2
-
-    def marginal_probabilities(self, qubits: Sequence[int]) -> np.ndarray:
-        """Per-row marginal over ``qubits`` (``qubits[0]`` = LSB of the result index).
-
-        Vectorized across the whole batch: one reshape/sum instead of a Python
-        loop over ``2**n`` outcomes per row.
-        """
-        n = self._num_qubits
-        batch = self.batch_size
-        probs = self.probabilities().reshape((batch,) + (2,) * n)
-        keep = [1 + n - 1 - q for q in qubits]
-        drop = [axis for axis in range(1, n + 1) if axis not in keep]
-        marginal = probs.sum(axis=tuple(drop)) if drop else probs  # qrcclint: disable=unstable-reduction -- diagnostics-only marginal (never enters reconstruction); the bit-exact paths use the per-row 1-D sums below
-        # Remaining axes sit in ascending original order; rearrange them to
-        # (qubits[m-1], ..., qubits[0]) so qubits[0] flattens to the LSB.
-        remaining = sorted(keep)
-        order = [0] + [remaining.index(axis) + 1 for axis in reversed(keep)]
-        marginal = np.transpose(marginal, order)
-        return np.ascontiguousarray(marginal.reshape(batch, -1))
-
-    def expectation_pauli_string(self, term: PauliString) -> np.ndarray:
-        """Per-row exact expectation of one (weighted) Pauli string, shape ``(batch,)``."""
-        transformed = self._data
-        for qubit, label in term.paulis:
-            transformed = _apply_matrix(
-                transformed, _PAULI_MATRICES[label], (qubit,), self._num_qubits
-            )
-        values = np.sum(np.conj(self._data) * transformed, axis=1)  # qrcclint: disable=unstable-reduction -- per-row axis-1 sum over contiguous rows: fixed shape and stride for every variant in the batch, matching the scalar path's 1-D np.sum bit for bit
-        return term.coefficient * values.real
-
-    def expectation(self, observable: PauliObservable) -> np.ndarray:
-        """Per-row exact expectation of a Pauli-sum observable, shape ``(batch,)``."""
-        total = np.zeros(self.batch_size)
-        for term in observable.terms:
-            total = total + self.expectation_pauli_string(term)
-        return total
-
-    def __repr__(self) -> str:  # pragma: no cover - display helper
-        return (
-            f"BatchedStatevector(batch={self.batch_size}, num_qubits={self._num_qubits})"
-        )
-
-
-def simulate_batch(
-    circuits: Sequence[Circuit],
-    initial_labels: Optional[Sequence[Sequence[str]]] = None,
-) -> BatchedStatevector:
-    """Simulate a batch of structurally aligned unitary circuits in one pass.
-
-    All ``circuits`` must share a :func:`variant_group_key` (same qubit count,
-    same two-qubit-gate skeleton) and contain no measurements or resets; the
-    single-qubit gates may differ freely.  ``initial_labels`` optionally gives
-    one per-qubit label row per circuit (default ``|0...0>``).  Row ``b`` of the
-    result is bit-identical to ``simulate_statevector(circuits[b], ...)``.
-    """
-    if not circuits:
-        raise SimulationError("simulate_batch needs at least one circuit")
-    parsed = [_parse_circuit(circuit) for circuit in circuits]
-    reference = parsed[0]
-    for item in parsed[1:]:
-        if (item.num_qubits, item.anchors) != (reference.num_qubits, reference.anchors):
-            raise SimulationError(
-                "simulate_batch requires structurally aligned circuits (equal "
-                "variant_group_key); group circuits before batching"
-            )
-    for token in reference.anchors:
-        if token[0] != "u2":
-            raise SimulationError(
-                "simulate_batch only handles unitary circuits; use "
-                "simulate_variant_group for measure/reset"
-            )
-    if initial_labels is None:
-        states = BatchedStatevector.zero_states(len(circuits), reference.num_qubits)
-    else:
-        if len(initial_labels) != len(circuits):
-            raise SimulationError("initial_labels must have one label row per circuit")
-        states = BatchedStatevector.from_labels(initial_labels)
-        if states.num_qubits != reference.num_qubits:
-            raise SimulationError("initial_labels must have one label per qubit")
-    data = states.data
-    num_qubits = reference.num_qubits
-    for index in range(len(reference.anchors) + 1):
-        # With unitary-only circuits rows never split, so a "gv" per-variant
-        # stack is already a per-row stack — apply either kind directly.
-        for _, qubit, matrix in _segment_steps([item.segments[index] for item in parsed]):
-            data = _apply_matrix(data, matrix, (qubit,), num_qubits)
-        if index < len(reference.anchors):
-            token = reference.anchors[index]
-            data = _apply_matrix(
-                data, reference.anchor_matrices[index], token[2], num_qubits
-            )
-    return BatchedStatevector(data)
 
 
 # --------------------------------------------------------------------------- group runner

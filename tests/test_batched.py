@@ -10,7 +10,6 @@ variant groups (hypothesis), real cut enumerations, the executor protocol
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -25,14 +24,7 @@ from repro.cutting import (
 )
 from repro.engine import EngineConfig, ParallelEngine, request_key
 from repro.exceptions import CuttingError, SimulationError
-from repro.simulator import (
-    BatchedStatevector,
-    Statevector,
-    simulate_batch,
-    simulate_statevector,
-    simulate_variant_group,
-    variant_group_key,
-)
+from repro.simulator import simulate_variant_group, variant_group_key
 from repro.workloads import make_workload
 
 from strategies import (
@@ -246,7 +238,7 @@ class TestEngineGrouping:
         )
         batch = reconstructor.enumerate_expectation_requests(workload.observable)
         serial = ExactExecutor().run_batch(batch)
-        config = EngineConfig(max_workers=2, use_threads=True, chunk_size=7)
+        config = EngineConfig(max_workers=2, chunk_size=7)
         with ParallelEngine(BatchedExactExecutor(), config) as engine:
             parallel = engine.run_batch(batch)
         _assert_tables_bit_identical(serial, parallel)
@@ -284,97 +276,3 @@ class TestEngineGrouping:
         engine = ParallelEngine(executor, EngineConfig(max_workers=1))
         pending = [("a", object(), None), ("b", object(), None)]
         assert engine._grouped(executor, pending) == pending
-
-
-# --------------------------------------------------------------------------- batched state
-class TestBatchedStatevector:
-    def test_zero_states_rows_match_scalar(self):
-        batched = BatchedStatevector.zero_states(3, 2)
-        reference = Statevector.zero_state(2)
-        for row in range(3):
-            assert batched.row(row).data.tobytes() == reference.data.tobytes()
-
-    def test_from_labels_matches_scalar(self):
-        labels = [["zero", "one"], ["plus", "plus_i"]]
-        batched = BatchedStatevector.from_labels(labels)
-        for row, row_labels in enumerate(labels):
-            reference = Statevector.from_label(row_labels)
-            assert batched.row(row).data.tobytes() == reference.data.tobytes()
-
-    def test_apply_gate_per_row_stack(self):
-        rng = np.random.default_rng(7)
-        data = rng.normal(size=(4, 8)) + 1j * rng.normal(size=(4, 8))
-        stack = np.stack(
-            [Circuit(1).ry(0.1 * i, 0).operations[0].matrix() for i in range(4)]
-        )
-        batched = BatchedStatevector(data).apply_gate(stack, (1,))
-        from repro.simulator import apply_gate
-
-        for row in range(4):
-            expected = apply_gate(data[row], stack[row], (1,), 3)
-            assert batched.data[row].tobytes() == expected.tobytes()
-
-    def test_marginals_match_scalar(self):
-        rng = np.random.default_rng(11)
-        data = rng.normal(size=(3, 16)) + 1j * rng.normal(size=(3, 16))
-        data /= np.linalg.norm(data, axis=1, keepdims=True)
-        batched = BatchedStatevector(data)
-        for qubits in [(0,), (2, 0), (1, 3), (3, 2, 1, 0)]:
-            marginals = batched.marginal_probabilities(qubits)
-            for row in range(3):
-                expected = Statevector(data[row]).marginal_probabilities(qubits)
-                np.testing.assert_allclose(marginals[row], expected, atol=1e-12)
-
-    def test_expectation_matches_scalar(self, zz_observable):
-        rng = np.random.default_rng(13)
-        data = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-        data /= np.linalg.norm(data, axis=1, keepdims=True)
-        batched = BatchedStatevector(data)
-        values = batched.expectation(zz_observable)
-        for row in range(2):
-            expected = Statevector(data[row]).expectation(zz_observable)
-            assert abs(values[row] - expected) < 1e-12
-
-    def test_shape_validation(self):
-        with pytest.raises(SimulationError, match="batch, 2\\*\\*n"):
-            BatchedStatevector(np.zeros(4))
-        with pytest.raises(SimulationError, match="power of two"):
-            BatchedStatevector(np.zeros((2, 3)))
-        with pytest.raises(SimulationError, match="batch must be >= 1"):
-            BatchedStatevector.zero_states(0, 2)
-
-
-class TestSimulateBatch:
-    def test_rows_bit_identical_to_scalar_simulation(self):
-        circuits = []
-        for angle in (0.0, 0.4, 1.3):
-            circuit = Circuit(3)
-            circuit.h(0).ry(angle, 1).cx(0, 1).rz(angle / 2, 2).cz(1, 2)
-            circuits.append(circuit)
-        batched = simulate_batch(circuits)
-        for row, circuit in enumerate(circuits):
-            expected = simulate_statevector(circuit)
-            assert batched.row(row).data.tobytes() == expected.data.tobytes()
-
-    def test_initial_labels(self):
-        circuit = Circuit(2)
-        circuit.cx(0, 1)
-        labels = [["one", "zero"], ["plus", "zero"]]
-        batched = simulate_batch([circuit, circuit.copy()], initial_labels=labels)
-        for row, row_labels in enumerate(labels):
-            expected = simulate_statevector(circuit, initial_labels=row_labels)
-            assert batched.row(row).data.tobytes() == expected.data.tobytes()
-
-    def test_rejects_dynamic_circuits(self):
-        circuit = Circuit(1)
-        circuit.measure(0)
-        with pytest.raises(SimulationError, match="unitary"):
-            simulate_batch([circuit])
-
-    def test_rejects_misaligned_circuits(self):
-        a = Circuit(2)
-        a.cx(0, 1)
-        b = Circuit(2)
-        b.cx(1, 0)
-        with pytest.raises(SimulationError, match="aligned"):
-            simulate_batch([a, b])

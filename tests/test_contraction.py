@@ -21,6 +21,7 @@ from repro.exceptions import ReconstructionError
 from repro.simulator import simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 
+from fake_pools import BreakingPool
 from strategies import (
     float_bits as _bits,
     mixed_cut_solution as _mixed_cut_solution,
@@ -137,14 +138,14 @@ class TestBitIdentity:
         assert naive.tobytes() == planned.tobytes()
 
     def test_probability_sharded_equals_naive(self, monkeypatch):
-        # Force sharding even on this small problem; threads keep it fast.
+        # Force sharding even on this small problem.
         monkeypatch.setattr(contraction_module, "MIN_SHARD_FLOPS", 0.0)
         circuit, solution = _two_cut_solution()
         serial = CutReconstructor(solution)
         table = serial.engine.run_batch(serial.enumerate_probability_requests())
         naive = serial.reconstruct_probabilities(table=table, contraction="naive")
         with ParallelEngine(
-            config=EngineConfig(max_workers=3, use_threads=True)
+            config=EngineConfig(max_workers=3)
         ) as engine:
             sharded = CutReconstructor(solution, engine=engine)
             planned = sharded.reconstruct_probabilities(
@@ -214,7 +215,7 @@ class TestBitIdentity:
             observable, table=table, contraction="naive"
         )
         with ParallelEngine(
-            config=EngineConfig(max_workers=2, use_threads=True)
+            config=EngineConfig(max_workers=2)
         ) as engine:
             sharded = CutReconstructor(solution, engine=engine)
             planned = sharded.reconstruct_expectation(
@@ -317,55 +318,10 @@ class TestConfigAndEngine:
         assert fell_back is False
 
 
-class _CompletedFuture:
-    def __init__(self, value):
-        self._value = value
-
-    def cancel(self):
-        return False
-
-    def result(self):
-        return self._value
-
-
-class _FailedFuture:
-    def cancel(self):
-        return False
-
-    def result(self):
-        raise RuntimeError("worker died mid-shard")
-
-
-class _PendingFuture:
-    def cancel(self):
-        return True
-
-    def result(self):  # pragma: no cover - cancelled before anyone waits
-        raise AssertionError("a cancelled future must never be waited on")
-
-
-class _BreakingPool:
-    """Fake pool: first shard completes, second breaks, the rest never start."""
-
-    def __init__(self):
-        self.submissions = 0
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        if self.submissions == 1:
-            return _CompletedFuture(fn(*args))
-        if self.submissions == 2:
-            return _FailedFuture()
-        return _PendingFuture()
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class TestBrokenPoolSalvage:
     def test_map_shards_salvages_completed_shards(self):
-        engine = ParallelEngine(config=EngineConfig(max_workers=2, use_threads=True))
-        engine._pool = _BreakingPool()
+        engine = ParallelEngine(config=EngineConfig(max_workers=2))
+        engine._pool = BreakingPool()
         calls = []
 
         def shard(value):
@@ -379,22 +335,14 @@ class TestBrokenPoolSalvage:
         # Shard 1 ran once inside the fake pool; only the broken/pending ones rerun.
         assert calls == [1, 2, 3]
 
-    def test_map_shards_without_fallback_raises(self):
-        engine = ParallelEngine(
-            config=EngineConfig(max_workers=2, use_threads=True, fallback_to_serial=False)
-        )
-        engine._pool = _BreakingPool()
-        with pytest.raises(RuntimeError, match="worker died"):
-            engine.map_shards(lambda value: value, [(1,), (2,), (3,)])
-
     def test_planned_reconstruction_survives_broken_pool(self, monkeypatch):
         monkeypatch.setattr(contraction_module, "MIN_SHARD_FLOPS", 0.0)
         _, solution = _two_cut_solution()
         serial = CutReconstructor(solution)
         table = serial.engine.run_batch(serial.enumerate_probability_requests())
         naive = serial.reconstruct_probabilities(table=table, contraction="naive")
-        engine = ParallelEngine(config=EngineConfig(max_workers=3, use_threads=True))
-        engine._pool = _BreakingPool()
+        engine = ParallelEngine(config=EngineConfig(max_workers=3))
+        engine._pool = BreakingPool()
         reconstructor = CutReconstructor(solution, engine=engine)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             planned = reconstructor.reconstruct_probabilities(

@@ -1,5 +1,7 @@
 """Tests for the batched parallel execution engine (repro.engine)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ from repro.exceptions import CuttingError, ReproError
 from repro.simulator import DeviceModel, NoiseModel, simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
+
+from fake_pools import BreakingPool, SubmitBreakingPool
 
 
 @pytest.fixture
@@ -358,14 +362,15 @@ class TestSerialParallelIdentity:
         assert np.array_equal(serial, parallel)
 
     def test_thread_backend_identical(self, combined_cut_solution, combined_observable):
+        # One request per task across three worker processes.
         serial = self._reconstruct(
             combined_cut_solution, combined_observable, ParallelEngine(ExactExecutor())
         )
         with ParallelEngine(
-            ExactExecutor(), EngineConfig(max_workers=2, chunk_size=8, use_threads=True)
+            ExactExecutor(), EngineConfig(max_workers=3, chunk_size=1)
         ) as engine:
-            threaded = self._reconstruct(combined_cut_solution, combined_observable, engine)
-        assert threaded == serial
+            pooled = self._reconstruct(combined_cut_solution, combined_observable, engine)
+        assert pooled == serial
 
 
 class TestTwoPhaseReconstruction:
@@ -399,64 +404,6 @@ class TestTwoPhaseReconstruction:
             )
 
 
-class _CompletedFuture:
-    def __init__(self, payload):
-        self._payload = payload
-
-    def cancel(self):
-        return False
-
-    def result(self):
-        return self._payload
-
-
-class _FailedFuture:
-    def __init__(self, error):
-        self._error = error
-
-    def cancel(self):
-        return False
-
-    def result(self):
-        raise self._error
-
-
-class _PendingFuture:
-    def cancel(self):
-        return True
-
-    def result(self):  # pragma: no cover - cancelled before anyone waits
-        raise AssertionError("a cancelled future must never be waited on")
-
-
-class _BreakingPool:
-    """Fake pool: first chunk completes, second breaks, the rest never start."""
-
-    def __init__(self):
-        self.submissions = 0
-
-    def submit(self, fn, *args):
-        self.submissions += 1
-        if self.submissions == 1:
-            return _CompletedFuture(fn(*args))
-        if self.submissions == 2:
-            return _FailedFuture(RuntimeError("worker died mid-batch"))
-        return _PendingFuture()
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
-class _SubmitBreakingPool:
-    """Fake pool that broke between batches: every submit raises immediately."""
-
-    def submit(self, fn, *args):
-        raise RuntimeError("cannot schedule new futures after shutdown")
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        pass
-
-
 class CountingExecutor(ExactExecutor):
     """Exact executor recording every execute_variant fingerprint."""
 
@@ -477,10 +424,8 @@ class TestBrokenPoolFallback:
         # budget under an active allocation).
         variants = _some_variants(chain_wire_cut_solution, count=3)
         executor = CountingExecutor()
-        engine = ParallelEngine(
-            executor, EngineConfig(max_workers=2, chunk_size=1, use_threads=True)
-        )
-        engine._pool = _BreakingPool()  # chunk 1 ok, chunk 2 fails, chunk 3 pending
+        engine = ParallelEngine(executor, EngineConfig(max_workers=2, chunk_size=1))
+        engine._pool = BreakingPool()  # chunk 1 ok, chunk 2 breaks, chunk 3 pending
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             table = engine.run_batch(variants)
         baseline = ExactExecutor().run_batch(variants)
@@ -493,35 +438,141 @@ class TestBrokenPoolFallback:
         )
         assert engine.executions == len(variants)
 
-    def test_failed_chunks_are_rerun_serially(self, chain_wire_cut_solution):
-        variants = _some_variants(chain_wire_cut_solution, count=3)
-        executor = CountingExecutor()
-        engine = ParallelEngine(
-            executor,
-            EngineConfig(
-                max_workers=2, chunk_size=1, use_threads=True, fallback_to_serial=False
-            ),
-        )
-        engine._pool = _BreakingPool()
-        with pytest.raises(RuntimeError, match="worker died"):
-            engine.run_batch(variants)
-
     def test_pool_broken_at_submit_time_falls_back(self, chain_wire_cut_solution):
         # A pool that broke *between* batches raises at submit(), not at
         # result(); that must fall back to serial exactly like mid-batch
         # breakage (submission happens inside the guarded block).
         variants = _some_variants(chain_wire_cut_solution, count=3)
         executor = CountingExecutor()
-        engine = ParallelEngine(
-            executor, EngineConfig(max_workers=2, chunk_size=1, use_threads=True)
-        )
-        engine._pool = _SubmitBreakingPool()
+        engine = ParallelEngine(executor, EngineConfig(max_workers=2, chunk_size=1))
+        engine._pool = SubmitBreakingPool()
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             table = engine.run_batch(variants)
         assert len(table) == len(variants)
         assert sorted(executor.executed_keys) == sorted(
             request_key(variant) for variant in variants
         )
+
+
+def _shard(value):
+    """A picklable contraction-style shard task."""
+    return np.arange(4.0) * value
+
+
+def _shard_or_raise(value):
+    if value == 2:
+        raise RuntimeError("shard 2 failed")
+    return _shard(value)
+
+
+class RaisingExecutor(ExactExecutor):
+    """Exact executor that raises on one fingerprint while ``fail_on`` is set."""
+
+    def __init__(self, fail_on=None):
+        super().__init__()
+        self.fail_on = fail_on
+
+    def execute_variant(self, variant, seed=None):
+        if request_key(variant) == self.fail_on:
+            raise RuntimeError("variant failed")
+        return super().execute_variant(variant, seed)
+
+
+def _result_bytes(result):
+    distribution = result.distribution
+    return (
+        None if result.value is None else np.float64(result.value).tobytes(),
+        None if distribution is None else distribution.tobytes(),
+    )
+
+
+def _drive(entry, engine, variants, shard=_shard):
+    """Run three tasks through one pooled entry point; return their bytes."""
+    if entry == "run_batch":
+        table = engine.run_batch(variants)
+        return sorted((key, _result_bytes(result)) for key, result in table.items())
+    results, _ = engine.map_shards(shard, [(1,), (2,), (3,)])
+    return [result.tobytes() for result in results]
+
+
+def _fallback_warnings(caught):
+    return [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("entry", ["run_batch", "map_shards"])
+class TestPoolContract:
+    """Batch execution and sharded contraction share one pool loop and its salvage."""
+
+    @pytest.fixture
+    def variants(self, chain_wire_cut_solution):
+        return _some_variants(chain_wire_cut_solution, count=3)
+
+    def _serial(self, entry, variants):
+        return _drive(entry, ParallelEngine(ExactExecutor()), variants)
+
+    def _engine(self, executor=None):
+        return ParallelEngine(
+            executor or ExactExecutor(), EngineConfig(max_workers=2, chunk_size=1)
+        )
+
+    def test_mid_batch_breakage_salvages(self, entry, variants):
+        engine = self._engine()
+        engine._pool = pool = BreakingPool()
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            results = _drive(entry, engine, variants)
+        assert results == self._serial(entry, variants)
+        assert pool.submissions == 3
+        assert engine._pool_broken is True
+
+    def test_breakage_at_submit_falls_back(self, entry, variants):
+        engine = self._engine()
+        engine._pool = SubmitBreakingPool()
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            results = _drive(entry, engine, variants)
+        assert results == self._serial(entry, variants)
+
+    def test_pool_that_cannot_start_runs_serially(self, entry, variants, monkeypatch):
+        import repro.engine.engine as engine_module
+
+        def no_pool(max_workers):
+            raise OSError("no semaphores")
+
+        monkeypatch.setattr(engine_module, "ProcessPoolExecutor", no_pool)
+        engine = self._engine()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            first = _drive(entry, engine, variants)
+            second = _drive(entry, engine, variants)
+        assert first == second == self._serial(entry, variants)
+        messages = [str(w.message) for w in _fallback_warnings(caught)]
+        assert len(messages) == 1
+        assert "could not start a worker pool" in messages[0]
+
+    def test_task_error_on_fake_pool_propagates(self, entry, variants):
+        engine = self._engine()
+        engine._pool = pool = BreakingPool(error=RuntimeError("task failed"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="task failed"):
+                _drive(entry, engine, variants)
+        assert not _fallback_warnings(caught)
+        assert engine._pool is pool
+        assert engine._pool_broken is False
+
+    def test_task_error_keeps_the_process_pool(self, entry, variants):
+        executor = RaisingExecutor(fail_on=request_key(variants[1]))
+        with self._engine(executor) as engine:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(RuntimeError, match="failed"):
+                    _drive(entry, engine, variants, shard=_shard_or_raise)
+            assert not _fallback_warnings(caught)
+            assert engine._pool_broken is False
+            pool = engine._pool
+            assert pool is not None
+            executor.fail_on = None
+            assert _drive(entry, engine, variants) == self._serial(entry, variants)
+            assert engine._pool is pool
 
 
 class TestEngineConfig:
