@@ -30,7 +30,10 @@ Four executors are provided:
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with optional per-variant shot
-  allocation (Section 2.2's shots-based model),
+  allocation (Section 2.2's shots-based model).  It draws from the exact branch
+  rows of the same grouped batched pass (:func:`structure_batches`), so only
+  :class:`ExactExecutor` and :class:`NoisyExecutor` still walk variants through
+  the scalar branching simulator,
 * :class:`NoisyExecutor` — the "small quantum device" of the Table 3 experiment: the
   variant is compiled to the device basis, Pauli noise is injected stochastically
   per trajectory, and finite-shot statistical noise is emulated; results are averaged
@@ -42,7 +45,7 @@ Four executors are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -96,6 +99,52 @@ def branch_output_index(branch: Any, variant: SubcircuitVariant) -> int:
             )
         index |= outcome << position
     return index
+
+
+def check_output_tags(variant: SubcircuitVariant) -> None:
+    """Probability-mode variants must measure every output qubit (``out:`` tags).
+
+    Mirrors the scalar path, which raises when a branch lacks an output
+    outcome; the row-based paths (:class:`BatchedExactExecutor` and the
+    sampling executor) validate up front because they never build per-branch
+    outcome dictionaries.
+    """
+    if getattr(variant, "mode", None) != "probability":
+        return
+    recorded = {
+        op.tag[len(_OUTPUT_TAG_PREFIX) :]
+        for op in variant.circuit
+        if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
+    }
+    for qubit in variant.output_qubit_order:
+        if str(qubit) not in recorded:
+            raise CuttingError(
+                f"variant for subcircuit {variant.subcircuit_index} did not record "
+                f"an outcome for original qubit {qubit}"
+            )
+
+
+def structure_batches(
+    requests: Sequence[Tuple[str, SubcircuitVariant]], max_batch_elements: int
+) -> Iterator[List[Tuple[str, SubcircuitVariant]]]:
+    """Split ``(fingerprint, variant)`` requests into batched-pass sized groups.
+
+    Requests are grouped by :func:`~repro.simulator.batched.variant_group_key`
+    (groups in first-seen order, requests in their order within a group), and
+    each group is cut into sub-batches so that ``batch * 2**n *``
+    :func:`~repro.simulator.batched.branch_bound` stays under
+    ``max_batch_elements``.  A ragged final sub-batch, even a single variant,
+    runs through the same batched pass and stays bit-identical.
+    """
+    groups: Dict[Tuple, List[Tuple[str, SubcircuitVariant]]] = {}
+    for key, variant in requests:
+        groups.setdefault(variant_group_key(variant.circuit), []).append((key, variant))
+    for items in groups.values():
+        circuit = items[0][1].circuit
+        per_variant = (2**circuit.num_qubits) * branch_bound(circuit)
+        limit = max(1, max_batch_elements // per_variant)
+        for start in range(0, len(items), limit):
+            yield items[start : start + limit]
 
 
 def _signed_distribution(result: BranchedResult, variant: SubcircuitVariant) -> np.ndarray:
@@ -376,33 +425,11 @@ class BatchedExactExecutor(VariantExecutor):
         """
         return variant_group_key(variant.circuit)
 
-    @staticmethod
-    def _check_outputs(variant: SubcircuitVariant) -> None:
-        """Probability-mode variants must measure every output qubit (``out:`` tags).
-
-        Mirrors the scalar path, which raises when a branch lacks an output
-        outcome; the batched path validates up front because it never builds
-        per-branch outcome dictionaries.
-        """
-        if getattr(variant, "mode", None) != "probability":
-            return
-        recorded = {
-            op.tag[len(_OUTPUT_TAG_PREFIX) :]
-            for op in variant.circuit
-            if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
-        }
-        for qubit in variant.output_qubit_order:
-            if str(qubit) not in recorded:
-                raise CuttingError(
-                    f"variant for subcircuit {variant.subcircuit_index} did not record "
-                    f"an outcome for original qubit {qubit}"
-                )
-
     # ------------------------------------------------------------------ execution
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        self._check_outputs(variant)
+        check_output_tags(variant)
         value, distribution = simulate_variant_group([variant])[0]
         return VariantResult(value=value, distribution=distribution)
 
@@ -411,27 +438,16 @@ class BatchedExactExecutor(VariantExecutor):
     ) -> List[Tuple[str, VariantResult]]:
         """Group pending requests by structure and run each group batched.
 
-        Groups keep first-seen order and requests keep their order within a
-        group; groups larger than the memory budget are split into sub-batches
-        (so a "ragged" final sub-batch — even a single variant — flows through
-        the same code path and stays bit-identical).
+        See :func:`structure_batches` for the grouping and the sub-batch split.
         """
-        groups: Dict[Tuple, List[Tuple[str, SubcircuitVariant]]] = {}
-        for key, variant, _ in pending:
-            self._check_outputs(variant)
-            groups.setdefault(self.group_key(variant), []).append((key, variant))
+        for _, variant, _ in pending:
+            check_output_tags(variant)
+        requests = [(key, variant) for key, variant, _ in pending]
         results: List[Tuple[str, VariantResult]] = []
-        for items in groups.values():
-            circuit = items[0][1].circuit
-            per_variant = (2**circuit.num_qubits) * branch_bound(circuit)
-            limit = max(1, self._max_batch_elements // per_variant)
-            for start in range(0, len(items), limit):
-                chunk = items[start : start + limit]
-                outcomes = simulate_variant_group([variant for _, variant in chunk])
-                for (key, _), (value, distribution) in zip(chunk, outcomes):
-                    results.append(
-                        (key, VariantResult(value=value, distribution=distribution))
-                    )
+        for chunk in structure_batches(requests, self._max_batch_elements):
+            outcomes = simulate_variant_group([variant for _, variant in chunk])
+            for (key, _), (value, distribution) in zip(chunk, outcomes):
+                results.append((key, VariantResult(value=value, distribution=distribution)))
         return results
 
 

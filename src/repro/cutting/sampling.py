@@ -12,6 +12,16 @@ with standard error ``O(1/sqrt(shots))`` — which is exactly what real hardware
 reports, and what makes shot *allocation* across variants matter (see
 :mod:`repro.engine.allocation`).
 
+The exact branches come from grouped batched passes, not from one scalar
+simulation per variant: :meth:`SamplingExecutor.run_many` groups cache misses
+by circuit structure (:func:`~repro.cutting.executors.structure_batches`), runs
+each group once through
+:func:`~repro.simulator.batched.simulate_variant_group` with ``rows=True``,
+and samples every request from its own slice of the live branch rows.  Those
+rows equal the scalar :class:`~repro.simulator.dynamic.BranchingSimulator`
+branch list byte for byte (probability, sign and output index per branch, in
+the same order), so every draw is unchanged.
+
 Determinism contract (shared with :class:`~repro.cutting.executors.NoisyExecutor`):
 every request draws its own RNG seeded from ``(base_seed, fingerprint, shots,
 stage)``, so results are independent of submission order, worker count and
@@ -24,16 +34,21 @@ never alias full-pass results, even at coinciding shot counts.
 from __future__ import annotations
 
 import zlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.cache import ResultCache, build_cache_key, build_cache_namespace
 from ..engine.requests import VariantResult, request_key, seed_from_fingerprint
 from ..exceptions import CuttingError
-from ..simulator.dynamic import BranchingSimulator
+from ..simulator.batched import simulate_variant_group
 from ..simulator.sampler import sample_weighted_counts_prefix
-from .executors import VariantExecutor, branch_output_index
+from .executors import (
+    DEFAULT_MAX_BATCH_ELEMENTS,
+    VariantExecutor,
+    check_output_tags,
+    structure_batches,
+)
 from .variants import SubcircuitVariant
 
 __all__ = ["SamplingExecutor"]
@@ -41,11 +56,15 @@ __all__ = ["SamplingExecutor"]
 #: Default per-variant shot count when no allocation is applied.
 DEFAULT_SHOTS = 4096
 
-#: Entries kept in the per-executor branch-simulation memo (see
-#: :meth:`SamplingExecutor.execute_variant`): streaming sessions re-sample the
-#: same variant circuit every round, and the exact branch walk — not the
+#: Entries kept in the per-executor branch-row memo (see
+#: :meth:`SamplingExecutor.run_many`): streaming sessions re-sample the same
+#: variant circuit every round, and the exact branch simulation — not the
 #: multinomial draw — dominates that cost.
 _BRANCH_MEMO_SIZE = 4096
+
+#: One variant's exact branches: probabilities, signs (as floats) and, in
+#: probability mode, output indices — in the scalar enumeration order.
+_BranchTable = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 
 
 def _respawn_sampling(
@@ -93,8 +112,7 @@ class SamplingExecutor(VariantExecutor):
         self._allocation_floor: Optional[int] = None
         self._seed_shots: Dict[str, int] = {}
         self._stage = ""
-        self._simulator = BranchingSimulator()
-        self._branch_memo: Dict[str, object] = {}
+        self._branch_memo: Dict[str, _BranchTable] = {}
 
     # ------------------------------------------------------------------ allocation
     @property
@@ -231,7 +249,7 @@ class SamplingExecutor(VariantExecutor):
         )
 
     def __getstate__(self) -> Dict:
-        # The branch memo holds full simulation payloads; like the result
+        # The branch memo holds per-variant row arrays; like the result
         # cache (see VariantExecutor.__getstate__) it never crosses the
         # process boundary.
         state = super().__getstate__()
@@ -242,31 +260,67 @@ class SamplingExecutor(VariantExecutor):
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        fingerprint = request_key(variant)
+        return self.run_many([(request_key(variant), variant, seed)])[0][1]
+
+    def run_many(
+        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
+    ) -> List[Tuple[str, VariantResult]]:
+        """Sample every pending request from the exact branch rows of its variant.
+
+        Rows depend only on the circuit, never on the shot count or seed, so
+        they are memoised per fingerprint: streaming sessions (which re-sample
+        every variant each round) simulate each variant once.  Memo misses are
+        grouped by structure and each group runs as one batched pass; every
+        request then draws from its own seed exactly as a lone request would.
+        """
+        tables: Dict[str, _BranchTable] = {}
+        misses: List[Tuple[str, SubcircuitVariant]] = []
+        for key, variant, _ in pending:
+            check_output_tags(variant)
+            table = self._branch_memo.get(key)
+            if table is None:
+                misses.append((key, variant))
+            else:
+                tables[key] = table
+        for chunk in structure_batches(misses, DEFAULT_MAX_BATCH_ELEMENTS):
+            rows = simulate_variant_group([variant for _, variant in chunk], rows=True)
+            bounds = rows.bounds.tolist()
+            for column, (key, variant) in enumerate(chunk):
+                span = slice(bounds[column], bounds[column + 1])
+                table = (
+                    rows.prob[span].copy(),
+                    rows.sign[span].astype(float),
+                    rows.out_index[span].copy() if variant.mode == "probability" else None,
+                )
+                tables[key] = table
+                if len(self._branch_memo) >= _BRANCH_MEMO_SIZE:
+                    self._branch_memo.pop(next(iter(self._branch_memo)))
+                self._branch_memo[key] = table
+        return [
+            (key, self._sample(key, variant, tables[key], seed))
+            for key, variant, seed in pending
+        ]
+
+    def _sample(
+        self,
+        fingerprint: str,
+        variant: SubcircuitVariant,
+        table: _BranchTable,
+        seed: Optional[Tuple[int, ...]],
+    ) -> VariantResult:
+        """One request's estimate: ``shots`` prefix-stable draws over its branches."""
+        probabilities, signs, out_index = table
         shots = self.shots_for(fingerprint)
         if seed is None:
             seed = self.seed_for(fingerprint)
-        rng = np.random.default_rng(seed)
-        # The exact branch walk depends only on the circuit, never on the shot
-        # count or seed; memoising it keeps streaming sessions (which re-sample
-        # every variant each round) from re-simulating R times.
-        result = self._branch_memo.get(fingerprint)
-        if result is None:
-            result = self._simulator.run(variant.circuit)
-            if len(self._branch_memo) >= _BRANCH_MEMO_SIZE:
-                self._branch_memo.pop(next(iter(self._branch_memo)))
-            self._branch_memo[fingerprint] = result
-        probabilities = np.array([branch.probability for branch in result.branches])
-        signs = np.array([branch.sign for branch in result.branches], dtype=float)
-        counts = sample_weighted_counts_prefix(probabilities, shots, rng)
+        counts = sample_weighted_counts_prefix(probabilities, shots, np.random.default_rng(seed))
         value = float(np.dot(counts, signs) / shots)
         distribution: Optional[np.ndarray] = None
-        if variant.mode == "probability":
+        if out_index is not None:
             distribution = np.zeros(2 ** len(variant.output_qubit_order))
-            for branch, count in zip(result.branches, counts):
-                if count:
-                    distribution[branch_output_index(branch, variant)] += (
-                        branch.sign * count
-                    )
+            # np.add.at applies repeated indices in branch order, like a loop
+            # of ``distribution[index] += sign * count`` over drawn branches.
+            drawn = counts != 0
+            np.add.at(distribution, out_index[drawn], signs[drawn] * counts[drawn])
             distribution /= shots
         return VariantResult(value=value, distribution=distribution)

@@ -24,19 +24,31 @@ matrix run as a single shared gate; diverging slots run with a per-row
 variant ``b`` alone through :class:`~repro.simulator.dynamic.BranchingSimulator`:
 both paths share the elementwise gate kernel of
 :mod:`repro.simulator.statevector` (fixed IEEE operation order per amplitude,
-independent of batch shape), measurement/reset projection probabilities are
-reduced with the same per-row 1-D summation the scalar ``_project`` uses (axis
-reductions are *not* bitwise-stable in NumPy, per-row sums are), branch rows are
+independent of batch shape); measurement/reset projection probabilities come
+from one ``np.add.reduce(..., axis=1)`` over C-contiguous float64 ``|amp|**2``
+blocks, which runs NumPy's 1-D pairwise sum on every row and so equals the
+scalar ``_project``'s per-row ``np.sum`` byte for byte; branch rows are
 interleaved in the scalar enumeration order (outcome 0 then 1 per parent, dead
-branches dropped), and the final per-variant value/distribution accumulate in
-the same left-to-right order.  Identity padding can flip the sign of exactly-zero
-amplitudes, which is invisible to every output (probabilities are ``|amp|**2``).
+branches dropped); and the final per-variant value is read off
+``np.add.accumulate`` (strictly sequential, like the scalar left-to-right
+``+=`` loop of :meth:`~repro.simulator.dynamic.BranchedResult.expectation_of_signs`)
+while distributions are built by ``np.add.at`` (repeated indices applied in
+row order, like the scalar ``+=`` loop).  Those three NumPy claims
+are pinned by ``tests/test_batched.py::TestPinnedReductionOrders``; other axis
+reductions are not bit-stable across shapes and strides (``np.add.reduceat``,
+for one, sums pairwise inside each segment) and stay out of this module.
+Identity padding can flip the sign of exactly-zero amplitudes, which is
+invisible to every output (probabilities are ``|amp|**2``).
+
+:func:`simulate_variant_group` can also stop before extraction and return the
+live branch rows (:class:`BranchRows`): the finite-shot sampler draws from
+those instead of walking each variant through the scalar simulator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Literal, Optional, Sequence, Tuple, Union, overload
 
 import numpy as np
 
@@ -47,6 +59,7 @@ from .dynamic import _DEFAULT_PRUNE_THRESHOLD, _FLIP, SIGNED_MEASUREMENT_PREFIX
 from .statevector import _apply_matrix, _validate_gate, _validate_size
 
 __all__ = [
+    "BranchRows",
     "simulate_variant_group",
     "variant_group_key",
     "branch_bound",
@@ -246,10 +259,51 @@ def _segment_steps(
 
 
 # --------------------------------------------------------------------------- group runner
+@dataclass
+class BranchRows:
+    """The live measurement branches of one batched pass, one row per branch.
+
+    Rows follow the scalar simulator's branch enumeration order, so each
+    variant's rows are contiguous: ``bounds[v]:bounds[v + 1]`` is the row
+    slice of variant ``v`` of the group.  Per row, ``prob`` is the branch
+    probability, ``sign`` its cumulative ±1 outcome sign, ``variant_of`` the
+    variant's position in the group and ``out_index`` the basis index of its
+    recorded ``out:`` outcomes over that variant's ``output_qubit_order`` —
+    byte for byte the ``probability``, ``sign`` and output index of the
+    branches :class:`~repro.simulator.dynamic.BranchingSimulator` returns.
+    """
+
+    prob: np.ndarray
+    sign: np.ndarray
+    variant_of: np.ndarray
+    out_index: np.ndarray
+    bounds: np.ndarray
+
+
+@overload
+def simulate_variant_group(
+    variants: Sequence,
+    prune_threshold: float = ...,
+    *,
+    rows: Literal[False] = ...,
+) -> List[Tuple[float, Optional[np.ndarray]]]: ...
+
+
+@overload
+def simulate_variant_group(
+    variants: Sequence,
+    prune_threshold: float = ...,
+    *,
+    rows: Literal[True],
+) -> BranchRows: ...
+
+
 def simulate_variant_group(
     variants: Sequence,
     prune_threshold: float = _DEFAULT_PRUNE_THRESHOLD,
-) -> List[Tuple[float, Optional[np.ndarray]]]:
+    *,
+    rows: bool = False,
+) -> Union[List[Tuple[float, Optional[np.ndarray]]], BranchRows]:
     """Run a group of same-structure subcircuit variants in one batched pass.
 
     ``variants`` are duck-typed (``circuit``, ``mode``, ``output_qubit_order``
@@ -260,10 +314,20 @@ def simulate_variant_group(
     sign-weighted quasi-distribution over the variant's output qubits
     (``None`` otherwise) — bit-identical to what the scalar
     :class:`~repro.simulator.dynamic.BranchingSimulator` pipeline produces for
-    each variant alone.
+    each variant alone.  With ``rows=True`` it stops before that extraction
+    and returns the live :class:`BranchRows` instead.
     """
     if not variants:
-        return []
+        if not rows:
+            return []
+        none = np.zeros(0, dtype=np.int64)
+        return BranchRows(np.zeros(0), none, none, none, np.zeros(1, dtype=np.int64))
+    branch_rows = _group_rows(variants, prune_threshold)
+    return branch_rows if rows else _extract(branch_rows, variants)
+
+
+def _group_rows(variants: Sequence, prune_threshold: float) -> BranchRows:
+    """The row pass of :func:`simulate_variant_group`: evolve and branch every row."""
     parsed = [_parse_circuit(variant.circuit) for variant in variants]
     reference = parsed[0]
     for item in parsed[1:]:
@@ -334,23 +398,36 @@ def simulate_variant_group(
             signed=signed_flags[anchor],
             out_position=out_positions[anchor],
         )
+        if not len(prob):
+            # Every branch was pruned, as the scalar simulator's empty branch
+            # list: nothing is left to evolve.
+            break
+    bounds = np.searchsorted(variant_of, np.arange(batch + 1))
+    return BranchRows(prob, sign, variant_of, out_index, bounds)
 
-    # Extraction, mirroring the scalar accumulation order exactly: Python-float
-    # left-to-right sums per variant, rows in enumeration order.
-    contributions = sign * prob
-    boundaries = np.searchsorted(variant_of, np.arange(batch + 1))
+
+def _extract(
+    branch_rows: BranchRows, variants: Sequence
+) -> List[Tuple[float, Optional[np.ndarray]]]:
+    """Per-variant ``(value, distribution)``, accumulated as the scalar path does.
+
+    The scalar path adds up ``sign * prob`` left to right from ``0.0`` and
+    deposits each branch with ``distribution[index] += weight``.
+    ``np.add.accumulate`` is strictly sequential, so its last entry is that
+    total (the ``0.0 +`` supplies the zero start, which only shows for an all
+    ``-0.0`` segment), and ``np.add.at`` applies repeated indices in row order.
+    """
+    contributions = branch_rows.sign * branch_rows.prob
+    bounds = branch_rows.bounds.tolist()
     results: List[Tuple[float, Optional[np.ndarray]]] = []
     for column, variant in enumerate(variants):
-        start, stop = int(boundaries[column]), int(boundaries[column + 1])
-        value = float(sum(contributions[start:stop].tolist()))
+        start, stop = bounds[column], bounds[column + 1]
+        segment = contributions[start:stop]
+        value = 0.0 + float(np.add.accumulate(segment)[-1]) if stop > start else 0.0
         distribution: Optional[np.ndarray] = None
         if getattr(variant, "mode", None) == "probability":
-            order = tuple(variant.output_qubit_order)
-            distribution = np.zeros(2 ** len(order))
-            indexes = out_index[start:stop].tolist()
-            values = contributions[start:stop].tolist()
-            for index, weight in zip(indexes, values):
-                distribution[index] += weight
+            distribution = np.zeros(2 ** len(variant.output_qubit_order))
+            np.add.at(distribution, branch_rows.out_index[start:stop], segment)
         results.append((value, distribution))
     return results
 
@@ -372,33 +449,27 @@ def _branch_rows(
 
     Children are interleaved ``(row 0, outcome 0), (row 0, outcome 1),
     (row 1, outcome 0), ...`` — the scalar enumeration order — so per-variant
-    row blocks stay contiguous and ordered.  The per-row projection probability
-    is computed with the exact 1-D summation the scalar ``_project`` uses
-    (bitwise-stable, unlike NumPy axis reductions).
+    row blocks stay contiguous and ordered.  The per-row projection
+    probability equals the scalar ``_project``'s ``np.sum`` over
+    ``state[mask]`` byte for byte (see the comment below).
     """
     dim = states.shape[1]
     rows = states.shape[0]
     indices = np.arange(dim)
     mask0 = ((indices >> qubit) & 1) == 0
     mask1 = ~mask0
-    # The masked halves in index order, as contiguous (rows, dim/2) blocks: the
-    # elementwise |amp|**2 is vectorized across the batch (bitwise-safe), but
-    # each row is then reduced with its own 1-D np.sum — the exact reduction the
-    # scalar ``_project`` performs on ``state[mask]`` (NumPy axis reductions are
-    # not bitwise-identical to 1-D pairwise sums, so no ``axis=`` here).
-    split = states.reshape(rows, -1, 2, 2**qubit)
+    # The masked halves in index order, as C-contiguous (rows, dim/2) blocks,
+    # so row r of each block holds exactly the scalar ``state[mask]``.
+    split = states.reshape(rows, dim // 2 ** (qubit + 1), 2, 2**qubit)
     half0 = np.ascontiguousarray(split[:, :, 0, :]).reshape(rows, dim // 2)
     half1 = np.ascontiguousarray(split[:, :, 1, :]).reshape(rows, dim // 2)
     squared0 = np.abs(half0) ** 2
     squared1 = np.abs(half1) ** 2
-    p0 = np.empty(rows)
-    p1 = np.empty(rows)
-    # np.add.reduce is what np.sum dispatches to for a 1-D float64 array —
-    # bitwise identical, without the np.sum wrapper overhead per row.
-    reduce = np.add.reduce  # qrcclint: disable=unstable-reduction -- audited order-fixed: 1-D contiguous float64 rows, where np.add.reduce IS np.sum's kernel (see comment above)
-    for row in range(rows):
-        p0[row] = reduce(squared0[row])
-        p1[row] = reduce(squared1[row])
+    # A last-axis reduce of a C-contiguous float64 block runs NumPy's 1-D
+    # pairwise sum on each row: the same bytes as a per-row np.sum, without a
+    # Python loop over rows.
+    p0 = np.add.reduce(squared0, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: a last-axis reduce of a C-contiguous float64 block equals the per-row 1-D np.sum byte for byte (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
+    p1 = np.add.reduce(squared1, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: same block layout as p0 (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
     conditional = np.stack([p0, p1], axis=1).reshape(-1)
     alive = conditional > prune_threshold
     outcome = np.tile(np.array([0, 1], dtype=np.int64), rows)[alive]

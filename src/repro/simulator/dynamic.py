@@ -87,8 +87,16 @@ class BranchedResult:
         return float(value)
 
     def expectation_of_signs(self) -> float:
-        """Sum of sign * probability (the expectation of the recorded ±1 outcomes)."""
-        return float(sum(b.sign * b.probability for b in self.branches))
+        """Sum of sign * probability (the expectation of the recorded ±1 outcomes).
+
+        Accumulated strictly left to right from ``0.0``, the order the batched
+        kernel reproduces with ``np.add.accumulate``.  The loop is spelled out
+        because Python's ``sum`` compensates float rounding from 3.12 on.
+        """
+        total = 0.0
+        for branch in self.branches:
+            total += branch.sign * branch.probability
+        return float(total)
 
     def marginal_probabilities(self, qubits: Sequence[int]) -> np.ndarray:
         """Sign-weighted marginal over ``qubits``."""

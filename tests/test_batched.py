@@ -5,11 +5,13 @@ of structurally aligned variants must produce results **bit-identical** to
 running every variant alone through the scalar branching simulator.  These
 tests pin that contract across hand-built circuits, property-based random
 variant groups (hypothesis), real cut enumerations, the executor protocol
-(dedup/caching/counters) and the engine's group-aware dispatch.
+(dedup/caching/counters) and the engine's group-aware dispatch, plus the
+NumPy summation orders it rests on and the branch rows the sampler draws from.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -22,13 +24,15 @@ from repro.cutting import (
     CutReconstructor,
     ExactExecutor,
 )
+from repro.cutting.executors import branch_output_index
 from repro.engine import EngineConfig, ParallelEngine, request_key
 from repro.exceptions import CuttingError, SimulationError
-from repro.simulator import simulate_variant_group, variant_group_key
+from repro.simulator import BranchingSimulator, simulate_variant_group, variant_group_key
 from repro.workloads import make_workload
 
 from strategies import (
     assert_tables_bit_identical as _assert_tables_bit_identical,
+    float_bits,
     make_variant as _variant,
     scalar_reference as _scalar_reference,
     variant_groups,
@@ -114,6 +118,20 @@ class TestSimulateVariantGroup:
         with pytest.raises(SimulationError, match="variant_group_key"):
             simulate_variant_group([_variant(a), _variant(b)])
 
+    def test_all_branches_pruned_gives_zero_like_scalar(self):
+        """Pruning every branch leaves no rows: value 0.0 and an all-zero vector."""
+        circuit = Circuit(2)
+        circuit.h(0).measure(0, tag="out:0").h(1).measure(1, tag="out:1")
+        variant = _variant(circuit, mode="probability", output=(0, 1))
+        scalar = BranchingSimulator(prune_threshold=0.6).run(circuit)
+        assert scalar.branches == []
+        value, distribution = simulate_variant_group([variant], prune_threshold=0.6)[0]
+        assert float_bits(value) == float_bits(scalar.expectation_of_signs())
+        assert distribution.tobytes() == np.zeros(4).tobytes()
+        rows = simulate_variant_group([variant], prune_threshold=0.6, rows=True)
+        assert len(rows.prob) == 0
+        assert rows.bounds.tolist() == [0, 0]
+
     def test_reset_branches_match_scalar(self):
         circuit = Circuit(2)
         circuit.h(0).cx(0, 1).reset(0, tag="reuse:0").h(0).measure(0, tag="signed:out:9")
@@ -121,6 +139,148 @@ class TestSimulateVariantGroup:
         value, _ = simulate_variant_group([variant])[0]
         expected_value, _ = _scalar_reference(variant)
         assert value == expected_value
+
+
+# --------------------------------------------------------------------------- pinned orders
+def _split_squares(states, qubit):
+    """The ``|amp|**2`` halves of a measurement split, built as ``_branch_rows`` does."""
+    rows, dim = states.shape
+    split = states.reshape(rows, dim // 2 ** (qubit + 1), 2, 2**qubit)
+    half0 = np.ascontiguousarray(split[:, :, 0, :]).reshape(rows, dim // 2)
+    half1 = np.ascontiguousarray(split[:, :, 1, :]).reshape(rows, dim // 2)
+    return np.abs(half0) ** 2, np.abs(half1) ** 2
+
+
+@st.composite
+def split_blocks(draw):
+    """Random ``(rows, 2 * length)`` state blocks and a qubit that splits them."""
+    length = draw(st.integers(min_value=1, max_value=2**17))
+    valuation = (length & -length).bit_length() - 1
+    qubit = draw(st.integers(min_value=0, max_value=valuation))
+    # Keep a block at or under 2**19 complex amplitudes (8 MiB).
+    rows = min(draw(st.integers(min_value=0, max_value=4096)), 2**18 // length)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((rows, 2 * length)) + 1j * rng.standard_normal(
+        (rows, 2 * length)
+    )
+    return states, qubit
+
+
+segments = st.lists(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=-1.0, max_value=1.0),
+            st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e16, -1e16]),
+        ),
+        max_size=40,
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+class TestPinnedReductionOrders:
+    """The NumPy order claims the batched kernel's bit-identity rests on.
+
+    If a NumPy release breaks one of them these fail first, before any
+    scalar-vs-batched comparison or the ``batched.bit_identical`` bench gate.
+    """
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(block=split_blocks())
+    def test_last_axis_reduce_equals_per_row_sum(self, block):
+        states, qubit = block
+        squared0, squared1 = _split_squares(states, qubit)
+        assert squared0.flags.c_contiguous and squared0.dtype == np.float64
+        mask = ((np.arange(states.shape[1]) >> qubit) & 1) == 0
+        for squared, row_mask in ((squared0, mask), (squared1, ~mask)):
+            reduced = np.add.reduce(squared, axis=1)
+            # The scalar ``_project`` reduction of each row.
+            per_row = np.array(
+                [np.sum(np.abs(state[row_mask]) ** 2) for state in states], dtype=np.float64
+            )
+            assert reduced.tobytes() == per_row.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(parts=segments)
+    def test_accumulate_equals_left_to_right_sum_per_segment(self, parts):
+        """The batched value extraction, against the scalar ``+=`` loop from 0.0."""
+        values = np.array([value for part in parts for value in part], dtype=np.float64)
+        start = 0
+        for part in parts:
+            segment = values[start : start + len(part)]
+            start += len(part)
+            expected = 0.0
+            for value in segment.tolist():
+                expected += value
+            got = 0.0 + float(np.add.accumulate(segment)[-1]) if len(part) else 0.0
+            assert float_bits(got) == float_bits(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weights=st.lists(st.floats(min_value=-1.0, max_value=1.0), max_size=60),
+        width=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_add_at_equals_sequential_loop(self, weights, width, seed):
+        """Repeated indices included: ``np.add.at`` applies updates in order."""
+        indexes = np.random.default_rng(seed).integers(0, 2**width, size=len(weights))
+        values = np.array(weights, dtype=np.float64)
+        looped = np.zeros(2**width)
+        for index, weight in zip(indexes.tolist(), values.tolist()):
+            looped[index] += weight
+        vectorised = np.zeros(2**width)
+        np.add.at(vectorised, indexes, values)
+        assert vectorised.tobytes() == looped.tobytes()
+
+
+# --------------------------------------------------------------------------- branch rows
+def _with_outputs(variant):
+    """The variant measured on every wire into ``out:`` tags (probability mode)."""
+    circuit = variant.circuit.copy()
+    for qubit in range(circuit.num_qubits):
+        circuit.measure(qubit, tag=f"out:{qubit}")
+    return _variant(circuit, mode="probability", output=range(circuit.num_qubits))
+
+
+def _assert_rows_match_branches(variants, rows):
+    for column, variant in enumerate(variants):
+        span = slice(rows.bounds[column], rows.bounds[column + 1])
+        branches = BranchingSimulator().run(variant.circuit).branches
+        probabilities = np.array([branch.probability for branch in branches], dtype=np.float64)
+        assert rows.prob[span].tobytes() == probabilities.tobytes()
+        assert rows.sign[span].tolist() == [branch.sign for branch in branches]
+        assert set(rows.variant_of[span].tolist()) <= {column}
+        if variant.mode == "probability":
+            expected = [branch_output_index(branch, variant) for branch in branches]
+            assert rows.out_index[span].tolist() == expected
+
+
+class TestBranchRows:
+    """``rows=True`` returns the scalar branch list, row for row and byte for byte."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(group=variant_groups(), probability=st.booleans())
+    def test_rows_equal_scalar_branches(self, group, probability):
+        if probability:
+            group = [_with_outputs(variant) for variant in group]
+        rows = simulate_variant_group(group, rows=True)
+        assert rows.bounds[-1] == len(rows.prob)
+        _assert_rows_match_branches(group, rows)
+
+    def test_reset_and_remeasured_outputs(self):
+        """Reset branches, and a re-measured output where the last write wins."""
+        variants = []
+        for angle in (0.3, 1.2):
+            circuit = Circuit(2)
+            circuit.ry(angle, 0).cx(0, 1).measure(0, tag="out:0")
+            circuit.reset(1, tag="reuse:0").h(1).measure(1, tag="signed:cut:a")
+            circuit.ry(angle, 0).measure(0, tag="out:0").measure(1, tag="out:1")
+            variants.append(_variant(circuit, mode="probability", output=(0, 1)))
+        rows = simulate_variant_group(variants, rows=True)
+        assert len(rows.prob) > 2 * len(variants)
+        _assert_rows_match_branches(variants, rows)
 
 
 # --------------------------------------------------------------------------- group keys

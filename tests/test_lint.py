@@ -137,6 +137,39 @@ def test_unstable_reduction_flags_np_add_reduce():
     assert lint(source, path=KERNEL_PATH, rule="unstable-reduction")
 
 
+def test_unstable_reduction_flags_np_add_reduceat():
+    source = """
+        import numpy as np
+
+        def segment_totals(values, starts):
+            return np.add.reduceat(values, starts)
+    """
+    findings = lint(source, path=KERNEL_PATH, rule="unstable-reduction")
+    assert findings
+    assert "reduceat" in findings[0].message
+
+
+def test_unstable_reduction_reduceat_sanctioned():
+    source = """
+        import numpy as np
+
+        def segment_totals(values, starts):
+            return np.add.reduceat(values, starts)  # qrcclint: disable=unstable-reduction -- fixture: order pinned by a test
+    """
+    assert not lint(source, path=KERNEL_PATH, rule="unstable-reduction")
+    assert not lint(source, path=KERNEL_PATH, rule=BAD_SANCTION)
+
+
+def test_unstable_reduction_reduceat_outside_kernel_modules():
+    source = """
+        import numpy as np
+
+        def segment_totals(values, starts):
+            return np.add.reduceat(values, starts)
+    """
+    assert not lint(source, path=SRC_PATH, rule="unstable-reduction")
+
+
 def test_unstable_reduction_negative_full_sum():
     source = """
         import numpy as np

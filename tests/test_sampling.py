@@ -2,11 +2,16 @@
 round of correctness fixes that shipped with them (sampler width inference,
 cut_circuit_cutqc kwargs, per-call execute timings)."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.circuits import Circuit
 from repro.core import CutConfig, EngineConfig, cut_circuit_cutqc, evaluate_workload
 from repro.cutting import CutReconstructor, ExactExecutor, SamplingExecutor
+from repro.cutting import sampling as sampling_module
+from repro.cutting.executors import branch_output_index
 from repro.engine import (
     ALLOCATION_POLICIES,
     ParallelEngine,
@@ -22,9 +27,12 @@ from repro.exceptions import (
     ReproError,
     SimulationError,
 )
-from repro.simulator import distribution_to_counts, sample_counts
+from repro.simulator import BranchingSimulator, distribution_to_counts, sample_counts
+from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
+
+from strategies import make_variant
 
 
 @pytest.fixture
@@ -163,6 +171,118 @@ class TestSamplingExecutor:
         executor = SamplingExecutor(shots=10, seed=0)
         with pytest.raises(CuttingError):
             executor.set_allocation({"abc": 0})
+
+
+def _scalar_walk_sample(executor, variant):
+    """One request sampled from a scalar branch walk: the sampler's reference."""
+    key = request_key(variant)
+    shots = executor.shots_for(key)
+    rng = np.random.default_rng(executor.seed_for(key))
+    branches = BranchingSimulator().run(variant.circuit).branches
+    probabilities = np.array([branch.probability for branch in branches])
+    signs = np.array([branch.sign for branch in branches], dtype=float)
+    counts = sample_weighted_counts_prefix(probabilities, shots, rng)
+    value = float(np.dot(counts, signs) / shots)
+    distribution = None
+    if variant.mode == "probability":
+        distribution = np.zeros(2 ** len(variant.output_qubit_order))
+        for branch, count in zip(branches, counts):
+            if count:
+                distribution[branch_output_index(branch, variant)] += branch.sign * count
+        distribution /= shots
+    return value, distribution
+
+
+def _bits(value, distribution):
+    return np.float64(value).tobytes(), None if distribution is None else distribution.tobytes()
+
+
+def _allocate(executor, fingerprints, scenario):
+    """Put ``executor`` into one of the allocation states the engine uses."""
+    if scenario == "allocation":
+        executor.set_allocation({key: 50 + 7 * i for i, key in enumerate(fingerprints)})
+    elif scenario == "pilot":
+        executor.set_allocation(
+            {key: 30 + i for i, key in enumerate(fingerprints)}, stage="pilot"
+        )
+    elif scenario == "streaming":
+        executor.set_allocation(
+            {key: 20 + i for i, key in enumerate(fingerprints)},
+            seed_shots_by_fingerprint={key: 90 + 3 * i for i, key in enumerate(fingerprints)},
+        )
+
+
+class TestSamplingOnBranchRows:
+    """``run_many`` samples from grouped batched rows exactly as a lone scalar walk."""
+
+    @pytest.fixture
+    def requests(self, chain_wire_cut_solution, gate_cut_solution, zz_observable):
+        chain = CutReconstructor(chain_wire_cut_solution, executor=ExactExecutor())
+        gate = CutReconstructor(gate_cut_solution, executor=ExactExecutor())
+        variants = (
+            chain.enumerate_probability_requests()
+            + gate.enumerate_expectation_requests(zz_observable)
+        )
+        unique = {request_key(variant): variant for variant in variants}
+        assert {variant.mode for variant in unique.values()} == {"probability", "expectation"}
+        return list(unique.items())
+
+    @pytest.mark.parametrize("scenario", ["default", "allocation", "pilot", "streaming"])
+    def test_run_many_equals_lone_requests_bitwise(self, requests, scenario):
+        fingerprints = [key for key, _ in requests]
+        grouped = SamplingExecutor(shots=300, seed=5)
+        _allocate(grouped, fingerprints, scenario)
+        pending = [(key, variant, grouped.seed_for(key)) for key, variant in requests]
+        table = dict(grouped.run_many(pending))
+        assert list(table) == fingerprints
+        for key, variant in requests:
+            lone = SamplingExecutor(shots=300, seed=5)
+            _allocate(lone, fingerprints, scenario)
+            single = lone.execute_variant(variant)
+            expected = _bits(*_scalar_walk_sample(lone, variant))
+            assert _bits(single.value, single.distribution) == expected
+            assert _bits(table[key].value, table[key].distribution) == expected
+
+    def test_rows_are_simulated_once_per_fingerprint(self, requests, monkeypatch):
+        calls = []
+        original = sampling_module.simulate_variant_group
+
+        def counting(variants, *args, **kwargs):
+            calls.append(len(variants))
+            return original(variants, *args, **kwargs)
+
+        monkeypatch.setattr(sampling_module, "simulate_variant_group", counting)
+        executor = SamplingExecutor(shots=100, seed=2)
+        pending = [(key, variant, executor.seed_for(key)) for key, variant in requests]
+        first = executor.run_many(pending)
+        assert sum(calls) == len(requests)
+        assert len(calls) < len(requests)  # grouped, not one pass per variant
+        second = executor.run_many(pending)
+        assert sum(calls) == len(requests)  # every row table came from the memo
+        for (_, a), (_, b) in zip(first, second):
+            assert _bits(a.value, a.distribution) == _bits(b.value, b.distribution)
+
+    def test_branch_memo_is_bounded_and_not_pickled(self, requests, monkeypatch):
+        unbounded = SamplingExecutor(shots=100, seed=2)
+        pending = [(key, variant, unbounded.seed_for(key)) for key, variant in requests]
+        expected = unbounded.run_many(pending)
+        monkeypatch.setattr(sampling_module, "_BRANCH_MEMO_SIZE", 3)
+        bounded = SamplingExecutor(shots=100, seed=2)
+        results = bounded.run_many(pending)
+        assert len(bounded._branch_memo) == 3 < len(requests)
+        for (_, a), (_, b) in zip(expected, results):
+            assert _bits(a.value, a.distribution) == _bits(b.value, b.distribution)
+        assert pickle.loads(pickle.dumps(bounded))._branch_memo == {}
+
+    def test_probability_variant_missing_output_tag_raises(self):
+        circuit = Circuit(2)
+        circuit.h(0).cx(0, 1).measure(0, tag="out:0")  # qubit 1 never recorded
+        variant = make_variant(circuit, mode="probability", output=(0, 1))
+        executor = SamplingExecutor(shots=10, seed=0)
+        with pytest.raises(CuttingError, match="did not record an outcome"):
+            executor.run_batch([variant])
+        with pytest.raises(CuttingError, match="did not record an outcome"):
+            executor.execute_variant(variant)
 
 
 class TestShotAllocationPolicies:

@@ -93,10 +93,12 @@ class UnstableReduction(Rule):
 
     NumPy axis reductions (``.sum(axis=...)``, ``np.sum(..., axis=...)``,
     ``np.add.reduce``) choose pairwise/blocked orders that vary with shape,
-    strides and SIMD width — they are NOT bitwise-stable, so a kernel relying
-    on one silently breaks the serial == parallel bit-identity contract.
-    Kernels whose reduction order has been audited and documented as fixed are
-    sanctioned function-by-function.
+    strides and SIMD width, so a kernel relying on one can silently break the
+    serial == parallel bit-identity contract.  ``np.add.reduceat`` is flagged
+    too: it sums pairwise inside each segment, so it does not match a
+    left-to-right segment sum.  Call sites whose order is pinned by a test
+    (for example a last-axis reduce of a C-contiguous float64 block, which
+    equals the per-row 1-D sum) are sanctioned one by one, naming that test.
     """
 
     name = "unstable-reduction"
@@ -123,6 +125,13 @@ class UnstableReduction(Rule):
                         node,
                         "np.add.reduce has shape-dependent pairwise order; document and "
                         "sanction the call site if the order is genuinely fixed",
+                    )
+                elif name in ("np.add.reduceat", "numpy.add.reduceat"):
+                    yield context.finding(
+                        self,
+                        node,
+                        "np.add.reduceat sums pairwise inside each segment, not left to "
+                        "right; use np.add.accumulate per segment or sanction with a test",
                     )
                 continue
             if not isinstance(node, ast.Call):
