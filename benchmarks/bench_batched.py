@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core import cut_circuit
 from repro.core.config import CutConfig
 from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
-from repro.engine import request_key
+from repro.engine import ParallelEngine, request_key
 from repro.simulator.batched import branch_bound
 from repro.workloads import Workload, WorkloadKind, make_workload
 
@@ -69,10 +69,10 @@ def _unique_requests(workload: Workload, cut) -> List:
     if isinstance(cut, CutConfig):
         plan = cut_circuit(workload.circuit, cut)
         reconstructor = CutReconstructor(
-            plan.solution, specs=plan.subcircuits, executor=ExactExecutor()
+            plan.solution, specs=plan.subcircuits, engine=ParallelEngine(ExactExecutor())
         )
     else:
-        reconstructor = CutReconstructor(cut, executor=ExactExecutor())
+        reconstructor = CutReconstructor(cut, engine=ParallelEngine(ExactExecutor()))
     if workload.kind == WorkloadKind.EXPECTATION:
         batch = reconstructor.enumerate_expectation_requests(workload.observable)
     else:

@@ -119,9 +119,10 @@ def _identity_row() -> Dict[str, object]:
         reconstructor = CutReconstructor(solution, engine=engine)
         table = engine.run_batch(reconstructor.enumerate_probability_requests())
         full = reconstructor.reconstruct_probabilities(table=table)
-        result = reconstructor.reconstruct_probabilities(
-            table=table, qubit_limit=IDENTITY_QUBITS
+        plan = plan_dynamic_definition(
+            solution, reconstructor.specs, qubit_limit=IDENTITY_QUBITS
         )
+        result = reconstruct_dynamic(reconstructor, plan, table=table)
     dense = result.as_dense()
     return {
         "leg": "identity",
@@ -140,9 +141,10 @@ def _recovery_row() -> Dict[str, object]:
         reconstructor = CutReconstructor(solution, engine=engine)
         table = engine.run_batch(reconstructor.enumerate_probability_requests())
         full = reconstructor.reconstruct_probabilities(table=table)
-        result = reconstructor.reconstruct_probabilities(
-            table=table, qubit_limit=RECOVERY_QUBIT_LIMIT, zoom_fanout=8
+        plan = plan_dynamic_definition(
+            solution, reconstructor.specs, qubit_limit=RECOVERY_QUBIT_LIMIT, zoom_fanout=8
         )
+        result = reconstruct_dynamic(reconstructor, plan, table=table)
     max_error = max(
         abs(heavy.probability - float(full[heavy.index])) for heavy in result.bins
     )

@@ -23,6 +23,7 @@ import pytest
 from repro.analysis import expectation_accuracy
 from repro.core import CutConfig, cut_circuit
 from repro.cutting import CutReconstructor, NoisyExecutor
+from repro.engine import ParallelEngine
 from repro.simulator import (
     DeviceModel,
     NoiseModel,
@@ -65,7 +66,9 @@ def generate_table3_rows() -> List[Dict[str, object]]:
     plan = cut_circuit(workload.circuit, config)
     small_device = DeviceModel(4, ((0, 1), (1, 2), (2, 3)), NOISE, name="4q-device")
     executor = NoisyExecutor(small_device, shots=SHOTS, trajectories=TRAJECTORIES, seed=3)
-    reconstructor = CutReconstructor(plan.solution, specs=plan.subcircuits, executor=executor)
+    reconstructor = CutReconstructor(
+        plan.solution, specs=plan.subcircuits, engine=ParallelEngine(executor)
+    )
     qrcc_value = reconstructor.reconstruct_expectation(workload.observable)
 
     def row(mode: str, value: float) -> Dict[str, object]:

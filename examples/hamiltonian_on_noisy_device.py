@@ -21,6 +21,7 @@ from __future__ import annotations
 from repro import CutConfig, cut_circuit
 from repro.analysis import expectation_accuracy
 from repro.cutting import CutReconstructor, NoisyExecutor
+from repro.engine import ParallelEngine
 from repro.simulator import DeviceModel, NoiseModel, NoisySimulator, exact_expectation
 from repro.workloads import make_ising
 
@@ -67,7 +68,9 @@ def main() -> None:
     )
 
     executor = NoisyExecutor(small_device, shots=2048, trajectories=10, seed=11)
-    reconstructor = CutReconstructor(plan.solution, specs=plan.subcircuits, executor=executor)
+    reconstructor = CutReconstructor(
+        plan.solution, specs=plan.subcircuits, engine=ParallelEngine(executor)
+    )
     qrcc_value = reconstructor.reconstruct_expectation(observable)
     print(
         f"QRCC on {small_device.name} + post-processing: {qrcc_value:+.4f} "

@@ -356,7 +356,6 @@ def cut_circuit(
     config: CutConfig,
     force_ilp: bool = False,
     force_greedy: bool = False,
-    enable_reuse_extraction: Optional[bool] = None,
 ) -> CutPlan:
     """Find a cutting solution for ``circuit`` under ``config`` and extract subcircuits.
 
@@ -380,8 +379,9 @@ def cut_circuit(
         force_ilp: always solve the exact ILP, even past the size limit.
         force_greedy: always use the greedy heuristic cutter (mutually
             exclusive with ``force_ilp``).
-        enable_reuse_extraction: apply the qubit-reuse pass during subcircuit
-            extraction; defaults to ``config.enable_qubit_reuse``.
+
+    Subcircuit extraction applies the qubit-reuse pass when
+    ``config.enable_qubit_reuse`` is set.
 
     Returns:
         A :class:`CutPlan`: the solution, the extracted subcircuit specs and the
@@ -395,9 +395,6 @@ def cut_circuit(
     if force_ilp and force_greedy:
         raise CuttingError("force_ilp and force_greedy are mutually exclusive")
     start = perf_clock()
-    use_reuse = (
-        config.enable_qubit_reuse if enable_reuse_extraction is None else enable_reuse_extraction
-    )
 
     padded = QRAwareDag(circuit).padded_circuit
     use_greedy = force_greedy or (len(padded) > DEFAULT_ILP_SIZE_LIMIT and not force_ilp)
@@ -413,7 +410,7 @@ def cut_circuit(
             solution = CuttingFormulation(circuit, config).solve_and_decode()
         _store_decision(key, _CutDecision.of(solution))
     solve_time = perf_clock() - start
-    specs = extract_subcircuits(solution, enable_reuse=use_reuse)
+    specs = extract_subcircuits(solution, enable_reuse=config.enable_qubit_reuse)
     return CutPlan(
         circuit=circuit,
         config=config,
@@ -432,22 +429,13 @@ def cut_circuit_cutqc(circuit: Circuit, config: CutConfig, **kwargs: Any) -> Cut
         config: the cutting meta parameters; gate cuts and qubit reuse are
             disabled (and ``delta`` pinned to 1) regardless of what it says.
         **kwargs: forwarded to :func:`cut_circuit` (``force_ilp`` /
-            ``force_greedy``); ``enable_reuse_extraction`` is rejected because
-            the baseline pins it to ``False``.
+            ``force_greedy``).
 
     Returns:
         A :class:`CutPlan` for the baseline configuration.
     """
-    if "enable_reuse_extraction" in kwargs:
-        # Forwarding it would collide with the pinned value below and surface as
-        # an opaque duplicate-keyword TypeError; reject it with a real message.
-        raise CuttingError(
-            "cut_circuit_cutqc pins enable_reuse_extraction=False (the CutQC "
-            "baseline never reuses qubits); drop the argument or call "
-            "cut_circuit directly"
-        )
     baseline = config.with_(enable_gate_cuts=False, enable_qubit_reuse=False, delta=1.0)
-    return cut_circuit(circuit, baseline, enable_reuse_extraction=False, **kwargs)
+    return cut_circuit(circuit, baseline, **kwargs)
 
 
 def evaluate_workload(
@@ -455,7 +443,6 @@ def evaluate_workload(
     config: CutConfig,
     executor: Optional[VariantExecutor] = None,
     compute_reference: bool = True,
-    force_ilp: bool = False,
     force_greedy: bool = False,
     engine: Optional[ParallelEngine] = None,
     engine_config: Optional[EngineConfig] = None,
@@ -465,8 +452,9 @@ def evaluate_workload(
     Probability workloads reconstruct the full output distribution; expectation
     workloads reconstruct the observable's expectation value.  ``compute_reference``
     additionally simulates the uncut circuit (only feasible for small N) so accuracy
-    can be reported.  ``force_ilp`` / ``force_greedy`` select the cut-search
-    method exactly as in :func:`cut_circuit`.
+    can be reported.  ``force_greedy`` selects the greedy cutter exactly as in
+    :func:`cut_circuit`; otherwise the cut search is the exact ILP up to
+    :data:`DEFAULT_ILP_SIZE_LIMIT` operations.
 
     Everything about *how* variants execute lives on a single typed request
     object: :class:`~repro.engine.EngineConfig`.  Pass it as ``engine_config``
@@ -558,7 +546,6 @@ def evaluate_workload(
         config,
         executor=executor,
         compute_reference=compute_reference,
-        force_ilp=force_ilp,
         force_greedy=force_greedy,
         engine=engine,
         engine_config=engine_config,

@@ -48,7 +48,7 @@ batch one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,6 +62,7 @@ from .contraction import (
     output_index_blocks,
     plan_contraction,
 )
+from .reconstruction import GATE_CUT_MESSAGE
 
 __all__ = [
     "BinSpace",
@@ -84,11 +85,6 @@ MASS_COVERAGE_SLACK = 1e-9
 #: ``as_dense`` refuses to materialise more elements than this — asking for a
 #: dense vector wider than ~2**26 defeats the point of dynamic definition.
 _DENSE_ELEMENT_LIMIT = 1 << 26
-
-_GATE_CUT_MESSAGE = (
-    "probability vectors cannot be reconstructed after gate cutting; "
-    "gate cuts only support expectation values (Section 2.3.2)"
-)
 
 
 @dataclass(frozen=True)
@@ -126,7 +122,6 @@ class DynamicDefinitionPlan:
     qubit_limit: int
     recursion_depth: int
     zoom_fanout: int
-    min_bin_mass: float
     output_qubits: Tuple[int, ...]
     windows: Tuple[Tuple[int, ...], ...]
 
@@ -154,7 +149,6 @@ def plan_dynamic_definition(
     qubit_limit: int,
     recursion_depth: Optional[int] = None,
     zoom_fanout: int = 2,
-    min_bin_mass: float = 0.0,
 ) -> DynamicDefinitionPlan:
     """Build a :class:`DynamicDefinitionPlan` for ``solution``'s output qubits.
 
@@ -169,21 +163,18 @@ def plan_dynamic_definition(
             exactly enough to fully resolve every zoomed path
             (``ceil(num_output_qubits / qubit_limit)``).
         zoom_fanout: bins descended into per level (the top-``zoom_fanout``
-            by probability mass).
-        min_bin_mass: bins at or below this mass are never descended into
-            (``0.0``, the default, still skips empty and negative bins).
+            by probability mass; empty and negative bins are never descended
+            into).
 
     Returns:
         The plan (activation windows plus the knobs above).
     """
     if solution.gate_cuts:
-        raise ReconstructionError(_GATE_CUT_MESSAGE)
+        raise ReconstructionError(GATE_CUT_MESSAGE)
     if qubit_limit < 1:
         raise ReconstructionError(f"qubit_limit must be >= 1, got {qubit_limit}")
     if zoom_fanout < 1:
         raise ReconstructionError(f"zoom_fanout must be >= 1, got {zoom_fanout}")
-    if min_bin_mass < 0.0:
-        raise ReconstructionError(f"min_bin_mass must be >= 0, got {min_bin_mass}")
     output_qubits: List[int] = sorted({q for spec in specs for q in spec.output_qubits})
     if not output_qubits:
         raise ReconstructionError("no subcircuit outputs anything; nothing to bin")
@@ -199,7 +190,6 @@ def plan_dynamic_definition(
         qubit_limit=qubit_limit,
         recursion_depth=recursion_depth,
         zoom_fanout=zoom_fanout,
-        min_bin_mass=min_bin_mass,
         output_qubits=tuple(output_qubits),
         windows=windows,
     )
@@ -440,7 +430,6 @@ def binned_probabilities(
     space: BinSpace,
     table: Any = None,
     missing: str = "execute",
-    cache: Optional[Dict] = None,
     stacks: Optional[Sequence[np.ndarray]] = None,
 ) -> np.ndarray:
     """Contract directly into ``space``'s binned distribution (never ``2**n``).
@@ -455,7 +444,7 @@ def binned_probabilities(
     ``reconstructor.last_contraction_report`` with mode ``"dynamic"``.
     """
     if reconstructor.solution.gate_cuts:
-        raise ReconstructionError(_GATE_CUT_MESSAGE)
+        raise ReconstructionError(GATE_CUT_MESSAGE)
     plan_start = perf_clock()
     workers = reconstructor._shard_workers()
     structure = _binned_structure(reconstructor, space, workers)
@@ -466,9 +455,7 @@ def binned_probabilities(
     if stacks is None:
         if table is None:
             raise ReconstructionError("binned_probabilities needs a table or prebuilt stacks")
-        stacks = reconstructor._value_stacks(
-            "probability", None, table, missing, {} if cache is None else cache
-        )
+        stacks = reconstructor._value_stacks("probability", None, table, missing, {})
     fixed_values = {qubit: bit for qubit, bit in space.fixed}
     reduced = [
         _reduce_stack(stack, reduction, fixed_values)
@@ -511,6 +498,25 @@ def binned_probabilities(
     return binned
 
 
+def _combined_report(reports: Sequence[ContractionReport]) -> ContractionReport:
+    """One report for a whole zoom: every binned contraction, chunk replays included.
+
+    Stage seconds add up, ``shards`` lists every call's shards in call order,
+    ``serial_fallback`` is set if any call fell back, and ``num_shards`` is
+    the widest call's shard count (the slots each contract stage ran over).
+    The plan is the root level's.
+    """
+    return replace(
+        reports[0],
+        num_shards=max(report.num_shards for report in reports),
+        plan_seconds=sum(report.plan_seconds for report in reports),
+        contract_seconds=sum(report.contract_seconds for report in reports),
+        merge_seconds=sum(report.merge_seconds for report in reports),
+        serial_fallback=any(report.serial_fallback for report in reports),
+        shards=tuple(shard for report in reports for shard in report.shards),
+    )
+
+
 def reconstruct_dynamic(
     reconstructor: Any,
     plan: DynamicDefinitionPlan,
@@ -522,15 +528,18 @@ def reconstruct_dynamic(
     """Run the recursive heavy-bin zoom and return the sparse distribution.
 
     Level 0 bins the first activation window; each visited node descends into
-    its top ``plan.zoom_fanout`` bins by mass (skipping bins at or below
-    ``plan.min_bin_mass``) with those bins' bits pinned, until
+    its top ``plan.zoom_fanout`` bins by mass (skipping empty and negative
+    bins) with those bins' bits pinned, until
     ``plan.recursion_depth`` levels are spent.  Nodes whose merged set is
     empty resolve their bins into concrete basis states.  ``chunk_history``
     (``(chunk_table, weight)`` pairs from a streaming session) additionally
     folds per-chunk binned contractions through the streaming moments
     machinery, annotating every level with a confidence half-width — selection
     itself stays a function of the cumulative estimate, so streaming
-    run-to-completion results equal batch results.
+    run-to-completion results equal batch results.  This is the one
+    dynamic-definition entry point.  When it returns,
+    ``reconstructor.last_contraction_report`` holds a single report covering
+    every binned contraction it ran, chunk replays included.
 
     Args:
         reconstructor: the :class:`~repro.cutting.CutReconstructor` to
@@ -546,7 +555,7 @@ def reconstruct_dynamic(
         The :class:`DynamicDefinitionResult`.
     """
     if reconstructor.solution.gate_cuts:
-        raise ReconstructionError(_GATE_CUT_MESSAGE)
+        raise ReconstructionError(GATE_CUT_MESSAGE)
     if table is None:
         table = reconstructor.engine.run_batch(reconstructor.enumerate_probability_requests())
     stacks = reconstructor._value_stacks("probability", None, table, missing, {})
@@ -557,6 +566,7 @@ def reconstruct_dynamic(
 
     resolved: Dict[int, float] = {}
     levels: List[LevelReport] = []
+    reports: List[ContractionReport] = []
     state = {"contractions": 0, "chunk_contractions": 0, "peak": 0}
     root_binned: Optional[np.ndarray] = None
 
@@ -564,6 +574,7 @@ def reconstruct_dynamic(
         nonlocal root_binned
         space = plan.space(level, fixed)
         binned = binned_probabilities(reconstructor, space, stacks=stacks, missing=missing)
+        reports.append(reconstructor.last_contraction_report)
         state["contractions"] += 1
         state["peak"] = max(state["peak"], int(binned.size))
         if level == 0:
@@ -579,6 +590,7 @@ def reconstruct_dynamic(
                 estimate = binned_probabilities(
                     reconstructor, space, stacks=one_chunk_stacks, missing=missing
                 )
+                reports.append(reconstructor.last_contraction_report)
                 state["chunk_contractions"] += 1
                 moments.add(estimate, weight=weight)
             half_width = moments.half_width(z_value)
@@ -614,7 +626,7 @@ def reconstruct_dynamic(
             for j in order:
                 if len(selected) >= plan.zoom_fanout:
                     break
-                if float(binned[j]) <= plan.min_bin_mass:
+                if float(binned[j]) <= 0.0:
                     break  # sorted descending: nothing heavier remains
                 selected.append(int(j))
         explored = float(sum(binned[j] for j in selected))
@@ -638,6 +650,7 @@ def reconstruct_dynamic(
             visit(level + 1, fixed + bin_bits)
 
     visit(0, ())
+    reconstructor.last_contraction_report = _combined_report(reports)
 
     heavy = tuple(
         HeavyBin(

@@ -58,7 +58,6 @@ from .contraction import (
     plan_contraction,
 )
 from .cuts import CutSolution
-from .executors import VariantExecutor
 from .fragments import SubcircuitSpec, extract_subcircuits
 from .gate_cut import decompose_gate_cut
 from .variants import (
@@ -70,6 +69,12 @@ from .variants import (
 )
 
 __all__ = ["INIT_STATE_DECOMPOSITION", "CutReconstructor"]
+
+#: Why probability-mode reconstruction refuses a solution with gate cuts.
+GATE_CUT_MESSAGE = (
+    "probability vectors cannot be reconstructed after gate cutting; "
+    "gate cuts only support expectation values (Section 2.3.2)"
+)
 
 #: Decomposition of each measurement-basis operator into initialisation eigenstates:
 #: ``P = sum_s coefficient(s) |s><s|`` (the downstream half of Eq. 3).
@@ -146,20 +151,14 @@ class _Walk:
 class CutReconstructor:
     """Reconstructs the original circuit's output from a cut solution.
 
-    Execution is delegated to an engine: pass ``engine`` to control batching and
-    parallelism, or ``executor`` to keep the legacy single-backend interface (a
-    serial engine is wrapped around it).
-
     Args:
         solution: the cut solution to reconstruct from.
         specs: pre-extracted subcircuit specs; extracted from ``solution``
-            (honouring ``enable_reuse``) when omitted.
-        executor: a single :class:`~repro.cutting.executors.VariantExecutor`
-            backend; mutually exclusive with ``engine``.
-        enable_reuse: apply the qubit-reuse pass when this constructor extracts
-            the subcircuits itself (ignored when ``specs`` is given).
+            (with qubit reuse) when omitted.
         engine: a :class:`~repro.engine.ParallelEngine` to execute variant
-            batches through (shared caches, worker pools).
+            batches through (shared caches, worker pools); ``None`` builds a
+            serial engine around its configured default exact backend.  Wrap
+            a specific backend as ``engine=ParallelEngine(executor)``.
 
     Example::
 
@@ -171,25 +170,13 @@ class CutReconstructor:
         self,
         solution: CutSolution,
         specs: Optional[Sequence[SubcircuitSpec]] = None,
-        executor: Optional[VariantExecutor] = None,
-        enable_reuse: bool = True,
         engine: Optional[ParallelEngine] = None,
     ) -> None:
         self.solution = solution
         self.specs: List[SubcircuitSpec] = list(
-            specs if specs is not None else extract_subcircuits(solution, enable_reuse)
+            specs if specs is not None else extract_subcircuits(solution)
         )
-        if engine is None:
-            # executor=None lets the engine build its configured default exact
-            # backend (the vectorized batched executor, unless EngineConfig
-            # says otherwise).
-            engine = ParallelEngine(executor)
-        elif executor is not None and engine.executor is not executor:
-            raise ReconstructionError(
-                "pass either an executor or an engine, not two different backends"
-            )
-        self.engine = engine
-        self.executor = engine.executor
+        self.engine = engine if engine is not None else ParallelEngine()
         self._builders: Dict[int, VariantBuilder] = {
             spec.index: VariantBuilder(solution, spec) for spec in self.specs
         }
@@ -212,11 +199,6 @@ class CutReconstructor:
         self.last_contraction_report: Optional[ContractionReport] = None
 
     # ------------------------------------------------------------------ public API
-    @property
-    def num_variant_evaluations(self) -> int:
-        """Unique subcircuit circuit executions performed so far (dedup-aware)."""
-        return self.engine.executions
-
     def enumerate_probability_requests(
         self, weights_out: Optional[Dict[str, float]] = None
     ) -> List[SubcircuitVariant]:
@@ -230,10 +212,7 @@ class CutReconstructor:
         over the exponential loop is needed.
         """
         if self.solution.gate_cuts:
-            raise ReconstructionError(
-                "probability vectors cannot be reconstructed after gate cutting; "
-                "gate cuts only support expectation values (Section 2.3.2)"
-            )
+            raise ReconstructionError(GATE_CUT_MESSAGE)
         walk = _Walk(weights_out)
         k = len(self.solution.wire_cuts)
         self._walk(walk, "probability", None, np.arange(4**k), np.full(4**k, 0.5**k))
@@ -260,42 +239,17 @@ class CutReconstructor:
             self._walk(walk, "expectation", term, combos, coefficient * products[combos])
         return walk.finish()
 
-    def probability_request_weights(self) -> Dict[str, float]:
-        """Accumulated |contraction weight| per fingerprint for probability mode.
-
-        A variant requested from several contraction terms accumulates the
-        magnitudes of all of them, so the weights are a proxy for how strongly
-        each variant's statistical error propagates into the reconstructed
-        distribution — the ``"weighted"``/``"variance"`` shot-allocation
-        policies split the budget proportionally to these.  Callers that also
-        need the batch should pass ``weights_out`` to
-        :meth:`enumerate_probability_requests` instead of walking twice.
-        """
-        weights: Dict[str, float] = {}
-        self.enumerate_probability_requests(weights_out=weights)
-        return weights
-
-    def expectation_request_weights(self, observable: PauliObservable) -> Dict[str, float]:
-        """Accumulated |contraction weight| per fingerprint for expectation mode.
-
-        See :meth:`probability_request_weights`; callers that also need the
-        batch should pass ``weights_out`` to
-        :meth:`enumerate_expectation_requests` instead of walking twice.
-        """
-        weights: Dict[str, float] = {}
-        self.enumerate_expectation_requests(observable, weights_out=weights)
-        return weights
-
     def reconstruct_probabilities(
         self,
         table: Optional[Mapping[str, VariantResult]] = None,
         missing: str = "execute",
         contraction: str = "planned",
-        qubit_limit: Optional[int] = None,
-        recursion_depth: Optional[int] = None,
-        zoom_fanout: int = 2,
     ) -> np.ndarray:
         """Full probability vector of the original circuit (wire cuts only).
+
+        For outputs too wide for a dense vector, use dynamic definition
+        instead: :func:`~repro.cutting.reconstruct_dynamic` with a plan from
+        :func:`~repro.cutting.plan_dynamic_definition`.
 
         Args:
             table: results for the enumerated batch, for callers who already
@@ -314,54 +268,18 @@ class CutReconstructor:
                 :mod:`repro.cutting.contraction`); only wall clock differs.
                 The run's stage timings and shard utilization land on
                 :attr:`last_contraction_report`.
-            qubit_limit: switch to *dynamic definition*: never materialise the
-                ``2**n`` vector; instead contract into binned distributions of
-                at most ``2**qubit_limit`` elements per recursion level and
-                zoom into the heavy bins (see
-                :mod:`repro.cutting.dynamic_definition`).  The return type
-                changes to
-                :class:`~repro.cutting.DynamicDefinitionResult`.
-                Requires the planned contraction mode.
-            recursion_depth: recursion levels for the dynamic-definition zoom
-                (needs ``qubit_limit``); ``None`` resolves every zoomed path
-                fully.
-            zoom_fanout: bins descended into per dynamic-definition level
-                (needs ``qubit_limit``; ignored otherwise).
 
         Returns:
             The reconstructed quasi-probability vector over all
             ``2**num_qubits`` basis states (exact probabilities for exact
-            executors; a statistical/truncated estimate otherwise) — or, with
-            ``qubit_limit``, the sparse
-            :class:`~repro.cutting.DynamicDefinitionResult`.
+            executors; a statistical/truncated estimate otherwise).
         """
         self._check_missing_mode(missing)
         self._check_contraction_mode(contraction)
-        if qubit_limit is None and recursion_depth is not None:
-            raise ReconstructionError("recursion_depth needs qubit_limit (dynamic definition)")
-        if table is None and qubit_limit is None:
+        if self.solution.gate_cuts:
+            raise ReconstructionError(GATE_CUT_MESSAGE)
+        if table is None:
             table = self.engine.run_batch(self.enumerate_probability_requests())
-        elif self.solution.gate_cuts:
-            raise ReconstructionError(
-                "probability vectors cannot be reconstructed after gate cutting; "
-                "gate cuts only support expectation values (Section 2.3.2)"
-            )
-        if qubit_limit is not None:
-            if contraction != "planned":
-                raise ReconstructionError(
-                    "dynamic definition (qubit_limit) requires the planned "
-                    "contraction mode; the naive walk materialises the full vector"
-                )
-            from .dynamic_definition import plan_dynamic_definition, reconstruct_dynamic
-
-            dd_plan = plan_dynamic_definition(
-                self.solution,
-                self.specs,
-                qubit_limit=qubit_limit,
-                recursion_depth=recursion_depth,
-                zoom_fanout=zoom_fanout,
-            )
-            return reconstruct_dynamic(self, dd_plan, table=table, missing=missing)
         # Value stacks are per call: successive calls may pass tables with
         # different values (different seeds, allocations or prunings), so
         # reusing them across calls would silently return stale results.  The

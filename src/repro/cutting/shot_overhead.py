@@ -29,10 +29,10 @@ whose value, normalised by the ideal Neyman variance ``(sum_f |w_f|)**2``
 basis weights reach the best split any allocator could produce, larger values
 mean wasted shots.  ``F`` is minimized by exact cyclic minimization over the
 simplices (each block has the closed-form optimum ``q_s(o) ~
-sqrt(A_s(o)/B_s(o))`` — see :func:`optimize_overhead_weights`), optionally
-polished by ``scipy.optimize.minimize`` over log-weights when scipy is
-available.  Both paths are deterministic: no randomness, fixed sweep order,
-ties broken by fingerprint.
+sqrt(A_s(o)/B_s(o))`` — see :func:`optimize_overhead_weights`), then
+polished by ``scipy.optimize.minimize`` over log-weights (kept only when it
+strictly improves the objective).  Both steps are deterministic: no
+randomness, fixed sweep order, ties broken by fingerprint.
 
 The optimized per-variant weights feed the shot allocator
 (:func:`repro.engine.allocation.allocate_shots`), the pruning scorer
@@ -48,6 +48,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.optimize import minimize
 
 from ..engine.config import OVERHEAD_MODES
 from ..engine.requests import request_key
@@ -69,6 +70,10 @@ __all__ = [
 #: every sampling probability positive (the allocator's one-shot floor still
 #: applies) without letting them distort the optimum.
 _MIN_TOKEN_WEIGHT = 1e-12
+
+#: Coordinate-descent sweep cap and relative-improvement convergence threshold.
+_MAX_SWEEPS = 100
+_TOLERANCE = 1e-10
 
 #: Canonical token order per simplex side, for stable reporting.
 _TOKEN_ORDER: Dict[str, Tuple[str, ...]] = {  # qrcclint: disable=mutable-default-arg -- read-only constant table (tuple values), never written after import
@@ -321,9 +326,7 @@ def _build_model(
     return model
 
 
-def _coordinate_descent(
-    model: _OverheadModel, max_iterations: int, tolerance: float
-) -> Tuple[np.ndarray, int, bool]:
+def _coordinate_descent(model: _OverheadModel) -> Tuple[np.ndarray, int, bool]:
     """Exact cyclic minimization of ``F`` over the per-cut simplices.
 
     Holding every other simplex fixed, the block optimum for simplex ``s`` is
@@ -341,7 +344,7 @@ def _coordinate_descent(
     converged = False
     sweeps = 0
     order = sorted(model.simplices)
-    for sweeps in range(1, max_iterations + 1):
+    for sweeps in range(1, _MAX_SWEEPS + 1):
         for simplex_key in order:
             positions = model.simplices[simplex_key]
             ptilde = model.ptilde(q)
@@ -372,7 +375,7 @@ def _coordinate_descent(
             for slot, position in enumerate(positions):
                 q[position] = max(shape[slot] * scale, _MIN_TOKEN_WEIGHT)
         current = model.objective(q)
-        if previous - current <= tolerance * max(previous, 1.0):
+        if previous - current <= _TOLERANCE * max(previous, 1.0):
             converged = True
             break
         previous = current
@@ -384,14 +387,10 @@ def _scipy_polish(
 ) -> Tuple[np.ndarray, int, bool]:
     """Refine a coordinate-descent optimum with L-BFGS-B over log-weights.
 
-    Returns ``(q, iterations, used)`` — the polished weights only when scipy
-    is importable *and* strictly improved the objective; otherwise the input
-    is returned unchanged (``used = False``).
+    Returns ``(q, iterations, used)`` — the polished weights only when they
+    strictly improved the objective; otherwise the input is returned
+    unchanged (``used = False``).
     """
-    try:
-        from scipy.optimize import minimize
-    except ImportError:  # pragma: no cover - scipy is part of the toolchain
-        return q, 0, False
 
     def objective_log(theta: np.ndarray) -> float:
         return float(np.log(max(model.objective(np.exp(theta)), _MIN_TOKEN_WEIGHT)))
@@ -436,10 +435,6 @@ def _cut_breakdown(model: _OverheadModel, q: np.ndarray) -> Tuple[CutBasisWeight
 def optimize_overhead_weights(
     batch: Sequence[SubcircuitVariant],
     weights: Mapping[str, float],
-    *,
-    max_iterations: int = 100,
-    tolerance: float = 1e-10,
-    use_scipy: bool = True,
 ) -> Tuple[Dict[str, float], OverheadReport]:
     """Optimize the per-cut basis sampling weights for an enumerated batch.
 
@@ -449,12 +444,6 @@ def optimize_overhead_weights(
             cut-parameter profile).
         weights: accumulated |contraction weight| per fingerprint, as
             collected by the enumeration walk's ``weights_out``.
-        max_iterations: cap on exact coordinate-descent sweeps.
-        tolerance: relative objective-improvement threshold that declares
-            convergence.
-        use_scipy: additionally polish the coordinate optimum with
-            ``scipy.optimize.minimize`` (kept only when it strictly improves
-            the objective; silently skipped when scipy is unavailable).
 
     Returns:
         ``(optimized_weights, report)`` — a normalised per-fingerprint
@@ -469,14 +458,13 @@ def optimize_overhead_weights(
         raise ReproError("cannot optimize sampling overhead over an empty batch")
     model = _build_model(batch, weights)
     start = perf_clock()
-    q, sweeps, converged = _coordinate_descent(model, max_iterations, tolerance)
+    q, sweeps, converged = _coordinate_descent(model)
     method = "coordinate"
     iterations = sweeps
-    if use_scipy:
-        q, extra, used = _scipy_polish(model, q)
-        if used:
-            method = "coordinate+scipy"
-            iterations += extra
+    q, extra, used = _scipy_polish(model, q)
+    if used:
+        method = "coordinate+scipy"
+        iterations += extra
 
     count = len(model.fingerprints)
     magnitudes = np.sqrt(model.a)

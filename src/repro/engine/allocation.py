@@ -170,21 +170,21 @@ def allocate_shots(
     *,
     weights: Optional[Mapping[str, float]] = None,
     engine: Any = None,
-    pilot_fraction: float = DEFAULT_PILOT_FRACTION,
 ) -> ShotAllocation:
     """Split ``total_shots`` across the unique variants of ``batch``.
 
-    ``weights`` maps fingerprints to |contraction weight| (see
-    :meth:`~repro.cutting.reconstruction.CutReconstructor.expectation_request_weights`);
+    ``weights`` maps fingerprints to |contraction weight| (as accumulated by
+    the ``weights_out`` argument of
+    :meth:`~repro.cutting.reconstruction.CutReconstructor.enumerate_expectation_requests`);
     when omitted, the ``weighted`` and ``variance`` policies fall back to request
     multiplicity within the batch.  The ``variance`` policy needs ``engine`` (a
     :class:`~repro.engine.ParallelEngine` over a sampling-capable executor) to
     run its pilot batch; pilot executions are counted in the engine's stats like
     any other batch, and the pilot allocation is left applied to the executor
-    until the caller applies the final one.  ``pilot_fraction`` sets the share
-    of ``total_shots`` the pilot pass spends (clamped so every variant gets at
-    least ~4 pilot shots but never more than half the budget); ``policy`` is
-    one of :data:`ALLOCATION_POLICIES`.
+    until the caller applies the final one.  The pilot pass spends
+    :data:`DEFAULT_PILOT_FRACTION` of ``total_shots`` (clamped so every variant
+    gets at least ~4 pilot shots but never more than half the budget);
+    ``policy`` is one of :data:`ALLOCATION_POLICIES`.
 
     Returns:
         A :class:`ShotAllocation` whose assigned shots (pilot + final) sum to
@@ -223,18 +223,16 @@ def allocate_shots(
             f"the variance policy needs a sampling-capable executor with per-variant "
             f"shot allocation, got {type(executor).__name__}"
         )
-    if not 0.0 < pilot_fraction < 1.0:
-        raise AllocationError(f"pilot_fraction must be in (0, 1), got {pilot_fraction}")
     count = len(unique)
     if total_shots < 2 * count:
         raise AllocationError(
             f"variance-aware allocation needs at least 2 shots per variant "
             f"({2 * count} total for {count} variants), got {total_shots}"
         )
-    # Pilot sizing: the requested fraction, but never fewer than ~4 shots per
+    # Pilot sizing: the default fraction, but never fewer than ~4 shots per
     # variant (sigma from 1-2 samples is noise) and never more than half the
     # budget; the 2*count guard above keeps the bounds consistent.
-    pilot_budget = int(round(total_shots * pilot_fraction))
+    pilot_budget = int(round(total_shots * DEFAULT_PILOT_FRACTION))
     pilot_budget = max(pilot_budget, min(4 * count, total_shots // 2))
     pilot_budget = max(count, min(pilot_budget, total_shots - count))
     pilot = largest_remainder_split(pilot_budget, {key: 1.0 for key in unique})

@@ -303,7 +303,9 @@ def prune_requests(
 
     The drop is deterministic: requests are ranked by ``(weight, fingerprint)``
     so equal-weight ties never depend on enumeration order.  At least one
-    request always survives.
+    request always survives.  Contract the survivors' results with
+    ``missing="skip"``: an evaluation session does this by giving its one
+    per-table contraction (streaming fold and final estimate alike) that mode.
     """
     policy = PruningPolicy.resolve(policy)
     batch = list(batch)

@@ -14,18 +14,19 @@ sequence of per-chunk contractions feeds a streaming variance accumulator
 (:class:`StreamingMoments`, weighted Welford) from which a normal confidence
 interval falls out.
 
-The chunk contraction reuses the reconstructor's persistent structure memo
-(contraction plans, index maps), so each round costs one *kernel* pass — the
-plan is never rebuilt from scratch.  The final reported value comes from
-:meth:`IncrementalReconstructor.finalize` on the full cumulative table: with
-every round consumed that table equals the batch table bit for bit, which is
-what keeps streaming run-to-completion identical to the batch pipeline.
+The chunk contraction is the session's one per-table contraction, which
+reuses the reconstructor's persistent structure memo (contraction plans,
+index maps), so each round costs one *kernel* pass — the plan is never
+rebuilt from scratch.  The final reported value comes from the same
+contraction on the full cumulative table: with every round consumed that
+table equals the batch table bit for bit, which is what keeps streaming
+run-to-completion identical to the batch pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 import numpy as np
 
@@ -154,65 +155,25 @@ class StreamingMoments:
 class IncrementalReconstructor:
     """Folds arriving shot chunks into a running reconstruction estimate + CI.
 
-    Wraps a :class:`~repro.cutting.CutReconstructor`: each :meth:`fold`
-    contracts one chunk table through it (reusing its persistent contraction
-    plans — no per-round re-planning) and updates the :class:`StreamingMoments`
-    the session's stopping rule reads its half-width from.
+    Each :meth:`fold` contracts one chunk table with ``contract`` and updates
+    the :class:`StreamingMoments` the session's stopping rule reads its
+    half-width from.
 
     Args:
-        reconstructor: the contraction backend (plans are memoised on it).
-        observable: contract expectation values of this observable; ``None``
-            contracts the full probability vector instead.
-        missing: the table-miss mode forwarded to the contraction (``"skip"``
-            under pruning, else ``"execute"``).
-        qubit_limit: dynamic-definition streaming (probability mode only):
-            contract every chunk into the *root binned* distribution
-            (``2**qubit_limit`` elements, see
-            :mod:`repro.cutting.dynamic_definition`) instead of the full
-            ``2**n`` vector, so the per-round fold — and the confidence
-            interval the stopping rule reads — stays memory-bounded.  The
-            interval then covers the coarse bin masses, which upper-bound
-            every finer-grained probability below them.
+        contract: the per-table contraction, mapping a results table to an
+            estimate.  :class:`~repro.service.EvaluationSession` picks it once
+            per session: ``CutReconstructor.reconstruct_expectation`` (a
+            scalar), ``CutReconstructor.reconstruct_probabilities`` (the full
+            vector) or, under dynamic definition,
+            :func:`~repro.cutting.dynamic_definition.binned_probabilities`
+            over the root bin space (``2**qubit_limit`` elements, so the fold
+            and its interval stay memory-bounded).  Each carries the
+            session's table-miss mode (``"skip"`` under pruning).
     """
 
-    def __init__(
-        self,
-        reconstructor: Any,
-        observable: Any = None,
-        missing: str = "execute",
-        qubit_limit: Optional[int] = None,
-    ) -> None:
-        self._reconstructor = reconstructor
-        self._observable = observable
-        self._missing = missing
-        self._qubit_limit = qubit_limit
-        self._root_space = None
+    def __init__(self, contract: Callable[[Mapping[str, VariantResult]], Any]) -> None:
+        self._contract = contract
         self.moments = StreamingMoments()
-
-    def _contract(self, table: Mapping[str, VariantResult]) -> Any:
-        if self._observable is not None:
-            return self._reconstructor.reconstruct_expectation(
-                self._observable, table=table, missing=self._missing
-            )
-        if self._qubit_limit is not None:
-            from ..cutting.dynamic_definition import (
-                binned_probabilities,
-                plan_dynamic_definition,
-            )
-
-            if self._root_space is None:
-                dd_plan = plan_dynamic_definition(
-                    self._reconstructor.solution,
-                    self._reconstructor.specs,
-                    qubit_limit=self._qubit_limit,
-                )
-                self._root_space = dd_plan.space(0, ())
-            return binned_probabilities(
-                self._reconstructor, self._root_space, table=table, missing=self._missing
-            )
-        return self._reconstructor.reconstruct_probabilities(
-            table=table, missing=self._missing
-        )
 
     def fold(self, chunk_table: Mapping[str, VariantResult], weight: float) -> Any:
         """Contract one chunk table and fold its estimate; returns the estimate."""
@@ -231,12 +192,3 @@ class IncrementalReconstructor:
         if width is None or not math.isfinite(width):
             return None
         return width
-
-    def finalize(self, cumulative_table: Mapping[str, VariantResult]) -> Any:
-        """One contraction of the full cumulative table — the reported value.
-
-        With every planned round consumed the cumulative table is bit-identical
-        to what the batch pipeline executes, so this final contraction is what
-        pins streaming run-to-completion to the batch result exactly.
-        """
-        return self._contract(cumulative_table)

@@ -5,7 +5,7 @@ workloads; admission control enforces a bounded queue (backpressure: a full
 queue *rejects with a reason* instead of buffering unboundedly) and per-tenant
 shot budgets (a submission that would overdraw its tenant's remaining budget is
 rejected up front, and the shots an admitted session does not end up spending —
-early termination — are refunded on completion).  Admitted sessions run over
+early termination or a failure — are refunded when it settles).  Admitted sessions run over
 one shared :class:`~repro.engine.ParallelEngine`: they are prepared in FIFO
 order and their rounds are interleaved round-robin, so a long evaluation cannot
 starve the sessions admitted after it — each gets one round per scheduling
@@ -41,7 +41,7 @@ class SessionTicket:
         result: the ``EvaluationResult`` once the session finished.
         error: the exception that failed the session (``None`` otherwise).
         reserved_shots: shots debited from the tenant's budget at admission
-            (unspent shots are refunded when the session completes).
+            (unspent shots are refunded when the session completes or fails).
         session: the underlying :class:`~repro.service.EvaluationSession`
             (``None`` for rejected tickets).
     """
@@ -138,8 +138,8 @@ class ServiceQueue:
                 :class:`~repro.service.EvaluationSession` on the queue's shared
                 engine: ``allocation``, ``pruning``, ``streaming``,
                 ``stopping``, ``qubit_limit``, ``recursion_depth`` and
-                ``optimize_overhead`` (plus ``compute_reference``,
-                ``force_ilp`` and ``force_greedy``).  Seeds, device farms and
+                ``optimize_overhead`` (plus ``compute_reference`` and
+                ``force_greedy``).  Seeds, device farms and
                 routing belong to the shared engine's own config.
 
         Returns:
@@ -178,10 +178,11 @@ class ServiceQueue:
         """Account a finished (done or failed) session against its tenant."""
         spent = ticket.session.shots_spent if ticket.session is not None else 0
         self._spent[ticket.tenant] = self._spent.get(ticket.tenant, 0) + spent
-        if ticket.tenant in self._remaining and ticket.status == "done":
+        if ticket.tenant in self._remaining:
             # Refund what the reservation covered but the session never drew
-            # (early termination); overspend (a variance pilot on top of the
-            # reservation) stays debited.
+            # (early termination, or a failure before the budget was used up);
+            # overspend (a variance pilot on top of the reservation) stays
+            # debited.
             refund = max(0, ticket.reserved_shots - spent)
             self._remaining[ticket.tenant] += refund
 

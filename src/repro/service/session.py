@@ -6,6 +6,8 @@ enumerates variants *once*, then consumes the shot budget in cumulative rounds
 round reproduces the one-shot batch draw exactly), folding every round's fresh
 chunk into an :class:`~repro.service.IncrementalReconstructor` whose running
 confidence interval feeds an optional :class:`~repro.service.StoppingRule`.
+The session picks its per-table contraction once, in :meth:`prepare`; the
+streaming fold and :meth:`EvaluationSession.finish` both call it.
 ``streaming=None`` (the default) degenerates to a single full-batch step, and
 a streaming session run to completion reproduces that batch step bit for bit
 (cache keys, seeds and all).  :func:`repro.core.evaluate_workload` is a thin
@@ -21,9 +23,16 @@ wrapped in a snapshot window and the deltas are accumulated per session.
 from __future__ import annotations
 
 from dataclasses import replace as dataclass_replace
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from ..cutting import CutReconstructor, SamplingExecutor, VariantExecutor
+from ..cutting.dynamic_definition import (
+    DynamicDefinitionPlan,
+    binned_probabilities,
+    plan_dynamic_definition,
+    reconstruct_dynamic,
+)
 from ..cutting.shot_overhead import optimize_overhead_weights
 from ..engine import (
     EngineConfig,
@@ -107,8 +116,9 @@ class EvaluationSession:
             ``engine``.  ``None`` lets the engine build its configured default.
         compute_reference: additionally simulate the uncut circuit so accuracy
             can be reported (only feasible for small N).
-        force_ilp: always solve the exact ILP during cut search.
-        force_greedy: always use the greedy heuristic cutter.
+        force_greedy: always use the greedy heuristic cutter (otherwise the
+            exact ILP, falling back to greedy past its size limit, as in
+            :func:`~repro.core.cut_circuit`).
         engine: a prebuilt :class:`~repro.engine.ParallelEngine` to share
             (pools, caches and device farm survive across sessions); the
             session then never closes it.  Mutually exclusive with
@@ -170,7 +180,6 @@ class EvaluationSession:
         config: Any,
         executor: Optional[VariantExecutor] = None,
         compute_reference: bool = True,
-        force_ilp: bool = False,
         force_greedy: bool = False,
         engine: Optional[ParallelEngine] = None,
         engine_config: Optional[EngineConfig] = None,
@@ -222,7 +231,6 @@ class EvaluationSession:
         self.workload = workload
         self.config = config
         self.compute_reference = compute_reference
-        self.force_ilp = force_ilp
         self.force_greedy = force_greedy
         self.shots = settings.shots
         self.allocation_policy = settings.allocation
@@ -271,6 +279,8 @@ class EvaluationSession:
         self._pruning_report = None
         self._missing_mode = "execute"
         self._shot_allocation = None
+        self._contract: Optional[Callable[[Any], Any]] = None
+        self._dd_plan: Optional[DynamicDefinitionPlan] = None
         self._incremental: Optional[IncrementalReconstructor] = None
         self._chunk_history: List = []
         self._table = None
@@ -339,7 +349,6 @@ class EvaluationSession:
             self._plan = cut_circuit(
                 self.workload.circuit,
                 self.config,
-                force_ilp=self.force_ilp,
                 force_greedy=self.force_greedy,
             )
             self._cut_seconds = perf_clock() - cut_start
@@ -435,18 +444,23 @@ class EvaluationSession:
                     shot_allocation.pilot_shots_by_fingerprint.values()
                 )
                 self._plan_rounds(shot_allocation)
+            # The one per-table contraction: the streaming fold contracts every
+            # chunk with it and finish() the final table (dynamic definition
+            # zooms from the same plan's root bins instead).
+            rec, missing = self._reconstructor, self._missing_mode
+            if self.workload.kind == WorkloadKind.EXPECTATION:
+                observable = self.workload.observable
+                self._contract = partial(rec.reconstruct_expectation, observable, missing=missing)
+            elif self.qubit_limit is None:
+                self._contract = partial(rec.reconstruct_probabilities, missing=missing)
+            else:
+                self._dd_plan = plan_dynamic_definition(
+                    rec.solution, rec.specs, self.qubit_limit, self.recursion_depth
+                )
+                root = self._dd_plan.space(0, ())
+                self._contract = partial(binned_probabilities, rec, root, missing=missing)
             if self.streaming_active:
-                observable = (
-                    self.workload.observable
-                    if self.workload.kind == WorkloadKind.EXPECTATION
-                    else None
-                )
-                self._incremental = IncrementalReconstructor(
-                    self._reconstructor,
-                    observable=observable,
-                    missing=self._missing_mode,
-                    qubit_limit=self.qubit_limit,
-                )
+                self._incremental = IncrementalReconstructor(self._contract)
         finally:
             self._close_window()
         self._state = "prepared"
@@ -538,7 +552,7 @@ class EvaluationSession:
             chunk_table = difference_tables(table, self._table, cumulative, self._cum)
             chunk_shots = sum(chunk.values())
             self._incremental.fold(chunk_table, weight=chunk_shots)
-            if self.qubit_limit is not None:
+            if self._dd_plan is not None:
                 # The dynamic-definition zoom replays every chunk at every
                 # recursion level, so per-level confidence intervals compose
                 # with early termination (fewer chunks -> wider intervals).
@@ -579,39 +593,24 @@ class EvaluationSession:
         result.pruning_report = self._pruning_report
         result.shot_allocation = self._shot_allocation
         result.overhead_report = self._overhead_report
+        z_value = self.stopping.z_value if self.stopping is not None else 1.96
 
         self._open_window()
         try:
             contract_start = perf_clock()
-            if self.workload.kind == WorkloadKind.EXPECTATION:
-                result.expectation_value = self._reconstructor.reconstruct_expectation(
-                    self.workload.observable, table=self._table, missing=self._missing_mode
-                )
-            elif self.qubit_limit is not None:
-                from ..cutting.dynamic_definition import (
-                    plan_dynamic_definition,
-                    reconstruct_dynamic,
-                )
-
-                dd_plan = plan_dynamic_definition(
-                    self._reconstructor.solution,
-                    self._reconstructor.specs,
-                    qubit_limit=self.qubit_limit,
-                    recursion_depth=self.recursion_depth,
-                )
-                z_value = self.stopping.z_value if self.stopping is not None else 1.96
+            if self._dd_plan is not None:
                 result.dynamic_result = reconstruct_dynamic(
                     self._reconstructor,
-                    dd_plan,
+                    self._dd_plan,
                     table=self._table,
                     missing=self._missing_mode,
                     chunk_history=self._chunk_history or None,
                     z_value=z_value,
                 )
+            elif self.workload.kind == WorkloadKind.EXPECTATION:
+                result.expectation_value = self._contract(self._table)
             else:
-                result.probabilities = self._reconstructor.reconstruct_probabilities(
-                    table=self._table, missing=self._missing_mode
-                )
+                result.probabilities = self._contract(self._table)
             contract_seconds = perf_clock() - contract_start
             result.contraction_report = self._reconstructor.last_contraction_report
         finally:
@@ -637,7 +636,6 @@ class EvaluationSession:
         result.shots_spent = self._shots_spent
         result.termination_reason = self._termination_reason
         if self._incremental is not None:
-            z_value = self.stopping.z_value if self.stopping is not None else 1.96
             result.half_width = self._incremental.half_width(z_value)
             result.confidence = (
                 self.stopping.confidence if self.stopping is not None else 0.95

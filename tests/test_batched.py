@@ -357,7 +357,7 @@ class TestRealCutEnumerations:
         workload = make_workload("REG", 6, degree=3, layers=1, seed=3)
         plan = cut_circuit(workload.circuit, CutConfig(device_size=4))
         scalar_rec = CutReconstructor(
-            plan.solution, specs=plan.subcircuits, executor=ExactExecutor()
+            plan.solution, specs=plan.subcircuits, engine=ParallelEngine(ExactExecutor())
         )
         batch = scalar_rec.enumerate_expectation_requests(workload.observable)
         scalar = ExactExecutor().run_batch(batch)
@@ -368,7 +368,7 @@ class TestRealCutEnumerations:
         workload = make_workload("QFT", 5)
         plan = cut_circuit(workload.circuit, CutConfig(device_size=4))
         reconstructor = CutReconstructor(
-            plan.solution, specs=plan.subcircuits, executor=ExactExecutor()
+            plan.solution, specs=plan.subcircuits, engine=ParallelEngine(ExactExecutor())
         )
         batch = reconstructor.enumerate_probability_requests()
         scalar = ExactExecutor().run_batch(batch)
@@ -394,7 +394,7 @@ class TestEngineGrouping:
         workload = make_workload("REG", 6, degree=3, layers=1, seed=7)
         plan = cut_circuit(workload.circuit, CutConfig(device_size=4))
         reconstructor = CutReconstructor(
-            plan.solution, specs=plan.subcircuits, executor=ExactExecutor()
+            plan.solution, specs=plan.subcircuits, engine=ParallelEngine(ExactExecutor())
         )
         batch = reconstructor.enumerate_expectation_requests(workload.observable)
         serial = ExactExecutor().run_batch(batch)

@@ -3,6 +3,8 @@ mass-coverage bounds, gate-cut rejection, and the pipeline/session wiring."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +39,11 @@ def _exact_table(reconstructor):
     return reconstructor.engine.run_batch(reconstructor.enumerate_probability_requests())
 
 
+def _dynamic(reconstructor, table, missing="execute", **knobs):
+    plan = plan_dynamic_definition(reconstructor.solution, reconstructor.specs, **knobs)
+    return reconstruct_dynamic(reconstructor, plan, table=table, missing=missing)
+
+
 # ------------------------------------------------------------------- planning
 class TestPlanning:
     def test_windows_chunk_output_qubits(self):
@@ -62,10 +69,6 @@ class TestPlanning:
             plan_dynamic_definition(
                 solution, reconstructor.specs, qubit_limit=2, zoom_fanout=0
             )
-        with pytest.raises(ReconstructionError, match="min_bin_mass"):
-            plan_dynamic_definition(
-                solution, reconstructor.specs, qubit_limit=2, min_bin_mass=-0.1
-            )
         with pytest.raises(ReconstructionError, match="recursion_depth"):
             plan_dynamic_definition(
                 solution, reconstructor.specs, qubit_limit=2, recursion_depth=0
@@ -81,7 +84,7 @@ class TestBinnedMarginal:
         reconstructor = CutReconstructor(solution)
         table = _exact_table(reconstructor)
         full = reconstructor.reconstruct_probabilities(table=table)
-        result = reconstructor.reconstruct_probabilities(table=table, qubit_limit=2)
+        result = _dynamic(reconstructor, table, qubit_limit=2)
         assert isinstance(result, DynamicDefinitionResult)
         assert result.root_active == (0, 1)
         marginal = full.reshape(-1, 4).sum(axis=0)
@@ -94,9 +97,7 @@ class TestBinnedMarginal:
         reconstructor = CutReconstructor(solution)
         table = _exact_table(reconstructor)
         full = reconstructor.reconstruct_probabilities(table=table)
-        result = reconstructor.reconstruct_probabilities(
-            table=table, qubit_limit=2, zoom_fanout=4
-        )
+        result = _dynamic(reconstructor, table, qubit_limit=2, zoom_fanout=4)
         assert result.bins  # random angles always leave some mass
         for heavy in result.bins:
             assert heavy.probability == pytest.approx(full[heavy.index], abs=1e-12)
@@ -111,9 +112,7 @@ class TestBinnedMarginal:
         table = _exact_table(reconstructor)
         kept = dict(sorted(table.items())[::2])
         full = reconstructor.reconstruct_probabilities(table=kept, missing="skip")
-        result = reconstructor.reconstruct_probabilities(
-            table=kept, missing="skip", qubit_limit=2
-        )
+        result = _dynamic(reconstructor, kept, missing="skip", qubit_limit=2)
         marginal = full.reshape(-1, 4).sum(axis=0)
         assert np.allclose(result.root_binned, marginal, atol=1e-12)
 
@@ -122,7 +121,7 @@ class TestBinnedMarginal:
         reconstructor = CutReconstructor(solution)
         table = _exact_table(reconstructor)
         full = reconstructor.reconstruct_probabilities(table=table)
-        result = reconstructor.reconstruct_probabilities(table=table, qubit_limit=4)
+        result = _dynamic(reconstructor, table, qubit_limit=4)
         assert result.num_contractions == 1
         assert result.peak_bin_elements == full.size
         assert result.as_dense().tobytes() == full.tobytes()
@@ -133,9 +132,7 @@ class TestBinnedMarginal:
         _, solution = two_cut_solution()
         reconstructor = CutReconstructor(solution)
         table = _exact_table(reconstructor)
-        result = reconstructor.reconstruct_probabilities(
-            table=table, qubit_limit=2, recursion_depth=1
-        )
+        result = _dynamic(reconstructor, table, qubit_limit=2, recursion_depth=1)
         assert result.bins == ()
         assert result.covered_mass == 0.0
         assert len(result.levels) == 1
@@ -145,9 +142,7 @@ class TestBinnedMarginal:
         _, solution = two_cut_solution()
         reconstructor = CutReconstructor(solution)
         table = _exact_table(reconstructor)
-        result = reconstructor.reconstruct_probabilities(
-            table=table, qubit_limit=2, zoom_fanout=4
-        )
+        result = _dynamic(reconstructor, table, qubit_limit=2, zoom_fanout=4)
         # Bins come back heaviest-first and the accessor matches them.
         probabilities = [heavy.probability for heavy in result.bins]
         assert probabilities == sorted(probabilities, reverse=True)
@@ -161,9 +156,7 @@ class TestBinnedMarginal:
     def test_as_dense_refuses_wide_outputs(self):
         _, solution = two_cut_solution()
         reconstructor = CutReconstructor(solution)
-        result = reconstructor.reconstruct_probabilities(
-            table=_exact_table(reconstructor), qubit_limit=4
-        )
+        result = _dynamic(reconstructor, _exact_table(reconstructor), qubit_limit=4)
         with pytest.raises(ReconstructionError, match="as_dense"):
             result.as_dense(num_qubits=30)
 
@@ -179,12 +172,67 @@ class TestCoverageBound:
             reconstructor = CutReconstructor(solution)
             table = _exact_table(reconstructor)
             full = reconstructor.reconstruct_probabilities(table=table)
-            result = reconstructor.reconstruct_probabilities(
-                table=table, qubit_limit=qubit_limit, zoom_fanout=zoom_fanout
+            result = _dynamic(
+                reconstructor, table, qubit_limit=qubit_limit, zoom_fanout=zoom_fanout
             )
             captured = float(sum(full[heavy.index] for heavy in result.bins))
             assert 0.0 <= result.covered_mass <= 1.0
             assert result.covered_mass <= captured + 1e-12, f"seed {seed}"
+
+
+# ------------------------------------------------------------ contraction report
+class TestContractionReport:
+    def test_zoom_reports_every_binned_contraction(self, monkeypatch):
+        """One report sums the whole zoom, chunk replays included, not the last call."""
+        import repro.cutting.dynamic_definition as dynamic_definition
+
+        _, solution = two_cut_solution()
+        reconstructor = CutReconstructor(solution)
+        table = _exact_table(reconstructor)
+        plan = plan_dynamic_definition(
+            solution, reconstructor.specs, qubit_limit=2, zoom_fanout=4
+        )
+        calls = []
+        original = dynamic_definition.binned_probabilities
+
+        def recording(*args, **kwargs):
+            binned = original(*args, **kwargs)
+            report = reconstructor.last_contraction_report
+            if len(calls) == 1:
+                # One call salvaged a broken pool: the zoom must say so.
+                report = replace(report, serial_fallback=True)
+                reconstructor.last_contraction_report = report
+            calls.append(report)
+            return binned
+
+        monkeypatch.setattr(dynamic_definition, "binned_probabilities", recording)
+        result = reconstruct_dynamic(
+            reconstructor, plan, table=table, chunk_history=[(table, 100.0), (table, 50.0)]
+        )
+        assert len(calls) == result.num_contractions + result.num_chunk_contractions
+        assert result.num_contractions > 1 and result.num_chunk_contractions > 0
+        report = reconstructor.last_contraction_report
+        assert report.mode == "dynamic" and report.kind == "probability"
+        assert report.plan_seconds == sum(call.plan_seconds for call in calls)
+        assert report.contract_seconds == sum(call.contract_seconds for call in calls)
+        assert report.merge_seconds == sum(call.merge_seconds for call in calls)
+        assert report.shards == tuple(shard for call in calls for shard in call.shards)
+        assert report.num_shards == max(call.num_shards for call in calls)
+        assert report.serial_fallback
+        assert report.plan is calls[0].plan
+
+    def test_session_timings_cover_the_whole_zoom(self):
+        result = evaluate_workload(
+            make_workload("QFT", 4),
+            CutConfig(device_size=3),
+            compute_reference=False,
+            engine_config=EngineConfig(qubit_limit=2),
+        )
+        report = result.contraction_report
+        assert len(report.shards) >= result.dynamic_result.num_contractions > 1
+        assert result.timings["contract"] == report.contract_seconds
+        assert result.timings["plan"] == report.plan_seconds
+        assert result.timings["merge"] == report.merge_seconds
 
 
 # ----------------------------------------------------------- gate-cut rejection
@@ -203,7 +251,7 @@ class TestGateCutRejection:
     def test_reconstruct_probabilities_rejects_gate_cuts(self, gate_cut_solution):
         reconstructor = CutReconstructor(gate_cut_solution)
         with pytest.raises(ReconstructionError, match="gate cut"):
-            reconstructor.reconstruct_probabilities(qubit_limit=1)
+            reconstructor.reconstruct_probabilities()
 
 
 # --------------------------------------------------------------- config guards
@@ -217,16 +265,6 @@ class TestConfigGuards:
             EngineConfig(recursion_depth=2)
         config = EngineConfig(qubit_limit=4, recursion_depth=2)
         assert config.qubit_limit == 4 and config.recursion_depth == 2
-
-    def test_recursion_depth_needs_qubit_limit(self, chain_wire_cut_solution):
-        reconstructor = CutReconstructor(chain_wire_cut_solution)
-        with pytest.raises(ReconstructionError, match="needs qubit_limit"):
-            reconstructor.reconstruct_probabilities(recursion_depth=2)
-
-    def test_naive_contraction_mode_rejected(self, chain_wire_cut_solution):
-        reconstructor = CutReconstructor(chain_wire_cut_solution)
-        with pytest.raises(ReconstructionError, match="planned"):
-            reconstructor.reconstruct_probabilities(qubit_limit=1, contraction="naive")
 
     def test_session_rejects_expectation_workloads(self):
         with pytest.raises(ConfigError, match="probability workloads"):

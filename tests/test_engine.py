@@ -393,16 +393,6 @@ class TestTwoPhaseReconstruction:
         with pytest.raises(ReconstructionError):
             CutReconstructor(gate_cut_solution).enumerate_probability_requests()
 
-    def test_mismatched_executor_and_engine_rejected(self, chain_wire_cut_solution):
-        from repro.exceptions import ReconstructionError
-
-        with pytest.raises(ReconstructionError):
-            CutReconstructor(
-                chain_wire_cut_solution,
-                executor=ExactExecutor(),
-                engine=ParallelEngine(ExactExecutor()),
-            )
-
 
 class CountingExecutor(ExactExecutor):
     """Exact executor recording every execute_variant fingerprint."""

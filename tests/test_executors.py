@@ -5,6 +5,7 @@ import pytest
 
 from repro.cutting import CutReconstructor, ExactExecutor, NoisyExecutor, extract_subcircuits
 from repro.cutting.variants import VariantBuilder, VariantSettings
+from repro.engine import ParallelEngine
 from repro.exceptions import CuttingError
 from repro.simulator import DeviceModel, NoiseModel
 from repro.utils.pauli import PauliString
@@ -53,13 +54,13 @@ class TestNoisyExecutor:
 
     def test_zero_noise_executor_matches_exact(self, chain_wire_cut_solution, zz_observable):
         exact_value = CutReconstructor(
-            chain_wire_cut_solution, executor=ExactExecutor()
+            chain_wire_cut_solution, engine=ParallelEngine(ExactExecutor())
         ).reconstruct_expectation(zz_observable)
         noiseless = NoisyExecutor(
             self._device(NoiseModel(0.0, 0.0, 0.0)), shots=None, trajectories=1, seed=0
         )
         noisy_value = CutReconstructor(
-            chain_wire_cut_solution, executor=noiseless
+            chain_wire_cut_solution, engine=ParallelEngine(noiseless)
         ).reconstruct_expectation(zz_observable)
         assert np.isclose(noisy_value, exact_value, atol=1e-9)
 
@@ -71,7 +72,7 @@ class TestNoisyExecutor:
             self._device(NoiseModel(0.3, 0.05, 0.0)), shots=256, trajectories=8, seed=1
         )
         noisy_value = CutReconstructor(
-            chain_wire_cut_solution, executor=noisy
+            chain_wire_cut_solution, engine=ParallelEngine(noisy)
         ).reconstruct_expectation(zz_observable)
         assert np.isfinite(noisy_value)
         assert abs(noisy_value - exact_value) > 1e-6

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core import CutConfig, cut_circuit, evaluate_workload
 from repro.cutting import CutReconstructor, NoisyExecutor
+from repro.engine import ParallelEngine
 from repro.exceptions import InfeasibleError
 from repro.simulator import DeviceModel, NoiseModel, exact_expectation, lagos_like_device, NoisySimulator
 from repro.workloads import make_regular_qaoa
@@ -107,7 +108,9 @@ class TestTable3Accuracy:
         plan = cut_circuit(workload.circuit, config)
         small_device = DeviceModel(4, ((0, 1), (1, 2), (2, 3)), NoiseModel(4e-2, 1e-3, 1e-2))
         executor = NoisyExecutor(small_device, shots=2048, trajectories=10, seed=3)
-        reconstructor = CutReconstructor(plan.solution, specs=plan.subcircuits, executor=executor)
+        reconstructor = CutReconstructor(
+            plan.solution, specs=plan.subcircuits, engine=ParallelEngine(executor)
+        )
         qrcc_value = reconstructor.reconstruct_expectation(workload.observable)
 
         device_error = abs(device_value - exact)

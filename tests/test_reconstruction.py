@@ -195,7 +195,7 @@ class TestCombinedCuts:
     def test_executor_evaluation_count_reported(self, chain_wire_cut_solution):
         reconstructor = CutReconstructor(chain_wire_cut_solution)
         reconstructor.reconstruct_probabilities()
-        assert reconstructor.num_variant_evaluations > 0
+        assert reconstructor.engine.executions > 0
 
 
 class TestRandomCircuitsProperty:

@@ -79,7 +79,8 @@ class TestSamplerWidthBugfix:
 class TestCutqcKwargsBugfix:
     def test_enable_reuse_extraction_rejected_clearly(self, chain_circuit):
         config = CutConfig(device_size=2, max_subcircuits=2)
-        with pytest.raises(CuttingError, match="enable_reuse_extraction"):
+        # Qubit reuse is selected by CutConfig.enable_qubit_reuse alone.
+        with pytest.raises(TypeError, match="enable_reuse_extraction"):
             cut_circuit_cutqc(chain_circuit, config, enable_reuse_extraction=True)
 
     def test_other_kwargs_still_forwarded(self, chain_circuit):
@@ -92,7 +93,7 @@ class TestCutqcKwargsBugfix:
 class TestSamplingExecutor:
     def test_estimates_converge_to_exact(self, chain_wire_cut_solution, chain_observable):
         exact = CutReconstructor(
-            chain_wire_cut_solution, executor=ExactExecutor()
+            chain_wire_cut_solution, engine=ParallelEngine(ExactExecutor())
         ).reconstruct_expectation(chain_observable)
         errors = {}
         for shots in (64, 65536):
@@ -217,8 +218,8 @@ class TestSamplingOnBranchRows:
 
     @pytest.fixture
     def requests(self, chain_wire_cut_solution, gate_cut_solution, zz_observable):
-        chain = CutReconstructor(chain_wire_cut_solution, executor=ExactExecutor())
-        gate = CutReconstructor(gate_cut_solution, executor=ExactExecutor())
+        chain = CutReconstructor(chain_wire_cut_solution, engine=ParallelEngine(ExactExecutor()))
+        gate = CutReconstructor(gate_cut_solution, engine=ParallelEngine(ExactExecutor()))
         variants = (
             chain.enumerate_probability_requests()
             + gate.enumerate_expectation_requests(zz_observable)
@@ -322,8 +323,10 @@ class TestShotAllocationPolicies:
         self, policy, chain_wire_cut_solution, chain_observable
     ):
         reconstructor = CutReconstructor(chain_wire_cut_solution)
-        batch = reconstructor.enumerate_expectation_requests(chain_observable)
-        weights = reconstructor.expectation_request_weights(chain_observable)
+        weights = {}
+        batch = reconstructor.enumerate_expectation_requests(
+            chain_observable, weights_out=weights
+        )
         for budget in (17, 100, 4097):
             allocation = allocate_shots(batch, budget, policy, weights=weights)
             assert allocation.assigned_shots == budget

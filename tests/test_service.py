@@ -189,15 +189,47 @@ class TestAccounting:
         # Refund leaves the budget debited by exactly what was spent.
         assert queue.remaining_budget("alice") == budget - spent
 
-    def test_failed_session_keeps_its_reservation(self):
+    def test_failure_in_prepare_refunds_its_reservation(self):
         budget = 2 * SHOTS
         queue = ServiceQueue(shared_engine(), max_pending=4, budgets={"alice": budget})
         ticket = queue.submit(workload(), INFEASIBLE, tenant="alice", shots=SHOTS)
         assert ticket.status == "queued"
+        assert queue.remaining_budget("alice") == budget - SHOTS
         queue.run()
         assert ticket.status == "failed"
         assert ticket.error is not None and ticket.result is None
-        assert queue.remaining_budget("alice") == budget - SHOTS
+        # The cut search failed before a single shot was drawn.
+        assert queue.shots_spent("alice") == 0
+        assert queue.remaining_budget("alice") == budget
+
+    def test_failure_mid_step_refunds_unspent_shots(self):
+        class FailingSecondBatch(SamplingExecutor):
+            """Runs the first batch, then loses its device."""
+
+            batches = 0
+
+            def run_batch(self, variants, dispatch=None):
+                self.batches += 1
+                if self.batches == 2:
+                    raise RuntimeError("device lost between rounds")
+                return super().run_batch(variants, dispatch=dispatch)
+
+        budget = 2 * SHOTS
+        engine = ParallelEngine(FailingSecondBatch(shots=SHOTS, seed=0))
+        queue = ServiceQueue(engine, max_pending=4, budgets={"alice": budget})
+        ticket = queue.submit(
+            workload(),
+            CONFIG,
+            tenant="alice",
+            shots=SHOTS,
+            streaming=StreamingConfig(rounds=4),
+        )
+        queue.run()
+        assert ticket.status == "failed"
+        assert isinstance(ticket.error, RuntimeError)
+        spent = queue.shots_spent("alice")
+        assert 0 < spent < SHOTS  # the first round was drawn, the rest never
+        assert queue.remaining_budget("alice") == budget - spent
 
     def test_failure_does_not_take_down_the_batch(self):
         engine = shared_engine()

@@ -314,6 +314,67 @@ class TestStreamingBitIdentity:
         assert parallel.expectation_value == serial.expectation_value
 
 
+#: to_dict() fields that describe how a run was driven (rounds, timings,
+#: engine traffic, confidence intervals), not what it reconstructed.
+_DRIVING_FIELDS = (
+    "timings",
+    "engine_stats",
+    "num_variant_evaluations",
+    "rounds",
+    "termination_reason",
+    "half_width",
+    "confidence",
+)
+
+
+def _reconstructed_fields(result):
+    payload = json.loads(result.to_json())
+    for key in _DRIVING_FIELDS:
+        payload.pop(key)
+    payload["plan"].pop("solve_time")
+    dynamic = payload["dynamic_result"]
+    if dynamic is not None:
+        dynamic.pop("num_chunk_contractions")
+        for level in dynamic["levels"]:
+            level.pop("half_width")
+    return payload
+
+
+class TestSingleFoldPath:
+    """The fold and finish share one per-table contraction, chosen per session."""
+
+    @pytest.mark.parametrize("pruned", [False, True], ids=["full", "pruned"])
+    @pytest.mark.parametrize(
+        "make,extra",
+        [
+            (small_workload, {}),
+            (_qft5, {}),
+            (_qft5, {"qubit_limit": 2}),
+        ],
+        ids=["expectation", "probability", "dynamic-root-bins"],
+    )
+    def test_streaming_to_completion_equals_batch(self, make, extra, pruned):
+        # Pruning switches the contraction to missing="skip".
+        knobs = dict(shots=8192, seed=11, **extra)
+        if pruned:
+            knobs["pruning"] = PruningPolicy.budget_fraction(0.05)
+        batch = evaluate_workload(
+            make(), SMALL_CONFIG, compute_reference=False, engine_config=EngineConfig(**knobs)
+        )
+        streamed = evaluate_workload(
+            make(),
+            SMALL_CONFIG,
+            compute_reference=False,
+            engine_config=EngineConfig(streaming=StreamingConfig(rounds=4), **knobs),
+        )
+        assert streamed.termination_reason == "completed"
+        assert streamed.half_width is not None  # every round went through the fold
+        assert _reconstructed_fields(streamed) == _reconstructed_fields(batch)
+        if "qubit_limit" in extra:
+            # The fold contracted the root bins: its interval is the root level's.
+            assert streamed.half_width == streamed.dynamic_result.levels[0].half_width
+
+
 class TestStoppingRules:
     def test_budget_exhaustion_stops_early(self):
         result = evaluate_workload(

@@ -380,9 +380,10 @@ def test_probability_values_match_the_plan_walk(name, solution):
     expected = oracle.probabilities(table)
     planned = reconstructor.reconstruct_probabilities(table=table, contraction="planned")
     naive = reconstructor.reconstruct_probabilities(table=table, contraction="naive")
-    dynamic = reconstructor.reconstruct_probabilities(
-        table=table, qubit_limit=solution.circuit.num_qubits
+    dd_plan = plan_dynamic_definition(
+        solution, reconstructor.specs, qubit_limit=solution.circuit.num_qubits
     )
+    dynamic = reconstruct_dynamic(reconstructor, dd_plan, table=table)
     assert planned.tobytes() == naive.tobytes()
     assert dynamic.root_binned.tobytes() == planned.tobytes()
     np.testing.assert_allclose(planned, expected, rtol=0.0, atol=1e-12)

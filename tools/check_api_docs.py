@@ -55,6 +55,9 @@ FLAGSHIP = (
     ("repro.service", "StreamingConfig"),
     ("repro.service", "StoppingRule"),
     ("repro.cutting", "optimize_overhead_weights"),
+    ("repro.cutting", "reconstruct_dynamic"),
+    ("repro.cutting", "plan_dynamic_definition"),
+    ("repro.service", "IncrementalReconstructor"),
     ("repro.cutting", "OverheadReport"),
     ("repro.engine", "build_cache_key"),
     ("repro.engine", "build_cache_namespace"),
