@@ -28,7 +28,10 @@ stage)``, so results are independent of submission order, worker count and
 chunking — serial and parallel batch runs are bit-identical — and can be cached
 safely.  Cache keys additionally carry the request's shot count and allocation
 stage (see :meth:`cache_key` / :meth:`set_allocation`), so pilot-pass samples
-never alias full-pass results, even at coinciding shot counts.
+never alias full-pass results, even at coinciding shot counts.  Streaming
+rounds resume each variant's saved generator from a bounded per-executor memo
+and draw only their new shots; a memo miss redraws the cumulative count from
+the seed, giving the same bits, so results never depend on memo state.
 """
 
 from __future__ import annotations
@@ -56,15 +59,20 @@ __all__ = ["SamplingExecutor"]
 #: Default per-variant shot count when no allocation is applied.
 DEFAULT_SHOTS = 4096
 
-#: Entries kept in the per-executor branch-row memo (see
-#: :meth:`SamplingExecutor.run_many`): streaming sessions re-sample the same
-#: variant circuit every round, and the exact branch simulation — not the
-#: multinomial draw — dominates that cost.
+#: Entries kept in each per-executor memo, the branch rows and the partially
+#: drawn streams (see :meth:`SamplingExecutor.run_many`): streaming sessions
+#: sample the same variant circuit every round, so each variant is simulated
+#: once and each round draws only its new shots.
 _BRANCH_MEMO_SIZE = 4096
 
 #: One variant's exact branches: probabilities, signs (as floats) and, in
 #: probability mode, output indices — in the scalar enumeration order.
 _BranchTable = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+
+#: One partially drawn stream (see :meth:`SamplingExecutor._draw`): the
+#: generator positioned after the drawn shots, their cumulative counts, and
+#: how many shots that is.
+_StreamEntry = Tuple[np.random.Generator, np.ndarray, int]
 
 
 def _respawn_sampling(
@@ -113,6 +121,7 @@ class SamplingExecutor(VariantExecutor):
         self._seed_shots: Dict[str, int] = {}
         self._stage = ""
         self._branch_memo: Dict[str, _BranchTable] = {}
+        self._stream_memo: Dict[Tuple[str, Tuple[int, ...]], _StreamEntry] = {}
 
     # ------------------------------------------------------------------ allocation
     @property
@@ -154,7 +163,10 @@ class SamplingExecutor(VariantExecutor):
         :func:`~repro.simulator.sampler.sample_weighted_counts_prefix` — every
         round's sample is a bitwise prefix of the final one, and the final
         round (where drawn == seed counts) reproduces the one-shot batch draw
-        exactly.  Rounds whose seed and drawn counts differ carry a ``:seed=``
+        exactly.  Each round resumes the generator the previous round left off
+        and draws only the new shots (see :meth:`_draw`), so a session of
+        ``R`` rounds draws each variant's total once, not ``(R + 1) / 2``
+        times.  Rounds whose seed and drawn counts differ carry a ``:seed=``
         marker in their cache key so partial draws never alias complete ones.
         ``None`` (the default, and the batch path) seeds from the drawn counts.
 
@@ -249,11 +261,12 @@ class SamplingExecutor(VariantExecutor):
         )
 
     def __getstate__(self) -> Dict:
-        # The branch memo holds per-variant row arrays; like the result
-        # cache (see VariantExecutor.__getstate__) it never crosses the
-        # process boundary.
+        # The branch and stream memos hold per-variant arrays and generators;
+        # like the result cache (see VariantExecutor.__getstate__) they never
+        # cross the process boundary.
         state = super().__getstate__()
         state["_branch_memo"] = {}
+        state["_stream_memo"] = {}
         return state
 
     # ------------------------------------------------------------------ execution
@@ -272,6 +285,8 @@ class SamplingExecutor(VariantExecutor):
         every variant each round) simulate each variant once.  Memo misses are
         grouped by structure and each group runs as one batched pass; every
         request then draws from its own seed exactly as a lone request would.
+        A streaming round resumes each request's saved generator and draws
+        only the shots added since the last round (see :meth:`_draw`).
         """
         tables: Dict[str, _BranchTable] = {}
         misses: List[Tuple[str, SubcircuitVariant]] = []
@@ -313,7 +328,7 @@ class SamplingExecutor(VariantExecutor):
         shots = self.shots_for(fingerprint)
         if seed is None:
             seed = self.seed_for(fingerprint)
-        counts = sample_weighted_counts_prefix(probabilities, shots, np.random.default_rng(seed))
+        counts = self._draw(fingerprint, probabilities, shots, seed)
         value = float(np.dot(counts, signs) / shots)
         distribution: Optional[np.ndarray] = None
         if out_index is not None:
@@ -324,3 +339,39 @@ class SamplingExecutor(VariantExecutor):
             np.add.at(distribution, out_index[drawn], signs[drawn] * counts[drawn])
             distribution /= shots
         return VariantResult(value=value, distribution=distribution)
+
+    def _draw(
+        self,
+        fingerprint: str,
+        probabilities: np.ndarray,
+        shots: int,
+        seed: Tuple[int, ...],
+    ) -> np.ndarray:
+        """Cumulative counts of the first ``shots`` draws of the ``seed`` stream.
+
+        A streaming round resumes the generator its previous round left off
+        and draws only the new shots: ``Generator.random(a)`` then
+        ``random(b)`` equals ``random(a + b)`` byte for byte, so the summed
+        counts equal a fresh ``shots``-draw exactly.  Without a usable memo
+        entry (none, or one already past ``shots``, as for a second session
+        at the same seed) the stream is redrawn from its seed and replaces
+        the entry.  An entry lives only while its stream is partial
+        (``shots`` below :meth:`seed_shots_for`), so batch and pilot draws
+        never enter the memo and a session's final round frees its own.
+        """
+        key = (fingerprint, seed)
+        entry = self._stream_memo.pop(key, None)
+        if entry is None or entry[2] > shots:
+            rng = np.random.default_rng(seed)
+            counts = sample_weighted_counts_prefix(probabilities, shots, rng)
+        else:
+            rng, counts, drawn = entry
+            if shots > drawn:
+                counts = counts + sample_weighted_counts_prefix(
+                    probabilities, shots - drawn, rng
+                )
+        if shots < self.seed_shots_for(fingerprint):
+            if len(self._stream_memo) >= _BRANCH_MEMO_SIZE:
+                self._stream_memo.pop(next(iter(self._stream_memo)))
+            self._stream_memo[key] = (rng, counts, shots)
+        return counts

@@ -1,7 +1,8 @@
 """Incremental reconstruction: fold shot chunks into a running estimate + CI.
 
-A streaming session draws every variant's sample *cumulatively* (each round is
-a bitwise prefix of the next, see
+A streaming session grows every variant's sample *cumulatively*: each round
+resumes the variant's generator and draws only its new shots, so each round's
+sample is a bitwise prefix of the next (see
 :func:`~repro.simulator.sampler.sample_weighted_counts_prefix`).  The chunk a
 round contributes is recovered by value differencing — for a variant whose
 cumulative mean moved from ``v1`` (over ``c1`` shots) to ``v2`` (over ``c2``),

@@ -509,8 +509,9 @@ class EvaluationSession:
         The one-shot batch path (``streaming=None``) runs its entire batch in a
         single step.  Streaming rounds re-apply the growing cumulative
         allocation (seed pinned to the final totals, so draws are prefixes),
-        execute, fold the fresh chunk into the incremental estimate, and check
-        the stopping rule.
+        execute (the sampler resumes each variant's generator and draws only
+        the round's new shots), fold the fresh chunk into the incremental
+        estimate, and check the stopping rule.
         """
         if self._state != "prepared":
             raise CuttingError(f"step() called on a session in state {self._state!r}")

@@ -84,11 +84,14 @@ def sample_weighted_counts_prefix(
     ``sample(w, m, rng(s)) == sample(w, n, rng(s))``'s first-``m`` histogram
     for every ``m <= n``.
 
-    This is what lets the streaming evaluation service grow a variant's sample
-    *cumulatively* across rounds — each round redraws with the same seed and a
-    larger count, and earlier rounds' shots are bitwise prefixes of later ones —
-    while the bulk :func:`sample_weighted_counts` (``rng.multinomial``) gives no
-    such guarantee.  Both draw exact multinomial samples; they differ only in
+    Equivalently, a draw of ``m`` shots followed by a draw of ``n - m`` on the
+    same continuing generator sums exactly to the fresh ``n``-shot draw.  This
+    is what lets the streaming evaluation service grow a variant's sample
+    *cumulatively* across rounds — each round resumes the generator the last
+    one left off and draws only its new shots, and earlier rounds' shots are
+    bitwise prefixes of later ones — while the bulk
+    :func:`sample_weighted_counts` (``rng.multinomial``) gives no such
+    guarantee.  Both draw exact multinomial samples; they differ only in
     how the generator stream is consumed.
     """
     if shots <= 0:

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro import EvaluationSession, StreamingConfig
 from repro.circuits import Circuit
 from repro.core import CutConfig, EngineConfig, cut_circuit_cutqc, evaluate_workload
 from repro.cutting import CutReconstructor, ExactExecutor, SamplingExecutor
@@ -213,6 +214,37 @@ def _allocate(executor, fingerprints, scenario):
         )
 
 
+def _stream_totals(requests):
+    return {key: 40 + 3 * i for i, (key, _) in enumerate(requests)}
+
+
+def _stream_rounds(executor, requests, totals, rounds, stop_after=None, between=None):
+    """Sample every request at a streaming session's growing cumulative counts.
+
+    The seed stays pinned to ``totals`` every round, as the session pins it;
+    returns each round's results as bits, stopping after ``stop_after`` rounds.
+    """
+    tables = []
+    for index in range(1, (stop_after or rounds) + 1):
+        executor.set_allocation(
+            {key: total * index // rounds for key, total in totals.items()},
+            seed_shots_by_fingerprint=totals,
+        )
+        pending = [(key, variant, executor.seed_for(key)) for key, variant in requests]
+        tables.append([_bits(r.value, r.distribution) for _, r in executor.run_many(pending)])
+        if between is not None:
+            between()
+    return tables
+
+
+def _fresh_stream_rounds(requests, totals, rounds):
+    """Each round from a new executor: every stream redrawn from its seed."""
+    return [
+        _stream_rounds(SamplingExecutor(shots=100, seed=2), requests, totals, rounds, index)[-1]
+        for index in range(1, rounds + 1)
+    ]
+
+
 class TestSamplingOnBranchRows:
     """``run_many`` samples from grouped batched rows exactly as a lone scalar walk."""
 
@@ -274,6 +306,74 @@ class TestSamplingOnBranchRows:
         for (_, a), (_, b) in zip(expected, results):
             assert _bits(a.value, a.distribution) == _bits(b.value, b.distribution)
         assert pickle.loads(pickle.dumps(bounded))._branch_memo == {}
+
+    def test_stream_rounds_draw_only_new_shots(self, requests, monkeypatch):
+        drawn = []
+        original = sampling_module.sample_weighted_counts_prefix
+
+        def counting(weights, shots, rng):
+            drawn.append(shots)
+            return original(weights, shots, rng)
+
+        monkeypatch.setattr(sampling_module, "sample_weighted_counts_prefix", counting)
+        totals = _stream_totals(requests)
+        executor = SamplingExecutor(shots=100, seed=2)
+        resumed = _stream_rounds(executor, requests, totals, rounds=3)
+        assert sum(drawn) == sum(totals.values())
+        assert resumed == _fresh_stream_rounds(requests, totals, rounds=3)
+
+    def test_stream_memo_cleared_between_rounds_gives_same_bits(self, requests):
+        totals = _stream_totals(requests)
+        executor = SamplingExecutor(shots=100, seed=2)
+        cleared = _stream_rounds(
+            executor, requests, totals, rounds=3, between=lambda: executor._stream_memo.clear()
+        )
+        assert cleared == _fresh_stream_rounds(requests, totals, rounds=3)
+
+    def test_stream_memo_redraws_a_shorter_request(self, requests):
+        totals = _stream_totals(requests)
+        expected = _fresh_stream_rounds(requests, totals, rounds=3)
+        executor = SamplingExecutor(shots=100, seed=2)
+        _stream_rounds(executor, requests, totals, rounds=3, stop_after=2)
+        # Round 1 again, as a second session at the same seed would ask for
+        # it: every stream in the memo has drawn more than round 1 needs.
+        assert _stream_rounds(executor, requests, totals, rounds=3, stop_after=1) == expected[:1]
+        # The redrawn streams replaced the longer ones and resume from there.
+        assert _stream_rounds(executor, requests, totals, rounds=3) == expected
+
+    def test_stream_memo_is_bounded_and_not_pickled(self, requests, monkeypatch):
+        totals = _stream_totals(requests)
+        expected = _fresh_stream_rounds(requests, totals, rounds=3)
+        monkeypatch.setattr(sampling_module, "_BRANCH_MEMO_SIZE", 3)
+        executor = SamplingExecutor(shots=100, seed=2)
+        first = _stream_rounds(executor, requests, totals, rounds=3, stop_after=1)
+        assert len(executor._stream_memo) == 3 < len(requests)
+        assert pickle.loads(pickle.dumps(executor))._stream_memo == {}
+        assert first == expected[:1]
+        bounded = SamplingExecutor(shots=100, seed=2)
+        assert _stream_rounds(bounded, requests, totals, rounds=3) == expected
+
+    @pytest.mark.parametrize("streaming", [None, StreamingConfig(rounds=3)])
+    def test_stream_memo_empty_after_pilot_batch_and_final_round(self, streaming):
+        executor = SamplingExecutor(shots=100, seed=2)
+        session = EvaluationSession(
+            make_workload("VQE", 5, layers=1, seed=3),
+            CutConfig(device_size=3, max_subcircuits=2),
+            compute_reference=False,
+            engine=ParallelEngine(executor),
+            shots=4096,
+            allocation="variance",
+            streaming=streaming,
+        )
+        session.prepare()  # runs the variance policy's pilot pass
+        assert executor._stream_memo == {}
+        more = session.step()
+        assert bool(executor._stream_memo) == more == (streaming is not None)
+        while more:
+            more = session.step()
+        assert executor._stream_memo == {}
+        session.finish()
+        session.close()
 
     def test_probability_variant_missing_output_tag_raises(self):
         circuit = Circuit(2)

@@ -8,6 +8,7 @@ import pytest
 from repro import (
     ConfigError,
     CutConfig,
+    EvaluationSession,
     ServiceQueue,
     StoppingRule,
     StreamingConfig,
@@ -84,6 +85,38 @@ class TestConcurrentSessions:
             )
             assert ticket.result.expectation_value == solo.expectation_value
             assert ticket.result.termination_reason == "completed"
+
+    def test_two_streams_of_one_workload_on_one_executor(self):
+        # Same workload and seed, so both sessions sample the same streams
+        # and share one stream memo.  The second starts two rounds behind,
+        # with the result cache cleared, so its round 1 reaches the sampler
+        # while the memo holds the first session's longer streams.
+        engine = shared_engine()
+        streaming = StreamingConfig(rounds=3)
+        kwargs = dict(compute_reference=False, engine=engine, shots=SHOTS, streaming=streaming)
+        first = EvaluationSession(workload(), CONFIG, **kwargs)
+        first.prepare()
+        assert first.step() and first.step()
+        engine.cache.clear()
+        assert engine.executor._stream_memo
+        second = EvaluationSession(workload(), CONFIG, **kwargs)
+        second.prepare()
+        assert second.step()
+        assert not first.step()
+        while second.step():
+            pass
+        solo = evaluate_workload(
+            workload(),
+            CONFIG,
+            compute_reference=False,
+            engine_config=EngineConfig(shots=SHOTS, seed=0, streaming=streaming),
+        )
+        for session in (first, second):
+            result = session.finish()
+            session.close()
+            assert result.expectation_value == solo.expectation_value
+            assert result.half_width == solo.half_width
+            assert result.termination_reason == "completed"
 
     def test_session_stats_windows_sum_to_engine_work(self):
         # Per-session stats deltas must partition the engine's lifetime
