@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence
 import pytest
 
 from repro.cutting import CutReconstructor, SamplingExecutor
-from repro.engine import EngineConfig, ParallelEngine, allocate_shots
+from repro.engine import EngineConfig, ParallelEngine, ShotPlan, allocate_shots
 
 from bench_engine import halved_ring_solution, ring_qaoa_workload
 from harness import (
@@ -80,8 +80,9 @@ def sampled_error(
         batch = reconstructor.enumerate_expectation_requests(observable, weights_out=weights)
         allocation = allocate_shots(batch, budget, policy, weights=weights, engine=engine)
         assert allocation.assigned_shots == budget, "allocation must spend the exact budget"
-        engine.apply_allocation(allocation)
-        table, _ = engine.run_batch_timed(batch)
+        table, _ = engine.run_batch_timed(
+            batch, shots=ShotPlan(allocation.shots_by_fingerprint)
+        )
         value = reconstructor.reconstruct_expectation(observable, table=table)
     return abs(value - exact_value)
 

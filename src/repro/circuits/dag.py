@@ -123,9 +123,6 @@ class CircuitDag:
             return tuple(s for s in self._segments if s.is_cuttable)
         return tuple(self._segments)
 
-    def segments_on(self, qubit: int) -> Tuple[WireSegment, ...]:
-        return tuple(self._segments_by_qubit[qubit])
-
     def segment_before(self, node_index: int, qubit: int) -> WireSegment:
         """The wire segment entering operation ``node_index`` on ``qubit``."""
         for segment in self._segments_by_qubit[qubit]:

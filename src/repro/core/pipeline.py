@@ -496,9 +496,11 @@ def evaluate_workload(
       across the enumerated batch by ``allocation`` (``"uniform"``,
       ``"weighted"`` or ``"variance"``).  At a fixed seed the result is
       bit-identical for any ``max_workers``; the split is reported on
-      ``result.shot_allocation``.  Concurrent ``shots`` evaluations on one
-      shared engine race on the executor's allocation state — give each thread
-      its own engine when sampling.  See :mod:`repro.engine.allocation`.
+      ``result.shot_allocation``.  Each batch carries its own shot counts, so
+      evaluations interleaved on one engine (see
+      :class:`~repro.service.ServiceQueue`) never draw each other's; an engine
+      is still not meant for use from several threads at once — give each
+      thread its own engine.  See :mod:`repro.engine.allocation`.
     * ``optimize_overhead`` — cut-parameter sampling-overhead minimization
       (``"weights"``): optimize the free measurement/preparation basis weights
       at every cut and feed the reduced-variance per-variant weights to the

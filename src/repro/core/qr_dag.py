@@ -48,7 +48,6 @@ class QRAwareDag:
     """Layer-aligned, identity-padded view of a circuit used by the ILP formulation."""
 
     def __init__(self, circuit: Circuit) -> None:
-        self._original = circuit
         self._padded, self._entries = self._build_padded(circuit)
         self._dag = CircuitDag(self._padded)
         self._layer_of = {entry.index: entry.layer for entry in self._entries}
@@ -97,10 +96,6 @@ class QRAwareDag:
         return padded, entries
 
     # ------------------------------------------------------------------ accessors
-    @property
-    def original_circuit(self) -> Circuit:
-        return self._original
-
     @property
     def padded_circuit(self) -> Circuit:
         return self._padded

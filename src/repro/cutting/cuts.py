@@ -103,12 +103,6 @@ class CutSolution:
     def num_subcircuits(self) -> int:
         return len(self.subcircuit_indices)
 
-    def is_gate_cut(self, op_index: int) -> bool:
-        return any(cut.op_index == op_index for cut in self.gate_cuts)
-
-    def is_wire_cut(self, qubit: int, downstream_op: int) -> bool:
-        return WireCut(qubit, downstream_op) in set(self.wire_cuts)
-
     def endpoint_subcircuit(self, op_index: int, qubit: int) -> int:
         """Subcircuit holding the endpoint of operation ``op_index`` on ``qubit``."""
         operation = self.circuit.operations[op_index]

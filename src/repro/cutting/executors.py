@@ -29,9 +29,10 @@ Four executors are provided:
   :class:`ExactExecutor` but several times faster on variant families,
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
-  the mean of ``shots`` multinomial samples, with optional per-variant shot
-  allocation (Section 2.2's shots-based model).  It draws from the exact branch
-  rows of the same grouped batched pass (:func:`structure_batches`), so only
+  the mean of ``shots`` multinomial samples, with per-variant counts passed
+  with each batch as a :class:`~repro.engine.allocation.ShotPlan` (Section
+  2.2's shots-based model).  It draws from the exact branch rows of the same
+  grouped batched pass (:func:`structure_batches`), so only
   :class:`ExactExecutor` and :class:`NoisyExecutor` still walk variants through
   the scalar branching simulator,
 * :class:`NoisyExecutor` — the "small quantum device" of the Table 3 experiment: the
@@ -50,6 +51,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 import numpy as np
 
 from ..circuits import Circuit, decompose_to_basis
+from ..engine.allocation import ShotPlan
 from ..engine.cache import (
     ResultCache,
     build_cache_namespace,
@@ -73,9 +75,13 @@ from .variants import SubcircuitVariant
 
 __all__ = ["VariantExecutor", "ExactExecutor", "BatchedExactExecutor", "NoisyExecutor"]
 
-#: A dispatch backend: receives the executor and the unique cache-miss requests
-#: ``[(fingerprint, variant, seed), ...]`` and returns ``[(fingerprint, result)]``.
-DispatchFn = Callable[["VariantExecutor", Sequence[Tuple]], Iterable[Tuple[str, VariantResult]]]
+#: A dispatch backend: receives the executor, the unique cache-miss requests
+#: ``[(fingerprint, variant, seed), ...]`` and the batch's shot plan, and
+#: returns ``[(fingerprint, result)]``.
+DispatchFn = Callable[
+    ["VariantExecutor", Sequence[Tuple], Optional[ShotPlan]],
+    Iterable[Tuple[str, VariantResult]],
+]
 
 
 def _unpickled_executor(executor: "VariantExecutor") -> "VariantExecutor":
@@ -167,6 +173,9 @@ class VariantExecutor(ABC):
 
     Subclasses implement :meth:`execute_variant`; everything else (dedup,
     caching, counters, batch dispatch, worker-process transport) is inherited.
+    The batch methods take an optional ``shots``
+    :class:`~repro.engine.allocation.ShotPlan`: the shots a sampling batch
+    draws.  Executors that do not sample ignore it.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None) -> None:
@@ -189,12 +198,16 @@ class VariantExecutor(ABC):
         ``(variant, seed)`` so that batches parallelise reproducibly.
         """
 
-    def seed_for(self, fingerprint: str) -> Optional[Tuple[int, ...]]:
+    def seed_for(
+        self, fingerprint: str, shots: Optional[ShotPlan] = None
+    ) -> Optional[Tuple[int, ...]]:
         """Per-request seed material; None for deterministic executors."""
         return None
 
     def run_many(
-        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
+        self,
+        pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]],
+        shots: Optional[ShotPlan] = None,
     ) -> List[Tuple[str, VariantResult]]:
         """Execute unique cache-miss requests; return ``[(fingerprint, result)]``.
 
@@ -231,13 +244,13 @@ class VariantExecutor(ABC):
     def _scoped_namespace(self) -> str:
         return scoped_cache_namespace(self.cache_namespace(), self._cache_scope)
 
-    def cache_key(self, fingerprint: str) -> str:
+    def cache_key(self, fingerprint: str, shots: Optional[ShotPlan] = None) -> str:
         """Cache key for one request within this executor's namespace.
 
         Defaults to the fingerprint itself.  Executors whose result depends on
-        per-request state beyond the variant circuit (e.g. a per-variant shot
-        allocation) must fold that state in here, so results taken under
-        different settings never alias in the shared cache.
+        per-request state beyond the variant circuit (e.g. the shots a plan
+        draws) must fold that state in here, so results taken under different
+        settings never alias in the shared cache.
         """
         return fingerprint
 
@@ -263,13 +276,15 @@ class VariantExecutor(ABC):
         self,
         variants: Iterable[SubcircuitVariant],
         dispatch: Optional[DispatchFn] = None,
+        shots: Optional[ShotPlan] = None,
     ) -> Dict[str, VariantResult]:
         """Execute a batch of variants; return ``fingerprint -> VariantResult``.
 
         Requests are deduped by fingerprint and satisfied from the shared cache
         where possible; only the unique misses are executed (serially, or by the
         supplied ``dispatch`` backend).  The ``executions`` counter advances by
-        exactly the number of unique misses.
+        exactly the number of unique misses.  ``shots`` reaches the seed, the
+        cache key and the execution of every request.
         """
         namespace = self._scoped_namespace()
         table: Dict[str, VariantResult] = {}
@@ -281,20 +296,20 @@ class VariantExecutor(ABC):
             if key in table or key in scheduled:
                 self._dedup_hits += 1
                 continue
-            cached = self._cache.get((namespace, self.cache_key(key)))
+            cached = self._cache.get((namespace, self.cache_key(key, shots)))
             if cached is not None:
                 self._cache_hits += 1
                 table[key] = cached
                 continue
-            pending.append((key, variant, self.seed_for(key)))
+            pending.append((key, variant, self.seed_for(key, shots)))
             scheduled.add(key)
         if pending:
             if dispatch is None:
-                results: Iterable[Tuple[str, VariantResult]] = self.run_many(pending)
+                results: Iterable[Tuple[str, VariantResult]] = self.run_many(pending, shots)
             else:
-                results = dispatch(self, pending)
+                results = dispatch(self, pending, shots)
             for key, result in results:
-                self._cache.put((namespace, self.cache_key(key)), result)
+                self._cache.put((namespace, self.cache_key(key, shots)), result)
                 table[key] = result
             self._executions += len(pending)
         return table
@@ -434,7 +449,9 @@ class BatchedExactExecutor(VariantExecutor):
         return VariantResult(value=value, distribution=distribution)
 
     def run_many(
-        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
+        self,
+        pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]],
+        shots: Optional[ShotPlan] = None,
     ) -> List[Tuple[str, VariantResult]]:
         """Group pending requests by structure and run each group batched.
 
@@ -489,7 +506,7 @@ class NoisyExecutor(VariantExecutor):
         self._simulator = BranchingSimulator()
 
     # ------------------------------------------------------------------ protocol
-    def seed_for(self, fingerprint: str) -> Tuple[int, ...]:
+    def seed_for(self, fingerprint: str, shots: Optional[ShotPlan] = None) -> Tuple[int, ...]:
         return seed_from_fingerprint(fingerprint, self._base_seed)
 
     def cache_namespace(self) -> str:

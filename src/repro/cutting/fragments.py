@@ -63,10 +63,6 @@ class Fragment:
     def ends_at_output(self) -> bool:
         return self.exit_cut is None
 
-    @property
-    def op_indices(self) -> Tuple[int, ...]:
-        return tuple(element.op_index for element in self.elements)
-
 
 @dataclass
 class SubcircuitSpec:

@@ -22,25 +22,31 @@ rows equal the scalar :class:`~repro.simulator.dynamic.BranchingSimulator`
 branch list byte for byte (probability, sign and output index per branch, in
 the same order), so every draw is unchanged.
 
+The shots a batch draws travel with it as a
+:class:`~repro.engine.allocation.ShotPlan` (``run_batch(batch, shots=plan)``);
+without one, every request draws the executor's default ``shots``.  The
+executor keeps no shot counts between batches.
+
 Determinism contract (shared with :class:`~repro.cutting.executors.NoisyExecutor`):
 every request draws its own RNG seeded from ``(base_seed, fingerprint, shots,
 stage)``, so results are independent of submission order, worker count and
 chunking — serial and parallel batch runs are bit-identical — and can be cached
-safely.  Cache keys additionally carry the request's shot count and allocation
-stage (see :meth:`cache_key` / :meth:`set_allocation`), so pilot-pass samples
-never alias full-pass results, even at coinciding shot counts.  Streaming
-rounds resume each variant's saved generator from a bounded per-executor memo
-and draw only their new shots; a memo miss redraws the cumulative count from
-the seed, giving the same bits, so results never depend on memo state.
+safely.  Cache keys additionally carry the request's shot count and the plan's
+stage (see :meth:`cache_key`), so pilot-pass samples never alias full-pass
+results, even at coinciding shot counts.  Streaming rounds resume each
+variant's saved generator from a bounded per-executor memo and draw only their
+new shots; a memo miss redraws the cumulative count from the seed, giving the
+same bits, so results never depend on memo state.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.allocation import ShotPlan
 from ..engine.cache import ResultCache, build_cache_key, build_cache_namespace
 from ..engine.requests import VariantResult, request_key, seed_from_fingerprint
 from ..exceptions import CuttingError
@@ -56,7 +62,7 @@ from .variants import SubcircuitVariant
 
 __all__ = ["SamplingExecutor"]
 
-#: Default per-variant shot count when no allocation is applied.
+#: Default per-variant shot count of a batch passed no shot plan.
 DEFAULT_SHOTS = 4096
 
 #: Entries kept in each per-executor memo, the branch rows and the partially
@@ -75,30 +81,20 @@ _BranchTable = Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
 _StreamEntry = Tuple[np.random.Generator, np.ndarray, int]
 
 
-def _respawn_sampling(
-    shots: int,
-    seed: int,
-    allocation_items: Tuple,
-    stage: str,
-    seed_shots_items: Optional[Tuple] = None,
-) -> "SamplingExecutor":
-    """Spawn factory: rebuild a worker-process copy from explicit constructor state."""
-    executor = SamplingExecutor(shots=shots, seed=seed)
-    executor.set_allocation(
-        dict(allocation_items) or None,
-        stage=stage,
-        seed_shots_by_fingerprint=dict(seed_shots_items) if seed_shots_items else None,
-    )
-    return executor
-
-
 class SamplingExecutor(VariantExecutor):
     """Estimate variant values from finite multinomial samples of the exact branches.
 
-    ``shots`` is the default per-variant budget; :meth:`set_allocation` overrides
-    it per fingerprint (the engine applies a :class:`~repro.engine.allocation.ShotAllocation`
-    this way).  ``executions`` counts variants, not shots, keeping overhead
-    reports comparable with the exact and noisy executors.
+    Args:
+        shots: the per-variant shot count of a batch passed no
+            :class:`~repro.engine.allocation.ShotPlan`; a plan passed with a
+            batch (``run_batch(batch, shots=plan)``) sets each request's count,
+            stage and seed counts instead.
+        seed: base seed of every per-request generator; ``None`` draws one
+            once, so the instance stays self-consistent in worker processes.
+        cache: the shared bounded result cache (as on every executor).
+
+    ``executions`` counts variants, not shots, keeping overhead reports
+    comparable with the exact and noisy executors.
     """
 
     def __init__(
@@ -116,149 +112,47 @@ class SamplingExecutor(VariantExecutor):
             # shippable to worker processes) even without an explicit seed.
             seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFFFFFFFFFF  # qrcclint: disable=unseeded-randomness -- one-time base-seed draw when the caller passes none; every per-request draw is then derived from (base_seed, fingerprint)
         self._base_seed = int(seed)
-        self._allocation: Dict[str, int] = {}
-        self._allocation_floor: Optional[int] = None
-        self._seed_shots: Dict[str, int] = {}
-        self._stage = ""
         self._branch_memo: Dict[str, _BranchTable] = {}
         self._stream_memo: Dict[Tuple[str, Tuple[int, ...]], _StreamEntry] = {}
 
-    # ------------------------------------------------------------------ allocation
+    # ------------------------------------------------------------------ shots
     @property
     def shots(self) -> int:
-        """Default shots per variant (used when no allocation covers a request)."""
+        """Default shots per variant (drawn by a batch passed no shot plan)."""
         return self._shots
 
     @property
     def base_seed(self) -> int:
         return self._base_seed
 
-    @property
-    def allocation(self) -> Dict[str, int]:
-        """The active per-fingerprint shot allocation (a copy; empty = default)."""
-        return dict(self._allocation)
-
-    def set_allocation(
-        self,
-        shots_by_fingerprint: Optional[Mapping[str, int]] = None,
-        stage: str = "",
-        seed_shots_by_fingerprint: Optional[Mapping[str, int]] = None,
-    ) -> None:
-        """Apply (or clear, with ``None``) a per-variant shot allocation.
-
-        Subsequent requests whose fingerprint appears in the mapping are sampled
-        with that many shots; all others fall back to the default ``shots``.
-
-        ``stage`` labels the allocation pass (e.g. ``"pilot"``) and enters both
-        the per-request seed and the cache key: passes with different labels
-        draw statistically independent samples and never alias in the cache,
-        *even when a variant happens to get the same shot count in both* — the
-        variance-aware allocator relies on this so its pilot sample (which chose
-        the allocation) is never silently reused as the final estimate.
-
-        ``seed_shots_by_fingerprint`` decouples the *seed* shot count from the
-        *drawn* shot count for streaming sessions: each round re-applies the
-        growing cumulative counts here while pinning the seed material to the
-        final planned totals, so — the sampler being prefix-stable, see
-        :func:`~repro.simulator.sampler.sample_weighted_counts_prefix` — every
-        round's sample is a bitwise prefix of the final one, and the final
-        round (where drawn == seed counts) reproduces the one-shot batch draw
-        exactly.  Each round resumes the generator the previous round left off
-        and draws only the new shots (see :meth:`_draw`), so a session of
-        ``R`` rounds draws each variant's total once, not ``(R + 1) / 2``
-        times.  Rounds whose seed and drawn counts differ carry a ``:seed=``
-        marker in their cache key so partial draws never alias complete ones.
-        ``None`` (the default, and the batch path) seeds from the drawn counts.
-
-        While an allocation is active, a request whose fingerprint is *not*
-        covered (a variant that escaped enumeration and reaches the executor
-        through the reconstructor's defensive on-demand path) is sampled at the
-        allocation's smallest per-variant count — never at the default
-        ``shots``, which callers typically set to the *total* budget.
-        """
-        if shots_by_fingerprint is None:
-            self._allocation = {}
-            self._allocation_floor = None
-            self._seed_shots = {}
-            self._stage = ""
-            return
-        for fingerprint, count in shots_by_fingerprint.items():
-            if count < 1:
-                raise CuttingError(
-                    f"allocated shots must be >= 1, got {count} for {fingerprint[:12]}..."
-                )
-        if seed_shots_by_fingerprint is not None:
-            for fingerprint, count in seed_shots_by_fingerprint.items():
-                if count < 1:
-                    raise CuttingError(
-                        f"seed shots must be >= 1, got {count} for {fingerprint[:12]}..."
-                    )
-        self._allocation = {key: int(count) for key, count in shots_by_fingerprint.items()}
-        self._allocation_floor = min(self._allocation.values(), default=None)
-        self._seed_shots = (
-            {key: int(count) for key, count in seed_shots_by_fingerprint.items()}
-            if seed_shots_by_fingerprint is not None
-            else {}
-        )
-        self._stage = str(stage)
-
-    def shots_for(self, fingerprint: str) -> int:
-        """Shots this executor will spend on the given request.
-
-        Falls back to the default ``shots`` when no allocation is active, and
-        to the active allocation's smallest per-variant count for fingerprints
-        the allocation does not cover (see :meth:`set_allocation`).
-        """
-        if fingerprint in self._allocation:
-            return self._allocation[fingerprint]
-        if self._allocation_floor is not None:
-            return self._allocation_floor
-        return self._shots
-
-    def seed_shots_for(self, fingerprint: str) -> int:
-        """Shot count entering the seed material (see :meth:`set_allocation`).
-
-        Equals :meth:`shots_for` unless a streaming session pinned the seed to
-        the final planned totals while drawing a smaller cumulative prefix.
-        """
-        if fingerprint in self._seed_shots:
-            return self._seed_shots[fingerprint]
-        return self.shots_for(fingerprint)
+    def _counts(self, fingerprint: str, shots: Optional[ShotPlan]) -> Tuple[int, int, str]:
+        """``(drawn shots, seed shots, stage)`` of one request under ``shots``."""
+        if shots is None:
+            return self._shots, self._shots, ""
+        return shots.shots_for(fingerprint), shots.seed_shots_for(fingerprint), shots.stage
 
     # ------------------------------------------------------------------ protocol
-    def seed_for(self, fingerprint: str) -> Tuple[int, ...]:
+    def seed_for(self, fingerprint: str, shots: Optional[ShotPlan] = None) -> Tuple[int, ...]:
         # Seed shot count and stage label join the seed material so allocation
         # passes (pilot vs final) always draw statistically independent samples,
         # while streaming rounds (same seed shots, growing drawn counts) keep
         # drawing prefixes of one final sample.
+        _, seed_shots, stage = self._counts(fingerprint, shots)
         return (
             *seed_from_fingerprint(fingerprint, self._base_seed),
-            self.seed_shots_for(fingerprint),
-            zlib.crc32(self._stage.encode("utf-8")),
+            seed_shots,
+            zlib.crc32(stage.encode("utf-8")),
         )
 
     def cache_namespace(self) -> str:
         return build_cache_namespace("sampling", seed=self._base_seed)
 
-    def cache_key(self, fingerprint: str) -> str:
+    def cache_key(self, fingerprint: str, shots: Optional[ShotPlan] = None) -> str:
         # seed_shots enters the key only when it differs from the drawn count:
         # a partial (prefix) draw of a longer seeded stream must never alias
         # the complete draw, nor partial draws of other stream lengths.
-        return build_cache_key(
-            fingerprint,
-            shots=self.shots_for(fingerprint),
-            stage=self._stage,
-            seed_shots=self.seed_shots_for(fingerprint),
-        )
-
-    def spawn_spec(self) -> Tuple:
-        return _respawn_sampling, (
-            self._shots,
-            self._base_seed,
-            tuple(sorted(self._allocation.items())),
-            self._stage,
-            tuple(sorted(self._seed_shots.items())),
-        )
+        drawn, seed_shots, stage = self._counts(fingerprint, shots)
+        return build_cache_key(fingerprint, shots=drawn, stage=stage, seed_shots=seed_shots)
 
     def __getstate__(self) -> Dict:
         # The branch and stream memos hold per-variant arrays and generators;
@@ -276,9 +170,12 @@ class SamplingExecutor(VariantExecutor):
         return self.run_many([(request_key(variant), variant, seed)])[0][1]
 
     def run_many(
-        self, pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]]
+        self,
+        pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]],
+        shots: Optional[ShotPlan] = None,
     ) -> List[Tuple[str, VariantResult]]:
-        """Sample every pending request from the exact branch rows of its variant.
+        """Sample every pending request, at the counts ``shots`` plans for it,
+        from the exact branch rows of its variant.
 
         Rows depend only on the circuit, never on the shot count or seed, so
         they are memoised per fingerprint: streaming sessions (which re-sample
@@ -312,7 +209,7 @@ class SamplingExecutor(VariantExecutor):
                     self._branch_memo.pop(next(iter(self._branch_memo)))
                 self._branch_memo[key] = table
         return [
-            (key, self._sample(key, variant, tables[key], seed))
+            (key, self._sample(key, variant, tables[key], seed, shots))
             for key, variant, seed in pending
         ]
 
@@ -322,13 +219,14 @@ class SamplingExecutor(VariantExecutor):
         variant: SubcircuitVariant,
         table: _BranchTable,
         seed: Optional[Tuple[int, ...]],
+        plan: Optional[ShotPlan],
     ) -> VariantResult:
-        """One request's estimate: ``shots`` prefix-stable draws over its branches."""
+        """One request's estimate: the planned prefix-stable draws over its branches."""
         probabilities, signs, out_index = table
-        shots = self.shots_for(fingerprint)
+        shots, seed_shots, _ = self._counts(fingerprint, plan)
         if seed is None:
-            seed = self.seed_for(fingerprint)
-        counts = self._draw(fingerprint, probabilities, shots, seed)
+            seed = self.seed_for(fingerprint, plan)
+        counts = self._draw(fingerprint, probabilities, shots, seed, seed_shots)
         value = float(np.dot(counts, signs) / shots)
         distribution: Optional[np.ndarray] = None
         if out_index is not None:
@@ -346,6 +244,7 @@ class SamplingExecutor(VariantExecutor):
         probabilities: np.ndarray,
         shots: int,
         seed: Tuple[int, ...],
+        seed_shots: int,
     ) -> np.ndarray:
         """Cumulative counts of the first ``shots`` draws of the ``seed`` stream.
 
@@ -356,7 +255,7 @@ class SamplingExecutor(VariantExecutor):
         entry (none, or one already past ``shots``, as for a second session
         at the same seed) the stream is redrawn from its seed and replaces
         the entry.  An entry lives only while its stream is partial
-        (``shots`` below :meth:`seed_shots_for`), so batch and pilot draws
+        (``shots`` below the plan's ``seed_shots``), so batch and pilot draws
         never enter the memo and a session's final round frees its own.
         """
         key = (fingerprint, seed)
@@ -370,7 +269,7 @@ class SamplingExecutor(VariantExecutor):
                 counts = counts + sample_weighted_counts_prefix(
                     probabilities, shots - drawn, rng
                 )
-        if shots < self.seed_shots_for(fingerprint):
+        if shots < seed_shots:
             if len(self._stream_memo) >= _BRANCH_MEMO_SIZE:
                 self._stream_memo.pop(next(iter(self._stream_memo)))
             self._stream_memo[key] = (rng, counts, shots)

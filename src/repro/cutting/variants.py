@@ -94,10 +94,6 @@ class SubcircuitVariant:
     _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
 
     @property
-    def uses_dynamic_operations(self) -> bool:
-        return any(not op.is_unitary for op in self.circuit)
-
-    @property
     def fingerprint(self) -> str:
         """Stable content hash identifying this request to the execution engine.
 
@@ -133,9 +129,6 @@ class VariantBuilder:
     @property
     def spec(self) -> SubcircuitSpec:
         return self._spec
-
-    def gate_cut_decomposition(self, op_index: int) -> GateCutDecomposition:
-        return self._decompositions[op_index]
 
     # ------------------------------------------------------------------ building
     def build(

@@ -16,8 +16,10 @@ feasibility, routing policies, per-device utilization), and
 from .allocation import (
     ALLOCATION_POLICIES,
     ShotAllocation,
+    ShotPlan,
     allocate_shots,
     largest_remainder_split,
+    neyman_weight,
 )
 from .cache import (
     DEFAULT_CACHE_BYTES,
@@ -60,11 +62,13 @@ __all__ = [
     "ROUTING_POLICIES",
     "ResultCache",
     "ShotAllocation",
+    "ShotPlan",
     "VariantResult",
     "allocate_shots",
     "build_cache_key",
     "build_cache_namespace",
     "largest_remainder_split",
+    "neyman_weight",
     "scoped_cache_namespace",
     "prune_requests",
     "request_key",

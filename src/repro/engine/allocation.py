@@ -19,6 +19,11 @@ All policies are exact: the assigned shots (pilot + final) sum to the requested
 budget, with the remainder distributed by largest fractional share and ties
 broken by fingerprint so the split is deterministic.  Every variant always
 receives at least one final shot.
+
+A :class:`ShotPlan` is what a sampling batch actually draws: per-variant
+counts, a stage label and optional seed counts.  It travels with the batch
+(``ParallelEngine.run_batch(batch, shots=plan)``); no engine or executor keeps
+shot counts between batches.
 """
 
 from __future__ import annotations
@@ -28,10 +33,17 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from ..exceptions import AllocationError
+from ..exceptions import AllocationError, CuttingError
 from .requests import request_key
 
-__all__ = ["ALLOCATION_POLICIES", "ShotAllocation", "allocate_shots", "largest_remainder_split"]
+__all__ = [
+    "ALLOCATION_POLICIES",
+    "ShotAllocation",
+    "ShotPlan",
+    "allocate_shots",
+    "largest_remainder_split",
+    "neyman_weight",
+]
 
 #: The supported allocation policy names (EngineConfig validates against this).
 ALLOCATION_POLICIES: Tuple[str, ...] = ("uniform", "weighted", "variance")
@@ -86,6 +98,65 @@ class ShotAllocation:
             "max_shots": max(counts) if counts else 0,
             "pilot_shots": sum(self.pilot_shots_by_fingerprint.values()),
         }
+
+
+@dataclass(frozen=True)
+class ShotPlan:
+    """The shots one sampling batch draws, passed with that batch.
+
+    Args:
+        shots_by_fingerprint: shots each variant draws (every count >= 1).  A
+            fingerprint the plan does not cover draws the plan's smallest
+            count, never the executor's default ``shots``, which callers
+            typically set to the whole budget.
+        stage: label of the allocation pass (``"pilot"`` for the variance
+            policy's pilot batch).  It enters both the per-request seed and
+            the cache key, so passes with different labels draw independent
+            samples and never alias in the cache, even where a variant gets
+            the same count in both.
+        seed_shots_by_fingerprint: shot counts entering the seed material
+            when they differ from the drawn counts.  A streaming round draws
+            its cumulative counts under the final totals' seed, so (the
+            sampler being prefix-stable, see
+            :func:`~repro.simulator.sampler.sample_weighted_counts_prefix`)
+            every round's sample is a bitwise prefix of the final one, and the
+            final round reproduces the one-shot batch draw.  A fingerprint not
+            listed seeds from its drawn count.
+    """
+
+    shots_by_fingerprint: Mapping[str, int]
+    stage: str = ""
+    seed_shots_by_fingerprint: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not self.shots_by_fingerprint:
+            raise AllocationError("a shot plan needs at least one variant")
+        for what, counts in (
+            ("allocated shots", self.shots_by_fingerprint),
+            ("seed shots", self.seed_shots_by_fingerprint),
+        ):
+            for fingerprint, count in counts.items():
+                if count < 1:
+                    raise CuttingError(
+                        f"{what} must be >= 1, got {count} for {fingerprint[:12]}..."
+                    )
+
+    def shots_for(self, fingerprint: str) -> int:
+        """Shots the request draws (the plan's smallest count when uncovered)."""
+        shots = self.shots_by_fingerprint.get(fingerprint)
+        return min(self.shots_by_fingerprint.values()) if shots is None else int(shots)
+
+    def seed_shots_for(self, fingerprint: str) -> int:
+        """Shot count entering the request's seed material and cache key."""
+        seed_shots = self.seed_shots_by_fingerprint.get(fingerprint)
+        return self.shots_for(fingerprint) if seed_shots is None else int(seed_shots)
+
+
+def samples_shots(executor: Any) -> bool:
+    """Whether ``executor`` draws finite shots, and so can take a :class:`ShotPlan`."""
+    from ..cutting.sampling import SamplingExecutor  # deferred: cutting imports engine
+
+    return isinstance(executor, SamplingExecutor)
 
 
 def largest_remainder_split(budget: int, weights: Mapping[str, float]) -> Dict[str, int]:
@@ -163,6 +234,17 @@ def _sigma_estimate(result: Any, pilot_shots: int) -> float:
     return float(max(resolution_floor, np.sqrt(max(0.0, 1.0 - norm))))
 
 
+def neyman_weight(weight: float, result: Any, shots: int) -> float:
+    """Neyman share of one variant: ``max(|weight|, floor) * sigma``.
+
+    ``sigma`` is the per-shot standard deviation :func:`_sigma_estimate` reads
+    off a ``shots``-shot ``result``.  The variance policy weighs its final pass
+    with it from the pilot batch; a re-planned streaming round weighs its
+    chunk with it from the rounds drawn so far.
+    """
+    return max(abs(float(weight)), _MIN_SIGMA) * _sigma_estimate(result, shots)
+
+
 def allocate_shots(
     batch: Iterable,
     total_shots: int,
@@ -179,9 +261,10 @@ def allocate_shots(
     when omitted, the ``weighted`` and ``variance`` policies fall back to request
     multiplicity within the batch.  The ``variance`` policy needs ``engine`` (a
     :class:`~repro.engine.ParallelEngine` over a sampling-capable executor) to
-    run its pilot batch; pilot executions are counted in the engine's stats like
-    any other batch, and the pilot allocation is left applied to the executor
-    until the caller applies the final one.  The pilot pass spends
+    run its pilot batch, which it passes a :class:`ShotPlan` with stage
+    ``"pilot"``; pilot executions are counted in the engine's stats like any
+    other batch, and nothing of the pilot stays on the engine or executor.
+    The pilot pass spends
     :data:`DEFAULT_PILOT_FRACTION` of ``total_shots`` (clamped so every variant
     gets at least ~4 pilot shots but never more than half the budget);
     ``policy`` is one of :data:`ALLOCATION_POLICIES`.
@@ -217,11 +300,10 @@ def allocate_shots(
         raise AllocationError(
             "the variance policy runs a pilot batch and therefore needs an engine"
         )
-    executor = engine.executor
-    if not hasattr(executor, "set_allocation"):
+    if not samples_shots(engine.executor):
         raise AllocationError(
             f"the variance policy needs a sampling-capable executor with per-variant "
-            f"shot allocation, got {type(executor).__name__}"
+            f"shot allocation, got {type(engine.executor).__name__}"
         )
     count = len(unique)
     if total_shots < 2 * count:
@@ -239,12 +321,10 @@ def allocate_shots(
 
     # The "pilot" stage label keeps pilot samples seed- and cache-independent
     # from the final pass even for variants whose shot counts coincide.
-    executor.set_allocation(pilot, stage="pilot")
-    pilot_table, pilot_seconds = engine.run_batch_timed(list(unique.values()))
+    pilot_table, pilot_seconds = engine.run_batch_timed(
+        list(unique.values()), shots=ShotPlan(pilot, stage="pilot")
+    )
 
-    neyman = {
-        key: max(shares[key], _MIN_SIGMA) * _sigma_estimate(pilot_table[key], pilot[key])
-        for key in unique
-    }
+    neyman = {key: neyman_weight(shares[key], pilot_table[key], pilot[key]) for key in unique}
     final = largest_remainder_split(total_shots - pilot_budget, neyman)
     return ShotAllocation(policy, total_shots, final, pilot, pilot_seconds)

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import DeviceError, InfeasibleVariantError
 from ..simulator.noise import NoiseModel
+from .allocation import ShotPlan
 
 __all__ = [
     "ROUTING_POLICIES",
@@ -298,14 +299,15 @@ class DeviceFarm:
     def route(
         self,
         pending: Sequence[Tuple],
-        shots_by_fingerprint: Optional[Dict[str, int]] = None,
+        shots: Optional[ShotPlan] = None,
     ) -> Dict[str, List[Tuple]]:
         """Assign pending requests ``(fingerprint, variant, seed)`` to devices.
 
         Returns ``device name -> lane`` (sub-lists of ``pending``, order
-        preserved within each lane).  ``shots_by_fingerprint`` — the active
-        shot allocation, when one is applied — weights each request's simulated
-        execution cost; exact requests are charged a nominal
+        preserved within each lane).  ``shots`` — the batch's
+        :class:`~repro.engine.allocation.ShotPlan`, for a sampling batch —
+        weights each request's simulated execution cost by the shots it
+        draws; without one, requests are charged a nominal
         :data:`NOMINAL_VARIANT_SHOTS`.
 
         Raises:
@@ -330,14 +332,12 @@ class DeviceFarm:
         for request, width in zip(pending, widths):
             key = request[0]
             feasible = self.feasible(width)
-            shots = NOMINAL_VARIANT_SHOTS
-            if shots_by_fingerprint is not None:
-                shots = shots_by_fingerprint.get(key, NOMINAL_VARIANT_SHOTS)
-            device = self._pick(feasible, lane_free, shots)
+            drawn = NOMINAL_VARIANT_SHOTS if shots is None else shots.shots_for(key)
+            device = self._pick(feasible, lane_free, drawn)
             free = lane_free[device.name]
             lane_index = min(range(len(free)), key=free.__getitem__)
             wait = free[lane_index]
-            cost = shots / device.shots_per_second
+            cost = drawn / device.shots_per_second
             free[lane_index] = wait + cost
             lanes.setdefault(device.name, []).append(request)
             self._assigned[device.name] += 1

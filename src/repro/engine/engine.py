@@ -8,7 +8,10 @@ serially in-process when ``max_workers == 1``, otherwise chunked across a
 process pool.  With a device farm configured (:mod:`repro.engine.devices`),
 each unique request is first routed to a device whose qubit capacity fits the
 variant's post-reuse width; device lanes bound per-device concurrency and feed
-the utilization report.
+the utilization report.  A sampling batch carries its own
+:class:`~repro.engine.allocation.ShotPlan` (``run_batch(batch, shots=plan)``),
+which travels with every chunk to the workers and to farm routing; the engine
+keeps no shot counts between batches.
 
 Determinism is a hard guarantee: stochastic executors are seeded per request from
 the request fingerprint (see :func:`repro.engine.requests.seed_from_fingerprint`),
@@ -25,6 +28,8 @@ from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..exceptions import AllocationError
+from .allocation import ShotPlan, samples_shots
 from .cache import ResultCache
 from .config import EngineConfig
 from .devices import DeviceFarm, DeviceUtilization
@@ -43,25 +48,32 @@ Call = Tuple[Callable[..., Any], Tuple]
 _PENDING = object()
 
 
-def _run_chunk(executor: Any, chunk: Sequence[PendingRequest]) -> List[Tuple[str, VariantResult]]:
+def _run_chunk(
+    executor: Any, chunk: Sequence[PendingRequest], shots: Optional[ShotPlan]
+) -> List[Tuple[str, VariantResult]]:
     """Run one chunk on ``executor`` through its batch fast path when it has one.
 
     ``run_many`` lets batch-capable executors (the vectorized
     :class:`~repro.cutting.executors.BatchedExactExecutor`) evaluate a whole
-    chunk in grouped passes; duck-typed executors without it fall back to the
+    chunk in grouped passes, drawing the batch's ``shots`` plan when they
+    sample; duck-typed executors without it (never given a plan, see
+    :meth:`ParallelEngine.run_batch_timed`) fall back to the
     one-request-at-a-time protocol call.
     """
     run_many = getattr(executor, "run_many", None)
     if run_many is not None:
-        return list(run_many(chunk))
+        return list(run_many(chunk, shots=shots))
     return [(key, executor.execute_variant(variant, seed=seed)) for key, variant, seed in chunk]
 
 
 def _execute_chunk(
-    executor_cls: Any, spawn_args: Tuple, chunk: Sequence[PendingRequest]
+    executor_cls: Any,
+    spawn_args: Tuple,
+    chunk: Sequence[PendingRequest],
+    shots: Optional[ShotPlan],
 ) -> List[Tuple[str, VariantResult]]:
     """Process-pool worker: rebuild the executor from its spawn spec, run a chunk."""
-    return _run_chunk(executor_cls(*spawn_args), chunk)
+    return _run_chunk(executor_cls(*spawn_args), chunk, shots)
 
 
 @dataclass(frozen=True)
@@ -70,8 +82,6 @@ class EngineStats:
 
     ``unique_executions`` is the dedup-aware execution count — the single
     authoritative source for ``EvaluationResult.num_variant_evaluations``.
-    ``shots_total`` / ``allocation_policy`` describe the most recently applied
-    shot allocation (``None`` when the engine never ran a finite-shot batch).
     ``devices`` / ``routing`` report the device farm's per-device utilization
     and the active routing policy (``None`` without a farm).  Per-call numbers
     for one evaluation come from :meth:`since` on two snapshots.
@@ -84,8 +94,6 @@ class EngineStats:
     batches: int
     execute_seconds: float
     cache: Dict[str, int]
-    shots_total: Optional[int] = None
-    allocation_policy: Optional[str] = None
     devices: Optional[Tuple[DeviceUtilization, ...]] = None
     routing: Optional[str] = None
 
@@ -99,9 +107,6 @@ class EngineStats:
             "batches": self.batches,
             "execute_seconds": round(self.execute_seconds, 4),
         }
-        if self.allocation_policy is not None:
-            row["allocation_policy"] = self.allocation_policy
-            row["shots_total"] = self.shots_total
         if self.routing is not None:
             row["routing"] = self.routing
         return row
@@ -111,10 +116,10 @@ class EngineStats:
 
         Monotonic counters (requests, executions, hits, batches, seconds, the
         cache's hit/miss/eviction counts, per-device utilization) are
-        differenced; state descriptors (cache size/capacity, the active
-        allocation policy and routing) keep this snapshot's values.  This is
-        what makes one evaluation's stats meaningful on an engine shared
-        across workloads — lifetime counters conflate them.
+        differenced; state descriptors (cache size/capacity and routing) keep
+        this snapshot's values.  This is what makes one evaluation's stats
+        meaningful on an engine shared across workloads — lifetime counters
+        conflate them.
         """
         cache = dict(self.cache)
         for counter in ("hits", "misses", "evictions"):
@@ -134,8 +139,6 @@ class EngineStats:
             batches=self.batches - baseline.batches,
             execute_seconds=self.execute_seconds - baseline.execute_seconds,
             cache=cache,
-            shots_total=self.shots_total,
-            allocation_policy=self.allocation_policy,
             devices=devices,
             routing=self.routing,
         )
@@ -177,7 +180,6 @@ class ParallelEngine:
         self._pool_broken = False
         self._batches = 0
         self._execute_seconds = 0.0
-        self._allocation = None  # most recently applied ShotAllocation
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -204,7 +206,6 @@ class ParallelEngine:
 
     @property
     def stats(self) -> EngineStats:
-        allocation = self._allocation
         return EngineStats(
             requests=self._executor.requests,
             unique_executions=self._executor.executions,
@@ -213,85 +214,69 @@ class ParallelEngine:
             batches=self._batches,
             execute_seconds=self._execute_seconds,
             cache=self._executor.cache.stats(),
-            shots_total=None if allocation is None else allocation.total_shots,
-            allocation_policy=None if allocation is None else allocation.policy,
             devices=None if self._farm is None else self._farm.utilization(),
             routing=None if self._farm is None else self._farm.routing,
         )
 
     # ------------------------------------------------------------------ execution
-    def run_batch(self, variants: Iterable) -> Dict[str, VariantResult]:
+    def run_batch(
+        self, variants: Iterable, shots: Optional[ShotPlan] = None
+    ) -> Dict[str, VariantResult]:
         """Execute a batch of variants; return ``fingerprint -> VariantResult``.
 
         The returned table covers every distinct fingerprint in ``variants``
-        (deduped requests map to the single shared result).
+        (deduped requests map to the single shared result).  ``shots`` is the
+        :class:`~repro.engine.allocation.ShotPlan` this batch draws (see
+        :meth:`run_batch_timed`); ``None`` samples every request at the
+        executor's default ``shots``.
         """
-        table, _ = self.run_batch_timed(variants)
+        table, _ = self.run_batch_timed(variants, shots=shots)
         return table
 
-    def run_batch_timed(self, variants: Iterable) -> Tuple[Dict[str, VariantResult], float]:
+    def run_batch_timed(
+        self, variants: Iterable, shots: Optional[ShotPlan] = None
+    ) -> Tuple[Dict[str, VariantResult], float]:
         """Like :meth:`run_batch`, also returning this batch's wall-clock seconds.
 
         The per-batch timing is what callers should report for a single
         evaluation: deltas of the lifetime ``stats.execute_seconds`` counter are
         inflated by concurrent batches when an engine is shared across threads.
+
+        ``shots`` needs a sampling-capable executor and, with a device farm, a
+        homogeneous one: heterogeneous farms (noise/executor_factory) run
+        their own backends, which would silently ignore the plan.  Either
+        mismatch raises :class:`~repro.exceptions.AllocationError` before
+        anything runs.
         """
+        if shots is not None:
+            if not samples_shots(self._executor):
+                raise AllocationError(
+                    f"a shot plan needs a sampling-capable executor (e.g. SamplingExecutor), "
+                    f"got {type(self._executor).__name__}"
+                )
+            if self._farm is not None and self._farm.is_heterogeneous:
+                raise AllocationError(
+                    "per-variant shot allocation requires the farm's devices to share "
+                    "the engine executor; heterogeneous farms (noise/executor_factory) "
+                    "run their own backends, which would silently ignore the allocation"
+                )
         start = perf_clock()
         # A farm always routes (even serially): feasibility is checked and
         # utilization tracked regardless of worker count.
         needs_dispatch = self._farm is not None or self.workers > 1
         dispatch = self._dispatch if needs_dispatch else None
-        table = self._executor.run_batch(variants, dispatch=dispatch)
+        table = self._executor.run_batch(variants, dispatch=dispatch, shots=shots)
         seconds = perf_clock() - start
         self._execute_seconds += seconds
         self._batches += 1
         return table, seconds
 
-    def apply_allocation(self, allocation: Any) -> None:
-        """Apply a :class:`~repro.engine.allocation.ShotAllocation` to the executor.
-
-        The executor must be sampling-capable (expose ``set_allocation``); the
-        allocation is also recorded so :attr:`stats` can report the active shot
-        budget and policy.
-
-        The allocation is mutable executor state: it stays applied until
-        :meth:`clear_allocation` (or the next apply), so concurrent finite-shot
-        evaluations must not share one engine — each would overwrite the
-        other's per-variant counts mid-batch.
-        """
-        set_allocation = getattr(self._executor, "set_allocation", None)
-        if set_allocation is None:
-            from ..exceptions import AllocationError
-
-            raise AllocationError(
-                f"executor {type(self._executor).__name__} does not support per-variant "
-                "shot allocation (use a SamplingExecutor)"
-            )
-        if self._farm is not None and self._farm.is_heterogeneous:
-            from ..exceptions import AllocationError
-
-            raise AllocationError(
-                "per-variant shot allocation requires the farm's devices to share "
-                "the engine executor; heterogeneous farms (noise/executor_factory) "
-                "run their own backends, which would silently ignore the allocation"
-            )
-        set_allocation(allocation.shots_by_fingerprint)
-        self._allocation = allocation
-
-    def clear_allocation(self) -> None:
-        """Reset the executor to its default per-variant shots (idempotent).
-
-        Callers that apply a per-evaluation allocation must clear it afterwards
-        so later batches on a shared engine don't sample at stale per-variant
-        counts; no-op for executors without allocation support.
-        """
-        set_allocation = getattr(self._executor, "set_allocation", None)
-        if set_allocation is not None:
-            set_allocation(None)
-        self._allocation = None
-
     def lookup(self, variant: Any) -> VariantResult:
-        """Result for one variant, executing it on demand if it was never batched."""
+        """Result for one variant, executing it on demand if it was never batched.
+
+        Passes no shot plan: a session's table holds every fingerprint it
+        enumerated, so its contractions never reach this on-demand path.
+        """
         from .requests import request_key
 
         return self.run_batch([variant])[request_key(variant)]
@@ -337,7 +322,10 @@ class ParallelEngine:
         return [list(pending[i : i + size]) for i in range(0, len(pending), size)]
 
     def _dispatch(
-        self, executor: Any, pending: Sequence[PendingRequest]
+        self,
+        executor: Any,
+        pending: Sequence[PendingRequest],
+        shots: Optional[ShotPlan],
     ) -> List[Tuple[str, VariantResult]]:
         """Run unique cache-miss requests across the worker pool (or serially).
 
@@ -350,18 +338,16 @@ class ParallelEngine:
         all devices' tasks share one worker pool (devices execute
         concurrently, like a real farm).  Lanes are built in device
         declaration order and requests keep their enumeration order inside a
-        lane, so results stay bit-identical for any worker count.
+        lane, so results stay bit-identical for any worker count.  Every chunk
+        carries the batch's ``shots`` plan, and routing charges each request
+        the shots that plan draws for it.
         """
         if self._farm is None:
             pending = self._grouped(executor, pending)
             tasks = [(executor, chunk) for chunk in self._chunked(pending)]
-            return self._run_tasks(tasks)
-        allocation = self._allocation
+            return self._run_tasks(tasks, shots)
         before = self._farm.snapshot()
-        lanes = self._farm.route(
-            pending,
-            shots_by_fingerprint=None if allocation is None else allocation.shots_by_fingerprint,
-        )
+        lanes = self._farm.route(pending, shots=shots)
         tasks: List[Tuple[object, List[PendingRequest]]] = []
         for spec in self._farm.devices:
             lane = lanes.get(spec.name)
@@ -372,7 +358,7 @@ class ParallelEngine:
             for chunk in self._chunked_lane(lane, spec):
                 tasks.append((lane_executor, chunk))
         try:
-            return self._run_tasks(tasks)
+            return self._run_tasks(tasks, shots)
         except BaseException:
             # Nothing executed (or nothing was recorded — a failed dispatch
             # caches no results): utilization must not keep counts for work
@@ -429,10 +415,14 @@ class ParallelEngine:
         return [list(lane[i : i + size]) for i in range(0, len(lane), size)]
 
     def _run_tasks(
-        self, tasks: Sequence[Tuple[object, List[PendingRequest]]]
+        self,
+        tasks: Sequence[Tuple[object, List[PendingRequest]]],
+        shots: Optional[ShotPlan],
     ) -> List[Tuple[str, VariantResult]]:
         """Execute ``(executor, chunk)`` tasks — one pool across all executors."""
-        local: List[Call] = [(_run_chunk, (executor, chunk)) for executor, chunk in tasks]
+        local: List[Call] = [
+            (_run_chunk, (executor, chunk, shots)) for executor, chunk in tasks
+        ]
         remote: Optional[List[Call]] = None
         # max_workers=1 stays serial in-process even under a multi-device farm:
         # routing models *placement*, the worker count models *this host*.
@@ -448,7 +438,8 @@ class ParallelEngine:
                 specs[id(executor)] = spec
             else:
                 remote = [
-                    (_execute_chunk, (*specs[id(executor)], chunk)) for executor, chunk in tasks
+                    (_execute_chunk, (*specs[id(executor)], chunk, shots))
+                    for executor, chunk in tasks
                 ]
         chunks, _ = self._pool_map(local, remote)
         return [pair for chunk in chunks for pair in chunk]
@@ -466,11 +457,11 @@ class ParallelEngine:
         Only a broken pool degrades: ``BrokenExecutor`` from ``result()``, or
         ``RuntimeError``/``OSError`` from ``submit()`` (a pool shut down
         between calls).  Calls that still completed are salvaged — rerunning
-        them would double-execute variants and waste shot budget under an
-        active allocation — the rest rerun in-process in order, one
-        ``RuntimeWarning`` fires and ``fell_back`` is ``True``.  Any other
-        exception is the task's own: pending calls are cancelled, it
-        propagates unchanged, and the pool stays usable.
+        them would double-execute variants and waste a sampling batch's shot
+        budget — the rest rerun in-process in order, one ``RuntimeWarning``
+        fires and ``fell_back`` is ``True``.  Any other exception is the
+        task's own: pending calls are cancelled, it propagates unchanged, and
+        the pool stays usable.
         """
         pool = None
         if remote is not None and len(local) > 1 and self.workers > 1:

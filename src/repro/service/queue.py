@@ -9,8 +9,8 @@ early termination or a failure — are refunded when it settles).  Admitted sess
 one shared :class:`~repro.engine.ParallelEngine`: they are prepared in FIFO
 order and their rounds are interleaved round-robin, so a long evaluation cannot
 starve the sessions admitted after it — each gets one round per scheduling
-sweep.  Sessions re-apply their own shot allocation at every step, which is
-what makes the interleaving safe on the shared sampling executor.
+sweep.  Every step passes its session's own shot plan with its batch and the
+engine keeps none, so interleaved sessions never draw each other's shots.
 """
 
 from __future__ import annotations
@@ -223,5 +223,4 @@ class ServiceQueue:
                 ticket.session.close()
                 self._settle(ticket)
                 live.remove(ticket)
-        self.engine.clear_allocation()
         return batch

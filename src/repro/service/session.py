@@ -15,9 +15,12 @@ wrapper over :meth:`EvaluationSession.run`.
 
 Sessions are single-threaded state machines (``prepare -> step* -> finish``);
 :class:`~repro.service.ServiceQueue` multiplexes many of them over one shared
-engine by interleaving their ``step()`` calls.  Per-session engine statistics
-stay correct under that interleaving because every engine interaction is
-wrapped in a snapshot window and the deltas are accumulated per session.
+engine by interleaving their ``step()`` calls.  Each step passes its own
+:class:`~repro.engine.ShotPlan` with its batch, so no session's shot counts
+are ever left on the shared engine for another to draw.  Per-session engine
+statistics stay correct under that interleaving because every engine
+interaction is wrapped in a snapshot window and the deltas are accumulated
+per session.
 """
 
 from __future__ import annotations
@@ -40,10 +43,13 @@ from ..engine import (
     ParallelEngine,
     PruningPolicy,
     ResultCache,
+    ShotAllocation,
+    ShotPlan,
     allocate_shots,
+    largest_remainder_split,
+    neyman_weight,
     prune_requests,
 )
-from ..engine.allocation import _MIN_SIGMA, _sigma_estimate, largest_remainder_split
 from ..engine.devices import DeviceUtilization
 from ..exceptions import ConfigError, CuttingError
 from ..utils.timing import perf_clock
@@ -57,9 +63,9 @@ __all__ = ["EvaluationSession"]
 def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStats:
     """Accumulate one snapshot-window delta into a session's running total.
 
-    Monotonic counters add; state descriptors (cache size/capacity, the active
-    allocation policy, routing) keep the latest window's values — exactly what
-    a single ``since()`` over an uninterleaved span would report.
+    Monotonic counters add; state descriptors (cache size/capacity, routing)
+    keep the latest window's values — exactly what a single ``since()`` over
+    an uninterleaved span would report.
     """
     if total is None:
         return delta
@@ -92,8 +98,6 @@ def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStat
         batches=total.batches + delta.batches,
         execute_seconds=total.execute_seconds + delta.execute_seconds,
         cache=cache,
-        shots_total=delta.shots_total,
-        allocation_policy=delta.allocation_policy,
         devices=devices,
         routing=delta.routing,
     )
@@ -252,7 +256,7 @@ class EvaluationSession:
                     shots=self.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
                 )
             engine = ParallelEngine(executor, settings)
-        if self.shots is not None and not hasattr(engine.executor, "set_allocation"):
+        if self.shots is not None and not isinstance(engine.executor, SamplingExecutor):
             raise CuttingError(
                 f"shots={self.shots} needs a sampling-capable executor with per-variant "
                 f"shot allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
@@ -278,7 +282,7 @@ class EvaluationSession:
         self._overhead_report = None
         self._pruning_report = None
         self._missing_mode = "execute"
-        self._shot_allocation = None
+        self._shot_allocation: Optional[ShotAllocation] = None
         self._contract: Optional[Callable[[Any], Any]] = None
         self._dd_plan: Optional[DynamicDefinitionPlan] = None
         self._incremental: Optional[IncrementalReconstructor] = None
@@ -433,7 +437,6 @@ class EvaluationSession:
                     weights=self._weights,
                     engine=self.engine,
                 )
-                self.engine.apply_allocation(shot_allocation)
                 self._shot_allocation = shot_allocation
                 # The pilot batch (variance policy) is execution, not allocation math.
                 self._execute_seconds += shot_allocation.pilot_seconds
@@ -490,47 +493,37 @@ class EvaluationSession:
         if not (self.streaming.replan and round_index > 0):
             return {key: chunks[round_index] for key, chunks in self._base_chunks.items()}
         # Neyman re-split of this round's chunk budget from the variances
-        # observed in the cumulative sample so far (same shape as the batch
-        # allocator's pilot pass, but fed by real rounds instead of a pilot).
+        # observed in the cumulative sample so far (same weight as the batch
+        # allocator's final pass, but fed by real rounds instead of a pilot).
         weights = self._weights or {}
-        neyman: Dict[str, float] = {}
-        for key in self._seed_totals:
-            share = max(abs(float(weights.get(key, 1.0))), _MIN_SIGMA)
-            result = (self._table or {}).get(key)
-            sigma = (
-                _sigma_estimate(result, self._cum.get(key, 1)) if result is not None else 1.0
-            )
-            neyman[key] = share * sigma
+        neyman = {
+            key: neyman_weight(weights.get(key, 1.0), self._table[key], self._cum[key])
+            for key in self._seed_totals
+        }
         return largest_remainder_split(self._round_budgets[round_index], neyman)
 
     def step(self) -> bool:
         """Execute one round; returns ``True`` while more rounds are pending.
 
         The one-shot batch path (``streaming=None``) runs its entire batch in a
-        single step.  Streaming rounds re-apply the growing cumulative
-        allocation (seed pinned to the final totals, so draws are prefixes),
-        execute (the sampler resumes each variant's generator and draws only
-        the round's new shots), fold the fresh chunk into the incremental
-        estimate, and check the stopping rule.
+        single step, passing the final totals as its shot plan.  A streaming
+        round passes the growing cumulative counts with the final totals as
+        seed counts (so draws are prefixes), executes (the sampler resumes
+        each variant's generator and draws only the round's new shots), folds
+        the fresh chunk into the incremental estimate, and checks the
+        stopping rule.
         """
         if self._state != "prepared":
             raise CuttingError(f"step() called on a session in state {self._state!r}")
         self._open_window()
         try:
             if not self.streaming_active:
-                if self._shot_allocation is not None:
-                    # Re-apply before executing: on a shared engine another
-                    # session may have applied its own allocation since
-                    # prepare().  Idempotent (and state-identical) when solo.
-                    self.engine.apply_allocation(self._shot_allocation)
-                table, seconds = self.engine.run_batch_timed(self._batch)
+                plan = None if self.shots is None else ShotPlan(self._seed_totals)
+                table, seconds = self.engine.run_batch_timed(self._batch, shots=plan)
                 self._execute_seconds += seconds
                 self._table = table
                 self._rounds_done = 1
-                if self._shot_allocation is not None:
-                    self._shots_spent += sum(
-                        self._shot_allocation.shots_by_fingerprint.values()
-                    )
+                self._shots_spent += sum(self._seed_totals.values())
                 self._state = "done"
                 return False
 
@@ -543,10 +536,8 @@ class EvaluationSession:
             # sampler then guarantees each round's sample extends the last,
             # and the final round (cumulative == totals) lands on exactly the
             # batch path's seed and cache key.
-            self.engine.executor.set_allocation(
-                cumulative, stage="", seed_shots_by_fingerprint=self._seed_totals
-            )
-            table, seconds = self.engine.run_batch_timed(self._batch)
+            plan = ShotPlan(cumulative, seed_shots_by_fingerprint=self._seed_totals)
+            table, seconds = self.engine.run_batch_timed(self._batch, shots=plan)
             self._execute_seconds += seconds
 
             fold_start = perf_clock()
@@ -670,13 +661,11 @@ class EvaluationSession:
         return result
 
     def close(self) -> None:
-        """Release shared engine state (idempotent; call from a ``finally``).
+        """Close the engine when this session built it itself (idempotent).
 
-        Clears the per-session shot allocation from the (possibly shared)
-        engine and closes the engine when this session built it itself.
+        A shared engine holds nothing of the session (every batch carried its
+        own shot plan), so there is nothing to release on it.
         """
-        if self.shots is not None:
-            self.engine.clear_allocation()
         if self.owns_engine:
             self.engine.close()
 

@@ -13,6 +13,7 @@ from repro.engine import (
     DeviceSpec,
     EngineConfig,
     ParallelEngine,
+    ShotPlan,
     VariantResult,
     request_key,
 )
@@ -173,7 +174,7 @@ class TestRoutingPolicies:
 
     def test_allocation_shots_weight_the_load_model(self):
         farm = DeviceFarm([DeviceSpec("a", 4, shots_per_second=100.0)])
-        farm.route([_request(2, "k")], shots_by_fingerprint={"k": 500})
+        farm.route([_request(2, "k")], shots=ShotPlan({"k": 500}))
         assert farm.utilization()[0].busy_seconds == pytest.approx(5.0)
 
 
@@ -365,18 +366,14 @@ class TestEngineIntegration:
                 CutConfig(device_size=3, max_subcircuits=2),
                 engine_config=EngineConfig(shots=1000, seed=1, devices=noisy),
             )
-        # Direct engine users hit the same wall at apply time.
+        # Direct engine users hit the same wall when a batch brings a plan.
         from repro.cutting import SamplingExecutor
-        from repro.engine import ShotAllocation
 
         engine = ParallelEngine(
             SamplingExecutor(shots=100, seed=0), EngineConfig(devices=tuple(noisy))
         )
-        allocation = ShotAllocation(
-            policy="uniform", shots_by_fingerprint={"k": 100}, total_shots=100
-        )
         with pytest.raises(AllocationError, match="heterogeneous"):
-            engine.apply_allocation(allocation)
+            engine.run_batch([], shots=ShotPlan({"k": 100}))
 
     def test_parallel_farm_matches_serial_farm(self, chain_wire_cut_solution):
         variants = _some_variants(chain_wire_cut_solution, count=4)

@@ -17,7 +17,9 @@ from repro.engine import (
     ALLOCATION_POLICIES,
     ParallelEngine,
     ShotAllocation,
+    ShotPlan,
     allocate_shots,
+    build_cache_key,
     largest_remainder_split,
     request_key,
 )
@@ -118,11 +120,16 @@ class TestSamplingExecutor:
         # never sample at the default shots (callers set that to the *total*
         # budget); it gets the allocation's smallest per-variant count instead.
         executor = SamplingExecutor(shots=65536, seed=1)
-        executor.set_allocation({"aaa": 7, "bbb": 123})
-        assert executor.shots_for("aaa") == 7
-        assert executor.shots_for("not-in-the-allocation") == 7
-        executor.set_allocation(None)
-        assert executor.shots_for("not-in-the-allocation") == 65536
+        plan = ShotPlan({"aaa": 7, "bbb": 123})
+        assert plan.shots_for("aaa") == 7
+        assert plan.shots_for("not-in-the-allocation") == 7
+        assert executor.cache_key("not-in-the-allocation", plan) == build_cache_key(
+            "not-in-the-allocation", shots=7, stage="", seed_shots=7
+        )
+        # Without a plan the executor draws its default shots.
+        assert executor.cache_key("not-in-the-allocation") == build_cache_key(
+            "not-in-the-allocation", shots=65536, stage="", seed_shots=65536
+        )
 
     def test_serial_and_parallel_bit_identical(self, chain_wire_cut_solution, chain_observable):
         serial = _sampled_reconstruction(chain_wire_cut_solution, chain_observable, 500, seed=11)
@@ -153,33 +160,31 @@ class TestSamplingExecutor:
         first = executor.executions
         assert first == len(unique)
         # A different per-variant budget must miss the cache and re-execute.
-        executor.set_allocation({key: 200 for key in unique})
-        engine.run_batch(batch)
+        plan = ShotPlan({key: 200 for key in unique})
+        engine.run_batch(batch, shots=plan)
         assert executor.executions == 2 * first
         # Re-running the same allocation is served from the cache.
-        engine.run_batch(batch)
+        engine.run_batch(batch, shots=plan)
         assert executor.executions == 2 * first
 
     def test_seed_material_depends_on_shots(self):
         executor = SamplingExecutor(shots=100, seed=1)
         fingerprint = "ab" * 20
         before = executor.seed_for(fingerprint)
-        executor.set_allocation({fingerprint: 999})
-        assert executor.seed_for(fingerprint) != before
+        assert executor.seed_for(fingerprint, ShotPlan({fingerprint: 999})) != before
 
     def test_invalid_shots_rejected(self):
         with pytest.raises(CuttingError):
             SamplingExecutor(shots=0)
-        executor = SamplingExecutor(shots=10, seed=0)
         with pytest.raises(CuttingError):
-            executor.set_allocation({"abc": 0})
+            ShotPlan({"abc": 0})
 
 
-def _scalar_walk_sample(executor, variant):
+def _scalar_walk_sample(executor, variant, plan=None):
     """One request sampled from a scalar branch walk: the sampler's reference."""
     key = request_key(variant)
-    shots = executor.shots_for(key)
-    rng = np.random.default_rng(executor.seed_for(key))
+    shots = executor.shots if plan is None else plan.shots_for(key)
+    rng = np.random.default_rng(executor.seed_for(key, plan))
     branches = BranchingSimulator().run(variant.circuit).branches
     probabilities = np.array([branch.probability for branch in branches])
     signs = np.array([branch.sign for branch in branches], dtype=float)
@@ -199,19 +204,18 @@ def _bits(value, distribution):
     return np.float64(value).tobytes(), None if distribution is None else distribution.tobytes()
 
 
-def _allocate(executor, fingerprints, scenario):
-    """Put ``executor`` into one of the allocation states the engine uses."""
+def _plan(fingerprints, scenario):
+    """One of the shot plans the engine passes with a batch (None: the default)."""
     if scenario == "allocation":
-        executor.set_allocation({key: 50 + 7 * i for i, key in enumerate(fingerprints)})
-    elif scenario == "pilot":
-        executor.set_allocation(
-            {key: 30 + i for i, key in enumerate(fingerprints)}, stage="pilot"
-        )
-    elif scenario == "streaming":
-        executor.set_allocation(
+        return ShotPlan({key: 50 + 7 * i for i, key in enumerate(fingerprints)})
+    if scenario == "pilot":
+        return ShotPlan({key: 30 + i for i, key in enumerate(fingerprints)}, stage="pilot")
+    if scenario == "streaming":
+        return ShotPlan(
             {key: 20 + i for i, key in enumerate(fingerprints)},
             seed_shots_by_fingerprint={key: 90 + 3 * i for i, key in enumerate(fingerprints)},
         )
+    return None
 
 
 def _stream_totals(requests):
@@ -226,12 +230,13 @@ def _stream_rounds(executor, requests, totals, rounds, stop_after=None, between=
     """
     tables = []
     for index in range(1, (stop_after or rounds) + 1):
-        executor.set_allocation(
+        plan = ShotPlan(
             {key: total * index // rounds for key, total in totals.items()},
             seed_shots_by_fingerprint=totals,
         )
-        pending = [(key, variant, executor.seed_for(key)) for key, variant in requests]
-        tables.append([_bits(r.value, r.distribution) for _, r in executor.run_many(pending)])
+        pending = [(key, variant, executor.seed_for(key, plan)) for key, variant in requests]
+        results = executor.run_many(pending, shots=plan)
+        tables.append([_bits(r.value, r.distribution) for _, r in results])
         if between is not None:
             between()
     return tables
@@ -263,16 +268,15 @@ class TestSamplingOnBranchRows:
     @pytest.mark.parametrize("scenario", ["default", "allocation", "pilot", "streaming"])
     def test_run_many_equals_lone_requests_bitwise(self, requests, scenario):
         fingerprints = [key for key, _ in requests]
+        plan = _plan(fingerprints, scenario)
         grouped = SamplingExecutor(shots=300, seed=5)
-        _allocate(grouped, fingerprints, scenario)
-        pending = [(key, variant, grouped.seed_for(key)) for key, variant in requests]
-        table = dict(grouped.run_many(pending))
+        pending = [(key, variant, grouped.seed_for(key, plan)) for key, variant in requests]
+        table = dict(grouped.run_many(pending, shots=plan))
         assert list(table) == fingerprints
         for key, variant in requests:
             lone = SamplingExecutor(shots=300, seed=5)
-            _allocate(lone, fingerprints, scenario)
-            single = lone.execute_variant(variant)
-            expected = _bits(*_scalar_walk_sample(lone, variant))
+            single = lone.run_batch([variant], shots=plan)[key]
+            expected = _bits(*_scalar_walk_sample(lone, variant, plan))
             assert _bits(single.value, single.distribution) == expected
             assert _bits(table[key].value, table[key].distribution) == expected
 
@@ -459,8 +463,7 @@ class TestShotAllocationPolicies:
             # Minimum budget: pilot and final both give every variant 1 shot.
             allocation = allocate_shots(batch, 2 * len(unique), "variance", engine=engine)
             assert allocation.shots_by_fingerprint == allocation.pilot_shots_by_fingerprint
-            engine.apply_allocation(allocation)
-            engine.run_batch(batch)
+            engine.run_batch(batch, shots=ShotPlan(allocation.shots_by_fingerprint))
             # Pilot pass + final pass must both have executed every variant.
             assert executor.executions == 2 * len(unique)
 
@@ -475,6 +478,21 @@ class TestShotAllocationPolicies:
         with ParallelEngine(ExactExecutor()) as engine:
             with pytest.raises(AllocationError, match="sampling-capable"):
                 allocate_shots(batch, 1000, "variance", engine=engine)
+
+    def test_shot_plans_need_a_sampling_executor_and_a_variant(
+        self, chain_wire_cut_solution, chain_observable
+    ):
+        executor = ExactExecutor()
+        with ParallelEngine(executor) as engine:
+            batch = CutReconstructor(
+                chain_wire_cut_solution, engine=engine
+            ).enumerate_expectation_requests(chain_observable)
+            plan = ShotPlan({request_key(variant): 10 for variant in batch})
+            with pytest.raises(AllocationError, match="sampling-capable"):
+                engine.run_batch(batch, shots=plan)
+        assert executor.executions == 0
+        with pytest.raises(AllocationError, match="at least one variant"):
+            ShotPlan({})
 
     def test_engine_config_validates_shot_knobs(self):
         assert EngineConfig(shots=128, allocation="variance").shots == 128
@@ -535,8 +553,8 @@ class TestEvaluateWorkloadShots:
         assert isinstance(allocation, ShotAllocation)
         assert allocation.policy == policy
         assert allocation.assigned_shots == 3000
-        assert result.engine_stats.allocation_policy == policy
-        assert result.engine_stats.shots_total == 3000
+        assert result.shot_allocation.policy == policy
+        assert result.shot_allocation.total_shots == 3000
         assert "allocate" in result.timings
 
     def test_shots_from_engine_config(self, small_case):
@@ -606,15 +624,22 @@ class TestEvaluateWorkloadShots:
         workload, config = small_case
         executor = SamplingExecutor(shots=4096, seed=3)
         with ParallelEngine(executor, EngineConfig(shots=200)) as engine:
+            before = (dict(vars(engine)), dict(vars(executor)))
             result = evaluate_workload(
                 workload, config, engine=engine, compute_reference=False
             )
-            # The per-evaluation allocation must not leak into later batches.
-            assert executor.allocation == {}
-            assert engine.stats.allocation_policy is None
-        # ... but the result keeps its own snapshot.
+            # The per-evaluation allocation never lands on the engine or the
+            # executor: their attributes are the ones they had before the
+            # call, and later batches draw the executor's default shots.
+            assert set(vars(engine)) == set(before[0])
+            assert set(vars(executor)) == set(before[1])
+            assert executor.shots == 4096
+            assert executor.cache_key("k") == build_cache_key(
+                "k", shots=4096, stage="", seed_shots=4096
+            )
+        # ... and the result keeps its own snapshot.
         assert result.shot_allocation.assigned_shots == 200
-        assert result.engine_stats.allocation_policy == "uniform"
+        assert result.shot_allocation.policy == "uniform"
 
 
 class TestConfigFirstSampling:

@@ -86,6 +86,45 @@ class TestConcurrentSessions:
             assert ticket.result.expectation_value == solo.expectation_value
             assert ticket.result.termination_reason == "completed"
 
+    def test_interleaved_sessions_report_their_own_stats_and_allocation(self):
+        # Different budgets and policies on one shared engine: each session's
+        # engine stats and shot allocation must be what it reports when run
+        # alone, never the other session's.
+        queue = ServiceQueue(shared_engine(), max_pending=4)
+        streaming = StreamingConfig(rounds=3)
+        cases = [(3, SHOTS, "uniform"), (4, 20000, "weighted")]
+        tickets = [
+            queue.submit(
+                workload(seed),
+                CONFIG,
+                shots=shots,
+                allocation=policy,
+                streaming=streaming,
+                compute_reference=False,
+            )
+            for seed, shots, policy in cases
+        ]
+        queue.run()
+        for ticket, (seed, shots, policy) in zip(tickets, cases):
+            assert ticket.status == "done"
+            solo = evaluate_workload(
+                workload(seed),
+                CONFIG,
+                compute_reference=False,
+                engine_config=EngineConfig(
+                    shots=shots, seed=0, allocation=policy, streaming=streaming
+                ),
+            )
+            stats = ticket.result.to_dict()["engine_stats"]
+            solo_stats = solo.to_dict()["engine_stats"]
+            stats.pop("execute_seconds")
+            solo_stats.pop("execute_seconds")
+            assert stats == solo_stats
+            assert ticket.result.shot_allocation == solo.shot_allocation
+            assert ticket.result.shot_allocation.policy == policy
+            assert ticket.result.shot_allocation.total_shots == shots
+            assert ticket.result.expectation_value == solo.expectation_value
+
     def test_two_streams_of_one_workload_on_one_executor(self):
         # Same workload and seed, so both sessions sample the same streams
         # and share one stream memo.  The second starts two rounds behind,
@@ -241,11 +280,11 @@ class TestAccounting:
 
             batches = 0
 
-            def run_batch(self, variants, dispatch=None):
+            def run_batch(self, variants, dispatch=None, shots=None):
                 self.batches += 1
                 if self.batches == 2:
                     raise RuntimeError("device lost between rounds")
-                return super().run_batch(variants, dispatch=dispatch)
+                return super().run_batch(variants, dispatch=dispatch, shots=shots)
 
         budget = 2 * SHOTS
         engine = ParallelEngine(FailingSecondBatch(shots=SHOTS, seed=0))

@@ -21,7 +21,8 @@ from repro import (
     StreamingConfig,
     evaluate_workload,
 )
-from repro.engine import PruningPolicy
+from repro.cutting import SamplingExecutor
+from repro.engine import ParallelEngine, PruningPolicy, largest_remainder_split, neyman_weight
 from repro.service.incremental import StreamingMoments, difference_tables
 from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.workloads import make_workload
@@ -586,3 +587,52 @@ class TestSessionLifecycle:
                 session.finish()
         finally:
             session.close()
+
+
+class TestReplan:
+    def test_replanned_rounds_split_their_budget_by_neyman_weight(self, monkeypatch):
+        rounds = 4
+        engine = ParallelEngine(SamplingExecutor(shots=SMALL_SHOTS, seed=0))
+        batches = []
+        run_batch_timed = engine.run_batch_timed
+
+        def recording(variants, shots=None):
+            table, seconds = run_batch_timed(variants, shots=shots)
+            batches.append((shots, table))
+            return table, seconds
+
+        monkeypatch.setattr(engine, "run_batch_timed", recording)
+        session = EvaluationSession(
+            small_workload(),
+            SMALL_CONFIG,
+            compute_reference=False,
+            engine=engine,
+            shots=SMALL_SHOTS,
+            streaming=StreamingConfig(rounds=rounds, replan=True),
+        )
+        result = session.run()
+        totals = result.shot_allocation.shots_by_fingerprint
+        # The base plan: every variant's total split evenly over the rounds.
+        base = [
+            {key: count // rounds + (index < count % rounds) for key, count in totals.items()}
+            for index in range(rounds)
+        ]
+        weights = session._weights
+        assert len(batches) == rounds and result.shots_spent == SMALL_SHOTS
+        cumulative, previous_table, replanned = {}, None, 0
+        for index, (plan, table) in enumerate(batches):
+            assert plan.seed_shots_by_fingerprint == totals
+            chunk = {key: plan.shots_by_fingerprint[key] - cumulative.get(key, 0) for key in totals}
+            assert sum(chunk.values()) == sum(base[index].values())
+            assert min(chunk.values()) >= 1
+            if index == 0:
+                assert chunk == base[0]
+            else:
+                neyman = {
+                    key: neyman_weight(weights.get(key, 1.0), previous_table[key], cumulative[key])
+                    for key in totals
+                }
+                assert chunk == largest_remainder_split(sum(base[index].values()), neyman)
+                replanned += chunk != base[index]
+            cumulative, previous_table = dict(plan.shots_by_fingerprint), table
+        assert replanned  # the re-split really moved shots between variants

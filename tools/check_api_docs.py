@@ -47,6 +47,8 @@ FLAGSHIP = (
     ("repro.cutting", "CutReconstructor"),
     ("repro.cutting", "VariantExecutor"),
     ("repro.engine", "allocate_shots"),
+    ("repro.engine", "ShotPlan"),
+    ("repro.cutting", "SamplingExecutor"),
     ("repro.engine", "prune_requests"),
     ("repro.engine", "DeviceSpec"),
     ("repro.engine", "DeviceFarm"),
