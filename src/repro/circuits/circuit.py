@@ -68,17 +68,6 @@ class Circuit:
         clone._operations = list(self._operations)
         return clone
 
-    def __getstate__(self) -> dict:
-        """Pickle support: never ship derived caches to worker processes.
-
-        The batched simulator memoises its parsed structure on the circuit
-        (see :mod:`repro.simulator.batched`); workers re-derive it cheaply, so
-        shipping the matrices would only bloat every pooled request.
-        """
-        state = dict(self.__dict__)
-        state.pop("_parsed_structure", None)
-        return state
-
     # ------------------------------------------------------------------ builders
     def append(self, op: Operation) -> "Circuit":
         """Append an already-constructed operation (validates qubit indices)."""

@@ -24,17 +24,19 @@ Four executors are provided:
 * :class:`ExactExecutor` — exact branching simulation (the default; makes the
   reconstruction identities hold to numerical precision),
 * :class:`BatchedExactExecutor` — the vectorized fast path: cache-miss requests
-  are grouped by circuit structure (:func:`repro.simulator.batched.variant_group_key`)
-  and each group is evaluated in one ``(batch, 2**n)`` pass, bit-identical to
-  :class:`ExactExecutor` but several times faster on variant families,
+  that are rows of one variant table (:class:`~repro.cutting.variants.VariantTable`)
+  and share its skeleton class run in one ``(batch, 2**n)`` pass read straight
+  off the table, bit-identical to :class:`ExactExecutor` but several times
+  faster on variant families,
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with per-variant counts passed
   with each batch as a :class:`~repro.engine.allocation.ShotPlan` (Section
   2.2's shots-based model).  It draws from the exact branch rows of the same
-  grouped batched pass (:func:`structure_batches`), so only
-  :class:`ExactExecutor` and :class:`NoisyExecutor` still walk variants through
-  the scalar branching simulator,
+  per-table batched passes, so only :class:`ExactExecutor` and
+  :class:`NoisyExecutor` still walk variants through the scalar branching
+  simulator — and only they (plus device-farm and duck-typed backends) ever
+  materialise a row's circuit,
 * :class:`NoisyExecutor` — the "small quantum device" of the Table 3 experiment: the
   variant is compiled to the device basis, Pauli noise is injected stochastically
   per trajectory, and finite-shot statistical noise is emulated; results are averaged
@@ -46,7 +48,7 @@ Four executors are provided:
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -63,12 +65,7 @@ from ..engine.requests import (
     seed_from_fingerprint,
 )
 from ..exceptions import CuttingError
-from ..simulator.batched import (
-    _OUTPUT_TAG_PREFIX,
-    branch_bound,
-    simulate_variant_group,
-    variant_group_key,
-)
+from ..simulator.batched import _OUTPUT_TAG_PREFIX, pass_batches, simulate_variant_group
 from ..simulator.dynamic import BranchedResult, BranchingSimulator
 from ..simulator.noise import DeviceModel, inject_pauli_noise
 from .variants import SubcircuitVariant
@@ -107,50 +104,37 @@ def branch_output_index(branch: Any, variant: SubcircuitVariant) -> int:
     return index
 
 
-def check_output_tags(variant: SubcircuitVariant) -> None:
+def check_output_tags(variants: Iterable[SubcircuitVariant]) -> None:
     """Probability-mode variants must measure every output qubit (``out:`` tags).
 
     Mirrors the scalar path, which raises when a branch lacks an output
     outcome; the row-based paths (:class:`BatchedExactExecutor` and the
     sampling executor) validate up front because they never build per-branch
-    outcome dictionaries.
+    outcome dictionaries.  Rows of one table share their output measurements,
+    so each table is checked once.
     """
-    if getattr(variant, "mode", None) != "probability":
-        return
-    recorded = {
-        op.tag[len(_OUTPUT_TAG_PREFIX) :]
-        for op in variant.circuit
-        if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
-    }
-    for qubit in variant.output_qubit_order:
-        if str(qubit) not in recorded:
-            raise CuttingError(
-                f"variant for subcircuit {variant.subcircuit_index} did not record "
-                f"an outcome for original qubit {qubit}"
-            )
-
-
-def structure_batches(
-    requests: Sequence[Tuple[str, SubcircuitVariant]], max_batch_elements: int
-) -> Iterator[List[Tuple[str, SubcircuitVariant]]]:
-    """Split ``(fingerprint, variant)`` requests into batched-pass sized groups.
-
-    Requests are grouped by :func:`~repro.simulator.batched.variant_group_key`
-    (groups in first-seen order, requests in their order within a group), and
-    each group is cut into sub-batches so that ``batch * 2**n *``
-    :func:`~repro.simulator.batched.branch_bound` stays under
-    ``max_batch_elements``.  A ragged final sub-batch, even a single variant,
-    runs through the same batched pass and stays bit-identical.
-    """
-    groups: Dict[Tuple, List[Tuple[str, SubcircuitVariant]]] = {}
-    for key, variant in requests:
-        groups.setdefault(variant_group_key(variant.circuit), []).append((key, variant))
-    for items in groups.values():
-        circuit = items[0][1].circuit
-        per_variant = (2**circuit.num_qubits) * branch_bound(circuit)
-        limit = max(1, max_batch_elements // per_variant)
-        for start in range(0, len(items), limit):
-            yield items[start : start + limit]
+    checked: set = set()
+    for variant in variants:
+        if getattr(variant, "mode", None) != "probability":
+            continue
+        table = getattr(variant, "table", None)
+        if table is not None:
+            if id(table) in checked:
+                continue
+            checked.add(id(table))
+            recorded = table.recorded_outputs()
+        else:
+            recorded = {
+                op.tag[len(_OUTPUT_TAG_PREFIX) :]
+                for op in variant.circuit
+                if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
+            }
+        for qubit in variant.output_qubit_order:
+            if str(qubit) not in recorded:
+                raise CuttingError(
+                    f"variant for subcircuit {variant.subcircuit_index} did not record "
+                    f"an outcome for original qubit {qubit}"
+                )
 
 
 def _signed_distribution(result: BranchedResult, variant: SubcircuitVariant) -> np.ndarray:
@@ -287,14 +271,16 @@ class VariantExecutor(ABC):
         cache key and the execution of every request.
         """
         namespace = self._scoped_namespace()
+        batch = list(variants)
         table: Dict[str, VariantResult] = {}
         pending: List[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]] = []
         scheduled: set = set()
-        for variant in variants:
-            self._requests += 1
+        # A batch lists one handle per contraction read, so the same object
+        # repeats many times: collapse repeats by identity first (first-seen
+        # order), then dedup the distinct objects by fingerprint.
+        for variant in {id(variant): variant for variant in batch}.values():
             key = request_key(variant)
             if key in table or key in scheduled:
-                self._dedup_hits += 1
                 continue
             cached = self._cache.get((namespace, self.cache_key(key, shots)))
             if cached is not None:
@@ -303,6 +289,8 @@ class VariantExecutor(ABC):
                 continue
             pending.append((key, variant, self.seed_for(key, shots)))
             scheduled.add(key)
+        self._requests += len(batch)
+        self._dedup_hits += len(batch) - len(table) - len(pending)
         if pending:
             if dispatch is None:
                 results: Iterable[Tuple[str, VariantResult]] = self.run_many(pending, shots)
@@ -386,16 +374,17 @@ DEFAULT_MAX_BATCH_ELEMENTS = 1 << 23
 
 
 class BatchedExactExecutor(VariantExecutor):
-    """Vectorized exact evaluation: same-structure variants share one batched pass.
+    """Vectorized exact evaluation: rows of one variant table share a batched pass.
 
-    Variants of one fragment share their two-qubit gates and measurement/reset
-    skeleton and differ only in single-qubit gates (initialisation labels,
+    Rows of one table share their two-qubit gates and measurement/reset
+    skeleton and differ only at their cut-end slots (initialisation labels,
     measurement-basis rotations, gate-cut instance actions).  :meth:`run_many`
-    groups cache-miss requests by
-    :func:`~repro.simulator.batched.variant_group_key` and evaluates each group
-    through :func:`~repro.simulator.batched.simulate_variant_group` — a single
-    ``(batch, 2**n)`` array walked gate by gate — instead of one full scalar
-    pass per variant.
+    groups cache-miss requests by (table, skeleton class) and evaluates each
+    group through :func:`~repro.simulator.batched.simulate_variant_group` — a
+    single ``(batch, 2**n)`` array walked gate by gate, with per-row slot
+    matrices gathered from the table — instead of one full scalar pass per
+    variant.  Hand-built variants backed by an explicit circuit run one per
+    pass.
 
     Results are **bit-identical** to :class:`ExactExecutor`: both run the same
     elementwise gate kernel and the batched path reproduces the scalar
@@ -430,21 +419,11 @@ class BatchedExactExecutor(VariantExecutor):
         super().__init__(cache)
         self._max_batch_elements = int(max_batch_elements)
 
-    # ------------------------------------------------------------------ grouping
-    def group_key(self, variant: SubcircuitVariant) -> Tuple:
-        """Structure key under which requests can share one batched pass.
-
-        The :class:`~repro.engine.ParallelEngine` also calls this to keep
-        same-structure requests together when it chunks a batch across worker
-        tasks, so the fast path survives parallel dispatch.
-        """
-        return variant_group_key(variant.circuit)
-
     # ------------------------------------------------------------------ execution
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        check_output_tags(variant)
+        check_output_tags([variant])
         value, distribution = simulate_variant_group([variant])[0]
         return VariantResult(value=value, distribution=distribution)
 
@@ -453,18 +432,20 @@ class BatchedExactExecutor(VariantExecutor):
         pending: Sequence[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]],
         shots: Optional[ShotPlan] = None,
     ) -> List[Tuple[str, VariantResult]]:
-        """Group pending requests by structure and run each group batched.
+        """Run pending requests in batched passes, one per table skeleton class.
 
-        See :func:`structure_batches` for the grouping and the sub-batch split.
+        See :func:`~repro.simulator.batched.pass_batches` for the grouping
+        and the sub-batch split.
         """
-        for _, variant, _ in pending:
-            check_output_tags(variant)
-        requests = [(key, variant) for key, variant, _ in pending]
+        variants = [variant for _, variant, _ in pending]
+        check_output_tags(variants)
         results: List[Tuple[str, VariantResult]] = []
-        for chunk in structure_batches(requests, self._max_batch_elements):
-            outcomes = simulate_variant_group([variant for _, variant in chunk])
-            for (key, _), (value, distribution) in zip(chunk, outcomes):
-                results.append((key, VariantResult(value=value, distribution=distribution)))
+        for positions in pass_batches(variants, self._max_batch_elements):
+            outcomes = simulate_variant_group([variants[p] for p in positions])
+            for position, (value, distribution) in zip(positions, outcomes):
+                results.append(
+                    (pending[position][0], VariantResult(value=value, distribution=distribution))
+                )
         return results
 
 

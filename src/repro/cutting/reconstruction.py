@@ -13,21 +13,23 @@ Two reconstruction modes mirror Section 4.3 of the paper:
   Mitarai–Fujii instances weighted by the instance coefficients (Eq. 4 / 19).
 
 Reconstruction is **two-phase**, around one *variant table* per (subcircuit, mode,
-restricted Pauli term): a variant for every measurement basis of the subcircuit's
-measured cuts, init label of its initialised cuts and nonzero-coefficient instance
-of its gate cuts, each built once, in mixed-radix row order.  Phase one
-*enumerates*: the contraction loops are walked with integer local keys into the
-tables, and every key's Eq. 3 terms (the variants its decomposition reads) join one
-batch the first time the walk reaches the key.  The batch goes to the execution
-engine (:mod:`repro.engine`), which dedups it by fingerprint, satisfies repeats
-from the shared cache and runs the unique requests, serially or across a worker
-pool.  Phase two *contracts*: each table's results are gathered into one dense
-array, Eq. 3's basis change turns every initialised cut's four label slices into
-its four basis slices, and the contraction reads those stacks — no executor calls
-happen inside it.  The exponential cost is ``4^k * 6^m`` scalar work plus
-``sum_S 4^(c_S) * 6^(g_S)`` subcircuit evaluations per restricted Pauli term, for
-the ``c_S`` wire and ``g_S`` gate cuts touching ``S``: evaluations add up over the
-subcircuits, they do not multiply.
+restricted Pauli term) (:class:`~repro.cutting.variants.VariantTable`): a row for
+every measurement basis of the subcircuit's measured cuts, init label of its
+initialised cuts and nonzero-coefficient instance of its gate cuts, in
+mixed-radix row order.  A row is a handle holding one choice index per cut end,
+not a built circuit.  Phase one *enumerates*: the contraction loops are walked
+with integer local keys into the tables, and every key's Eq. 3 terms (the rows
+its decomposition reads) join one batch the first time the walk reaches the
+key.  The batch goes to the execution engine (:mod:`repro.engine`), which dedups
+it by fingerprint, satisfies repeats from the shared cache and runs the unique
+requests, serially or across a worker pool.  Phase two *contracts*: each
+table's results are gathered into one dense array, Eq. 3's basis change turns
+every initialised cut's four label slices into its four basis slices, and the
+contraction reads those stacks — no executor calls happen inside it.  The
+exponential cost is ``4^k * 6^m`` scalar work plus ``sum_S 4^(c_S) * 6^(g_S)``
+subcircuit evaluations per restricted Pauli term, for the ``c_S`` wire and
+``g_S`` gate cuts touching ``S``: evaluations add up over the subcircuits, they
+do not multiply.
 
 Between the two phases an optional *pruning* pass (:mod:`repro.engine.pruning`)
 may drop small-|contraction-weight| requests; phase two then contracts over the
@@ -65,7 +67,7 @@ from .variants import (
     WIRE_CUT_MEASUREMENT_BASES,
     SubcircuitVariant,
     VariantBuilder,
-    VariantSettings,
+    VariantTable,
 )
 
 __all__ = ["INIT_STATE_DECOMPOSITION", "CutReconstructor"]
@@ -94,7 +96,10 @@ class _TableLayout:
     (``spec.upstream_cuts`` order), an init label per initialised cut
     (``spec.downstream_cuts`` order) and a nonzero-coefficient instance per
     hosted gate cut (solution order; ``instances`` lists their numbers).
-    ``order`` permutes those axes into the contraction plan's layout (wire cuts
+    ``axes`` names each axis as a ``(VariantSettings field, key)`` and
+    ``choices`` holds every row's choice index per axis, the input of
+    :meth:`~repro.cutting.variants.VariantBuilder.table`.  ``order`` permutes
+    those axes into the contraction plan's layout (wire cuts
     by solution position, then gate cuts).  A *local key* is a row of that
     layout, with six instances per gate cut: ``keys`` maps every global
     combination to one, and key ``q``'s Eq. 3 terms are ``rows``/``weights``
@@ -102,7 +107,8 @@ class _TableLayout:
     """
 
     shape: Tuple[int, ...]
-    settings: Tuple[VariantSettings, ...]
+    axes: Tuple[Tuple[str, object], ...]
+    choices: np.ndarray
     instances: Tuple[Tuple[int, ...], ...]
     order: Tuple[int, ...]
     keys: np.ndarray
@@ -123,11 +129,11 @@ class _Walk:
         self._offsets: Dict[Tuple, int] = {}
         self._fingerprints: List[str] = []
 
-    def offset(self, table_key: Tuple, variants: Sequence[SubcircuitVariant]) -> int:
+    def offset(self, table_key: Tuple, table: VariantTable) -> int:
         """First id of a table's rows in this walk's fingerprint list."""
         if table_key not in self._offsets:
             self._offsets[table_key] = len(self._fingerprints)
-            self._fingerprints.extend(request_key(variant) for variant in variants)
+            self._fingerprints.extend(variant.fingerprint for variant in table.variants)
         return self._offsets[table_key]
 
     def finish(self) -> List[SubcircuitVariant]:
@@ -188,7 +194,7 @@ class CutReconstructor:
             )
         # Variant tables and their row layouts, keyed by (spec, mode[, term]).
         self._layouts: Dict[Tuple[int, str], _TableLayout] = {}
-        self._tables: Dict[Tuple, List[SubcircuitVariant]] = {}
+        self._tables: Dict[Tuple, VariantTable] = {}
         # Structure-only contraction state (plans, index maps) keyed by
         # (kind, workers[, num_terms]).  These never depend on the results
         # table, so caching them across calls is safe — unlike the per-call
@@ -625,20 +631,20 @@ class CutReconstructor:
         )
         num_cuts = len(measured) + len(initialised)
         shape = (4,) * num_cuts + tuple(len(numbers) for numbers in instances)
-        up_ids = [cut.identifier() for cut in spec.upstream_cuts]
-        down_ids = [cut.identifier() for cut in spec.downstream_cuts]
-        settings = tuple(
-            VariantSettings.build(
-                dict(zip(up_ids, combo[: len(up_ids)])),
-                dict(zip(down_ids, combo[len(up_ids) : num_cuts])),
-                dict(zip(gate_ops, combo[num_cuts:])),
-            )
-            for combo in itertools.product(
-                *[WIRE_CUT_MEASUREMENT_BASES] * len(up_ids),
-                *[WIRE_CUT_INIT_LABELS] * len(down_ids),
-                *instances,
-            )
+        setting_axes = (
+            [("measurement_bases", cut.identifier()) for cut in spec.upstream_cuts]
+            + [("init_labels", cut.identifier()) for cut in spec.downstream_cuts]
+            + [("gate_instances", op_index) for op_index in gate_ops]
         )
+        # Row r's digits, most significant axis first (itertools.product
+        # order); a gate axis digit picks a nonzero instance, choice number - 1.
+        choices = (
+            np.indices(shape).reshape(len(shape), -1).T
+            if shape
+            else np.zeros((1, 0), dtype=np.int64)
+        )
+        for j, numbers in enumerate(instances):
+            choices[:, num_cuts + j] = (np.asarray(numbers) - 1)[choices[:, num_cuts + j]]
         # Global combination -> local key, the contraction kernels' gather index.
         # Globally, wire cut p is the base-4 digit of weight 4**(k-1-p) and gate
         # cut p the base-6 digit of weight 6**(m-1-p) (itertools.product order,
@@ -692,7 +698,8 @@ class CutReconstructor:
         order = sorted(range(num_cuts), key=axes.__getitem__) + list(range(num_cuts, len(shape)))
         layout = _TableLayout(
             shape=shape,
-            settings=settings,
+            axes=tuple(setting_axes),
+            choices=choices,
             instances=instances,
             order=tuple(order),
             keys=keys,
@@ -705,23 +712,20 @@ class CutReconstructor:
 
     def _table(
         self, spec: SubcircuitSpec, mode: str, term: Optional[PauliString]
-    ) -> Tuple[Tuple, List[SubcircuitVariant]]:
-        """``(memo key, variants)`` of one (subcircuit, mode, restricted term) table.
+    ) -> Tuple[Tuple, VariantTable]:
+        """``(memo key, table)`` of one (subcircuit, mode, restricted term).
 
-        Every variant is built once, with the same settings and restricted term
-        a per-key walk would build it with, so circuits and fingerprints match.
+        Rows carry the layout's choices and the restricted term a per-key
+        walk would build each variant with, so fingerprints match.
         """
         restricted = term.restricted_to(spec.output_qubits) if term is not None else None
         key = (spec.index, mode, restricted.paulis if restricted is not None else None)
-        variants = self._tables.get(key)
-        if variants is None:
-            builder = self._builders[spec.index]
-            variants = [
-                builder.build(settings, mode, restricted)
-                for settings in self._layout(spec, mode).settings
-            ]
-            self._tables[key] = variants
-        return key, variants
+        table = self._tables.get(key)
+        if table is None:
+            layout = self._layout(spec, mode)
+            table = self._builders[spec.index].table(layout.axes, layout.choices, mode, restricted)
+            self._tables[key] = table
+        return key, table
 
     def _walk(
         self,
@@ -739,10 +743,10 @@ class CutReconstructor:
         fingerprint, in walk order.
         """
         events: List[Tuple[int, int, int]] = []
-        visits: List[Tuple[_TableLayout, List[SubcircuitVariant], np.ndarray, Tuple]] = []
+        visits: List[Tuple[_TableLayout, VariantTable, np.ndarray, Tuple]] = []
         for position, spec in enumerate(self.specs):
             layout = self._layout(spec, mode)
-            table_key, variants = self._table(spec, mode, term)
+            table_key, table = self._table(spec, mode, term)
             keys = layout.keys[combos]
             done = walk.scheduled.setdefault(
                 table_key, np.zeros(layout.starts.size - 1, dtype=bool)
@@ -753,10 +757,11 @@ class CutReconstructor:
             events.extend(
                 zip(first[fresh].tolist(), itertools.repeat(position), unique[fresh].tolist())
             )
-            visits.append((layout, variants, keys, table_key))
+            visits.append((layout, table, keys, table_key))
         events.sort()
         for _, position, key in events:
-            layout, variants = visits[position][:2]
+            layout, table = visits[position][:2]
+            variants = table.variants
             rows = layout.rows[layout.starts[key] : layout.starts[key + 1]]
             walk.batch.extend([variants[row] for row in rows.tolist()])
         if walk.weights is None:
@@ -768,10 +773,10 @@ class CutReconstructor:
         rows: List[np.ndarray] = []
         weights: List[np.ndarray] = []
         entries = 0
-        for layout, variants, keys, table_key in visits:
+        for layout, table, keys, table_key in visits:
             starts.append(layout.starts[keys] + entries)
             lengths.append(layout.starts[keys + 1] - layout.starts[keys])
-            rows.append(layout.rows + walk.offset(table_key, variants))
+            rows.append(layout.rows + walk.offset(table_key, table))
             weights.append(layout.weights)
             entries += layout.rows.size
         length = np.stack(lengths, axis=1).ravel()
@@ -814,10 +819,10 @@ class CutReconstructor:
         """
         stacks: List[np.ndarray] = []
         for spec in self.specs:
-            table_key, variants = self._table(spec, mode, term)
+            table_key, rows = self._table(spec, mode, term)
             stack = cache.get(table_key)
             if stack is None:
-                stack = self._gather(spec, mode, variants, table, missing)
+                stack = self._gather(spec, mode, rows.variants, table, missing)
                 cache[table_key] = stack
             stacks.append(stack)
         return stacks

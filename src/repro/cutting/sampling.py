@@ -12,10 +12,10 @@ with standard error ``O(1/sqrt(shots))`` — which is exactly what real hardware
 reports, and what makes shot *allocation* across variants matter (see
 :mod:`repro.engine.allocation`).
 
-The exact branches come from grouped batched passes, not from one scalar
-simulation per variant: :meth:`SamplingExecutor.run_many` groups cache misses
-by circuit structure (:func:`~repro.cutting.executors.structure_batches`), runs
-each group once through
+The exact branches come from batched passes over variant-table rows, not from
+one scalar simulation per variant: :meth:`SamplingExecutor.run_many` splits
+cache misses into passes by (table, skeleton class)
+(:func:`~repro.simulator.batched.pass_batches`), runs each once through
 :func:`~repro.simulator.batched.simulate_variant_group` with ``rows=True``,
 and samples every request from its own slice of the live branch rows.  Those
 rows equal the scalar :class:`~repro.simulator.dynamic.BranchingSimulator`
@@ -50,14 +50,9 @@ from ..engine.allocation import ShotPlan
 from ..engine.cache import ResultCache, build_cache_key, build_cache_namespace
 from ..engine.requests import VariantResult, request_key, seed_from_fingerprint
 from ..exceptions import CuttingError
-from ..simulator.batched import simulate_variant_group
+from ..simulator.batched import pass_batches, simulate_variant_group
 from ..simulator.sampler import sample_weighted_counts_prefix
-from .executors import (
-    DEFAULT_MAX_BATCH_ELEMENTS,
-    VariantExecutor,
-    check_output_tags,
-    structure_batches,
-)
+from .executors import DEFAULT_MAX_BATCH_ELEMENTS, VariantExecutor, check_output_tags
 from .variants import SubcircuitVariant
 
 __all__ = ["SamplingExecutor"]
@@ -179,25 +174,27 @@ class SamplingExecutor(VariantExecutor):
 
         Rows depend only on the circuit, never on the shot count or seed, so
         they are memoised per fingerprint: streaming sessions (which re-sample
-        every variant each round) simulate each variant once.  Memo misses are
-        grouped by structure and each group runs as one batched pass; every
+        every variant each round) simulate each variant once.  Memo misses
+        run in one batched pass per (table, skeleton class); every
         request then draws from its own seed exactly as a lone request would.
         A streaming round resumes each request's saved generator and draws
         only the shots added since the last round (see :meth:`_draw`).
         """
+        check_output_tags(variant for _, variant, _ in pending)
         tables: Dict[str, _BranchTable] = {}
         misses: List[Tuple[str, SubcircuitVariant]] = []
         for key, variant, _ in pending:
-            check_output_tags(variant)
             table = self._branch_memo.get(key)
             if table is None:
                 misses.append((key, variant))
             else:
                 tables[key] = table
-        for chunk in structure_batches(misses, DEFAULT_MAX_BATCH_ELEMENTS):
-            rows = simulate_variant_group([variant for _, variant in chunk], rows=True)
+        variants = [variant for _, variant in misses]
+        for positions in pass_batches(variants, DEFAULT_MAX_BATCH_ELEMENTS):
+            rows = simulate_variant_group([variants[p] for p in positions], rows=True)
             bounds = rows.bounds.tolist()
-            for column, (key, variant) in enumerate(chunk):
+            for column, position in enumerate(positions):
+                key, variant = misses[position]
                 span = slice(bounds[column], bounds[column + 1])
                 table = (
                     rows.prob[span].copy(),

@@ -1,4 +1,4 @@
-"""Concrete executable subcircuit variants.
+"""Concrete executable subcircuit variants, held as rows of variant tables.
 
 Wire cuts and gate cuts multiply each subcircuit into a family of *variants*:
 
@@ -12,28 +12,46 @@ Wire cuts and gate cuts multiply each subcircuit into a family of *variants*:
   rotated into that term's basis before their (possibly mid-circuit, reuse-related)
   measurement.
 
-This module turns a :class:`~repro.cutting.fragments.SubcircuitSpec` plus one such
-setting combination into a concrete dynamic circuit on ``num_wires`` physical qubits,
-ready for the exact branching simulator, the shot sampler or the noisy device model.
+The variants of one (subcircuit, mode, restricted term) differ only at their cut
+ends, so they form one :class:`VariantTable`.  :class:`VariantBuilder` walks the
+subcircuit once per (mode, term) and records a *skeleton*: the shared operations
+plus one *slot* per cut end, whose choices are the runs that end can take — an
+initialised cut's preparation (nothing, X, H, or H then S), a measured cut's
+rotation and measurement (I unsigned; Z, X after H, Y after Sdg·H signed), or one
+gate-cut side's pre-gates, optional signed measurement and post-gates.  A row is
+one choice index per slot.  Its fingerprint hashes pre-encoded operation text
+(the bytes :func:`~repro.engine.requests.variant_fingerprint` hashes over its
+circuit), the batched simulator gathers per-slot matrix stacks by row
+(:meth:`VariantTable.program`), and a pool task pickles the table once plus row
+indices.  A row's :class:`~repro.circuits.Circuit` is built only when an executor
+without row support reads ``SubcircuitVariant.circuit``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..circuits import Circuit
+import numpy as np
+
+from ..circuits import Circuit, Operation
+from ..circuits.gates import measure as measure_op
+from ..circuits.gates import operation as _gate
+from ..circuits.gates import reset
+from ..engine.requests import operation_field, variant_fingerprint
 from ..exceptions import CuttingError
+from ..simulator.batched import Program, compile_program
 from ..utils.pauli import PauliString
-from .cuts import CutSolution, WireCut
+from .cuts import CutSolution
 from .fragments import Fragment, SubcircuitSpec, _assign_layers
-from .gate_cut import GateCutDecomposition, decompose_gate_cut
+from .gate_cut import NUM_GATE_CUT_INSTANCES, GateCutDecomposition, decompose_gate_cut
 
 __all__ = [
     "WIRE_CUT_MEASUREMENT_BASES",
     "WIRE_CUT_INIT_LABELS",
     "VariantSettings",
     "SubcircuitVariant",
+    "VariantTable",
     "VariantBuilder",
 ]
 
@@ -42,6 +60,13 @@ WIRE_CUT_MEASUREMENT_BASES: Tuple[str, ...] = ("I", "X", "Y", "Z")
 
 #: Initialisation labels for the downstream end of a wire cut.
 WIRE_CUT_INIT_LABELS: Tuple[str, ...] = ("zero", "one", "plus", "plus_i")
+
+#: Per :class:`VariantSettings` field, the setting value of each choice index.
+_CHOICE_VALUES: Dict[str, Tuple[Any, ...]] = {  # qrcclint: disable=mutable-default-arg -- read-only constant table (tuple values), never written after import
+    "measurement_bases": WIRE_CUT_MEASUREMENT_BASES,
+    "init_labels": WIRE_CUT_INIT_LABELS,
+    "gate_instances": tuple(range(1, NUM_GATE_CUT_INSTANCES + 1)),
+}
 
 
 @dataclass(frozen=True)
@@ -70,45 +95,303 @@ class VariantSettings:
             tuple(sorted(gate_instances.items())),
         )
 
-    def basis_for(self, cut: WireCut) -> str:
-        return dict(self.measurement_bases)[cut.identifier()]
-
-    def label_for(self, cut: WireCut) -> str:
-        return dict(self.init_labels)[cut.identifier()]
-
     def instance_for(self, op_index: int) -> int:
         return dict(self.gate_instances)[op_index]
 
 
-@dataclass
 class SubcircuitVariant:
-    """A concrete runnable variant of a subcircuit."""
+    """A concrete runnable variant of a subcircuit.
 
-    subcircuit_index: int
-    circuit: Circuit
-    num_wires: int
-    output_qubit_order: Tuple[int, ...]
-    settings: VariantSettings
-    mode: str
-    pauli_term: Optional[PauliString] = None
-    _fingerprint: Optional[str] = field(default=None, repr=False, compare=False)
+    Either row ``row`` of ``table`` — settings and circuit decoded from the
+    table on first access, then cached — or a hand-built wrapper around an
+    explicit ``circuit`` (``table`` is ``None``).
+    """
+
+    __slots__ = (
+        "subcircuit_index",
+        "num_wires",
+        "output_qubit_order",
+        "mode",
+        "pauli_term",
+        "table",
+        "row",
+        "_settings",
+        "_circuit",
+        "_fingerprint",
+    )
+
+    def __init__(
+        self,
+        subcircuit_index: int,
+        circuit: Optional[Circuit],
+        num_wires: int,
+        output_qubit_order: Tuple[int, ...],
+        settings: Optional[VariantSettings],
+        mode: str,
+        pauli_term: Optional[PauliString] = None,
+        table: Optional["VariantTable"] = None,
+        row: int = -1,
+    ) -> None:
+        self.subcircuit_index = subcircuit_index
+        self.num_wires = num_wires
+        self.output_qubit_order = output_qubit_order
+        self.mode = mode
+        self.pauli_term = pauli_term
+        self.table = table
+        self.row = row
+        self._settings = settings
+        self._circuit = circuit
+        self._fingerprint: Optional[str] = None
+
+    @property
+    def settings(self) -> VariantSettings:
+        if self._settings is None:
+            self._settings = self._table().settings_of(self.row)
+        return self._settings
+
+    @property
+    def circuit(self) -> Circuit:
+        if self._circuit is None:
+            self._circuit = self._table()._materialise(self.row)
+        return self._circuit
 
     @property
     def fingerprint(self) -> str:
-        """Stable content hash identifying this request to the execution engine.
-
-        Memoised: variant circuits are immutable once built, so the hash is
-        computed at most once per object however many contraction terms ask.
-        """
+        """Stable content hash identifying this request to the engine (memoised)."""
         if self._fingerprint is None:
-            from ..engine.requests import variant_fingerprint
-
-            self._fingerprint = variant_fingerprint(self)
+            operations = None if self.table is None else self.table.operations(self.row)
+            self._fingerprint = variant_fingerprint(self, operations)
         return self._fingerprint
+
+    def _table(self) -> "VariantTable":
+        if self.table is None:
+            raise CuttingError("a variant needs a table row or its own circuit and settings")
+        return self.table
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        # A row travels as (table, row): a chunk of rows ships its table once.
+        if self.table is not None:
+            return _table_row, (self.table, self.row)
+        return SubcircuitVariant, (
+            self.subcircuit_index,
+            self._circuit,
+            self.num_wires,
+            self.output_qubit_order,
+            self._settings,
+            self.mode,
+            self.pauli_term,
+        )
+
+
+def _table_row(table: "VariantTable", row: int) -> SubcircuitVariant:
+    return table.variants[row]
+
+
+class _Slot(NamedTuple):
+    """One cut end: ``runs[c]`` is applied by rows choosing ``c``, which stands
+    for the setting ``_CHOICE_VALUES[field][c]`` of ``key`` (a cut identifier
+    or a gate-cut op index)."""
+
+    field: str
+    key: Any
+    runs: Tuple[Tuple[Operation, ...], ...]
+
+
+def _measures(run: Sequence[Operation]) -> bool:
+    return any(op.is_measurement for op in run)
+
+
+def _encoded(ops: Sequence[Operation]) -> bytes:
+    return b"".join(map(operation_field, ops))
+
+
+class _Skeleton:
+    """One emission walk: ``slots`` (the cut ends) in program order, with the
+    shared operations around them in ``gaps`` (``gaps[i]`` precedes slot ``i``)."""
+
+    def __init__(self, num_qubits: int, name: str) -> None:
+        self.num_qubits = num_qubits
+        self.name = name
+        self.gaps: List[List[Operation]] = [[]]
+        self.slots: List[_Slot] = []
+
+    def slot(self, field: str, key: Any, runs: Tuple[Tuple[Operation, ...], ...]) -> None:
+        self.slots.append(_Slot(field, key, runs))
+        self.gaps.append([])
+
+
+class VariantTable:
+    """Every cut-setting row of one (subcircuit, mode, restricted term).
+
+    Args:
+        skeleton: the builder's emission walk for this (mode, term).
+        subcircuit_index: the subcircuit the rows belong to.
+        num_wires: physical qubits of every row.
+        output_qubit_order: original qubits measured to outputs, LSB first.
+        mode: ``"probability"`` or ``"expectation"``.
+        pauli_term: the restricted term (expectation mode), else ``None``.
+        choices: ``(rows, slots)`` integer array, each row's choice per slot.
+
+    Build tables through :meth:`VariantBuilder.table`.  Operation text and
+    matrices are derived once per table, never per row.
+    """
+
+    def __init__(
+        self,
+        skeleton: _Skeleton,
+        subcircuit_index: int,
+        num_wires: int,
+        output_qubit_order: Tuple[int, ...],
+        mode: str,
+        pauli_term: Optional[PauliString],
+        choices: np.ndarray,
+    ) -> None:
+        self.skeleton = skeleton
+        self.subcircuit_index = subcircuit_index
+        self.num_wires = num_wires
+        self.output_qubit_order = output_qubit_order
+        self.mode = mode
+        self.pauli_term = pauli_term
+        self.choices = choices
+        self.__setstate__({})
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # Only the skeleton and the choice rows travel; the rest is derived.
+        return {name: value for name, value in vars(self).items() if not name.startswith("_")}
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._variants: Optional[List[SubcircuitVariant]] = None
+        self._rows: Optional[List[List[int]]] = None
+        self._text: Optional[Tuple[List[bytes], List[List[bytes]]]] = None
+        self._row_class: Optional[np.ndarray] = None
+        self._programs: Dict[int, Program] = {}
+
+    def __len__(self) -> int:
+        return len(self.choices)
+
+    @property
+    def variants(self) -> List[SubcircuitVariant]:
+        """One handle per row, in row order."""
+        if self._variants is None:
+            self._variants = [
+                SubcircuitVariant(
+                    self.subcircuit_index,
+                    None,
+                    self.num_wires,
+                    self.output_qubit_order,
+                    None,
+                    self.mode,
+                    self.pauli_term,
+                    self,
+                    row,
+                )
+                for row in range(len(self))
+            ]
+        return self._variants
+
+    def _choices(self, row: int) -> List[int]:
+        if self._rows is None:
+            self._rows = self.choices.tolist()
+        return self._rows[row]
+
+    def settings_of(self, row: int) -> VariantSettings:
+        fields: Dict[str, Dict[Any, Any]] = {field: {} for field in _CHOICE_VALUES}
+        for slot, choice in zip(self.skeleton.slots, self._choices(row)):
+            fields[slot.field][slot.key] = _CHOICE_VALUES[slot.field][choice]
+        return VariantSettings.build(**fields)
+
+    def _materialise(self, row: int) -> Circuit:
+        gaps, circuit = self.skeleton.gaps, Circuit(self.skeleton.num_qubits, self.skeleton.name)
+        for op in gaps[0]:
+            circuit.append(op)
+        for slot, choice, gap in zip(self.skeleton.slots, self._choices(row), gaps[1:]):
+            for op in slot.runs[choice] + tuple(gap):
+                circuit.append(op)
+        return circuit
+
+    def operations(self, row: int) -> Tuple[int, bytes]:
+        """``row``'s circuit as :func:`variant_fingerprint` hashes it, joined from
+        text encoded once per gap and slot choice of the table."""
+        if self._text is None:
+            self._text = (
+                [_encoded(gap) for gap in self.skeleton.gaps],
+                [[_encoded(run) for run in slot.runs] for slot in self.skeleton.slots],
+            )
+        gaps, runs = self._text
+        parts = [gaps[0]]
+        for slot, choice in enumerate(self._choices(row)):
+            parts += (runs[slot][choice], gaps[slot + 1])
+        return self.skeleton.num_qubits, b"".join(parts)
+
+    @property
+    def row_class(self) -> np.ndarray:
+        """Each row's skeleton class: bit ``j`` is set when the row measures in
+        the ``j``-th measure-optional slot (a gate-cut side).  Rows of one class
+        share their measurements and run in one batched pass."""
+        if self._row_class is None:
+            classes = np.zeros(len(self), dtype=np.int64)
+            for bit, index in enumerate(self._optional()):
+                measures = np.array([_measures(run) for run in self.skeleton.slots[index].runs])
+                classes |= measures[self.choices[:, index]].astype(np.int64) << bit
+            self._row_class = classes
+        return self._row_class
+
+    def _optional(self) -> List[int]:
+        return [
+            index
+            for index, slot in enumerate(self.skeleton.slots)
+            if len({_measures(run) for run in slot.runs}) > 1
+        ]
+
+    def program(self, row_class: int) -> Program:
+        """The batched-simulation program the rows of ``row_class`` share.
+
+        Each slot becomes aligned layers (its gates before a measurement, the
+        measurement, its gates after), one entry per choice: the identity where
+        a choice has fewer gates, nothing for choices outside the class.  No
+        matrices are fused, so every row applies exactly its own circuit's
+        gates in its own order.
+        """
+        if row_class not in self._programs:
+            measuring = {index: row_class >> bit & 1 for bit, index in enumerate(self._optional())}
+            entries: List[Any] = list(self.skeleton.gaps[0])
+            for index, slot in enumerate(self.skeleton.slots):
+                runs = slot.runs
+                if index in measuring:
+                    runs = tuple(run if _measures(run) == measuring[index] else () for run in runs)
+                entries += _layers(index, runs) + self.skeleton.gaps[index + 1]
+            self._programs[row_class] = compile_program(
+                self.skeleton.num_qubits, entries, self.output_qubit_order
+            )
+        return self._programs[row_class]
+
+    def recorded_outputs(self) -> Set[str]:
+        """Original qubits (as text) every row measures to an ``out:`` tag."""
+        return {
+            op.tag[len("out:") :]
+            for gap in self.skeleton.gaps
+            for op in gap
+            if op.is_measurement and (op.tag or "").startswith("out:")
+        }
+
+
+def _layers(column: int, runs: Sequence[Tuple[Operation, ...]]) -> List[Tuple[Any, ...]]:
+    """A slot's ``(column, op per choice)`` layers, aligned around its measurement."""
+    parts: List[List[Tuple[Operation, ...]]] = [[], [], []]
+    for run in runs:
+        cut = next((i for i, op in enumerate(run) if op.is_measurement), len(run))
+        for part, ops in zip(parts, (run[:cut], run[cut : cut + 1], run[cut + 1 :])):
+            part.append(ops)
+    return [
+        (column, tuple(ops[layer] if layer < len(ops) else None for ops in part))
+        for part in parts
+        for layer in range(max(map(len, part), default=0))
+    ]
 
 
 class VariantBuilder:
-    """Builds every variant circuit for one subcircuit of a cut solution."""
+    """Builds the variant tables (and single variants) of one subcircuit."""
 
     def __init__(self, solution: CutSolution, spec: SubcircuitSpec) -> None:
         self._solution = solution
@@ -124,6 +407,7 @@ class VariantBuilder:
             for element in fragment.elements:
                 self._fragment_of_element[(element.op_index, fragment.qubit)] = fragment
         self._sorted_elements = self._sort_elements()
+        self._skeletons: Dict[Tuple, _Skeleton] = {}
 
     # ------------------------------------------------------------------ accessors
     @property
@@ -131,50 +415,59 @@ class VariantBuilder:
         return self._spec
 
     # ------------------------------------------------------------------ building
+    def table(
+        self,
+        axes: Sequence[Tuple[str, Any]],
+        choices: np.ndarray,
+        mode: str,
+        pauli_term: Optional[PauliString] = None,
+    ) -> VariantTable:
+        """The variant table with one row per row of ``choices``.
+
+        ``axes[j]`` names column ``j`` as a :class:`VariantSettings` ``(field,
+        key)``; its entries index :data:`WIRE_CUT_MEASUREMENT_BASES`,
+        :data:`WIRE_CUT_INIT_LABELS` or the instance number minus one.  Every cut
+        end needs a column.  ``mode`` is ``"probability"`` (all output qubits
+        measured, unsigned) or ``"expectation"`` (output qubits measured in the
+        basis dictated by ``pauli_term``, signed).
+        """
+        if mode not in ("probability", "expectation"):
+            raise CuttingError(f"unknown variant mode {mode!r}")
+        if mode == "expectation" and pauli_term is None:
+            pauli_term = PauliString((), 1.0)
+        skeleton = self._skeleton(mode, pauli_term)
+        column = {axis: j for j, axis in enumerate(axes)}
+        for slot in skeleton.slots:
+            if (slot.field, slot.key) not in column:
+                raise CuttingError(f"no {slot.field} setting for cut end {slot.key!r}")
+        order = [column[(slot.field, slot.key)] for slot in skeleton.slots]
+        spec = self._spec
+        return VariantTable(
+            skeleton,
+            spec.index,
+            max(spec.num_wires, 1),
+            tuple(spec.output_qubits),
+            mode,
+            pauli_term,
+            np.asarray(choices, dtype=np.int8)[:, order],
+        )
+
     def build(
         self,
         settings: VariantSettings,
         mode: str,
         pauli_term: Optional[PauliString] = None,
     ) -> SubcircuitVariant:
-        """Build the concrete circuit for one setting combination.
-
-        ``mode`` is ``"probability"`` (all output qubits measured, unsigned) or
-        ``"expectation"`` (output qubits measured in the basis dictated by
-        ``pauli_term``, signed).
-        """
-        if mode not in ("probability", "expectation"):
-            raise CuttingError(f"unknown variant mode {mode!r}")
-        if mode == "expectation" and pauli_term is None:
-            pauli_term = PauliString((), 1.0)
-
-        spec = self._spec
-        circuit = Circuit(max(spec.num_wires, 1), f"sub{spec.index}")
-        wire_started: Dict[int, bool] = {}
-        entered_fragments: set = set()
-
-        for fragment, element in self._sorted_elements:
-            wire = spec.wire_of_fragment[fragment.index]
-            self._ensure_entered(
-                circuit, fragment, wire_started, entered_fragments, settings
-            )
-            self._emit_element(
-                circuit, fragment, element, settings, wire_started, entered_fragments
-            )
-            if fragment.elements[-1] is element:
-                self._emit_fragment_exit(
-                    circuit, fragment, wire, settings, mode, pauli_term
-                )
-
-        return SubcircuitVariant(
-            subcircuit_index=spec.index,
-            circuit=circuit,
-            num_wires=max(spec.num_wires, 1),
-            output_qubit_order=tuple(spec.output_qubits),
-            settings=settings,
-            mode=mode,
-            pauli_term=pauli_term,
-        )
+        """The variant for one setting combination: a one-row table's row."""
+        axes: List[Tuple[str, Any]] = []
+        row: List[int] = []
+        for field, values in _CHOICE_VALUES.items():
+            for key, value in getattr(settings, field):
+                if value not in values:
+                    raise CuttingError(f"unknown {field} value {value!r} for {key!r}")
+                axes.append((field, key))
+                row.append(values.index(value))
+        return self.table(axes, np.array([row]), mode, pauli_term).variants[0]
 
     # ------------------------------------------------------------------ internals
     def _sort_elements(self) -> List[Tuple[Fragment, object]]:
@@ -198,43 +491,48 @@ class VariantBuilder:
     def _local_wire(self, fragment: Fragment) -> int:
         return self._spec.wire_of_fragment[fragment.index]
 
+    def _skeleton(self, mode: str, pauli_term: Optional[PauliString]) -> _Skeleton:
+        """The (memoised) emission walk of this subcircuit for ``(mode, term)``."""
+        key = (mode, pauli_term.paulis if pauli_term is not None else None)
+        skeleton = self._skeletons.get(key)
+        if skeleton is not None:
+            return skeleton
+        walk = _Skeleton(max(self._spec.num_wires, 1), f"sub{self._spec.index}")
+        wire_started: Dict[int, bool] = {}
+        entered_fragments: set = set()
+        for fragment, element in self._sorted_elements:
+            self._ensure_entered(walk, fragment, wire_started, entered_fragments)
+            self._emit_element(walk, fragment, element, wire_started, entered_fragments)
+            if fragment.elements[-1] is element:
+                self._emit_fragment_exit(walk, fragment, mode, pauli_term)
+        self._skeletons[key] = walk
+        return walk
+
     def _ensure_entered(
         self,
-        circuit: Circuit,
+        walk: _Skeleton,
         fragment: Fragment,
         wire_started: Dict[int, bool],
         entered_fragments: set,
-        settings: VariantSettings,
     ) -> None:
-        """Emit the fragment's wire preparation (reset + cut initialisation) once."""
+        """Emit the fragment's wire preparation (reset + cut initialisation slot) once."""
         if fragment.index in entered_fragments:
             return
         entered_fragments.add(fragment.index)
         wire = self._local_wire(fragment)
         if wire_started.get(wire):
-            circuit.reset(wire, tag=f"reuse:{fragment.qubit}")
+            walk.gaps[-1].append(reset(wire, tag=f"reuse:{fragment.qubit}"))
         wire_started[wire] = True
         if fragment.entry_cut is None:
             return
-        label = settings.label_for(fragment.entry_cut)
-        if label == "zero":
-            return
-        if label == "one":
-            circuit.x(wire)
-        elif label == "plus":
-            circuit.h(wire)
-        elif label == "plus_i":
-            circuit.h(wire)
-            circuit.s(wire)
-        else:
-            raise CuttingError(f"unknown initialisation label {label!r}")
+        h, x, s = (_gate(name, [wire]) for name in ("h", "x", "s"))
+        walk.slot("init_labels", fragment.entry_cut.identifier(), ((), (x,), (h,), (h, s)))
 
     def _emit_element(
         self,
-        circuit: Circuit,
+        walk: _Skeleton,
         fragment: Fragment,
         element: Any,
-        settings: VariantSettings,
         wire_started: Dict[int, bool],
         entered_fragments: set,
     ) -> None:
@@ -251,67 +549,66 @@ class VariantBuilder:
                 bottom_fragment = self._fragment_of_element[
                     (element.op_index, operation.qubits[1])
                 ]
-                self._ensure_entered(
-                    circuit, bottom_fragment, wire_started, entered_fragments, settings
-                )
-                circuit.add(
-                    operation.name,
-                    [self._local_wire(top_fragment), self._local_wire(bottom_fragment)],
-                    operation.params,
+                self._ensure_entered(walk, bottom_fragment, wire_started, entered_fragments)
+                walk.gaps[-1].append(
+                    _gate(
+                        operation.name,
+                        [self._local_wire(top_fragment), self._local_wire(bottom_fragment)],
+                        operation.params,
+                    )
                 )
             else:
-                circuit.add(operation.name, [self._local_wire(fragment)], operation.params)
+                walk.gaps[-1].append(
+                    _gate(operation.name, [self._local_wire(fragment)], operation.params)
+                )
             return
 
-        # Gate-cut endpoint: emit this side's share of the chosen instance.
+        # Gate-cut endpoint: one slot choosing this side's share of the instance.
         decomposition = self._decompositions[element.op_index]
-        instance = decomposition.instances[settings.instance_for(element.op_index) - 1]
-        pre, measure, post = decomposition.side_operations(element.role, instance)
         wire = self._local_wire(fragment)
-        for name, params in pre:
-            circuit.add(name, [wire], params)
-        if measure:
-            circuit.measure(wire, tag=f"signed:gate:{element.op_index}:{element.role}")
-        for name, params in post:
-            circuit.add(name, [wire], params)
+        runs = []
+        for instance in decomposition.instances:
+            pre, measure, post = decomposition.side_operations(element.role, instance)
+            run = [_gate(name, [wire], params) for name, params in pre]
+            if measure:
+                run.append(measure_op(wire, f"signed:gate:{element.op_index}:{element.role}"))
+            run.extend(_gate(name, [wire], params) for name, params in post)
+            runs.append(tuple(run))
+        walk.slot("gate_instances", element.op_index, tuple(runs))
 
     def _emit_fragment_exit(
         self,
-        circuit: Circuit,
+        walk: _Skeleton,
         fragment: Fragment,
-        wire: int,
-        settings: VariantSettings,
         mode: str,
         pauli_term: Optional[PauliString],
     ) -> None:
+        wire = self._local_wire(fragment)
         if fragment.exit_cut is not None:
-            basis = settings.basis_for(fragment.exit_cut)
             identifier = fragment.exit_cut.identifier()
-            if basis == "I":
-                circuit.measure(wire, tag=f"cut:{identifier}")
-            elif basis == "Z":
-                circuit.measure(wire, tag=f"signed:cut:{identifier}")
-            elif basis == "X":
-                circuit.h(wire)
-                circuit.measure(wire, tag=f"signed:cut:{identifier}")
-            elif basis == "Y":
-                circuit.sdg(wire)
-                circuit.h(wire)
-                circuit.measure(wire, tag=f"signed:cut:{identifier}")
-            else:
-                raise CuttingError(f"unknown measurement basis {basis!r}")
+            h, sdg = _gate("h", [wire]), _gate("sdg", [wire])
+            signed = measure_op(wire, f"signed:cut:{identifier}")
+            walk.slot(
+                "measurement_bases",
+                identifier,
+                (
+                    (measure_op(wire, f"cut:{identifier}"),),
+                    (h, signed),
+                    (sdg, h, signed),
+                    (signed,),
+                ),
+            )
             return
 
         # Fragment ends at the original circuit output.
         if mode == "probability":
-            circuit.measure(wire, tag=f"out:{fragment.qubit}")
+            walk.gaps[-1].append(measure_op(wire, f"out:{fragment.qubit}"))
             return
         label = pauli_term.label_for(fragment.qubit) if pauli_term else "I"
         if label == "I":
             return
         if label == "X":
-            circuit.h(wire)
+            walk.gaps[-1].append(_gate("h", [wire]))
         elif label == "Y":
-            circuit.sdg(wire)
-            circuit.h(wire)
-        circuit.measure(wire, tag=f"signed:out:{fragment.qubit}")
+            walk.gaps[-1].extend((_gate("sdg", [wire]), _gate("h", [wire])))
+        walk.gaps[-1].append(measure_op(wire, f"signed:out:{fragment.qubit}"))

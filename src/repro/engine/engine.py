@@ -343,7 +343,7 @@ class ParallelEngine:
         the shots that plan draws for it.
         """
         if self._farm is None:
-            pending = self._grouped(executor, pending)
+            pending = self._grouped(pending)
             tasks = [(executor, chunk) for chunk in self._chunked(pending)]
             return self._run_tasks(tasks, shots)
         before = self._farm.snapshot()
@@ -354,7 +354,7 @@ class ParallelEngine:
             if not lane:
                 continue
             lane_executor = self._farm.executor_for(spec, default=executor)
-            lane = self._grouped(lane_executor, lane)
+            lane = self._grouped(lane)
             for chunk in self._chunked_lane(lane, spec):
                 tasks.append((lane_executor, chunk))
         try:
@@ -367,35 +367,24 @@ class ParallelEngine:
             self._farm.restore(before)
             raise
 
-    def _grouped(
-        self, executor: Any, pending: Sequence[PendingRequest]
-    ) -> Sequence[PendingRequest]:
-        """Reorder pending requests so same-structure requests sit together.
+    @staticmethod
+    def _grouped(pending: Sequence[PendingRequest]) -> Sequence[PendingRequest]:
+        """Reorder pending requests so rows of one variant table sit together.
 
-        Batch-capable executors expose ``group_key`` (a stable structure hash of
-        the variant circuit, keyed off the same parsed skeleton their
-        ``run_many`` groups by); sorting the batch by first-seen group before
-        chunking keeps each worker chunk dominated by one structure, so the
-        vectorized fast path survives parallel dispatch.  Ordering is
-        deterministic (first-seen group order, stable within a group) and — as
-        for any reordering — results are unaffected: every request is evaluated
-        independently and collected by fingerprint.  Executors without
-        ``group_key`` (scalar, sampling, noisy, duck-typed device backends) see
-        their batch untouched.
+        Chunking then hands each worker contiguous rows of few tables, so
+        batch-capable executors keep their per-table passes and a chunk's
+        pickle carries each of its tables once.  Tables come in first-seen
+        order and requests keep their order within a table; variants without
+        a table (hand-built or foreign payloads) form one group of their own.
+        As for any reordering, results are unaffected: every request is
+        evaluated independently and collected by fingerprint.
         """
-        group_key = getattr(executor, "group_key", None)
-        if group_key is None or len(pending) < 2:
-            return pending
-        first_seen: Dict[object, int] = {}
-        ranks: List[int] = []
-        try:
-            for _, variant, _ in pending:
-                key = group_key(variant)
-                ranks.append(first_seen.setdefault(key, len(first_seen)))
-        except Exception:
-            # Grouping is a performance hint only: a request the executor
-            # cannot parse (duck-typed variants in tests, foreign payloads)
-            # must not break dispatch.
+        first_seen: Dict[int, int] = {}
+        ranks = [
+            first_seen.setdefault(id(getattr(variant, "table", None)), len(first_seen))
+            for _, variant, _ in pending
+        ]
+        if len(first_seen) < 2:
             return pending
         order = sorted(range(len(pending)), key=lambda index: (ranks[index], index))
         return [pending[index] for index in order]
@@ -549,9 +538,12 @@ class ParallelEngine:
 
     def _teardown_pool(self, broken: bool = False) -> None:
         if self._pool is not None:
-            # Never join a possibly-broken pool (wait=True can deadlock on a
-            # half-shut management thread); cancel queued work and move on.
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            # A healthy pool is joined, so its workers and management thread
+            # are gone before the interpreter's exit hook runs (which would
+            # otherwise write to an already closed wakeup pipe).  A broken pool
+            # is never joined (wait=True can deadlock on a half-shut
+            # management thread): cancel queued work and move on.
+            self._pool.shutdown(wait=not broken, cancel_futures=True)
             self._pool = None
         self._pool_broken = broken
 

@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "VariantResult",
+    "operation_field",
     "variant_fingerprint",
     "request_key",
     "seed_from_fingerprint",
@@ -51,34 +52,39 @@ class VariantResult:
             self.distribution.flags.writeable = False
 
 
-def variant_fingerprint(variant: Any) -> str:
+def operation_field(op: Any) -> bytes:
+    """One operation's encoded fingerprint field: name, operands, parameters, tag."""
+    return f"{op.name}|{tuple(op.qubits)!r}|{tuple(op.params)!r}|{op.tag!r}\x1f".encode("utf-8")
+
+
+def variant_fingerprint(variant: Any, operations: Optional[Tuple[int, bytes]] = None) -> str:
     """Stable content hash identifying a variant request.
 
     ``variant`` is duck-typed (any object with ``circuit``, ``num_wires``,
     ``output_qubit_order``, ``settings``, ``mode``, ``pauli_term`` and
     ``subcircuit_index`` attributes); the canonical implementation is
-    :class:`repro.cutting.variants.SubcircuitVariant`.  The Pauli-term
-    *coefficient* is deliberately excluded: it scales the contraction, not the
-    circuit, so terms that differ only by weight share one execution.
+    :class:`repro.cutting.variants.SubcircuitVariant`.  ``operations`` is
+    ``(qubit count, joined operation fields)`` of the circuit; it defaults to
+    ``variant.circuit``'s, and variant-table rows pass it pre-encoded instead
+    of building their circuit.  The Pauli-term *coefficient* is deliberately
+    excluded: it scales the contraction, not the circuit, so terms that differ
+    only by weight share one execution.
     """
-    hasher = hashlib.sha1()
-
-    def feed(text: str) -> None:
-        hasher.update(text.encode("utf-8"))
-        hasher.update(b"\x1f")
-
-    feed(f"sub:{variant.subcircuit_index}")
-    feed(f"wires:{variant.num_wires}")
-    feed(f"mode:{variant.mode}")
-    feed(f"out:{tuple(variant.output_qubit_order)!r}")
-    feed(f"settings:{variant.settings!r}")
+    if operations is None:
+        circuit = variant.circuit
+        operations = circuit.num_qubits, b"".join(map(operation_field, circuit))
     term = getattr(variant, "pauli_term", None)
-    feed(f"term:{tuple(term.paulis)!r}" if term is not None else "term:None")
-    circuit = variant.circuit
-    feed(f"nq:{circuit.num_qubits}")
-    for op in circuit:
-        feed(f"{op.name}|{tuple(op.qubits)!r}|{tuple(op.params)!r}|{op.tag!r}")
-    return hasher.hexdigest()
+    fields = (
+        f"sub:{variant.subcircuit_index}",
+        f"wires:{variant.num_wires}",
+        f"mode:{variant.mode}",
+        f"out:{tuple(variant.output_qubit_order)!r}",
+        f"settings:{variant.settings!r}",
+        f"term:{tuple(term.paulis)!r}" if term is not None else "term:None",
+        f"nq:{operations[0]}",
+    )
+    head = "".join(field + "\x1f" for field in fields).encode("utf-8")
+    return hashlib.sha1(head + operations[1]).hexdigest()
 
 
 def request_key(variant: Any) -> str:

@@ -1,6 +1,6 @@
 """Simulation backends: exact statevector, batched vectorized, dynamic, shots, noise."""
 
-from .batched import branch_bound, simulate_variant_group, variant_group_key
+from .batched import branch_bound, simulate_variant_group
 from .dynamic import Branch, BranchedResult, BranchingSimulator, simulate_dynamic
 from .expectation import (
     basis_rotation_circuit,
@@ -38,7 +38,6 @@ __all__ = [
     "apply_gate_batch",
     "branch_bound",
     "simulate_variant_group",
-    "variant_group_key",
     "basis_rotation_circuit",
     "counts_to_distribution",
     "diagonalized_term",

@@ -1,4 +1,4 @@
-"""Batched vectorized simulation of structurally aligned circuit variants.
+"""Batched vectorized simulation of variant-table rows.
 
 QRCC's hot loop executes the ``4^(wire cuts) x 6^(gate cuts)`` subcircuit
 variants of each fragment.  Variants of one fragment share their two-qubit
@@ -6,19 +6,21 @@ gates and their measurement/reset skeleton; they differ only in *single-qubit*
 gates — wire-cut initialisation labels, measurement-basis rotations, gate-cut
 instance actions and observable-term rotations.  Instead of walking every
 variant through the scalar branching simulator one gate application at a time,
-this module stacks a whole group into a single ``(batch, 2**n)`` complex array
-and applies each gate to all batch rows at once.
+this module stacks the rows of one table into a single ``(batch, 2**n)``
+complex array and applies each gate to all batch rows at once.
 
-**Alignment model.**  A circuit is parsed into *anchors* (two-qubit gates,
-measurements, resets — :func:`variant_group_key` hashes this skeleton) and the
-single-qubit *segments* between them.  Circuits group together exactly when
-their anchor skeletons are equal.  Within a segment, each variant's 1q gates
-form per-wire runs; the runs of all variants are merged into a common
-supersequence of *slots* and padded with identity gates, so every variant's own
-gates are applied in its own program order while the whole batch advances
-through one shared slot program.  Slots where every variant applies the same
-matrix run as a single shared gate; diverging slots run with a per-row
-``(batch, 2, 2)`` matrix stack.
+**Programs.**  A pass walks one :class:`Program`: the shared two-qubit gates,
+single-qubit gates, measurements and resets of a variant table's skeleton
+class, plus *slot layers* where rows differ.  A slot layer holds one
+``(choices, 2, 2)`` matrix stack, or per-choice sign flags and ``out:``
+positions for a measurement; each row gathers its entry by its choice index in
+that slot (:meth:`repro.cutting.variants.VariantTable.program` builds these
+once per table).  A slot whose choices have fewer gates than its deepest
+choice applies the identity in the missing layers, so every row applies its
+own circuit's gates, in its own program order, one matrix at a time (never
+fused).  Rows of one table share a pass exactly when their skeleton class
+agrees: the same gate-cut sides measure.  A variant backed by an explicit
+circuit compiles into a program without slots and runs as a pass of one.
 
 **Bitwise contract.**  Row ``b`` of a batched run is bit-identical to running
 variant ``b`` alone through :class:`~repro.simulator.dynamic.BranchingSimulator`:
@@ -52,7 +54,7 @@ from typing import Any, Dict, List, Literal, Optional, Sequence, Tuple, Union, o
 
 import numpy as np
 
-from ..circuits import Circuit
+from ..circuits import Circuit, Operation
 from ..circuits.gates import SINGLE_QUBIT_GATES
 from ..exceptions import SimulationError
 from .dynamic import _DEFAULT_PRUNE_THRESHOLD, _FLIP, SIGNED_MEASUREMENT_PREFIX
@@ -60,8 +62,10 @@ from .statevector import _apply_matrix, _validate_gate, _validate_size
 
 __all__ = [
     "BranchRows",
+    "Program",
+    "compile_program",
     "simulate_variant_group",
-    "variant_group_key",
+    "pass_batches",
     "branch_bound",
 ]
 
@@ -72,10 +76,9 @@ _IDENTITY_2 = np.eye(2, dtype=complex)
 _OUTPUT_TAG_PREFIX = "out:"
 
 #: Memoised gate matrices keyed by (name, params).  Parameterised gates rebuild
-#: their matrix on every Operation.matrix() call; variants of one fragment
-#: repeat the same few gates hundreds of times, so interning them here both
-#: removes that cost and lets slot alignment detect shared gates by object
-#: identity.  Entries are never mutated (the kernels only read coefficients).
+#: their matrix on every Operation.matrix() call; the tables of one cut repeat
+#: the same few gates in every program, so interning them removes that cost.
+#: Entries are never mutated (the kernels only read coefficients).
 _MATRIX_CACHE: Dict[Tuple, np.ndarray] = {}  # qrcclint: disable=mutable-default-arg -- deliberate process-local memo: keyed deterministically, entries immutable once stored, bounded by _MATRIX_CACHE_LIMIT
 _MATRIX_CACHE_LIMIT = 4096
 
@@ -91,96 +94,79 @@ def _gate_matrix(op: Any) -> np.ndarray:
     return matrix
 
 
-# --------------------------------------------------------------------------- parsing
-@dataclass
-class _ParsedCircuit:
-    """One circuit split into its anchor skeleton and 1q segments.
+# --------------------------------------------------------------------------- programs
+@dataclass(frozen=True)
+class Program:
+    """The steps every row of one batched pass walks.
 
-    ``anchors`` is the hashable token sequence (two-qubit gates with name,
-    operands and parameters; measurements and resets with their qubit);
-    ``segments`` has one entry per gap around the anchors, each a list of
-    per-wire runs ``(qubit, [matrix, ...])`` in program order; ``measure_tags``
-    carries each measure anchor's tag (None elsewhere) so callers can recover
-    signedness and output positions per variant.
+    ``("g", qubit, matrix)`` is a shared single-qubit gate, ``("u", qubits,
+    matrix)`` a shared multi-qubit gate and ``("r", qubit)`` a reset.  ``("v",
+    qubit, column, stack)`` applies to each row the ``(2, 2)`` entry of
+    ``stack`` its choice in slot ``column`` selects.  ``("m", qubit, column,
+    signed, out)`` measures: ``signed`` flips the sign on outcome 1 and ``out``
+    (>= 0) records the outcome at that output position, both scalars when
+    ``column`` is ``None`` and per-choice arrays otherwise.  ``branch_points``
+    counts measurements and resets.
     """
 
     num_qubits: int
-    anchors: Tuple[Tuple, ...]
-    segments: List[List[Tuple[int, List[np.ndarray]]]]
-    anchor_matrices: List[Optional[np.ndarray]]
-    measure_tags: List[Optional[str]]
+    steps: Tuple[Tuple, ...]
+    branch_points: int
 
 
-def _parse_circuit(circuit: Circuit) -> _ParsedCircuit:
-    """Split ``circuit`` into anchors and aligned 1q segments (matrices hoisted).
-
-    The result is memoised on the circuit object (variant circuits are immutable
-    once built, like their fingerprints): one batch walks each circuit through
-    engine grouping, executor grouping and the group simulation, and only the
-    first caller pays the parse.  An operation-count guard invalidates the
-    cache if a caller does mutate the circuit afterwards.
-    """
-    cached = getattr(circuit, "_parsed_structure", None)
-    if cached is not None and cached[0] == len(circuit):
-        return cached[1]
-    parsed = _parse_circuit_uncached(circuit)
+def _measure_flags(op: Optional[Operation], order: Dict[int, int]) -> Tuple[bool, int]:
+    """``(signed, out position)`` of a measurement from its tag (``None``: neither)."""
+    tag = (op.tag if op is not None else None) or ""
+    if tag.startswith(SIGNED_MEASUREMENT_PREFIX):
+        return True, -1
+    if not tag.startswith(_OUTPUT_TAG_PREFIX):
+        return False, -1
     try:
-        circuit._parsed_structure = (len(circuit), parsed)
-    except AttributeError:  # pragma: no cover - slotted/frozen circuit stand-ins
-        pass
-    return parsed
+        return False, order.get(int(tag[len(_OUTPUT_TAG_PREFIX) :]), -1)
+    except ValueError:
+        return False, -1
 
 
-def _parse_circuit_uncached(circuit: Circuit) -> _ParsedCircuit:
-    num_qubits = circuit.num_qubits
-    _validate_size(num_qubits)
-    anchors: List[Tuple] = []
-    segments: List[List[Tuple[int, List[np.ndarray]]]] = []
-    anchor_matrices: List[Optional[np.ndarray]] = []
-    measure_tags: List[Optional[str]] = []
-    segment: List[Tuple[int, List[np.ndarray]]] = []
-    for op in circuit:
-        if op.name in SINGLE_QUBIT_GATES:
-            qubit = op.qubits[0]
-            matrix = _gate_matrix(op)
-            if segment and segment[-1][0] == qubit:
-                segment[-1][1].append(matrix)
-            else:
-                segment.append((qubit, [matrix]))
-            continue
-        if op.is_unitary:
-            anchors.append(("u2", op.name, op.qubits, op.params))
-            matrix = _gate_matrix(op)
-            _validate_gate(matrix, op.qubits, num_qubits)
-            anchor_matrices.append(matrix)
-            measure_tags.append(None)
-        elif op.is_measurement:
-            anchors.append(("m", op.qubits[0]))
-            anchor_matrices.append(None)
-            measure_tags.append(op.tag)
-        elif op.is_reset:
-            anchors.append(("r", op.qubits[0]))
-            anchor_matrices.append(None)
-            measure_tags.append(None)
-        else:  # pragma: no cover - defensive, Operation validates names
-            raise SimulationError(f"unsupported operation {op.name!r}")
-        segments.append(segment)
-        segment = []
-    segments.append(segment)
-    return _ParsedCircuit(num_qubits, tuple(anchors), segments, anchor_matrices, measure_tags)
+def compile_program(
+    num_qubits: int, entries: Sequence[Any], output_qubit_order: Sequence[int] = ()
+) -> Program:
+    """Compile operations and slot layers into a :class:`Program`.
 
-
-def variant_group_key(circuit: Circuit) -> Tuple:
-    """Hashable structure key: circuits with equal keys can share a batched pass.
-
-    The key covers the qubit count and the anchor skeleton (two-qubit gates with
-    their operands and parameters, measurement and reset positions).  It ignores
-    the single-qubit gates between anchors — exactly the part that varies across
-    a fragment's cut-setting variants — and the measurement tags, whose
-    signedness and output bookkeeping are handled per batch row.
+    An entry is an :class:`~repro.circuits.Operation` every row applies, or a
+    slot layer ``(column, ops)`` whose ``ops[c]`` rows with choice ``c`` apply:
+    single-qubit gates (``None`` is the identity) or measurements (``None`` for
+    choices that never reach it), all on one qubit.  Matrices are hoisted and
+    measurement tags read once, against ``output_qubit_order``.
     """
-    parsed = _parse_circuit(circuit)
-    return (parsed.num_qubits, parsed.anchors)
+    _validate_size(num_qubits)
+    order = {qubit: position for position, qubit in enumerate(output_qubit_order)}
+    steps: List[Tuple] = []
+    for entry in entries:
+        if isinstance(entry, tuple):
+            column, ops = entry
+            live = [op for op in ops if op is not None]
+            kinds = {(op.qubits, op.is_measurement) for op in live}
+            if len(kinds) != 1 or len(live[0].qubits) != 1:
+                raise SimulationError("a slot layer needs one qubit and one kind of operation")
+            qubit = live[0].qubits[0]
+            if live[0].is_measurement:
+                signed, out = zip(*(_measure_flags(op, order) for op in ops))
+                steps.append(("m", qubit, column, np.array(signed), np.array(out)))
+            else:
+                matrices = [_IDENTITY_2 if op is None else _gate_matrix(op) for op in ops]
+                steps.append(("v", qubit, column, np.stack(matrices).astype(complex)))
+        elif entry.name in SINGLE_QUBIT_GATES:
+            steps.append(("g", entry.qubits[0], _gate_matrix(entry)))
+        elif entry.is_unitary:
+            matrix = _gate_matrix(entry)
+            _validate_gate(matrix, entry.qubits, num_qubits)
+            steps.append(("u", entry.qubits, matrix))
+        elif entry.is_measurement:
+            steps.append(("m", entry.qubits[0], None, *_measure_flags(entry, order)))
+        else:
+            steps.append(("r", entry.qubits[0]))
+    points = sum(1 for step in steps if step[0] in ("m", "r"))
+    return Program(num_qubits, tuple(steps), points)
 
 
 def branch_bound(circuit: Circuit) -> int:
@@ -194,68 +180,71 @@ def branch_bound(circuit: Circuit) -> int:
     not a hard cap — a group that genuinely fans out past ``2**12`` branches
     uses the same row memory the scalar simulator's branch list would.
     """
-    points = sum(1 for op in circuit if not op.is_unitary)
+    return _bound(sum(1 for op in circuit if not op.is_unitary))
+
+
+def _bound(points: int) -> int:
     return 2 ** min(points, 12)
 
 
-def _merge_supersequence(base: List[int], sequence: List[int]) -> List[int]:
-    """A common supersequence of ``base`` and ``sequence`` (both orders preserved)."""
-    merged: List[int] = []
-    i = 0
-    for item in sequence:
-        while i < len(base) and base[i] != item:
-            merged.append(base[i])
-            i += 1
-        if i < len(base):
-            i += 1
-        merged.append(item)
-    merged.extend(base[i:])
-    return merged
+# --------------------------------------------------------------------------- passes
+def _pass_groups(variants: Sequence) -> List[List[int]]:
+    """Positions of ``variants`` per batched pass, passes in first-seen order.
 
-
-def _segment_steps(
-    segments: Sequence[List[Tuple[int, List[np.ndarray]]]],
-) -> List[Tuple[str, int, np.ndarray]]:
-    """Aligned slot program for one segment across all variants.
-
-    Returns steps ``("g", qubit, (2, 2) matrix)`` for slots where every variant
-    applies the same gate, and ``("gv", qubit, (batch, 2, 2) stack)`` where they
-    diverge (identity-padded).  Each variant's own gates keep their program
-    order: slots form a supersequence of every variant's per-wire run sequence.
+    Rows of one table (``variant.table``) share a pass when their skeleton
+    class (``table.row_class``) agrees; a circuit-backed variant runs alone.
     """
-    slots: List[int] = []
-    for runs in segments:
-        slots = _merge_supersequence(slots, [qubit for qubit, _ in runs])
-    assigned: List[List[Optional[List[np.ndarray]]]] = []
-    for runs in segments:
-        row: List[Optional[List[np.ndarray]]] = [None] * len(slots)
-        position = 0
-        for qubit, matrices in runs:
-            while slots[position] != qubit:
-                position += 1
-            row[position] = matrices
-            position += 1
-        assigned.append(row)
-    steps: List[Tuple[str, int, np.ndarray]] = []
-    for slot, qubit in enumerate(slots):
-        depth = max(len(row[slot]) if row[slot] else 0 for row in assigned)
-        for layer in range(depth):
-            matrices = [
-                row[slot][layer] if row[slot] and layer < len(row[slot]) else None
-                for row in assigned
-            ]
-            first = next(m for m in matrices if m is not None)
-            if all(
-                m is not None and (m is first or np.array_equal(m, first))
-                for m in matrices
-            ):
-                steps.append(("g", qubit, first))
-            else:
-                stack = np.stack(
-                    [_IDENTITY_2 if m is None else m for m in matrices]
-                ).astype(complex)
-                steps.append(("gv", qubit, stack))
-    return steps
+    passes: List[List[int]] = []
+    owners: Dict[int, Tuple[Any, List[int]]] = {}
+    for position, variant in enumerate(variants):
+        table = getattr(variant, "table", None)
+        if table is None:
+            passes.append([position])
+        else:
+            owners.setdefault(id(table), (table, []))[1].append(position)
+    for table, positions in owners.values():
+        rows = np.array([variants[position].row for position in positions], dtype=np.int64)
+        classes = table.row_class[rows]
+        members = np.asarray(positions)
+        for row_class in dict.fromkeys(classes.tolist()):
+            passes.append(members[classes == row_class].tolist())
+    passes.sort(key=lambda positions: positions[0])
+    return passes
+
+
+def _pass_program(variants: Sequence, positions: Sequence[int]) -> Tuple[Program, np.ndarray]:
+    """The program of one pass and its rows' choice matrix."""
+    first = variants[positions[0]]
+    table = getattr(first, "table", None)
+    if table is None:
+        circuit = first.circuit
+        program = compile_program(
+            circuit.num_qubits, list(circuit), getattr(first, "output_qubit_order", ())
+        )
+        return program, np.zeros((1, 0), dtype=np.int8)
+    rows = np.array([variants[position].row for position in positions], dtype=np.int64)
+    return table.program(int(table.row_class[first.row])), table.choices[rows]
+
+
+def pass_batches(variants: Sequence, max_batch_elements: int) -> List[List[int]]:
+    """Positions of ``variants`` split into batched-pass sized sub-batches.
+
+    Rows of one table's skeleton class share a pass (passes in first-seen
+    order, rows in their order), each cut so that ``batch * 2**n`` times the
+    pass's :func:`branch_bound` stays under ``max_batch_elements``; a
+    circuit-backed variant is a pass of its own.  A ragged final sub-batch,
+    even a single row, runs through the same batched pass and stays
+    bit-identical.
+    """
+    batches: List[List[int]] = []
+    for positions in _pass_groups(variants):
+        program, _ = _pass_program(variants, positions[:1])
+        per_row = (2**program.num_qubits) * _bound(program.branch_points)
+        limit = max(1, max_batch_elements // per_row)
+        batches.extend(
+            positions[start : start + limit] for start in range(0, len(positions), limit)
+        )
+    return batches
 
 
 # --------------------------------------------------------------------------- group runner
@@ -304,13 +293,15 @@ def simulate_variant_group(
     *,
     rows: bool = False,
 ) -> Union[List[Tuple[float, Optional[np.ndarray]]], BranchRows]:
-    """Run a group of same-structure subcircuit variants in one batched pass.
+    """Run subcircuit variants in batched passes, one pass per table skeleton class.
 
-    ``variants`` are duck-typed (``circuit``, ``mode``, ``output_qubit_order``
-    attributes — canonically :class:`repro.cutting.variants.SubcircuitVariant`)
-    and must share a :func:`variant_group_key`.  Returns, per variant and in
-    order, ``(value, distribution)``: the sign-weighted expectation of the
-    recorded measurement signs and, for ``"probability"``-mode variants, the
+    ``variants`` are duck-typed (``mode``, ``output_qubit_order`` and either
+    ``table``/``row`` or ``circuit`` attributes — canonically
+    :class:`repro.cutting.variants.SubcircuitVariant`).  Rows of one table
+    whose skeleton class agrees share a pass; a circuit-backed variant is
+    compiled on its own and runs alone.  Returns, per variant and in order,
+    ``(value, distribution)``: the sign-weighted expectation of the recorded
+    measurement signs and, for ``"probability"``-mode variants, the
     sign-weighted quasi-distribution over the variant's output qubits
     (``None`` otherwise) — bit-identical to what the scalar
     :class:`~repro.simulator.dynamic.BranchingSimulator` pipeline produces for
@@ -322,86 +313,80 @@ def simulate_variant_group(
             return []
         none = np.zeros(0, dtype=np.int64)
         return BranchRows(np.zeros(0), none, none, none, np.zeros(1, dtype=np.int64))
-    branch_rows = _group_rows(variants, prune_threshold)
+    passes = [
+        (positions, _program_rows(*_pass_program(variants, positions), prune_threshold))
+        for positions in _pass_groups(variants)
+    ]
+    branch_rows = passes[0][1] if len(passes) == 1 else _merge(passes, len(variants))
     return branch_rows if rows else _extract(branch_rows, variants)
 
 
-def _group_rows(variants: Sequence, prune_threshold: float) -> BranchRows:
-    """The row pass of :func:`simulate_variant_group`: evolve and branch every row."""
-    parsed = [_parse_circuit(variant.circuit) for variant in variants]
-    reference = parsed[0]
-    for item in parsed[1:]:
-        if (item.num_qubits, item.anchors) != (reference.num_qubits, reference.anchors):
-            raise SimulationError(
-                "simulate_variant_group requires variants sharing a "
-                "variant_group_key; group requests before batching"
-            )
-    num_qubits = reference.num_qubits
+def _merge(passes: Sequence[Tuple[List[int], BranchRows]], count: int) -> BranchRows:
+    """Several passes' rows as one :class:`BranchRows` in the variants' order."""
+    variant_of = np.concatenate(
+        [np.asarray(positions, dtype=np.int64)[part.variant_of] for positions, part in passes]
+    )
+    # Each variant's rows are contiguous and ordered within its own pass, so a
+    # stable sort by position keeps every variant's scalar branch order.
+    order = np.argsort(variant_of, kind="stable")
+    variant_of = variant_of[order]
+    prob, sign, out_index = (
+        np.concatenate([getattr(part, name) for _, part in passes])[order]
+        for name in ("prob", "sign", "out_index")
+    )
+    bounds = np.searchsorted(variant_of, np.arange(count + 1))
+    return BranchRows(prob, sign, variant_of, out_index, bounds)
+
+
+def _program_rows(program: Program, choices: np.ndarray, prune_threshold: float) -> BranchRows:
+    """One pass: evolve every row through ``program`` and branch it.
+
+    ``choices`` holds each row's choice per slot column; slot steps gather
+    their per-choice matrices, sign flags and output positions by it.
+    """
+    num_qubits = program.num_qubits
     dim = 2**num_qubits
-    batch = len(variants)
+    batch = choices.shape[0]
 
-    # Per-(anchor, variant) measurement bookkeeping: sign flips and output bits.
-    num_anchors = len(reference.anchors)
-    signed_flags = np.zeros((num_anchors, batch), dtype=bool)
-    out_positions = np.full((num_anchors, batch), -1, dtype=np.int64)
-    for column, (variant, item) in enumerate(zip(variants, parsed)):
-        order = {
-            qubit: position
-            for position, qubit in enumerate(getattr(variant, "output_qubit_order", ()))
-        }
-        for anchor, tag in enumerate(item.measure_tags):
-            if tag is None:
-                continue
-            if tag.startswith(SIGNED_MEASUREMENT_PREFIX):
-                signed_flags[anchor, column] = True
-            elif tag.startswith(_OUTPUT_TAG_PREFIX):
-                try:
-                    original = int(tag[len(_OUTPUT_TAG_PREFIX) :])
-                except ValueError:
-                    continue
-                out_positions[anchor, column] = order.get(original, -1)
-
-    # Row state: the living branches of every variant, interleaved in scalar
-    # enumeration order (variants stay contiguous and ordered throughout).
+    # Row state: the living branches of every row, interleaved in scalar
+    # enumeration order (rows stay contiguous and ordered throughout).
     states = np.zeros((batch, dim), dtype=complex)
     states[:, 0] = 1.0
     prob = np.ones(batch, dtype=np.float64)
     sign = np.ones(batch, dtype=np.int64)
     variant_of = np.arange(batch, dtype=np.int64)
     out_index = np.zeros(batch, dtype=np.int64)
-
-    for anchor in range(num_anchors + 1):
-        steps = _segment_steps([item.segments[anchor] for item in parsed])
-        for kind, qubit, matrix in steps:
-            if kind == "gv":
-                matrix = matrix[variant_of]
-            states = _apply_matrix(states, matrix, (qubit,), num_qubits)
-        if anchor == num_anchors:
-            break
-        token = reference.anchors[anchor]
-        if token[0] == "u2":
-            states = _apply_matrix(
-                states, reference.anchor_matrices[anchor], token[2], num_qubits
+    for kind, qubit, *data in program.steps:
+        if kind == "g":
+            states = _apply_matrix(states, data[0], (qubit,), num_qubits)
+        elif kind == "u":
+            states = _apply_matrix(states, data[0], qubit, num_qubits)
+        elif kind == "v":
+            column, stack = data
+            states = _apply_matrix(states, stack[choices[variant_of, column]], (qubit,), num_qubits)
+        else:
+            signed, out = np.zeros(batch, dtype=bool), np.full(batch, -1)
+            if kind == "m" and data[0] is None:
+                signed, out = np.full(batch, data[1]), np.full(batch, data[2])
+            elif kind == "m":
+                signed, out = data[1][choices[:, data[0]]], data[2][choices[:, data[0]]]
+            states, prob, sign, variant_of, out_index = _branch_rows(
+                states,
+                prob,
+                sign,
+                variant_of,
+                out_index,
+                qubit,
+                num_qubits,
+                prune_threshold,
+                kind == "r",
+                signed,
+                out,
             )
-            continue
-        qubit = token[1]
-        states, prob, sign, variant_of, out_index = _branch_rows(
-            states,
-            prob,
-            sign,
-            variant_of,
-            out_index,
-            qubit,
-            num_qubits,
-            prune_threshold,
-            is_reset=(token[0] == "r"),
-            signed=signed_flags[anchor],
-            out_position=out_positions[anchor],
-        )
-        if not len(prob):
-            # Every branch was pruned, as the scalar simulator's empty branch
-            # list: nothing is left to evolve.
-            break
+            if not len(prob):
+                # Every branch was pruned, as the scalar simulator's empty
+                # branch list: nothing is left to evolve.
+                break
     bounds = np.searchsorted(variant_of, np.arange(batch + 1))
     return BranchRows(prob, sign, variant_of, out_index, bounds)
 
@@ -455,36 +440,37 @@ def _branch_rows(
     """
     dim = states.shape[1]
     rows = states.shape[0]
-    indices = np.arange(dim)
-    mask0 = ((indices >> qubit) & 1) == 0
-    mask1 = ~mask0
     # The masked halves in index order, as C-contiguous (rows, dim/2) blocks,
     # so row r of each block holds exactly the scalar ``state[mask]``.
     split = states.reshape(rows, dim // 2 ** (qubit + 1), 2, 2**qubit)
-    half0 = np.ascontiguousarray(split[:, :, 0, :]).reshape(rows, dim // 2)
-    half1 = np.ascontiguousarray(split[:, :, 1, :]).reshape(rows, dim // 2)
-    squared0 = np.abs(half0) ** 2
-    squared1 = np.abs(half1) ** 2
+    halves = [np.ascontiguousarray(split[:, :, bit, :]).reshape(rows, dim // 2) for bit in (0, 1)]
     # A last-axis reduce of a C-contiguous float64 block runs NumPy's 1-D
     # pairwise sum on each row: the same bytes as a per-row np.sum, without a
     # Python loop over rows.
-    p0 = np.add.reduce(squared0, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: a last-axis reduce of a C-contiguous float64 block equals the per-row 1-D np.sum byte for byte (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
-    p1 = np.add.reduce(squared1, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: same block layout as p0 (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
+    p0 = np.add.reduce(np.abs(halves[0]) ** 2, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: a last-axis reduce of a C-contiguous float64 block equals the per-row 1-D np.sum byte for byte (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
+    p1 = np.add.reduce(np.abs(halves[1]) ** 2, axis=1)  # qrcclint: disable=unstable-reduction -- pinned: same block layout as p0 (tests/test_batched.py::TestPinnedReductionOrders::test_last_axis_reduce_equals_per_row_sum)
     conditional = np.stack([p0, p1], axis=1).reshape(-1)
-    alive = conditional > prune_threshold
-    outcome = np.tile(np.array([0, 1], dtype=np.int64), rows)[alive]
+    alive = np.flatnonzero(conditional > prune_threshold)
+    parent = alive >> 1
+    outcome = alive & 1
     conditional = conditional[alive]
-    projected0 = np.where(mask0, states, 0.0)
-    projected1 = np.where(mask1, states, 0.0)
-    children = np.stack([projected0, projected1], axis=1).reshape(2 * rows, dim)[alive]
-    children = children / np.sqrt(conditional)[:, np.newaxis]
+    scale = np.sqrt(conditional)
+    # Each child is its parent's kept half over sqrt(p), zeros elsewhere: the
+    # scalar ``np.where(mask, state, 0.0) / np.sqrt(p)``, element for element.
+    children = np.zeros((alive.size, dim), dtype=complex)
+    view = children.reshape(alive.size, dim // 2 ** (qubit + 1), 2, 2**qubit)
+    for bit, half in enumerate(halves):
+        picked = np.flatnonzero(outcome == bit)
+        if picked.size:
+            block = half[parent[picked]] / scale[picked, np.newaxis]
+            view[picked, :, bit, :] = block.reshape((picked.size,) + view.shape[1:2] + (2**qubit,))
     if is_reset and np.any(outcome == 1):
         flipped = outcome == 1
         children[flipped] = _apply_matrix(children[flipped], _FLIP, (qubit,), num_qubits)
-    prob = np.repeat(prob, 2)[alive] * conditional
-    variant_of = np.repeat(variant_of, 2)[alive]
-    sign = np.repeat(sign, 2)[alive]
-    out_index = np.repeat(out_index, 2)[alive]
+    prob = prob[parent] * conditional
+    variant_of = variant_of[parent]
+    sign = sign[parent]
+    out_index = out_index[parent]
     if not is_reset:
         flips = signed[variant_of] & (outcome == 1)
         sign = np.where(flips, -sign, sign)

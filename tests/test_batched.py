@@ -1,12 +1,13 @@
 """Batched vectorized simulation: bitwise identity with the scalar path.
 
-The batched backend's contract is strict: a ``(batch, 2**n)`` pass over a group
-of structurally aligned variants must produce results **bit-identical** to
-running every variant alone through the scalar branching simulator.  These
-tests pin that contract across hand-built circuits, property-based random
-variant groups (hypothesis), real cut enumerations, the executor protocol
-(dedup/caching/counters) and the engine's group-aware dispatch, plus the
-NumPy summation orders it rests on and the branch rows the sampler draws from.
+The batched backend's contract is strict: a ``(batch, 2**n)`` pass over the
+rows of a variant table must produce results **bit-identical** to running every
+variant alone through the scalar branching simulator.  These tests pin that
+contract across hand-built circuits, property-based random variants
+(hypothesis), real cut enumerations, the executor protocol
+(dedup/caching/counters), which rows share a pass and the engine's
+table-contiguous dispatch, plus the NumPy summation orders it rests on and the
+branch rows the sampler draws from.
 """
 
 from __future__ import annotations
@@ -22,21 +23,43 @@ from repro.core.config import CutConfig
 from repro.cutting import (
     BatchedExactExecutor,
     CutReconstructor,
+    CutSolution,
     ExactExecutor,
+    WireCut,
 )
 from repro.cutting.executors import branch_output_index
 from repro.engine import EngineConfig, ParallelEngine, request_key
-from repro.exceptions import CuttingError, SimulationError
-from repro.simulator import BranchingSimulator, simulate_variant_group, variant_group_key
+from repro.exceptions import CuttingError
+from repro.simulator import BranchingSimulator, simulate_variant_group
+from repro.simulator.batched import pass_batches
 from repro.workloads import make_workload
 
 from strategies import (
     assert_tables_bit_identical as _assert_tables_bit_identical,
     float_bits,
     make_variant as _variant,
+    mixed_cut_solution,
     scalar_reference as _scalar_reference,
+    two_cut_solution,
     variant_groups,
 )
+
+
+# --------------------------------------------------------------------------- table rows
+def _table_rows():
+    """Every unique row of a wire-cut probability batch and a mixed-cut expectation batch."""
+    _, wire_solution = two_cut_solution()
+    _, mixed_solution, observable = mixed_cut_solution()
+    batch = CutReconstructor(wire_solution).enumerate_probability_requests()
+    batch += CutReconstructor(mixed_solution).enumerate_expectation_requests(observable)
+    return list({request_key(variant): variant for variant in batch}.values())
+
+
+def _gate_measures(variant):
+    """Which gate-cut sides the materialised circuit measures."""
+    return frozenset(
+        op.tag for op in variant.circuit if op.is_measurement and op.tag.startswith("signed:gate:")
+    )
 
 
 # --------------------------------------------------------------------------- properties
@@ -59,12 +82,84 @@ class TestBitwiseIdentityProperties:
         constrained = BatchedExactExecutor(max_batch_elements=limit * dim)
         _assert_tables_bit_identical(scalar, constrained.run_batch(group))
 
-    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(group=variant_groups())
-    def test_group_members_share_group_key(self, group):
-        executor = BatchedExactExecutor()
-        keys = {executor.group_key(variant) for variant in group}
-        assert len(keys) == 1
+    def test_group_members_share_group_key(self):
+        """Rows share a pass exactly when their table and gate-cut measures agree."""
+        rows = _table_rows()
+        assert len({id(row.table) for row in rows}) > 2
+        assert len({_gate_measures(row) for row in rows}) > 1
+        pass_of = {}
+        for index, positions in enumerate(pass_batches(rows, 1 << 40)):
+            for position in positions:
+                pass_of[position] = index
+        assert sorted(pass_of) == list(range(len(rows)))
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                same = a.table is b.table and _gate_measures(a) == _gate_measures(b)
+                assert (pass_of[i] == pass_of[j]) == same
+
+    def test_table_rows_bit_identical_to_scalar(self):
+        rows = _table_rows()
+        _assert_tables_bit_identical(
+            ExactExecutor().run_batch(rows), BatchedExactExecutor().run_batch(rows)
+        )
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(limit=st.integers(min_value=1, max_value=9))
+    def test_ragged_table_sub_batches_bit_identical(self, limit):
+        rows = _table_rows()
+        per_row = max(2**row.table.skeleton.num_qubits * 2**12 for row in rows)
+        constrained = BatchedExactExecutor(max_batch_elements=limit * per_row)
+        _assert_tables_bit_identical(
+            ExactExecutor().run_batch(rows), constrained.run_batch(rows)
+        )
+
+
+# --------------------------------------------------------------------------- group keys
+class TestVariantGroupKey:
+    """Which rows share a batched pass: the group key is (table, skeleton class).
+
+    Rows share a pass exactly when their table and gate-cut measure flags
+    agree; these pin that against the materialised circuits.
+    """
+
+    def test_single_qubit_gates_do_not_split_groups(self):
+        """Init labels and measurement bases only change single-qubit slot gates."""
+        _, solution = two_cut_solution()
+        batch = CutReconstructor(solution).enumerate_probability_requests()
+        for table in {id(v.table): v.table for v in batch}.values():
+            assert set(table.row_class.tolist()) == {0}
+            assert len(pass_batches(table.variants, 1 << 40)) == 1
+
+    def test_measure_presence_splits_groups(self):
+        _, solution, observable = mixed_cut_solution()
+        batch = CutReconstructor(solution).enumerate_expectation_requests(observable)
+        table = next(v.table for v in batch if v.settings.gate_instances)
+        by_pass = [
+            {_gate_measures(table.variants[p]) for p in positions}
+            for positions in pass_batches(table.variants, 1 << 40)
+        ]
+        assert len(by_pass) == 2
+        assert all(len(flags) == 1 for flags in by_pass)
+
+    def test_two_qubit_parameters_split_groups(self):
+        """Tables of circuits differing only in an rzz angle never share a pass."""
+        rows = []
+        for angle in (0.4, 0.5):
+            circuit = Circuit(3)
+            circuit.h(0).ry(0.3, 1).add("rzz", [0, 1], [angle])
+            circuit.cx(1, 2)
+            solution = CutSolution(
+                circuit=circuit,
+                op_subcircuit={0: 0, 1: 0, 2: 0, 3: 1},
+                wire_cuts=[WireCut(qubit=1, downstream_op=3)],
+            )
+            rows += CutReconstructor(solution).enumerate_probability_requests()
+        unique = list({request_key(v): v for v in rows}.values())
+        for positions in pass_batches(unique, 1 << 40):
+            assert len({id(unique[p].table) for p in positions}) == 1
+        _assert_tables_bit_identical(
+            ExactExecutor().run_batch(unique), BatchedExactExecutor().run_batch(unique)
+        )
 
 
 # --------------------------------------------------------------------------- direct runner
@@ -110,13 +205,28 @@ class TestSimulateVariantGroup:
         assert value == expected_value
         assert distribution.tobytes() == expected_distribution.tobytes()
 
-    def test_mismatched_structures_rejected(self):
+    def test_mismatched_structures_run_in_separate_passes(self):
+        """Circuit-backed variants and rows of several tables, interleaved."""
         a = Circuit(2)
-        a.cx(0, 1)
+        a.h(0).cx(0, 1).measure(0, tag="signed:cut:a")
         b = Circuit(2)
-        b.cz(0, 1)
-        with pytest.raises(SimulationError, match="variant_group_key"):
-            simulate_variant_group([_variant(a), _variant(b)])
+        b.ry(0.4, 1).cz(0, 1).measure(1, tag="cut:a")
+        rows = _table_rows()
+        mixed = [_variant(a), rows[0], _variant(b), rows[-1], rows[1]]
+        results = simulate_variant_group(mixed)
+        branch_rows = simulate_variant_group(mixed, rows=True)
+        assert branch_rows.bounds[-1] == len(branch_rows.prob)
+        for column, (variant, (value, distribution)) in enumerate(zip(mixed, results)):
+            alone_value, alone_distribution = simulate_variant_group([variant])[0]
+            assert float_bits(value) == float_bits(alone_value)
+            if alone_distribution is None:
+                assert distribution is None
+            else:
+                assert distribution.tobytes() == alone_distribution.tobytes()
+            alone = simulate_variant_group([variant], rows=True)
+            span = slice(branch_rows.bounds[column], branch_rows.bounds[column + 1])
+            assert branch_rows.prob[span].tobytes() == alone.prob.tobytes()
+            assert branch_rows.out_index[span].tolist() == alone.out_index.tolist()
 
     def test_all_branches_pruned_gives_zero_like_scalar(self):
         """Pruning every branch leaves no rows: value 0.0 and an all-zero vector."""
@@ -283,30 +393,6 @@ class TestBranchRows:
         _assert_rows_match_branches(variants, rows)
 
 
-# --------------------------------------------------------------------------- group keys
-class TestVariantGroupKey:
-    def test_single_qubit_gates_do_not_split_groups(self):
-        a = Circuit(2)
-        a.h(0).cx(0, 1).measure(1, tag="signed:cut:z")
-        b = Circuit(2)
-        b.x(0).sdg(1).cx(0, 1).sdg(1).h(1).measure(1, tag="cut:z")
-        assert variant_group_key(a) == variant_group_key(b)
-
-    def test_measure_presence_splits_groups(self):
-        a = Circuit(2)
-        a.cx(0, 1)
-        b = Circuit(2)
-        b.cx(0, 1).measure(0)
-        assert variant_group_key(a) != variant_group_key(b)
-
-    def test_two_qubit_parameters_split_groups(self):
-        a = Circuit(2)
-        a.add("rzz", [0, 1], [0.4])
-        b = Circuit(2)
-        b.add("rzz", [0, 1], [0.5])
-        assert variant_group_key(a) != variant_group_key(b)
-
-
 # --------------------------------------------------------------------------- executor protocol
 class TestBatchedExactExecutor:
     def test_counters_match_exact_executor(self):
@@ -404,35 +490,47 @@ class TestEngineGrouping:
         _assert_tables_bit_identical(serial, parallel)
 
     def test_grouping_keeps_structures_together(self):
-        """The engine sorts pending requests so one chunk sees one structure."""
-        circuits = []
-        for flavour in range(2):
-            for _ in range(3):
-                circuit = Circuit(2)
-                if flavour:
-                    circuit.h(0)
-                    circuit.cx(0, 1)
-                else:
-                    circuit.cx(0, 1)
-                    circuit.measure(0, tag="signed:cut:a")
-                circuits.append(circuit)
-        # interleave the two structures
-        variants = [_variant(c) for c in circuits[::2] + circuits[1::2]]
-        interleaved = [variants[i // 2 + (i % 2) * 3] for i in range(6)]
-        executor = BatchedExactExecutor()
-        engine = ParallelEngine(executor, EngineConfig(max_workers=1))
-        pending = [(request_key(v), v, None) for v in interleaved]
-        grouped = engine._grouped(executor, pending)
-        keys = [executor.group_key(v) for _, v, _ in grouped]
-        # all equal keys must be contiguous after grouping
-        seen = []
-        for key in keys:
-            if key not in seen:
-                seen.append(key)
-        assert keys == sorted(keys, key=seen.index)
+        """Rows of one table sit together: first-seen table order, stable inside."""
+        rows = _table_rows()
+        tables = list({id(row.table): row.table for row in rows}.values())
+        by_table = [[row for row in rows if row.table is table] for table in tables]
+        interleaved = [
+            group[i] for i in range(max(map(len, by_table))) for group in by_table if i < len(group)
+        ]
+        stray = _variant(Circuit(1))
+        pending = [(request_key(v), v, None) for v in interleaved[:5] + [stray] + interleaved[5:]]
+        engine = ParallelEngine(BatchedExactExecutor(), EngineConfig(max_workers=2, chunk_size=3))
+        grouped = engine._grouped(pending)
+        assert sorted(map(id, grouped)) == sorted(map(id, pending))
+        owners = [id(getattr(v, "table", None)) for _, v, _ in grouped]
+        runs = [owner for i, owner in enumerate(owners) if i == 0 or owners[i - 1] != owner]
+        assert len(runs) == len(set(owners))  # every table is one contiguous run
+        first_seen = list(dict.fromkeys(id(getattr(v, "table", None)) for _, v, _ in pending))
+        assert runs == first_seen
+        for owner in set(owners):
+            assert [p for p in grouped if id(getattr(p[1], "table", None)) == owner] == [
+                p for p in pending if id(getattr(p[1], "table", None)) == owner
+            ]
+        chunks = engine._chunked(grouped)
+        assert [p for chunk in chunks for p in chunk] == grouped
 
     def test_grouping_tolerates_foreign_payloads(self):
-        executor = BatchedExactExecutor()
-        engine = ParallelEngine(executor, EngineConfig(max_workers=1))
+        engine = ParallelEngine(BatchedExactExecutor(), EngineConfig(max_workers=1))
         pending = [("a", object(), None), ("b", object(), None)]
-        assert engine._grouped(executor, pending) == pending
+        assert engine._grouped(pending) == pending
+
+    def test_foreign_payloads_still_dispatch(self):
+        """A duck-typed executor's opaque payloads pass grouping and run."""
+
+        class Echo:
+            executions = requests = dedup_hits = cache_hits = 0
+
+            def run_many(self, chunk, shots=None):
+                return [(key, payload) for key, payload, _ in chunk]
+
+        rows = _table_rows()[:3]
+        pending = [("a", object(), None)] + [(request_key(v), v, None) for v in rows]
+        pending.append(("b", object(), None))
+        engine = ParallelEngine(BatchedExactExecutor(), EngineConfig(max_workers=1))
+        results = dict(engine._dispatch(Echo(), pending, None))
+        assert results == {key: payload for key, payload, _ in pending}

@@ -489,6 +489,24 @@ def _fallback_warnings(caught):
     return [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+class TestPoolTeardown:
+    def test_close_joins_every_worker_process(self, chain_wire_cut_solution):
+        """close() waits for the pool: no worker outlives it.
+
+        A pool shut down without waiting can still be tearing down when the
+        interpreter exits, and ``concurrent.futures``' exit hook then writes to
+        the pool's already closed wakeup pipe.
+        """
+        variants = _some_variants(chain_wire_cut_solution, count=3)
+        engine = ParallelEngine(ExactExecutor(), EngineConfig(max_workers=2, chunk_size=1))
+        engine.run_batch(variants)
+        workers = list(engine._pool._processes.values())
+        assert workers
+        engine.close()
+        assert engine._pool is None and engine._pool_broken is False
+        assert all(worker.exitcode is not None for worker in workers)
+
+
 @pytest.mark.parametrize("entry", ["run_batch", "map_shards"])
 class TestPoolContract:
     """Batch execution and sharded contraction share one pool loop and its salvage."""

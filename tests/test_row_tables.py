@@ -1,0 +1,267 @@
+"""Row identity: every variant-table row agrees with the circuit it stands for.
+
+Enumeration, hashing, simulation and pool transport read variant-table rows,
+never circuits; a row's :class:`~repro.circuits.Circuit` is materialised only
+on demand.  For every row of every table of a spread of cuts, these tests pin:
+
+* its fingerprint equals :func:`~repro.engine.requests.variant_fingerprint`
+  over the materialised circuit;
+* the row-native :class:`~repro.cutting.BatchedExactExecutor` result equals
+  :class:`~repro.cutting.ExactExecutor` on that circuit, byte for byte;
+* :class:`~repro.cutting.SamplingExecutor` at a fixed seed gives the bytes the
+  per-circuit pipeline gave before tables existed, pinned as a digest.
+
+Cases: the solutions of ``test_variant_tables.py``, the two workloads of
+``golden_evaluations.json``, the first seed-0 instance of each perf workload
+(``benchmarks/perf/workloads.py``) and hypothesis draws of small cuts.  On the
+two large perf cases (prob-wire: 8,192 rows, dd-wide: 544) the scalar
+simulator would need ~50 s for every row, so its comparison runs on a seeded
+sample in which every slot takes each of its choices; fingerprints and
+sampling still cover every row.  A pool chunk's transport is pinned here too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import pickle
+import pickletools
+import sys
+from pathlib import Path
+from typing import Callable, Dict, List
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import CutConfig, cut_circuit
+from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
+from repro.cutting.sampling import SamplingExecutor
+from repro.engine import EngineConfig, ParallelEngine, request_key
+from repro.engine.requests import variant_fingerprint
+from repro.utils.pauli import PauliObservable, PauliString
+from repro.workloads import WorkloadKind, make_workload
+
+from strategies import (
+    assert_tables_bit_identical,
+    random_angle_chain_solution,
+    small_workload,
+    two_cut_probability_solutions,
+)
+from test_variant_tables import EXPECTATION, PROBABILITY
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "perf"))
+import workloads as perf_workloads  # noqa: E402
+
+#: Shots and base seed of the sampling digests.
+SHOTS = 1000
+SEED = 7
+
+#: The golden fixture's cut (tests/test_streaming.py's SMALL_CONFIG).
+GOLDEN_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
+
+
+def _reconstructed(solution, specs=None, observable=None) -> List:
+    reconstructor = CutReconstructor(solution, specs=specs)
+    if observable is None:
+        return reconstructor.enumerate_probability_requests()
+    return reconstructor.enumerate_expectation_requests(observable)
+
+
+def _workload_batch(workload, config, force_greedy=False) -> List:
+    plan = cut_circuit(workload.circuit, config, force_greedy=force_greedy)
+    observable = workload.observable if workload.kind == WorkloadKind.EXPECTATION else None
+    return _reconstructed(plan.solution, plan.subcircuits, observable)
+
+
+def _perf_batch(name: str) -> List:
+    instance = perf_workloads.WORKLOADS[name].pool(0)[0][0]
+    return _workload_batch(instance.workload, instance.cut_config, instance.force_greedy)
+
+
+def _cases() -> Dict[str, Callable[[], List]]:
+    cases: Dict[str, Callable[[], List]] = {}
+    for name, solution in PROBABILITY:
+        cases[f"tables-probability-{name}"] = lambda s=solution: _reconstructed(s)
+    for name, solution, observable in EXPECTATION:
+        cases[f"tables-expectation-{name}"] = lambda s=solution, o=observable: _reconstructed(
+            s, observable=o
+        )
+    cases["golden-vqe5"] = lambda: _workload_batch(small_workload(), GOLDEN_CONFIG)
+    cases["golden-qft5"] = lambda: _workload_batch(make_workload("QFT", 5), GOLDEN_CONFIG)
+    for name in perf_workloads.WORKLOADS:
+        cases[f"perf-{name}"] = lambda n=name: _perf_batch(n)
+    return cases
+
+
+CASES = _cases()
+
+#: Cases too large to run every row through the scalar simulator (~50 s).
+SAMPLED_CASES = ("perf-prob-wire", "perf-dd-wide")
+
+#: Recorded with the per-circuit pipeline (each variant a built Circuit,
+#: hashed op by op and run by the sampling executor) at its last commit.  The
+#: digests hash integer shot counts over the shot total, so they do not depend
+#: on the last bits of the exact branch probabilities.
+SAMPLING_DIGESTS = {
+    "golden-qft5": "aead460b43f00cb30b21374c02d33175fc4aaa706522b092e41a8c934276349a",
+    "golden-vqe5": "2ef7f440dbd29b2fef865e471711cd3f496c0a84197d0557d20c367ccc9bad2d",
+    "perf-dd-wide": "dd1ea141e1031ff6c66604da8fcb3cc8e1dd8a2023df6d2313749ee83077f4ca",
+    "perf-expect-gate": "bb7ab026be6fcf0705f92fee71998604616265682ec4842148c4a8023e08088a",
+    "perf-prob-wire": "112cc8ea148b5177b81f62dc6a123954be1d496d0d7eee877fa2daac734fc195",
+    "perf-qaoa-sweep": "4c977b45fdb78fb609e7ee948de0731ca8eef386519bbe8ebdfd08cb943a093e",
+    "tables-expectation-interleaved": (
+        "736ec0a7bdbad5846ebcc787190e174d4830f59dc7415b60346a216a6c88bc08"
+    ),
+    "tables-expectation-mixed": (
+        "217668c404384869b86a73e711a8e36306f43505fdb90922818b28ea63060de3"
+    ),
+    "tables-expectation-three-init": (
+        "06a2af3f38dd7a668e22a09a38aef3f5a2d917befffec29c719186998085957b"
+    ),
+    "tables-expectation-zero-instances": (
+        "eb1167119f58e96da534792caa099f60d4db63220bf67adb96d1b04b78e1ba47"
+    ),
+    "tables-probability-chain": (
+        "0081227f6edc0db8b11166d38884412a92b433c0ba1c1358545309e199cf675c"
+    ),
+    "tables-probability-qft-5": (
+        "aead460b43f00cb30b21374c02d33175fc4aaa706522b092e41a8c934276349a"
+    ),
+    "tables-probability-three-init": (
+        "d8f0a12fd85a64ace5bf42dbeff6f08fbe98665bba26ce250028b8d0bd01af77"
+    ),
+}
+
+_BATCHES: Dict[str, List] = {}
+
+
+def _unique_rows(name: str) -> List:
+    if name not in _BATCHES:
+        batch = CASES[name]()
+        _BATCHES[name] = list({request_key(variant): variant for variant in batch}.values())
+    return _BATCHES[name]
+
+
+def result_digest(results) -> str:
+    """sha256 over a result table's fingerprints, values and distribution bytes."""
+    hasher = hashlib.sha256()
+    for key in sorted(results):
+        result = results[key]
+        hasher.update(key.encode("ascii"))
+        hasher.update(np.float64(np.nan if result.value is None else result.value).tobytes())
+        if result.distribution is not None:
+            hasher.update(result.distribution.tobytes())
+    return hasher.hexdigest()
+
+
+def sampling_digest(rows) -> str:
+    return result_digest(SamplingExecutor(shots=SHOTS, seed=SEED).run_batch(rows))
+
+
+def _assert_rows_identical(rows) -> None:
+    """Fingerprints and exact results of every row against its circuit."""
+    for row in rows:
+        assert row.fingerprint == variant_fingerprint(row)
+    assert_tables_bit_identical(
+        ExactExecutor().run_batch(rows), BatchedExactExecutor().run_batch(rows)
+    )
+
+
+# --------------------------------------------------------------------------- fixed cases
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_row_fingerprints_match_materialised_circuits(name):
+    rows = _unique_rows(name)
+    assert rows
+    for row in rows:
+        assert row.table is not None and row.table.variants[row.row] is row
+        assert row.fingerprint == variant_fingerprint(row)
+
+
+def _covering_sample(rows, extra: int = 32) -> List:
+    """A seeded sample of rows in which every slot of every table takes every
+    choice any of its rows takes."""
+    order = np.random.default_rng(0).permutation(len(rows)).tolist()
+    picked, seen = set(order[:extra]), set()
+    for index in order:
+        row = rows[index]
+        for slot, choice in enumerate(row.table.choices[row.row].tolist()):
+            if (id(row.table), slot, choice) not in seen:
+                seen.add((id(row.table), slot, choice))
+                picked.add(index)
+    return [rows[index] for index in sorted(picked)]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_row_native_results_equal_the_scalar_circuit_results(name):
+    rows = _unique_rows(name)
+    batched = BatchedExactExecutor().run_batch(rows)
+    if name in SAMPLED_CASES:
+        rows = _covering_sample(rows)
+        batched = {request_key(row): batched[request_key(row)] for row in rows}
+    assert_tables_bit_identical(ExactExecutor().run_batch(rows), batched)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_sampling_bytes_match_the_recorded_digest(name):
+    assert sampling_digest(_unique_rows(name)) == SAMPLING_DIGESTS[name]
+
+
+# --------------------------------------------------------------------------- random cuts
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(solution=two_cut_probability_solutions())
+def test_random_probability_cut_rows(solution):
+    _assert_rows_identical(list({request_key(v): v for v in _reconstructed(solution)}.values()))
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    block=st.integers(min_value=1, max_value=2),
+    labels=st.lists(st.sampled_from("XYZ"), min_size=2, max_size=2),
+)
+def test_random_expectation_cut_rows(seed, block, labels):
+    solution = random_angle_chain_solution(4, block, np.random.default_rng(seed))
+    observable = PauliObservable.from_terms(
+        [PauliString.from_dict({0: labels[0], 3: labels[1]}, 1.0), PauliString.from_dict({}, 0.5)]
+    )
+    batch = _reconstructed(solution, observable=observable)
+    _assert_rows_identical(list({request_key(v): v for v in batch}.values()))
+
+
+# --------------------------------------------------------------------------- transport
+def _globals(payload: bytes) -> List[str]:
+    """Every class or function a pickle references."""
+    names: List[str] = []
+    strings: List[str] = []
+    for opcode, argument, _ in pickletools.genops(payload):
+        if opcode.name in ("SHORT_BINUNICODE", "BINUNICODE", "UNICODE"):
+            strings.append(argument)
+        elif opcode.name == "STACK_GLOBAL":
+            names.append(".".join(strings[-2:]))
+        elif opcode.name == "GLOBAL":
+            names.append(argument.replace(" ", "."))
+    return names
+
+
+def test_pool_chunk_ships_its_table_once_and_no_circuit():
+    rows = _unique_rows("perf-dd-wide")
+    pending = [(request_key(row), row, None) for row in rows]
+    engine = ParallelEngine(BatchedExactExecutor(), EngineConfig(max_workers=2))
+    chunk = engine._chunked(engine._grouped(pending))[0]
+    payload = pickle.dumps(chunk)
+    assert not any(name.endswith(".Circuit") for name in _globals(payload))
+    clone = pickle.loads(payload)
+    assert [key for key, _, _ in clone] == [key for key, _, _ in chunk]
+    assert [variant.fingerprint for _, variant, _ in clone] == [key for key, _, _ in chunk]
+    assert len({id(variant.table) for _, variant, _ in clone}) == len(
+        {id(variant.table) for _, variant, _ in chunk}
+    )
+    expected = dict(BatchedExactExecutor().run_many(chunk))
+    assert_tables_bit_identical(expected, dict(BatchedExactExecutor().run_many(clone)))
+
+    table = max({id(row.table): row.table for row in rows}.values(), key=len)
+    requests = [(row.fingerprint, row, None) for row in table.variants]
+    small, large = len(pickle.dumps(requests[:8])), len(pickle.dumps(requests[:40]))
+    per_row = (large - small) / 32
+    assert per_row < len(pickle.dumps(table.variants[0].circuit)) / 4

@@ -46,6 +46,7 @@ FLAGSHIP = (
     ("repro", "PruningPolicy"),
     ("repro.cutting", "CutReconstructor"),
     ("repro.cutting", "VariantExecutor"),
+    ("repro.cutting", "VariantTable"),
     ("repro.engine", "allocate_shots"),
     ("repro.engine", "ShotPlan"),
     ("repro.cutting", "SamplingExecutor"),
