@@ -32,7 +32,6 @@ from repro.core import cut_circuit
 from repro.core.config import CutConfig
 from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
 from repro.engine import ParallelEngine, request_key
-from repro.simulator.batched import branch_bound
 from repro.workloads import Workload, WorkloadKind, make_workload
 
 from bench_engine import halved_ring_solution, ring_qaoa_workload
@@ -96,7 +95,7 @@ def _comparable(table) -> Dict[str, Tuple]:
 def _batched_executor_with_cap(variants, cap: int) -> BatchedExactExecutor:
     """A batched executor whose memory budget yields sub-batches of ``cap`` variants."""
     per_variant = max(
-        (2**v.circuit.num_qubits) * branch_bound(v.circuit) for v in variants
+        v.table.program(int(v.table.row_class[v.row])).row_elements for v in variants
     )
     return BatchedExactExecutor(max_batch_elements=cap * per_variant)
 

@@ -27,7 +27,9 @@ Four executors are provided:
   that are rows of one variant table (:class:`~repro.cutting.variants.VariantTable`)
   and share its skeleton class run in one ``(batch, 2**n)`` pass read straight
   off the table, bit-identical to :class:`ExactExecutor` but several times
-  faster on variant families,
+  faster on variant families.  Every variant is a table row, and a table's
+  ``out:`` measurements were checked when it was built, so the row paths run
+  without validating again,
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with per-variant counts passed
@@ -65,7 +67,7 @@ from ..engine.requests import (
     seed_from_fingerprint,
 )
 from ..exceptions import CuttingError
-from ..simulator.batched import _OUTPUT_TAG_PREFIX, pass_batches, simulate_variant_group
+from ..simulator.batched import pass_batches, simulate_variant_group
 from ..simulator.dynamic import BranchedResult, BranchingSimulator
 from ..simulator.noise import DeviceModel, inject_pauli_noise
 from .variants import SubcircuitVariant
@@ -102,39 +104,6 @@ def branch_output_index(branch: Any, variant: SubcircuitVariant) -> int:
             )
         index |= outcome << position
     return index
-
-
-def check_output_tags(variants: Iterable[SubcircuitVariant]) -> None:
-    """Probability-mode variants must measure every output qubit (``out:`` tags).
-
-    Mirrors the scalar path, which raises when a branch lacks an output
-    outcome; the row-based paths (:class:`BatchedExactExecutor` and the
-    sampling executor) validate up front because they never build per-branch
-    outcome dictionaries.  Rows of one table share their output measurements,
-    so each table is checked once.
-    """
-    checked: set = set()
-    for variant in variants:
-        if getattr(variant, "mode", None) != "probability":
-            continue
-        table = getattr(variant, "table", None)
-        if table is not None:
-            if id(table) in checked:
-                continue
-            checked.add(id(table))
-            recorded = table.recorded_outputs()
-        else:
-            recorded = {
-                op.tag[len(_OUTPUT_TAG_PREFIX) :]
-                for op in variant.circuit
-                if op.is_measurement and op.tag and op.tag.startswith(_OUTPUT_TAG_PREFIX)
-            }
-        for qubit in variant.output_qubit_order:
-            if str(qubit) not in recorded:
-                raise CuttingError(
-                    f"variant for subcircuit {variant.subcircuit_index} did not record "
-                    f"an outcome for original qubit {qubit}"
-                )
 
 
 def _signed_distribution(result: BranchedResult, variant: SubcircuitVariant) -> np.ndarray:
@@ -383,8 +352,7 @@ class BatchedExactExecutor(VariantExecutor):
     group through :func:`~repro.simulator.batched.simulate_variant_group` — a
     single ``(batch, 2**n)`` array walked gate by gate, with per-row slot
     matrices gathered from the table — instead of one full scalar pass per
-    variant.  Hand-built variants backed by an explicit circuit run one per
-    pass.
+    variant.
 
     Results are **bit-identical** to :class:`ExactExecutor`: both run the same
     elementwise gate kernel and the batched path reproduces the scalar
@@ -397,9 +365,9 @@ class BatchedExactExecutor(VariantExecutor):
         cache: the shared bounded result cache (as on every executor).
         max_batch_elements: sizing budget per batched pass, in complex
             amplitudes; ``2**23`` (~128 MB) by default.  Groups are split into
-            sub-batches so that ``batch * 2**n *``
-            :func:`~repro.simulator.batched.branch_bound` stays under it.  The
-            branch bound caps its worst case at ``2**12`` branch points, so
+            sub-batches so that ``batch`` times the pass program's
+            :attr:`~repro.simulator.batched.Program.row_elements` stays under
+            it.  That estimate caps its worst case at ``2**12`` branches, so
             this is a *sizing heuristic*, not a hard memory guarantee: a
             measurement-heavy group whose branches genuinely fan out past the
             cap can exceed the budget — exactly as the scalar simulator's
@@ -423,9 +391,7 @@ class BatchedExactExecutor(VariantExecutor):
     def execute_variant(
         self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
     ) -> VariantResult:
-        check_output_tags([variant])
-        value, distribution = simulate_variant_group([variant])[0]
-        return VariantResult(value=value, distribution=distribution)
+        return self.run_many([(request_key(variant), variant, seed)])[0][1]
 
     def run_many(
         self,
@@ -438,7 +404,6 @@ class BatchedExactExecutor(VariantExecutor):
         and the sub-batch split.
         """
         variants = [variant for _, variant, _ in pending]
-        check_output_tags(variants)
         results: List[Tuple[str, VariantResult]] = []
         for positions in pass_batches(variants, self._max_batch_elements):
             outcomes = simulate_variant_group([variants[p] for p in positions])

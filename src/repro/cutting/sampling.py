@@ -20,7 +20,8 @@ cache misses into passes by (table, skeleton class)
 and samples every request from its own slice of the live branch rows.  Those
 rows equal the scalar :class:`~repro.simulator.dynamic.BranchingSimulator`
 branch list byte for byte (probability, sign and output index per branch, in
-the same order), so every draw is unchanged.
+the same order), so every draw is unchanged.  Every variant is a table row,
+whose table checked its ``out:`` measurements when it was built.
 
 The shots a batch draws travel with it as a
 :class:`~repro.engine.allocation.ShotPlan` (``run_batch(batch, shots=plan)``);
@@ -52,7 +53,7 @@ from ..engine.requests import VariantResult, request_key, seed_from_fingerprint
 from ..exceptions import CuttingError
 from ..simulator.batched import pass_batches, simulate_variant_group
 from ..simulator.sampler import sample_weighted_counts_prefix
-from .executors import DEFAULT_MAX_BATCH_ELEMENTS, VariantExecutor, check_output_tags
+from .executors import DEFAULT_MAX_BATCH_ELEMENTS, VariantExecutor
 from .variants import SubcircuitVariant
 
 __all__ = ["SamplingExecutor"]
@@ -180,7 +181,6 @@ class SamplingExecutor(VariantExecutor):
         A streaming round resumes each request's saved generator and draws
         only the shots added since the last round (see :meth:`_draw`).
         """
-        check_output_tags(variant for _, variant, _ in pending)
         tables: Dict[str, _BranchTable] = {}
         misses: List[Tuple[str, SubcircuitVariant]] = []
         for key, variant, _ in pending:

@@ -25,12 +25,16 @@ circuit), the batched simulator gathers per-slot matrix stacks by row
 (:meth:`VariantTable.program`), and a pool task pickles the table once plus row
 indices.  A row's :class:`~repro.circuits.Circuit` is built only when an executor
 without row support reads ``SubcircuitVariant.circuit``.
+
+Every variant is a table row: :meth:`VariantTable.of_circuit` wraps a bare
+circuit as a one-row table without slots.  A probability-mode table's ``out:``
+measurements are checked once, when the table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,92 +99,71 @@ class VariantSettings:
             tuple(sorted(gate_instances.items())),
         )
 
-    def instance_for(self, op_index: int) -> int:
-        return dict(self.gate_instances)[op_index]
-
 
 class SubcircuitVariant:
-    """A concrete runnable variant of a subcircuit.
+    """A concrete runnable variant of a subcircuit: row ``row`` of ``table``.
 
-    Either row ``row`` of ``table`` — settings and circuit decoded from the
-    table on first access, then cached — or a hand-built wrapper around an
-    explicit ``circuit`` (``table`` is ``None``).
+    Args:
+        table: the :class:`VariantTable` holding the row.
+        row: the row's index in ``table``.
+
+    ``subcircuit_index``, ``num_wires``, ``output_qubit_order``, ``mode`` and
+    ``pauli_term`` are the table's.  ``settings``, ``circuit`` and
+    ``fingerprint`` are decoded from the table on first access, then cached.
+    Wrap a bare circuit with :meth:`VariantTable.of_circuit`.
     """
 
-    __slots__ = (
-        "subcircuit_index",
-        "num_wires",
-        "output_qubit_order",
-        "mode",
-        "pauli_term",
-        "table",
-        "row",
-        "_settings",
-        "_circuit",
-        "_fingerprint",
-    )
+    __slots__ = ("table", "row", "_settings", "_circuit", "_fingerprint")
 
-    def __init__(
-        self,
-        subcircuit_index: int,
-        circuit: Optional[Circuit],
-        num_wires: int,
-        output_qubit_order: Tuple[int, ...],
-        settings: Optional[VariantSettings],
-        mode: str,
-        pauli_term: Optional[PauliString] = None,
-        table: Optional["VariantTable"] = None,
-        row: int = -1,
-    ) -> None:
-        self.subcircuit_index = subcircuit_index
-        self.num_wires = num_wires
-        self.output_qubit_order = output_qubit_order
-        self.mode = mode
-        self.pauli_term = pauli_term
+    def __init__(self, table: "VariantTable", row: int) -> None:
         self.table = table
         self.row = row
-        self._settings = settings
-        self._circuit = circuit
+        self._settings: Optional[VariantSettings] = None
+        self._circuit: Optional[Circuit] = None
         self._fingerprint: Optional[str] = None
+
+    @property
+    def subcircuit_index(self) -> int:
+        return self.table.subcircuit_index
+
+    @property
+    def num_wires(self) -> int:
+        return self.table.num_wires
+
+    @property
+    def output_qubit_order(self) -> Tuple[int, ...]:
+        return self.table.output_qubit_order
+
+    @property
+    def mode(self) -> str:
+        return self.table.mode
+
+    @property
+    def pauli_term(self) -> Optional[PauliString]:
+        return self.table.pauli_term
 
     @property
     def settings(self) -> VariantSettings:
         if self._settings is None:
-            self._settings = self._table().settings_of(self.row)
+            self._settings = self.table.settings_of(self.row)
         return self._settings
 
     @property
     def circuit(self) -> Circuit:
         if self._circuit is None:
-            self._circuit = self._table()._materialise(self.row)
+            self._circuit = self.table._materialise(self.row)
         return self._circuit
 
     @property
     def fingerprint(self) -> str:
         """Stable content hash identifying this request to the engine (memoised)."""
         if self._fingerprint is None:
-            operations = None if self.table is None else self.table.operations(self.row)
-            self._fingerprint = variant_fingerprint(self, operations)
+            self._fingerprint = variant_fingerprint(self, self.table.operations(self.row))
         return self._fingerprint
-
-    def _table(self) -> "VariantTable":
-        if self.table is None:
-            raise CuttingError("a variant needs a table row or its own circuit and settings")
-        return self.table
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # A row travels as (table, row): a chunk of rows ships its table once.
-        if self.table is not None:
-            return _table_row, (self.table, self.row)
-        return SubcircuitVariant, (
-            self.subcircuit_index,
-            self._circuit,
-            self.num_wires,
-            self.output_qubit_order,
-            self._settings,
-            self.mode,
-            self.pauli_term,
-        )
+        return _table_row, (self.table, self.row)
 
 
 def _table_row(table: "VariantTable", row: int) -> SubcircuitVariant:
@@ -232,8 +215,12 @@ class VariantTable:
         pauli_term: the restricted term (expectation mode), else ``None``.
         choices: ``(rows, slots)`` integer array, each row's choice per slot.
 
-    Build tables through :meth:`VariantBuilder.table`.  Operation text and
-    matrices are derived once per table, never per row.
+    Build tables through :meth:`VariantBuilder.table`, or wrap a bare circuit
+    with :meth:`of_circuit`.  Operation text and matrices are derived once per
+    table, never per row.  A probability-mode table must measure every output
+    qubit to an ``out:`` tag in its shared operations; the constructor raises
+    :class:`~repro.exceptions.CuttingError` otherwise, so no executor checks
+    it again.
     """
 
     def __init__(
@@ -246,6 +233,21 @@ class VariantTable:
         pauli_term: Optional[PauliString],
         choices: np.ndarray,
     ) -> None:
+        if mode not in ("probability", "expectation"):
+            raise CuttingError(f"unknown variant mode {mode!r}")
+        if mode == "probability":
+            recorded = {
+                op.tag[len("out:") :]
+                for gap in skeleton.gaps
+                for op in gap
+                if op.is_measurement and (op.tag or "").startswith("out:")
+            }
+            for qubit in output_qubit_order:
+                if str(qubit) not in recorded:
+                    raise CuttingError(
+                        f"variant for subcircuit {subcircuit_index} did not record "
+                        f"an outcome for original qubit {qubit}"
+                    )
         self.skeleton = skeleton
         self.subcircuit_index = subcircuit_index
         self.num_wires = num_wires
@@ -254,6 +256,29 @@ class VariantTable:
         self.pauli_term = pauli_term
         self.choices = choices
         self.__setstate__({})
+
+    @classmethod
+    def of_circuit(
+        cls, circuit: Circuit, mode: str, output_qubit_order: Sequence[int] = ()
+    ) -> "VariantTable":
+        """A bare ``circuit`` as a one-row table of subcircuit 0.
+
+        The skeleton has no slots, and its only gap holds the circuit's
+        operations, so the row runs, hashes and pickles exactly as an
+        enumerated row does; its settings are empty.  ``mode`` and
+        ``output_qubit_order`` are as for the constructor.
+        """
+        skeleton = _Skeleton(circuit.num_qubits, circuit.name)
+        skeleton.gaps[0].extend(circuit)
+        return cls(
+            skeleton,
+            0,
+            circuit.num_qubits,
+            tuple(output_qubit_order),
+            mode,
+            None,
+            np.zeros((1, 0), dtype=np.int8),
+        )
 
     def __getstate__(self) -> Dict[str, Any]:
         # Only the skeleton and the choice rows travel; the rest is derived.
@@ -274,20 +299,7 @@ class VariantTable:
     def variants(self) -> List[SubcircuitVariant]:
         """One handle per row, in row order."""
         if self._variants is None:
-            self._variants = [
-                SubcircuitVariant(
-                    self.subcircuit_index,
-                    None,
-                    self.num_wires,
-                    self.output_qubit_order,
-                    None,
-                    self.mode,
-                    self.pauli_term,
-                    self,
-                    row,
-                )
-                for row in range(len(self))
-            ]
+            self._variants = [SubcircuitVariant(self, row) for row in range(len(self))]
         return self._variants
 
     def _choices(self, row: int) -> List[int]:
@@ -366,15 +378,6 @@ class VariantTable:
             )
         return self._programs[row_class]
 
-    def recorded_outputs(self) -> Set[str]:
-        """Original qubits (as text) every row measures to an ``out:`` tag."""
-        return {
-            op.tag[len("out:") :]
-            for gap in self.skeleton.gaps
-            for op in gap
-            if op.is_measurement and (op.tag or "").startswith("out:")
-        }
-
 
 def _layers(column: int, runs: Sequence[Tuple[Operation, ...]]) -> List[Tuple[Any, ...]]:
     """A slot's ``(column, op per choice)`` layers, aligned around its measurement."""
@@ -409,11 +412,6 @@ class VariantBuilder:
         self._sorted_elements = self._sort_elements()
         self._skeletons: Dict[Tuple, _Skeleton] = {}
 
-    # ------------------------------------------------------------------ accessors
-    @property
-    def spec(self) -> SubcircuitSpec:
-        return self._spec
-
     # ------------------------------------------------------------------ building
     def table(
         self,
@@ -431,8 +429,6 @@ class VariantBuilder:
         measured, unsigned) or ``"expectation"`` (output qubits measured in the
         basis dictated by ``pauli_term``, signed).
         """
-        if mode not in ("probability", "expectation"):
-            raise CuttingError(f"unknown variant mode {mode!r}")
         if mode == "expectation" and pauli_term is None:
             pauli_term = PauliString((), 1.0)
         skeleton = self._skeleton(mode, pauli_term)

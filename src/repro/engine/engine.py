@@ -374,8 +374,9 @@ class ParallelEngine:
         Chunking then hands each worker contiguous rows of few tables, so
         batch-capable executors keep their per-table passes and a chunk's
         pickle carries each of its tables once.  Tables come in first-seen
-        order and requests keep their order within a table; variants without
-        a table (hand-built or foreign payloads) form one group of their own.
+        order and requests keep their order within a table; foreign payloads
+        (duck-typed executors' requests without a table) form one group of
+        their own.
         As for any reordering, results are unaffected: every request is
         evaluated independently and collected by fingerprint.
         """

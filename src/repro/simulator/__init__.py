@@ -1,6 +1,6 @@
 """Simulation backends: exact statevector, batched vectorized, dynamic, shots, noise."""
 
-from .batched import branch_bound, simulate_variant_group
+from .batched import simulate_variant_group
 from .dynamic import Branch, BranchedResult, BranchingSimulator, simulate_dynamic
 from .expectation import (
     basis_rotation_circuit,
@@ -36,7 +36,6 @@ __all__ = [
     "Statevector",
     "apply_gate",
     "apply_gate_batch",
-    "branch_bound",
     "simulate_variant_group",
     "basis_rotation_circuit",
     "counts_to_distribution",

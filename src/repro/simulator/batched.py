@@ -19,8 +19,7 @@ once per table).  A slot whose choices have fewer gates than its deepest
 choice applies the identity in the missing layers, so every row applies its
 own circuit's gates, in its own program order, one matrix at a time (never
 fused).  Rows of one table share a pass exactly when their skeleton class
-agrees: the same gate-cut sides measure.  A variant backed by an explicit
-circuit compiles into a program without slots and runs as a pass of one.
+agrees: the same gate-cut sides measure.
 
 **Bitwise contract.**  Row ``b`` of a batched run is bit-identical to running
 variant ``b`` alone through :class:`~repro.simulator.dynamic.BranchingSimulator`:
@@ -54,7 +53,7 @@ from typing import Any, Dict, List, Literal, Optional, Sequence, Tuple, Union, o
 
 import numpy as np
 
-from ..circuits import Circuit, Operation
+from ..circuits import Operation
 from ..circuits.gates import SINGLE_QUBIT_GATES
 from ..exceptions import SimulationError
 from .dynamic import _DEFAULT_PRUNE_THRESHOLD, _FLIP, SIGNED_MEASUREMENT_PREFIX
@@ -66,7 +65,6 @@ __all__ = [
     "compile_program",
     "simulate_variant_group",
     "pass_batches",
-    "branch_bound",
 ]
 
 _IDENTITY_2 = np.eye(2, dtype=complex)
@@ -112,6 +110,21 @@ class Program:
     num_qubits: int
     steps: Tuple[Tuple, ...]
     branch_points: int
+
+    @property
+    def row_elements(self) -> int:
+        """Sizing estimate of one row's pass: ``2**num_qubits`` amplitudes per
+        branch times the worst-case branch count ``2**branch_points``.
+
+        The exponent is capped at 12: the true branch count is usually far
+        below the worst case (deterministic outcomes prune half the tree at
+        each measurement), and an uncapped bound would collapse every
+        measurement-heavy pass to batch size one for no real memory saving.
+        This makes the value a sizing estimate, not a hard cap — a pass that
+        genuinely fans out past ``2**12`` branches uses the same row memory
+        the scalar simulator's branch list would.
+        """
+        return 2**self.num_qubits * 2 ** min(self.branch_points, 12)
 
 
 def _measure_flags(op: Optional[Operation], order: Dict[int, int]) -> Tuple[bool, int]:
@@ -169,39 +182,17 @@ def compile_program(
     return Program(num_qubits, tuple(steps), points)
 
 
-def branch_bound(circuit: Circuit) -> int:
-    """Worst-case measurement-branch count of one circuit (``2**branch points``).
-
-    Used by the batched executor to size sub-batches.  The exponent is capped
-    at 12: the true branch count is usually far below the worst case
-    (deterministic outcomes prune half the tree at each measurement), and an
-    uncapped bound would collapse every measurement-heavy group to batch size
-    one for no real memory saving.  This makes the value a sizing estimate,
-    not a hard cap — a group that genuinely fans out past ``2**12`` branches
-    uses the same row memory the scalar simulator's branch list would.
-    """
-    return _bound(sum(1 for op in circuit if not op.is_unitary))
-
-
-def _bound(points: int) -> int:
-    return 2 ** min(points, 12)
-
-
 # --------------------------------------------------------------------------- passes
 def _pass_groups(variants: Sequence) -> List[List[int]]:
     """Positions of ``variants`` per batched pass, passes in first-seen order.
 
     Rows of one table (``variant.table``) share a pass when their skeleton
-    class (``table.row_class``) agrees; a circuit-backed variant runs alone.
+    class (``table.row_class``) agrees.
     """
     passes: List[List[int]] = []
     owners: Dict[int, Tuple[Any, List[int]]] = {}
     for position, variant in enumerate(variants):
-        table = getattr(variant, "table", None)
-        if table is None:
-            passes.append([position])
-        else:
-            owners.setdefault(id(table), (table, []))[1].append(position)
+        owners.setdefault(id(variant.table), (variant.table, []))[1].append(position)
     for table, positions in owners.values():
         rows = np.array([variants[position].row for position in positions], dtype=np.int64)
         classes = table.row_class[rows]
@@ -215,13 +206,7 @@ def _pass_groups(variants: Sequence) -> List[List[int]]:
 def _pass_program(variants: Sequence, positions: Sequence[int]) -> Tuple[Program, np.ndarray]:
     """The program of one pass and its rows' choice matrix."""
     first = variants[positions[0]]
-    table = getattr(first, "table", None)
-    if table is None:
-        circuit = first.circuit
-        program = compile_program(
-            circuit.num_qubits, list(circuit), getattr(first, "output_qubit_order", ())
-        )
-        return program, np.zeros((1, 0), dtype=np.int8)
+    table = first.table
     rows = np.array([variants[position].row for position in positions], dtype=np.int64)
     return table.program(int(table.row_class[first.row])), table.choices[rows]
 
@@ -230,17 +215,15 @@ def pass_batches(variants: Sequence, max_batch_elements: int) -> List[List[int]]
     """Positions of ``variants`` split into batched-pass sized sub-batches.
 
     Rows of one table's skeleton class share a pass (passes in first-seen
-    order, rows in their order), each cut so that ``batch * 2**n`` times the
-    pass's :func:`branch_bound` stays under ``max_batch_elements``; a
-    circuit-backed variant is a pass of its own.  A ragged final sub-batch,
-    even a single row, runs through the same batched pass and stays
-    bit-identical.
+    order, rows in their order), each cut so that ``batch`` times the pass
+    program's :attr:`Program.row_elements` stays under
+    ``max_batch_elements``.  A ragged final sub-batch, even a single row, runs
+    through the same batched pass and stays bit-identical.
     """
     batches: List[List[int]] = []
     for positions in _pass_groups(variants):
         program, _ = _pass_program(variants, positions[:1])
-        per_row = (2**program.num_qubits) * _bound(program.branch_points)
-        limit = max(1, max_batch_elements // per_row)
+        limit = max(1, max_batch_elements // program.row_elements)
         batches.extend(
             positions[start : start + limit] for start in range(0, len(positions), limit)
         )
@@ -295,11 +278,10 @@ def simulate_variant_group(
 ) -> Union[List[Tuple[float, Optional[np.ndarray]]], BranchRows]:
     """Run subcircuit variants in batched passes, one pass per table skeleton class.
 
-    ``variants`` are duck-typed (``mode``, ``output_qubit_order`` and either
-    ``table``/``row`` or ``circuit`` attributes — canonically
+    ``variants`` are variant-table rows (``table``, ``row``, ``mode`` and
+    ``output_qubit_order`` attributes —
     :class:`repro.cutting.variants.SubcircuitVariant`).  Rows of one table
-    whose skeleton class agrees share a pass; a circuit-backed variant is
-    compiled on its own and runs alone.  Returns, per variant and in order,
+    whose skeleton class agrees share a pass.  Returns, per variant and in order,
     ``(value, distribution)``: the sign-weighted expectation of the recorded
     measurement signs and, for ``"probability"``-mode variants, the
     sign-weighted quasi-distribution over the variant's output qubits
@@ -410,7 +392,7 @@ def _extract(
         segment = contributions[start:stop]
         value = 0.0 + float(np.add.accumulate(segment)[-1]) if stop > start else 0.0
         distribution: Optional[np.ndarray] = None
-        if getattr(variant, "mode", None) == "probability":
+        if variant.mode == "probability":
             distribution = np.zeros(2 ** len(variant.output_qubit_order))
             np.add.at(distribution, branch_rows.out_index[start:stop], segment)
         results.append((value, distribution))

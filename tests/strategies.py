@@ -18,7 +18,7 @@ from repro.cutting import (
     CutSolution,
     GateCut,
     SubcircuitVariant,
-    VariantSettings,
+    VariantTable,
     WireCut,
 )
 from repro.cutting.executors import _signed_distribution, _signed_value
@@ -64,15 +64,8 @@ moment_chunks = st.lists(
 def make_variant(
     circuit: Circuit, mode: str = "expectation", output=()
 ) -> SubcircuitVariant:
-    """Wrap a bare circuit as a standalone subcircuit variant."""
-    return SubcircuitVariant(
-        subcircuit_index=0,
-        circuit=circuit,
-        num_wires=circuit.num_qubits,
-        output_qubit_order=tuple(output),
-        settings=VariantSettings(),
-        mode=mode,
-    )
+    """Wrap a bare circuit as the row of a one-row variant table."""
+    return VariantTable.of_circuit(circuit, mode, tuple(output)).variants[0]
 
 
 def scalar_reference(variant: SubcircuitVariant):

@@ -206,7 +206,7 @@ class TestSimulateVariantGroup:
         assert distribution.tobytes() == expected_distribution.tobytes()
 
     def test_mismatched_structures_run_in_separate_passes(self):
-        """Circuit-backed variants and rows of several tables, interleaved."""
+        """Wrapped bare circuits and rows of several tables, interleaved."""
         a = Circuit(2)
         a.h(0).cx(0, 1).measure(0, tag="signed:cut:a")
         b = Circuit(2)
@@ -424,9 +424,9 @@ class TestBatchedExactExecutor:
     def test_probability_variant_missing_output_measure_raises(self):
         circuit = Circuit(2)
         circuit.cx(0, 1).measure(0, tag="out:0")  # qubit 1 never recorded
-        variant = _variant(circuit, mode="probability", output=(0, 1))
+        # Rejected when the circuit is wrapped, before any executor sees it.
         with pytest.raises(CuttingError, match="did not record an outcome"):
-            BatchedExactExecutor().run_batch([variant])
+            _variant(circuit, mode="probability", output=(0, 1))
 
     def test_spawn_spec_survives_pickling(self):
         import pickle

@@ -4,12 +4,12 @@ source of truth for engine knobs)."""
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from repro import CutConfig, EngineConfig, OverheadReport, evaluate_workload
-from repro.circuits import Circuit
 from repro.cutting import (
     OVERHEAD_MODES,
     optimize_overhead_weights,
@@ -17,33 +17,33 @@ from repro.cutting import (
     sampling_variance_bound,
     variant_profile,
 )
-from repro.cutting.variants import SubcircuitVariant, VariantSettings
+from repro.cutting.variants import VariantSettings
 from repro.engine import request_key
 from repro.exceptions import ConfigError, ReproError
 from repro.workloads import make_workload
 
 # ---------------------------------------------------------------------------
 # Synthetic variants: the optimizer only reads settings + fingerprint, so a
-# trivial one-qubit circuit with hand-built VariantSettings exercises the
-# whole model without any cut search.
+# stub carrying hand-built VariantSettings exercises the whole model without
+# any cut search.
 # ---------------------------------------------------------------------------
 
 
-def make_variant(settings: VariantSettings) -> SubcircuitVariant:
-    return SubcircuitVariant(
-        subcircuit_index=0,
-        circuit=Circuit(1),
-        num_wires=1,
-        output_qubit_order=(0,),
-        settings=settings,
-        mode="expectation",
-    )
+@dataclass(frozen=True)
+class StubVariant:
+    """The two attributes of a variant that the optimizer reads."""
+
+    settings: VariantSettings
+
+    @property
+    def fingerprint(self) -> str:
+        return repr(self.settings)
 
 
 def single_simplex_batch(bases=("I", "X", "Y", "Z")):
     """One wire-cut measurement simplex; each variant uses one distinct basis."""
     return [
-        make_variant(VariantSettings(measurement_bases=(("w0_0", basis),)))
+        StubVariant(VariantSettings(measurement_bases=(("w0_0", basis),)))
         for basis in bases
     ]
 
@@ -113,7 +113,7 @@ class TestVariantProfile:
             init_labels=(("w0_1", "plus"),),
             gate_instances=((3, 5),),
         )
-        profile = variant_profile(make_variant(settings))
+        profile = variant_profile(StubVariant(settings))
         assert profile == tuple(
             sorted(
                 (
@@ -125,7 +125,7 @@ class TestVariantProfile:
         )
 
     def test_uncut_variant_has_empty_profile(self):
-        assert variant_profile(make_variant(VariantSettings())) == ()
+        assert variant_profile(StubVariant(VariantSettings())) == ()
 
 
 class TestOptimizer:
@@ -150,7 +150,7 @@ class TestOptimizer:
         weight_of = {}
         weight_table = {("I", "1"): 3.0, ("I", "2"): 0.5, ("X", "1"): 1.0, ("X", "2"): 2.0}
         for (basis, instance), weight in sorted(weight_table.items()):
-            variant = make_variant(
+            variant = StubVariant(
                 VariantSettings(
                     measurement_bases=(("w0_0", basis),),
                     gate_instances=((7, int(instance)),),

@@ -11,6 +11,10 @@ on demand.  For every row of every table of a spread of cuts, these tests pin:
 * :class:`~repro.cutting.SamplingExecutor` at a fixed seed gives the bytes the
   per-circuit pipeline gave before tables existed, pinned as a digest.
 
+A bare circuit wrapped by :meth:`~repro.cutting.VariantTable.of_circuit` is
+pinned the same way, against the digests of the circuit-backed variant handle
+that the one-row tables replaced.
+
 Cases: the solutions of ``test_variant_tables.py``, the two workloads of
 ``golden_evaluations.json``, the first seed-0 instance of each perf workload
 (``benchmarks/perf/workloads.py``) and hypothesis draws of small cuts.  On the
@@ -26,6 +30,7 @@ import hashlib
 import pickle
 import pickletools
 import sys
+import warnings
 from pathlib import Path
 from typing import Callable, Dict, List
 
@@ -34,15 +39,25 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.circuits import Circuit
 from repro.core import CutConfig, cut_circuit
-from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
+from repro.cutting import (
+    BatchedExactExecutor,
+    CutReconstructor,
+    ExactExecutor,
+    VariantSettings,
+    VariantTable,
+)
 from repro.cutting.sampling import SamplingExecutor
 from repro.engine import EngineConfig, ParallelEngine, request_key
 from repro.engine.requests import variant_fingerprint
+from repro.exceptions import CuttingError
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import WorkloadKind, make_workload
 
 from strategies import (
+    ONE_QUBIT_GATES,
+    TWO_QUBIT_GATES,
     assert_tables_bit_identical,
     random_angle_chain_solution,
     small_workload,
@@ -265,3 +280,92 @@ def test_pool_chunk_ships_its_table_once_and_no_circuit():
     small, large = len(pickle.dumps(requests[:8])), len(pickle.dumps(requests[:40]))
     per_row = (large - small) / 32
     assert per_row < len(pickle.dumps(table.variants[0].circuit)) / 4
+
+
+# --------------------------------------------------------------------------- bare circuits
+def _bare_circuits() -> List:
+    """Seeded ``(circuit, mode, output order)`` cases on 1-3 qubits, with
+    mid-circuit (signed and unsigned) measurements and resets."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for index in range(16):
+        num_qubits = 1 + index % 3
+        circuit = Circuit(num_qubits)
+        for _ in range(10):
+            kind = int(rng.integers(6))
+            qubit = int(rng.integers(num_qubits))
+            if kind < 3:
+                name, params = ONE_QUBIT_GATES[int(rng.integers(len(ONE_QUBIT_GATES)))]
+                circuit.add(name, [qubit], params)
+            elif kind == 3 and num_qubits > 1:
+                name, params = TWO_QUBIT_GATES[int(rng.integers(len(TWO_QUBIT_GATES)))]
+                other = (qubit + 1 + int(rng.integers(num_qubits - 1))) % num_qubits
+                circuit.add(name, [qubit, other], params)
+            elif kind == 4:
+                circuit.measure(qubit, tag=(None, "cut:a", "signed:cut:a")[int(rng.integers(3))])
+            else:
+                circuit.reset(qubit, tag="reuse:0")
+        if index % 2:
+            for qubit in range(num_qubits):
+                circuit.measure(qubit, tag=f"out:{qubit}")
+            cases.append((circuit, "probability", tuple(range(num_qubits))[::-1]))
+        else:
+            circuit.measure(0, tag="signed:out:0")
+            cases.append((circuit, "expectation", ()))
+    return cases
+
+
+def _bare_rows() -> List:
+    return [VariantTable.of_circuit(*case).variants[0] for case in _bare_circuits()]
+
+
+#: Recorded with the circuit-backed variant handle (``SubcircuitVariant`` built
+#: around each circuit, subcircuit 0, empty settings) at its last commit.
+BARE_DIGESTS = {
+    "fingerprints": "35f90e8d2adec767c3788bc2a84b5ebef936f371dec0bf0413c6aeee8f1b6d73",
+    "exact": "b26e5e2dff1dabb6fd3cfed7c4f51a46f87a4ead76e74d8a942771a1679bdc07",
+    "batched": "b26e5e2dff1dabb6fd3cfed7c4f51a46f87a4ead76e74d8a942771a1679bdc07",
+    "sampling": "a2b728a96e140abc2dbfefca8a7a83e13405785ceb3b033a9353504612b161fc",
+}
+
+
+def test_bare_circuit_rows_reproduce_the_circuit_backed_variants():
+    rows = _bare_rows()
+    fingerprints = "".join(row.fingerprint for row in rows).encode("ascii")
+    assert {
+        "fingerprints": hashlib.sha256(fingerprints).hexdigest(),
+        "exact": result_digest(ExactExecutor().run_batch(rows)),
+        "batched": result_digest(BatchedExactExecutor().run_batch(rows)),
+        "sampling": sampling_digest(rows),
+    } == BARE_DIGESTS
+    for row, (circuit, _, _) in zip(rows, _bare_circuits()):
+        assert row.circuit == circuit
+        assert row.fingerprint == variant_fingerprint(row)
+        assert row.settings == VariantSettings()
+
+
+def test_probability_circuit_without_output_tag_is_rejected_when_wrapped():
+    circuit = Circuit(2)
+    circuit.h(0).cx(0, 1).measure(0, tag="out:0").measure(1, tag="cut:a")
+    with pytest.raises(CuttingError, match="did not record an outcome for original qubit 1"):
+        VariantTable.of_circuit(circuit, "probability", (0, 1))
+    assert VariantTable.of_circuit(circuit, "probability", (0,)).variants[0].mode == "probability"
+    assert len(VariantTable.of_circuit(circuit, "expectation", (0, 1))) == 1
+    with pytest.raises(CuttingError, match="unknown variant mode"):
+        VariantTable.of_circuit(circuit, "density")
+
+
+def test_bare_circuit_rows_round_trip_through_a_worker_pool():
+    rows = _bare_rows()
+    for row in rows:
+        clone = pickle.loads(pickle.dumps(row))
+        assert (clone.row, len(clone.table)) == (0, 1)
+        assert clone.fingerprint == row.fingerprint
+    serial = BatchedExactExecutor().run_batch(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # a serial fallback fails
+        with ParallelEngine(
+            BatchedExactExecutor(), EngineConfig(max_workers=2, chunk_size=3)
+        ) as engine:
+            pooled = engine.run_batch(rows)
+    assert_tables_bit_identical(serial, pooled)

@@ -382,12 +382,9 @@ class TestSamplingOnBranchRows:
     def test_probability_variant_missing_output_tag_raises(self):
         circuit = Circuit(2)
         circuit.h(0).cx(0, 1).measure(0, tag="out:0")  # qubit 1 never recorded
-        variant = make_variant(circuit, mode="probability", output=(0, 1))
-        executor = SamplingExecutor(shots=10, seed=0)
+        # Rejected when the circuit is wrapped, before any executor sees it.
         with pytest.raises(CuttingError, match="did not record an outcome"):
-            executor.run_batch([variant])
-        with pytest.raises(CuttingError, match="did not record an outcome"):
-            executor.execute_variant(variant)
+            make_variant(circuit, mode="probability", output=(0, 1))
 
 
 class TestShotAllocationPolicies:

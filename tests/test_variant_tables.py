@@ -355,7 +355,7 @@ def test_zero_coefficient_instances_are_never_enumerated():
     reconstructor = CutReconstructor(solution)
     batch = reconstructor.enumerate_expectation_requests(observable)
     assert batch
-    assert {v.settings.instance_for(5) for v in batch} == {1}
+    assert {dict(v.settings.gate_instances)[5] for v in batch} == {1}
 
 
 def test_evaluations_add_up_over_subcircuits():

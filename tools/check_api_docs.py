@@ -47,6 +47,7 @@ FLAGSHIP = (
     ("repro.cutting", "CutReconstructor"),
     ("repro.cutting", "VariantExecutor"),
     ("repro.cutting", "VariantTable"),
+    ("repro.cutting", "SubcircuitVariant"),
     ("repro.engine", "allocate_shots"),
     ("repro.engine", "ShotPlan"),
     ("repro.cutting", "SamplingExecutor"),
