@@ -193,17 +193,19 @@ class EvaluationResult:
     shared engine), comparable across exact and noisy executors.  ``timings``
     breaks the end-to-end wall clock into stages: ``cut`` (DAG + ILP/greedy solve
     + subcircuit extraction), ``execute`` (variant batch execution inside the
-    engine), ``reconstruct`` (enumeration and contraction outside the engine),
-    ``reference`` (uncut statevector simulation, when requested) and ``total``
-    (their sum).  ``reconstruct`` is further broken into ``plan`` (contraction
+    engine, a variance pilot included), ``reconstruct`` (enumeration, streaming
+    folds and the final contraction outside the engine), ``allocate`` /
+    ``optimize`` / ``prune`` (only when shots, the overhead optimizer or a
+    pruning policy ran), ``reference`` (uncut statevector simulation, when
+    requested) and ``total`` (their sum).  ``reconstruct`` is further broken
+    into ``plan`` (contraction
     planning + index precomputation), ``contract`` (sharded kernel execution)
     and ``merge`` (the deterministic shard merge) — the contraction stages of
     :attr:`contraction_report`, which also carries the contraction mode, shard
     count and per-shard utilization (see ``contraction_utilization``, the
     contraction-side sibling of ``device_utilization``).  Every stage is timed
-    around the call this evaluation itself
-    makes — ``execute`` comes from the engine's per-batch timing, never from
-    deltas of its lifetime counters, so sharing an engine across threads cannot
+    around the call this evaluation itself makes, never from deltas of the
+    engine's lifetime counters, so sharing an engine across threads cannot
     inflate another call's numbers.  ``engine_stats`` is likewise a *per-call*
     delta (``EngineStats.since`` of two lifetime snapshots): on an engine
     shared across plans each evaluation reports only its own requests,

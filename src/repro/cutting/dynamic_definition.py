@@ -446,7 +446,7 @@ def binned_probabilities(
     if reconstructor.solution.gate_cuts:
         raise ReconstructionError(GATE_CUT_MESSAGE)
     plan_start = perf_clock()
-    workers = reconstructor._shard_workers()
+    workers = reconstructor.engine.workers
     structure = _binned_structure(reconstructor, space, workers)
     plan = structure["plan"]
     plan_seconds = perf_clock() - plan_start

@@ -424,9 +424,6 @@ class CutReconstructor:
         return value
 
     # ----------------------------------------------------- planned contraction paths
-    def _shard_workers(self) -> int:
-        return getattr(self.engine, "workers", 1)
-
     def _probability_structure(self, workers: int) -> Dict[str, object]:
         """Cached plan, index maps and scatter blocks for probability mode."""
         key = ("probability", workers)
@@ -456,7 +453,7 @@ class CutReconstructor:
     ) -> np.ndarray:
         """Planned path: dense per-subcircuit stacks, sharded vectorized kron."""
         plan_start = perf_clock()
-        workers = self._shard_workers()
+        workers = self.engine.workers
         structure = self._probability_structure(workers)
         plan = structure["plan"]
         plan_seconds = perf_clock() - plan_start
@@ -539,7 +536,7 @@ class CutReconstructor:
     ) -> float:
         """Planned path: dense value tables, terms sharded over the pool."""
         plan_start = perf_clock()
-        workers = self._shard_workers()
+        workers = self.engine.workers
         structure = self._expectation_structure(workers, len(observable.terms))
         plan = structure["plan"]
         plan_seconds = perf_clock() - plan_start

@@ -223,7 +223,9 @@ class OverheadReport:
             pass (the session upgrades ``"uniform"`` to ``"weighted"`` over
             the optimized weights — a uniform split would ignore them);
             ``None`` outside a session.
-        optimize_seconds: wall clock the optimization spent.
+        optimize_seconds: wall clock of the whole
+            :func:`optimize_overhead_weights` call (model build, descent,
+            polish and breakdown).
         cuts: per-cut-side breakdown (:class:`CutBasisWeights`).
     """
 
@@ -456,8 +458,8 @@ def optimize_overhead_weights(
     """
     if not batch:
         raise ReproError("cannot optimize sampling overhead over an empty batch")
-    model = _build_model(batch, weights)
     start = perf_clock()
+    model = _build_model(batch, weights)
     q, sweeps, converged = _coordinate_descent(model)
     method = "coordinate"
     iterations = sweeps
@@ -480,6 +482,7 @@ def optimize_overhead_weights(
     optimized = {
         key: float(value / total) for key, value in zip(model.fingerprints, ptilde)
     }
+    cuts = _cut_breakdown(model, q)
     report = OverheadReport(
         mode="weights",
         method=method,
@@ -490,6 +493,6 @@ def optimize_overhead_weights(
         overhead_before=uniform_bound / ideal if ideal > 0.0 else 1.0,
         overhead_after=optimized_bound / ideal if ideal > 0.0 else 1.0,
         optimize_seconds=perf_clock() - start,
-        cuts=_cut_breakdown(model, q),
+        cuts=cuts,
     )
     return optimized, report

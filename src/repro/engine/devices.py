@@ -318,11 +318,9 @@ class DeviceFarm:
         widths: List[int] = []
         for request in pending:
             variant = request[1]
-            width = getattr(variant, "num_wires", None)
-            if width is None:
-                width = variant.circuit.num_qubits
+            width = variant.num_wires
             if not self.feasible(width):
-                self.check_width(width, subcircuit=getattr(variant, "subcircuit_index", None))
+                self.check_width(width, subcircuit=variant.subcircuit_index)
             widths.append(width)
         lanes: Dict[str, List[Tuple]] = {}
         # Per-batch simulated clock: each device starts with all lanes free.

@@ -35,7 +35,7 @@ bound for executors whose estimates can exceed the physical range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import PruningError
 from .requests import request_key
@@ -282,6 +282,7 @@ def prune_requests(
     batch: Iterable,
     weights: Mapping[str, float],
     policy: Union[str, PruningPolicy, None],
+    bound_weights: Optional[Mapping[str, float]] = None,
 ) -> Tuple[List, PruningReport]:
     """Drop the small-|weight| tail of an enumerated variant batch.
 
@@ -294,6 +295,12 @@ def prune_requests(
             (or its probability-mode sibling).  A fingerprint absent from the
             mapping scores zero and is first in line to be dropped.
         policy: a :class:`PruningPolicy`, a bare policy name, or ``None``.
+        bound_weights: the true contraction weights, when ``weights`` is only
+            a ranking score (e.g. the sampling weights of
+            :func:`~repro.cutting.shot_overhead.optimize_overhead_weights`).
+            The report's ``total_weight``, ``dropped_weight`` and
+            ``bias_bound`` are taken over these, since the a-priori bound holds
+            only for true weights.  ``None`` uses ``weights``.
 
     Returns:
         ``(kept_batch, report)`` — the surviving requests in their original
@@ -310,7 +317,8 @@ def prune_requests(
     policy = PruningPolicy.resolve(policy)
     batch = list(batch)
     order, scores = _unique_scores(batch, weights)
-    total = sum(scores.values())
+    bound = scores if bound_weights is None else _unique_scores(batch, bound_weights)[1]
+    total = sum(bound.values())
     if policy.is_none or not batch:
         report = PruningReport(
             policy=policy.describe(),
@@ -327,7 +335,7 @@ def prune_requests(
     kept_batch = [
         variant for variant in batch if request_key(variant) not in dropped_lookup
     ]
-    dropped_weight = sum(scores[key] for key in dropped)
+    dropped_weight = sum(bound[key] for key in dropped)
     report = PruningReport(
         policy=policy.describe(),
         requested_variants=len(order),

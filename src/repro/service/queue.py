@@ -132,8 +132,10 @@ class ServiceQueue:
             workload: the workload to evaluate (as in ``evaluate_workload``).
             config: the cutting meta parameters (a ``CutConfig``).
             tenant: the tenant to account the submission against.
-            shots: finite-shot budget reserved against the tenant's budget at
-                admission (``None`` = exact evaluation, nothing to meter).
+            shots: the session's finite-shot budget (``None`` keeps the shared
+                engine config's ``shots``).  Whichever budget the session ends
+                up with is reserved against the tenant's budget at admission;
+                an exact session has nothing to meter.
             **kwargs: per-session policy overrides forwarded to
                 :class:`~repro.service.EvaluationSession` on the queue's shared
                 engine: ``allocation``, ``pruning``, ``streaming``,
@@ -146,8 +148,8 @@ class ServiceQueue:
             A :class:`SessionTicket`.  ``status == "queued"`` means admitted;
             ``"rejected"`` carries the reason: ``"queue_full"`` (backpressure),
             ``"budget_exceeded"`` (the tenant's remaining budget cannot cover
-            ``shots``), or the construction error message for an invalid
-            session configuration.
+            the session's shots), or the construction error message for an
+            invalid session configuration.
         """
         ticket = SessionTicket(ticket_id=len(self._tickets), tenant=tenant)
         self._tickets.append(ticket)
@@ -155,22 +157,26 @@ class ServiceQueue:
             ticket.status = "rejected"
             ticket.reason = "queue_full"
             return ticket
-        remaining = self._remaining.get(tenant)
-        if remaining is not None and (shots or 0) > remaining:
-            ticket.status = "rejected"
-            ticket.reason = "budget_exceeded"
-            return ticket
         try:
-            ticket.session = EvaluationSession(
+            session = EvaluationSession(
                 workload, config, engine=self.engine, shots=shots, **kwargs
             )
         except Exception as error:  # invalid configuration — reject, don't raise
             ticket.status = "rejected"
             ticket.reason = str(error)
             return ticket
-        ticket.reserved_shots = int(shots or 0)
+        # Meter the shots the session will draw: ``shots`` or, when unset, the
+        # shared engine config's budget.
+        reserved = int(session.shots or 0)
+        remaining = self._remaining.get(tenant)
+        if remaining is not None and reserved > remaining:
+            ticket.status = "rejected"
+            ticket.reason = "budget_exceeded"
+            return ticket
+        ticket.session = session
+        ticket.reserved_shots = reserved
         if remaining is not None:
-            self._remaining[tenant] = remaining - ticket.reserved_shots
+            self._remaining[tenant] = remaining - reserved
         return ticket
 
     # ------------------------------------------------------------------ scheduling

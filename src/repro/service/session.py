@@ -1,17 +1,20 @@
 """One evaluation as a stateful streaming session: prepare, step rounds, finish.
 
 :class:`EvaluationSession` is the library's one evaluation path: it
-enumerates variants *once*, then consumes the shot budget in cumulative rounds
-(each round's per-variant sample is a bitwise prefix of the next, so the final
-round reproduces the one-shot batch draw exactly), folding every round's fresh
-chunk into an :class:`~repro.service.IncrementalReconstructor` whose running
-confidence interval feeds an optional :class:`~repro.service.StoppingRule`.
-The session picks its per-table contraction once, in :meth:`prepare`; the
-streaming fold and :meth:`EvaluationSession.finish` both call it.
-``streaming=None`` (the default) degenerates to a single full-batch step, and
-a streaming session run to completion reproduces that batch step bit for bit
-(cache keys, seeds and all).  :func:`repro.core.evaluate_workload` is a thin
-wrapper over :meth:`EvaluationSession.run`.
+enumerates variants *once*, then runs one round loop.  A streaming session
+splits every variant's final shot count into cumulative rounds (each round's
+per-variant sample is a bitwise prefix of the next) and folds every round's
+fresh chunk into an :class:`~repro.service.IncrementalReconstructor` whose
+running confidence interval feeds an optional
+:class:`~repro.service.StoppingRule`.  Any other session plans exactly one
+round, whose chunk is the final totals (none in exact mode), and skips the
+fold; so a streaming session run to completion reproduces it bit for bit
+(cache keys, seeds and all).  :meth:`~EvaluationSession.prepare` picks the
+per-table contraction the fold calls and the final one
+:meth:`~EvaluationSession.finish` calls, and every stage's wall clock goes into
+one ledger that ``EvaluationResult.timings`` is derived from.
+:func:`repro.core.evaluate_workload` is a thin wrapper over
+:meth:`EvaluationSession.run`.
 
 Sessions are single-threaded state machines (``prepare -> step* -> finish``);
 :class:`~repro.service.ServiceQueue` multiplexes many of them over one shared
@@ -25,13 +28,13 @@ per session.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace as dataclass_replace
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..cutting import CutReconstructor, SamplingExecutor, VariantExecutor
 from ..cutting.dynamic_definition import (
-    DynamicDefinitionPlan,
     binned_probabilities,
     plan_dynamic_definition,
     reconstruct_dynamic,
@@ -140,8 +143,7 @@ class EvaluationSession:
             :class:`~repro.engine.PruningPolicy`).
         streaming: a :class:`~repro.service.StreamingConfig` spreading the
             budget over cumulative rounds (needs ``shots``); ``None`` (the
-            default, unless the engine config sets one) runs the one-shot
-            batch path.
+            default, unless the engine config sets one) runs one round.
         stopping: a :class:`~repro.service.StoppingRule` checked after every
             round (needs ``shots``; implies a default ``StreamingConfig`` when
             ``streaming`` is unset).  Early termination records its reason on
@@ -281,28 +283,29 @@ class EvaluationSession:
         self._weights: Optional[Dict[str, float]] = None
         self._overhead_report = None
         self._pruning_report = None
-        self._missing_mode = "execute"
         self._shot_allocation: Optional[ShotAllocation] = None
         self._contract: Optional[Callable[[Any], Any]] = None
-        self._dd_plan: Optional[DynamicDefinitionPlan] = None
+        # The final contraction and the EvaluationResult field it fills.
+        self._final: Optional[Tuple[str, Callable[[Any], Any]]] = None
         self._incremental: Optional[IncrementalReconstructor] = None
-        self._chunk_history: List = []
+        self._chunk_history: Optional[List] = None
         self._table = None
         self._cum: Dict[str, int] = {}
         self._seed_totals: Dict[str, int] = {}
         self._base_chunks: Dict[str, List[int]] = {}
         self._round_budgets: List[int] = []
-        self._num_rounds = 1
         self._rounds_done = 0
         self._shots_spent = 0
         self._termination_reason: Optional[str] = None
-        self._cut_seconds = 0.0
-        self._enumerate_seconds = 0.0
-        self._optimize_seconds = 0.0
-        self._prune_seconds = 0.0
-        self._allocate_seconds = 0.0
-        self._execute_seconds = 0.0
-        self._fold_seconds = 0.0
+        # Stage -> wall-clock seconds; EvaluationResult.timings derives from it.
+        self._ledger: Dict[str, float] = {}
+
+    @contextmanager
+    def _stage(self, name: str) -> Iterator[None]:
+        """Charge the enclosed block's wall clock to stage ``name`` of the ledger."""
+        start = perf_clock()
+        yield
+        self._ledger[name] = self._ledger.get(name, 0.0) + perf_clock() - start
 
     # ------------------------------------------------------------------ stats windows
     def _open_window(self) -> None:
@@ -339,6 +342,10 @@ class EvaluationSession:
         """Whether this session consumes its budget in cumulative rounds."""
         return self.streaming is not None and self.shots is not None
 
+    @property
+    def _z_value(self) -> float:
+        return self.stopping.z_value if self.stopping is not None else 1.96
+
     # ------------------------------------------------------------------ lifecycle
     def prepare(self) -> None:
         """Cut, enumerate, prune and plan the shot rounds (no round executes yet)."""
@@ -349,13 +356,12 @@ class EvaluationSession:
         self._started = perf_clock()
         self._open_window()
         try:
-            cut_start = perf_clock()
-            self._plan = cut_circuit(
-                self.workload.circuit,
-                self.config,
-                force_greedy=self.force_greedy,
-            )
-            self._cut_seconds = perf_clock() - cut_start
+            with self._stage("cut"):
+                self._plan = cut_circuit(
+                    self.workload.circuit,
+                    self.config,
+                    force_greedy=self.force_greedy,
+                )
             if self.engine.farm is not None:
                 self.engine.farm.check_width(self._plan.max_width)
             self._reconstructor = CutReconstructor(
@@ -372,24 +378,22 @@ class EvaluationSession:
                 or self.optimize_overhead != "none"
             )
             weights: Optional[Dict[str, float]] = {} if needs_weights else None
-            enumerate_start = perf_clock()
-            if self.workload.kind == WorkloadKind.EXPECTATION:
-                batch = self._reconstructor.enumerate_expectation_requests(
-                    self.workload.observable, weights_out=weights
-                )
-            else:
-                batch = self._reconstructor.enumerate_probability_requests(
-                    weights_out=weights
-                )
-            self._enumerate_seconds = perf_clock() - enumerate_start
+            # Enumeration is phase one of reconstruction: the "reconstruct"
+            # stage covers it, every streaming fold and the final contraction.
+            with self._stage("reconstruct"):
+                if self.workload.kind == WorkloadKind.EXPECTATION:
+                    batch = self._reconstructor.enumerate_expectation_requests(
+                        self.workload.observable, weights_out=weights
+                    )
+                else:
+                    batch = self._reconstructor.enumerate_probability_requests(
+                        weights_out=weights
+                    )
             self._weights = weights
 
             if self.optimize_overhead != "none":
-                optimize_start = perf_clock()
-                optimized, overhead_report = optimize_overhead_weights(
-                    batch, weights or {}
-                )
-                self._optimize_seconds = perf_clock() - optimize_start
+                optimized, overhead_report = optimize_overhead_weights(batch, weights or {})
+                self._ledger["optimize"] = overhead_report.optimize_seconds
                 effective: Optional[str] = None
                 if self.shots is not None:
                     if self.allocation_policy == "uniform":
@@ -398,87 +402,93 @@ class EvaluationSession:
                         self.allocation_policy = "weighted"
                     effective = self.allocation_policy
                 self._overhead_report = dataclass_replace(
-                    overhead_report,
-                    effective_allocation=effective,
-                    optimize_seconds=self._optimize_seconds,
+                    overhead_report, effective_allocation=effective
                 )
                 self._weights = optimized
 
+            missing = "execute"
             if not self.pruning_policy.is_none:
-                prune_start = perf_clock()
-                batch, self._pruning_report = prune_requests(
-                    batch, self._weights, self.pruning_policy
-                )
-                if self._weights is not weights:
-                    # The ranking used the optimized sampling weights, but the
-                    # a-priori bias bound is only valid over true contraction
-                    # weights — recompute the report's weight fields from them.
-                    true = weights or {}
-                    dropped_weight = sum(
-                        abs(float(true.get(key, 0.0)))
-                        for key in self._pruning_report.dropped_fingerprints
+                with self._stage("prune"):
+                    # The optimized weights (if any) rank the drop; the bias
+                    # bound is taken over the true contraction weights.
+                    batch, self._pruning_report = prune_requests(
+                        batch, self._weights, self.pruning_policy, bound_weights=weights
                     )
-                    self._pruning_report = dataclass_replace(
-                        self._pruning_report,
-                        total_weight=sum(abs(float(value)) for value in true.values()),
-                        dropped_weight=dropped_weight,
-                        bias_bound=dropped_weight * self.pruning_policy.max_branch_value,
-                    )
-                self._missing_mode = "skip"
-                self._prune_seconds = perf_clock() - prune_start
+                missing = "skip"
             self._batch = batch
 
+            totals: Dict[str, int] = {}
             if self.shots is not None:
-                allocate_start = perf_clock()
-                shot_allocation = allocate_shots(
-                    batch,
-                    self.shots,
-                    self.allocation_policy,
-                    weights=self._weights,
-                    engine=self.engine,
-                )
+                with self._stage("allocate"):
+                    shot_allocation = allocate_shots(
+                        batch,
+                        self.shots,
+                        self.allocation_policy,
+                        weights=self._weights,
+                        engine=self.engine,
+                    )
                 self._shot_allocation = shot_allocation
                 # The pilot batch (variance policy) is execution, not allocation math.
-                self._execute_seconds += shot_allocation.pilot_seconds
-                self._allocate_seconds = (
-                    perf_clock() - allocate_start - shot_allocation.pilot_seconds
-                )
+                self._ledger["allocate"] -= shot_allocation.pilot_seconds
+                self._ledger["execute"] = shot_allocation.pilot_seconds
                 self._shots_spent += sum(
                     shot_allocation.pilot_shots_by_fingerprint.values()
                 )
-                self._plan_rounds(shot_allocation)
-            # The one per-table contraction: the streaming fold contracts every
-            # chunk with it and finish() the final table (dynamic definition
-            # zooms from the same plan's root bins instead).
-            rec, missing = self._reconstructor, self._missing_mode
-            if self.workload.kind == WorkloadKind.EXPECTATION:
-                observable = self.workload.observable
-                self._contract = partial(rec.reconstruct_expectation, observable, missing=missing)
-            elif self.qubit_limit is None:
-                self._contract = partial(rec.reconstruct_probabilities, missing=missing)
-            else:
-                self._dd_plan = plan_dynamic_definition(
-                    rec.solution, rec.specs, self.qubit_limit, self.recursion_depth
-                )
-                root = self._dd_plan.space(0, ())
-                self._contract = partial(binned_probabilities, rec, root, missing=missing)
+                totals = {
+                    key: int(count)
+                    for key, count in shot_allocation.shots_by_fingerprint.items()
+                }
+            self._plan_rounds(totals)
+            self._pick_contractions(missing)
             if self.streaming_active:
                 self._incremental = IncrementalReconstructor(self._contract)
         finally:
             self._close_window()
         self._state = "prepared"
 
-    def _plan_rounds(self, shot_allocation: Any) -> None:
-        """Split every variant's final shot count into per-round cumulative chunks."""
-        totals = {key: int(count) for key, count in shot_allocation.shots_by_fingerprint.items()}
+    def _pick_contractions(self, missing: str) -> None:
+        """Pick the per-table contraction (the streaming fold's) and the final one.
+
+        They are the same, except under dynamic definition: the fold contracts
+        the plan's root bins, and :meth:`finish` runs the recursive zoom, which
+        replays the recorded chunks at every level.
+        """
+        rec = self._reconstructor
+        if self.workload.kind == WorkloadKind.EXPECTATION:
+            observable = self.workload.observable
+            self._contract = partial(rec.reconstruct_expectation, observable, missing=missing)
+            self._final = ("expectation_value", self._contract)
+        elif self.qubit_limit is None:
+            self._contract = partial(rec.reconstruct_probabilities, missing=missing)
+            self._final = ("probabilities", self._contract)
+        else:
+            dd_plan = plan_dynamic_definition(
+                rec.solution, rec.specs, self.qubit_limit, self.recursion_depth
+            )
+            root = dd_plan.space(0, ())
+            self._contract = partial(binned_probabilities, rec, root, missing=missing)
+            self._chunk_history = []
+            zoom = partial(
+                reconstruct_dynamic,
+                rec,
+                dd_plan,
+                missing=missing,
+                chunk_history=self._chunk_history,
+                z_value=self._z_value,
+            )
+            self._final = ("dynamic_result", zoom)
+
+    def _plan_rounds(self, totals: Dict[str, int]) -> None:
+        """Split every variant's final shot count into per-round cumulative chunks.
+
+        Without streaming the plan is one round whose chunk is the totals
+        (empty in exact mode, where nothing is sampled).
+        """
         self._seed_totals = totals
-        if not self.streaming_active:
-            self._num_rounds = 1
-            return
+        requested = self.streaming.rounds if self.streaming_active else 1
         # Every variant must receive >= 1 fresh shot per round (the allocator's
         # own floor), so the round count is clamped to the smallest allocation.
-        rounds = max(1, min(self.streaming.rounds, min(totals.values(), default=1)))
-        self._num_rounds = rounds
+        rounds = max(1, min(requested, min(totals.values(), default=1)))
         self._base_chunks = {
             key: [count // rounds + (1 if index < count % rounds else 0) for index in range(rounds)]
             for key, count in totals.items()
@@ -490,7 +500,7 @@ class EvaluationSession:
 
     def _chunk_for_round(self, round_index: int) -> Dict[str, int]:
         """This round's fresh-shot counts per variant (re-planned when asked)."""
-        if not (self.streaming.replan and round_index > 0):
+        if round_index == 0 or not self.streaming.replan:
             return {key: chunks[round_index] for key, chunks in self._base_chunks.items()}
         # Neyman re-split of this round's chunk budget from the variances
         # observed in the cumulative sample so far (same weight as the batch
@@ -505,72 +515,63 @@ class EvaluationSession:
     def step(self) -> bool:
         """Execute one round; returns ``True`` while more rounds are pending.
 
-        The one-shot batch path (``streaming=None``) runs its entire batch in a
-        single step, passing the final totals as its shot plan.  A streaming
-        round passes the growing cumulative counts with the final totals as
-        seed counts (so draws are prefixes), executes (the sampler resumes
-        each variant's generator and draws only the round's new shots), folds
-        the fresh chunk into the incremental estimate, and checks the
-        stopping rule.
+        A round passes the growing cumulative counts with the final totals as
+        seed counts (so draws are prefixes) and executes (the sampler resumes
+        each variant's generator and draws only the round's new shots).  A
+        streaming session then folds the fresh chunk into the incremental
+        estimate and checks the stopping rule; any other session has planned
+        exactly one round, so its first step is its last.
         """
         if self._state != "prepared":
             raise CuttingError(f"step() called on a session in state {self._state!r}")
         self._open_window()
         try:
-            if not self.streaming_active:
-                plan = None if self.shots is None else ShotPlan(self._seed_totals)
-                table, seconds = self.engine.run_batch_timed(self._batch, shots=plan)
-                self._execute_seconds += seconds
-                self._table = table
-                self._rounds_done = 1
-                self._shots_spent += sum(self._seed_totals.values())
-                self._state = "done"
-                return False
-
-            round_index = self._rounds_done
-            chunk = self._chunk_for_round(round_index)
-            cumulative = {
-                key: self._cum.get(key, 0) + count for key, count in chunk.items()
-            }
+            chunk = self._chunk_for_round(self._rounds_done)
+            cumulative = {key: self._cum.get(key, 0) + count for key, count in chunk.items()}
             # Same stage ("") and seed totals every round: the prefix-stable
             # sampler then guarantees each round's sample extends the last,
-            # and the final round (cumulative == totals) lands on exactly the
-            # batch path's seed and cache key.
-            plan = ShotPlan(cumulative, seed_shots_by_fingerprint=self._seed_totals)
-            table, seconds = self.engine.run_batch_timed(self._batch, shots=plan)
-            self._execute_seconds += seconds
+            # and the final round (cumulative == totals) draws under exactly
+            # the seed and cache key of a one-round plan (build_cache_key
+            # omits seed counts equal to the drawn ones).
+            plan = None
+            if self.shots is not None:
+                plan = ShotPlan(cumulative, seed_shots_by_fingerprint=self._seed_totals)
+            with self._stage("execute"):
+                table = self.engine.run_batch(self._batch, shots=plan)
 
-            fold_start = perf_clock()
-            chunk_table = difference_tables(table, self._table, cumulative, self._cum)
             chunk_shots = sum(chunk.values())
-            self._incremental.fold(chunk_table, weight=chunk_shots)
-            if self._dd_plan is not None:
-                # The dynamic-definition zoom replays every chunk at every
-                # recursion level, so per-level confidence intervals compose
-                # with early termination (fewer chunks -> wider intervals).
-                self._chunk_history.append((chunk_table, chunk_shots))
-            self._fold_seconds += perf_clock() - fold_start
+            if self._incremental is not None:
+                with self._stage("reconstruct"):
+                    chunk_table = difference_tables(table, self._table, cumulative, self._cum)
+                    self._incremental.fold(chunk_table, weight=chunk_shots)
+                    if self._chunk_history is not None:
+                        # The dynamic-definition zoom replays every chunk at
+                        # every recursion level, so per-level confidence
+                        # intervals compose with early termination.
+                        self._chunk_history.append((chunk_table, chunk_shots))
 
             self._table = table
             self._cum = cumulative
             self._rounds_done += 1
             self._shots_spent += chunk_shots
 
-            reason = None
-            if self.stopping is not None:
-                reason = self.stopping.should_stop(
-                    rounds=self._rounds_done,
-                    shots_spent=self._shots_spent,
-                    elapsed_seconds=perf_clock() - self._started,
-                    half_width=self._incremental.half_width(self.stopping.z_value),
-                )
-            if reason is None and self._rounds_done >= self._num_rounds:
-                reason = "completed"
-            if reason is not None:
+            pending = self._rounds_done < len(self._round_budgets)
+            if self._incremental is not None:
+                reason = None
+                if self.stopping is not None:
+                    reason = self.stopping.should_stop(
+                        rounds=self._rounds_done,
+                        shots_spent=self._shots_spent,
+                        elapsed_seconds=perf_clock() - self._started,
+                        half_width=self._incremental.half_width(self.stopping.z_value),
+                    )
+                if reason is None and not pending:
+                    reason = "completed"
                 self._termination_reason = reason
+                pending = reason is None
+            if not pending:
                 self._state = "done"
-                return False
-            return True
+            return pending
         finally:
             self._close_window()
 
@@ -585,78 +586,40 @@ class EvaluationSession:
         result.pruning_report = self._pruning_report
         result.shot_allocation = self._shot_allocation
         result.overhead_report = self._overhead_report
-        z_value = self.stopping.z_value if self.stopping is not None else 1.96
 
         self._open_window()
         try:
-            contract_start = perf_clock()
-            if self._dd_plan is not None:
-                result.dynamic_result = reconstruct_dynamic(
-                    self._reconstructor,
-                    self._dd_plan,
-                    table=self._table,
-                    missing=self._missing_mode,
-                    chunk_history=self._chunk_history or None,
-                    z_value=z_value,
-                )
-            elif self.workload.kind == WorkloadKind.EXPECTATION:
-                result.expectation_value = self._contract(self._table)
-            else:
-                result.probabilities = self._contract(self._table)
-            contract_seconds = perf_clock() - contract_start
+            field, contract = self._final
+            with self._stage("reconstruct"):
+                setattr(result, field, contract(self._table))
             result.contraction_report = self._reconstructor.last_contraction_report
         finally:
             self._close_window()
 
-        reference_seconds = 0.0
         if self.compute_reference:
-            reference_start = perf_clock()
-            if self.workload.kind == WorkloadKind.EXPECTATION:
-                result.reference_expectation = simulate_statevector(
-                    self.workload.circuit
-                ).expectation(self.workload.observable)
-            else:
-                result.reference_probabilities = simulate_statevector(
-                    self.workload.circuit
-                ).probabilities()
-            reference_seconds = perf_clock() - reference_start
+            with self._stage("reference"):
+                state = simulate_statevector(self.workload.circuit)
+                if self.workload.kind == WorkloadKind.EXPECTATION:
+                    result.reference_expectation = state.expectation(self.workload.observable)
+                else:
+                    result.reference_probabilities = state.probabilities()
 
-        reconstruct_seconds = self._enumerate_seconds + self._fold_seconds + contract_seconds
         result.num_variant_evaluations = self._stats_delta.unique_executions
         result.engine_stats = self._stats_delta
         result.rounds = self._rounds_done
         result.shots_spent = self._shots_spent
         result.termination_reason = self._termination_reason
         if self._incremental is not None:
-            result.half_width = self._incremental.half_width(z_value)
+            result.half_width = self._incremental.half_width(self._z_value)
             result.confidence = (
                 self.stopping.confidence if self.stopping is not None else 0.95
             )
-        result.timings = {
-            "cut": self._cut_seconds,
-            "execute": self._execute_seconds,
-            "reconstruct": reconstruct_seconds,
-            "total": self._cut_seconds
-            + self._execute_seconds
-            + reconstruct_seconds
-            + self._allocate_seconds
-            + self._optimize_seconds
-            + self._prune_seconds
-            + reference_seconds,
-        }
+        result.timings = dict(self._ledger, total=sum(self._ledger.values()))
         report = result.contraction_report
         if report is not None:
             result.timings["plan"] = report.plan_seconds
             result.timings["contract"] = report.contract_seconds
             result.timings["merge"] = report.merge_seconds
-        if self.shots is not None:
-            result.timings["allocate"] = self._allocate_seconds
-        if self.optimize_overhead != "none":
-            result.timings["optimize"] = self._optimize_seconds
-        if not self.pruning_policy.is_none:
-            result.timings["prune"] = self._prune_seconds
-        if self.compute_reference:
-            result.timings["reference"] = reference_seconds
         self._state = "finished"
         return result
 

@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from repro import CutConfig, EngineConfig, OverheadReport, evaluate_workload
+from repro.core import cut_circuit
 from repro.cutting import (
     OVERHEAD_MODES,
+    CutReconstructor,
     optimize_overhead_weights,
     sampling_overhead,
     sampling_variance_bound,
     variant_profile,
 )
 from repro.cutting.variants import VariantSettings
-from repro.engine import request_key
+from repro.engine import PruningPolicy, request_key
 from repro.exceptions import ConfigError, ReproError
 from repro.workloads import make_workload
 
@@ -295,6 +297,32 @@ class TestSessionIntegration:
         # IS-4/ds2 cuts with gate cuts, whose uneven instance coefficients the
         # optimizer exploits: the modelled reduction is well above 2x.
         assert result.overhead_report.reduction >= 2.0
+
+    def test_pruning_bound_uses_true_weights(self, ising_workload, ising_config):
+        # The optimized sampling weights rank the drop, but the a-priori bias
+        # bound holds only over the true contraction weights.
+        plan = cut_circuit(ising_workload.circuit, ising_config)
+        true = {}
+        CutReconstructor(plan.solution, specs=plan.subcircuits).enumerate_expectation_requests(
+            ising_workload.observable, weights_out=true
+        )
+        full = evaluate_workload(ising_workload, ising_config, compute_reference=False)
+        pruned = evaluate_workload(
+            ising_workload,
+            ising_config,
+            compute_reference=False,
+            engine_config=EngineConfig(
+                optimize_overhead="weights", pruning=PruningPolicy.budget_fraction(0.05)
+            ),
+        )
+        report = pruned.pruning_report
+        assert report.dropped_variants > 0
+        assert report.total_weight == pytest.approx(sum(abs(value) for value in true.values()))
+        assert report.dropped_weight == pytest.approx(
+            sum(abs(true[key]) for key in report.dropped_fingerprints)
+        )
+        assert report.bias_bound == report.dropped_weight
+        assert abs(pruned.expectation_value - full.expectation_value) <= report.bias_bound
 
 
 class TestEngineConfigValidation:

@@ -240,6 +240,23 @@ class TestAdmissionControl:
         assert ticket.status == "rejected"
         assert queue.remaining_budget("alice") == 100
 
+    def test_engine_config_shots_are_metered(self):
+        # No per-submission shots: the session takes the shared engine
+        # config's budget, and that is what the tenant is charged for.
+        queue = ServiceQueue(
+            shared_engine(shots=5000), max_pending=4, budgets={"alice": 100, "bob": 6000}
+        )
+        over = queue.submit(workload(), CONFIG, tenant="alice")
+        assert over.status == "rejected" and over.reason == "budget_exceeded"
+        assert over.session is None
+        assert queue.remaining_budget("alice") == 100
+        within = queue.submit(workload(), CONFIG, tenant="bob")
+        assert within.status == "queued" and within.reserved_shots == 5000
+        assert queue.remaining_budget("bob") == 1000
+        queue.run()
+        assert within.status == "done"
+        assert queue.shots_spent("bob") == within.result.shots_spent == 5000
+
 
 class TestAccounting:
     def test_early_termination_refunds_unspent_shots(self):

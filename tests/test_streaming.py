@@ -403,6 +403,113 @@ class TestSingleFoldPath:
             assert streamed.half_width == streamed.dynamic_result.levels[0].half_width
 
 
+def _without_durations(payload):
+    """A to_dict() payload with every wall-clock field removed."""
+    if isinstance(payload, dict):
+        return {
+            key: _without_durations(value)
+            for key, value in payload.items()
+            if key not in ("timings", "solve_time") and not key.endswith("_seconds")
+        }
+    if isinstance(payload, list):
+        return [_without_durations(value) for value in payload]
+    return payload
+
+
+class TestOneRoundLoop:
+    """A session without streaming is a one-round stream without the fold."""
+
+    @pytest.mark.parametrize("allocation", ["uniform", "variance"])
+    def test_batch_equals_one_round_stream(self, allocation):
+        knobs = dict(shots=SMALL_SHOTS, seed=5, allocation=allocation)
+        batch = evaluate_workload(
+            small_workload(), SMALL_CONFIG, engine_config=EngineConfig(**knobs)
+        )
+        streamed = evaluate_workload(
+            small_workload(),
+            SMALL_CONFIG,
+            engine_config=EngineConfig(streaming=StreamingConfig(rounds=1), **knobs),
+        )
+        assert (batch.termination_reason, batch.confidence) == (None, None)
+        assert (streamed.termination_reason, streamed.confidence) == ("completed", 0.95)
+        # One chunk carries no variance, so neither run has an interval.
+        assert batch.half_width is None and streamed.half_width is None
+        payloads = []
+        for result in (batch, streamed):
+            payload = _without_durations(result.to_dict())
+            del payload["termination_reason"], payload["confidence"]
+            payloads.append(json.dumps(payload, sort_keys=True))
+        assert payloads[0] == payloads[1]
+
+    def test_exact_session_runs_one_round_without_a_plan(self):
+        # Exact mode has no shots, so no stream (a StreamingConfig is
+        # rejected): its one round executes every variant unsampled.
+        with pytest.raises(ConfigError, match="shot budget"):
+            EvaluationSession(small_workload(), SMALL_CONFIG, streaming=StreamingConfig(rounds=1))
+        session = EvaluationSession(small_workload(), SMALL_CONFIG, compute_reference=False)
+        try:
+            session.prepare()
+            assert session.step() is False
+            assert session.state == "done" and session.rounds_done == 1
+            result = session.finish()
+        finally:
+            session.close()
+        assert (result.rounds, result.shots_spent) == (1, 0)
+        assert (result.termination_reason, result.half_width, result.confidence) == (
+            None,
+            None,
+            None,
+        )
+        _assert_matches_golden("vqe5_exact", result)
+
+
+#: Stage keys every result reports, whatever the mode.
+_BASE_TIMINGS = {"cut", "execute", "reconstruct", "plan", "contract", "merge", "total"}
+
+
+class TestTimingsLedger:
+    @pytest.mark.parametrize(
+        "make,knobs,extra",
+        [
+            (small_workload, {}, set()),
+            (small_workload, {"shots": SMALL_SHOTS, "seed": 1}, {"allocate"}),
+            (
+                small_workload,
+                {"shots": SMALL_SHOTS, "seed": 1, "allocation": "variance"},
+                {"allocate"},
+            ),
+            (small_workload, {"pruning": PruningPolicy.budget_fraction(0.05)}, {"prune"}),
+            (
+                small_workload,
+                {"shots": SMALL_SHOTS, "seed": 1, "optimize_overhead": "weights"},
+                {"allocate", "optimize"},
+            ),
+            (
+                small_workload,
+                {"shots": SMALL_SHOTS, "seed": 1, "streaming": StreamingConfig(rounds=3)},
+                {"allocate"},
+            ),
+            (_qft5, {"qubit_limit": 2}, set()),
+        ],
+        ids=["exact", "shots", "variance", "pruning", "optimize", "streaming", "dynamic"],
+    )
+    @pytest.mark.parametrize("reference", [False, True], ids=["no-ref", "ref"])
+    def test_key_sets_and_total(self, make, knobs, extra, reference):
+        result = evaluate_workload(
+            make(), SMALL_CONFIG, compute_reference=reference, engine_config=EngineConfig(**knobs)
+        )
+        expected = _BASE_TIMINGS | extra | ({"reference"} if reference else set())
+        assert set(result.timings) == expected
+        stages = expected - {"plan", "contract", "merge", "total"}
+        assert result.timings["total"] == pytest.approx(
+            sum(result.timings[stage] for stage in stages)
+        )
+        assert all(seconds >= 0.0 for seconds in result.timings.values())
+        if "optimize" in extra:
+            # The optimizer times its whole call once; the ledger reads it.
+            assert result.timings["optimize"] == result.overhead_report.optimize_seconds
+
+
 class TestStoppingRules:
     def test_budget_exhaustion_stops_early(self):
         result = evaluate_workload(
