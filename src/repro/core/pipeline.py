@@ -458,15 +458,21 @@ def evaluate_workload(
     :func:`cut_circuit`; otherwise the cut search is the exact ILP up to
     :data:`DEFAULT_ILP_SIZE_LIMIT` operations.
 
-    Everything about *how* variants execute lives on a single typed request
-    object: :class:`~repro.engine.EngineConfig`.  Pass it as ``engine_config``
-    (a per-call engine is built around ``executor`` and closed afterwards) or
-    construct a shared :class:`~repro.engine.ParallelEngine` from it and pass
-    ``engine`` (its pool and result cache survive across calls; mutually
-    exclusive with ``executor``/``engine_config``).  ``num_variant_evaluations``,
+    Every setting of *how* variants execute is one
+    :class:`~repro.engine.EngineConfig`; its attribute docs describe each
+    knob.  Pass it as ``engine_config`` (a per-call engine is built around
+    ``executor`` and closed afterwards) or construct a shared
+    :class:`~repro.engine.ParallelEngine` and pass ``engine`` (its pool and
+    result cache survive across calls; mutually exclusive with ``executor``).
+    With ``engine``, an ``engine_config`` carries this call's policy and must
+    match the engine's own pool, cache and farm fields (see
+    :class:`~repro.service.EvaluationSession`).  ``num_variant_evaluations``,
     ``timings`` and ``engine_stats`` are all per-call numbers, so a shared
     engine still yields per-workload values (its cumulative lifetime view
-    stays available as ``engine.stats``).
+    stays available as ``engine.stats``); an engine is not meant for use from
+    several threads at once, so give each thread its own.  This function is a
+    thin wrapper over :class:`repro.service.EvaluationSession`; drive rounds
+    manually there.
 
     Returns:
         An :class:`EvaluationResult`: the :class:`CutPlan`, the reconstructed
@@ -486,60 +492,6 @@ def evaluate_workload(
             workload, cut_config,
             engine_config=EngineConfig(shots=4096, seed=7, allocation="variance"),
         )
-
-    The engine-level knobs, all fields of :class:`~repro.engine.EngineConfig`:
-
-    * ``shots`` + ``allocation`` + ``seed`` — finite-shot evaluation: estimate
-      every subcircuit variant from samples through a
-      :class:`~repro.cutting.sampling.SamplingExecutor` (built here, seeded
-      with ``seed``, when no executor/engine is supplied; a ``seed`` next to a
-      supplied executor or engine raises :class:`~repro.exceptions.CuttingError`
-      — seed those at construction), the budget split
-      across the enumerated batch by ``allocation`` (``"uniform"``,
-      ``"weighted"`` or ``"variance"``).  At a fixed seed the result is
-      bit-identical for any ``max_workers``; the split is reported on
-      ``result.shot_allocation``.  Each batch carries its own shot counts, so
-      evaluations interleaved on one engine (see
-      :class:`~repro.service.ServiceQueue`) never draw each other's; an engine
-      is still not meant for use from several threads at once — give each
-      thread its own engine.  See :mod:`repro.engine.allocation`.
-    * ``optimize_overhead`` — cut-parameter sampling-overhead minimization
-      (``"weights"``): optimize the free measurement/preparation basis weights
-      at every cut and feed the reduced-variance per-variant weights to the
-      shot allocator, the pruning ranking and the streaming re-planner; the
-      pass is reported on ``result.overhead_report``.  ``"none"`` (the
-      default) is bit-identical to the pre-optimizer pipeline.  See
-      :mod:`repro.cutting.shot_overhead`.
-    * ``pruning`` — truncated contraction: drop the small-|contraction-weight|
-      tail of the enumerated batch before execution (a policy name or a
-      :class:`~repro.engine.PruningPolicy`); survivors keep the whole shot
-      budget, contraction skips the dropped variants, and the induced bias is
-      bounded a priori by ``result.pruning_report.bias_bound``.  See
-      :mod:`repro.engine.pruning`.
-    * ``devices`` + ``routing`` — a farm of width-limited
-      :class:`~repro.engine.DeviceSpec` backends; every variant is routed to a
-      device it fits on (``"round_robin"``, ``"least_loaded"`` or
-      ``"best_fit"``), a variant wider than every device raises
-      :class:`~repro.exceptions.InfeasibleVariantError` up front, and
-      per-device utilization lands on ``result.device_utilization``.  Like
-      ``seed``, these configure the engine built here — a supplied ``engine``
-      carries its own farm.  See :mod:`repro.engine.devices`.
-    * ``streaming`` + ``stopping`` — consume the shot budget in cumulative
-      rounds (:class:`~repro.service.StreamingConfig`) with an optional
-      early-termination rule (:class:`~repro.service.StoppingRule`) checked on
-      the running confidence interval; both require ``shots``.  Run to
-      completion, streaming reproduces the batch result bit for bit; an early
-      stop reports ``result.rounds`` / ``result.shots_spent`` /
-      ``result.termination_reason`` / ``result.half_width`` /
-      ``result.confidence``.  This function is a thin wrapper over
-      :class:`repro.service.EvaluationSession` — drive rounds manually there.
-    * ``qubit_limit`` + ``recursion_depth`` — dynamic-definition
-      reconstruction for probability workloads: never materialise the
-      ``2**n`` vector, contract into at most ``2**qubit_limit`` bins per
-      recursion level and zoom into the heavy bins; the sparse result lands on
-      ``result.dynamic_result``.  For wide circuits also pass
-      ``compute_reference=False``.  See
-      :mod:`repro.cutting.dynamic_definition`.
     """
     # Imported lazily: repro.service layers *above* this module and importing
     # it here at module level would be circular.

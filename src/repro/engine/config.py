@@ -80,8 +80,10 @@ class EngineConfig:
             :class:`~repro.exceptions.InfeasibleVariantError`.  ``None`` (the
             default) keeps the single implicit executor: no routing, no width
             check, bit-identical to the pre-farm engine.  Any sequence is
-            accepted and normalised to a tuple.  See
-            :mod:`repro.engine.devices`.
+            accepted and normalised to a tuple.  A heterogeneous farm (a device
+            with ``noise`` or ``executor_factory``) runs its own backends and
+            cannot honour a per-variant shot allocation, so it rejects
+            ``shots``.  See :mod:`repro.engine.devices`.
         routing: farm routing policy — ``"round_robin"``, ``"least_loaded"``
             or ``"best_fit"`` (the default).  Ignored when ``devices`` is
             ``None``.
@@ -207,7 +209,14 @@ class EngineConfig:
             # fleet, DeviceSpec types, unique names) at construction time.
             from .devices import DeviceFarm
 
-            DeviceFarm(self.devices, self.routing)
+            farm = DeviceFarm(self.devices, self.routing)
+            if self.shots is not None and farm.is_heterogeneous:
+                raise ConfigError(
+                    "shots cannot combine with a heterogeneous device farm (devices "
+                    "with noise/executor_factory run their own backends and would "
+                    "silently ignore the per-variant shot allocation); use devices "
+                    "that share the engine executor, or drop shots"
+                )
 
     def with_(self, **changes: Any) -> "EngineConfig":
         """Return a copy with the given fields replaced."""

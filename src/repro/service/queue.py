@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..engine import ParallelEngine
-from ..exceptions import ConfigError
+from ..engine import EngineConfig, ParallelEngine
+from ..exceptions import ConfigError, ReproError
 from .session import EvaluationSession
 
 __all__ = ["ServiceQueue", "SessionTicket"]
@@ -62,7 +62,7 @@ class ServiceQueue:
     Args:
         engine: the shared :class:`~repro.engine.ParallelEngine` every admitted
             session executes on (its executor must be sampling-capable when
-            sessions use ``shots``).  The queue never closes it.
+            sessions set ``shots``).  The queue never closes it.
         max_pending: bound on concurrently queued-or-running sessions; a
             submission past it is rejected with reason ``"queue_full"``
             (backpressure — resubmit after :meth:`run` drains the queue).
@@ -73,8 +73,8 @@ class ServiceQueue:
     Typical use::
 
         queue = ServiceQueue(engine, max_pending=4, budgets={"alice": 50_000})
-        ticket = queue.submit(workload, config, tenant="alice", shots=8192,
-                              streaming=StreamingConfig(rounds=4))
+        policy = engine.config.with_(shots=8192, streaming=StreamingConfig(rounds=4))
+        ticket = queue.submit(workload, config, tenant="alice", engine_config=policy)
         queue.run()
         assert ticket.status == "done" and ticket.result is not None
     """
@@ -123,8 +123,9 @@ class ServiceQueue:
         workload: Any,
         config: Any,
         tenant: str = "default",
-        shots: Optional[int] = None,
-        **kwargs: Any,
+        engine_config: Optional[EngineConfig] = None,
+        compute_reference: bool = True,
+        force_greedy: bool = False,
     ) -> SessionTicket:
         """Admit one evaluation, or reject it with a reason; never raises for that.
 
@@ -132,51 +133,59 @@ class ServiceQueue:
             workload: the workload to evaluate (as in ``evaluate_workload``).
             config: the cutting meta parameters (a ``CutConfig``).
             tenant: the tenant to account the submission against.
-            shots: the session's finite-shot budget (``None`` keeps the shared
-                engine config's ``shots``).  Whichever budget the session ends
-                up with is reserved against the tenant's budget at admission;
-                an exact session has nothing to meter.
-            **kwargs: per-session policy overrides forwarded to
-                :class:`~repro.service.EvaluationSession` on the queue's shared
-                engine: ``allocation``, ``pruning``, ``streaming``,
-                ``stopping``, ``qubit_limit``, ``recursion_depth`` and
-                ``optimize_overhead`` (plus ``compute_reference`` and
-                ``force_greedy``).  Seeds, device farms and
-                routing belong to the shared engine's own config.
+            engine_config: the session's :class:`~repro.engine.EngineConfig`
+                (``None`` uses the shared engine's config), as in
+                :class:`~repro.service.EvaluationSession` on the queue's
+                engine: it carries the session's policy, its engine-level
+                fields must equal the engine's, and its ``seed`` must be
+                unset.  ``engine.config.with_(shots=...)`` is the usual
+                spelling.  The session's ``shots`` are reserved against the
+                tenant's budget at admission; an exact session has nothing to
+                meter.
+            compute_reference: simulate the uncut circuit for accuracy
+                reporting (as in ``evaluate_workload``).
+            force_greedy: always use the greedy heuristic cutter.
 
         Returns:
             A :class:`SessionTicket`.  ``status == "queued"`` means admitted;
             ``"rejected"`` carries the reason: ``"queue_full"`` (backpressure),
             ``"budget_exceeded"`` (the tenant's remaining budget cannot cover
-            the session's shots), or the construction error message for an
-            invalid session configuration.
+            the session's shots), or the message of the library error
+            (:class:`~repro.exceptions.ReproError`) that an invalid session
+            configuration raised.  Any other exception, such as a
+            ``TypeError`` from a misspelt keyword, propagates.
         """
+        # A ticket joins the list only once admission has decided, so an
+        # exception that propagates (a programming error) leaves none behind.
         ticket = SessionTicket(ticket_id=len(self._tickets), tenant=tenant)
-        self._tickets.append(ticket)
-        if self.pending > self.max_pending:
-            ticket.status = "rejected"
-            ticket.reason = "queue_full"
-            return ticket
+        if self.pending >= self.max_pending:
+            return self._reject(ticket, "queue_full")
         try:
             session = EvaluationSession(
-                workload, config, engine=self.engine, shots=shots, **kwargs
+                workload,
+                config,
+                compute_reference=compute_reference,
+                force_greedy=force_greedy,
+                engine=self.engine,
+                engine_config=engine_config,
             )
-        except Exception as error:  # invalid configuration — reject, don't raise
-            ticket.status = "rejected"
-            ticket.reason = str(error)
-            return ticket
-        # Meter the shots the session will draw: ``shots`` or, when unset, the
-        # shared engine config's budget.
+        except ReproError as error:  # invalid configuration — reject, don't raise
+            return self._reject(ticket, str(error))
         reserved = int(session.shots or 0)
         remaining = self._remaining.get(tenant)
         if remaining is not None and reserved > remaining:
-            ticket.status = "rejected"
-            ticket.reason = "budget_exceeded"
-            return ticket
+            return self._reject(ticket, "budget_exceeded")
         ticket.session = session
         ticket.reserved_shots = reserved
         if remaining is not None:
             self._remaining[tenant] = remaining - reserved
+        self._tickets.append(ticket)
+        return ticket
+
+    def _reject(self, ticket: SessionTicket, reason: str) -> SessionTicket:
+        ticket.status = "rejected"
+        ticket.reason = reason
+        self._tickets.append(ticket)
         return ticket
 
     # ------------------------------------------------------------------ scheduling

@@ -58,9 +58,13 @@ from ..exceptions import ConfigError, CuttingError
 from ..utils.timing import perf_clock
 from ..workloads import Workload, WorkloadKind
 from .incremental import IncrementalReconstructor, difference_tables
-from .stopping import StoppingRule, StreamingConfig
+from .stopping import StreamingConfig
 
 __all__ = ["EvaluationSession"]
+
+#: EngineConfig fields that configure the engine itself (pool, cache, device
+#: farm); a session on a shared engine cannot change them.
+_ENGINE_FIELDS = ("max_workers", "chunk_size", "cache_size", "devices", "routing")
 
 
 def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStats:
@@ -109,12 +113,12 @@ def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStat
 class EvaluationSession:
     """One workload evaluation as an incremental, early-terminable session.
 
-    The policy keywords (``shots`` through ``optimize_overhead``) override the
-    same-named fields of the engine's (or ``engine_config``'s)
-    :class:`~repro.engine.EngineConfig` for this session only; ``None`` keeps
-    the config's value.  The merged settings are validated as one
-    ``EngineConfig``, so an invalid value or combination raises
-    :class:`~repro.exceptions.ConfigError` at construction.
+    Every evaluation setting is one :class:`~repro.engine.EngineConfig`:
+    ``engine_config``, or the shared ``engine``'s config when it is omitted.
+    Its constructor validates each knob and knob combination, so an invalid
+    value raises :class:`~repro.exceptions.ConfigError` before the session
+    exists; the session itself checks only what needs the workload, executor
+    or engine.
 
     Args:
         workload: the workload (circuit + kind + observable) to evaluate.
@@ -129,50 +133,28 @@ class EvaluationSession:
         engine: a prebuilt :class:`~repro.engine.ParallelEngine` to share
             (pools, caches and device farm survive across sessions); the
             session then never closes it.  Mutually exclusive with
-            ``executor``/``engine_config``.
-        engine_config: an :class:`~repro.engine.EngineConfig` to build a
-            per-session engine from (closed when the session finishes).  Its
-            ``seed``, ``devices`` and ``routing`` configure that engine and
-            its sampling executor; a config ``seed`` alongside a supplied
+            ``executor``.
+        engine_config: the session's :class:`~repro.engine.EngineConfig`.
+            Without ``engine``, the session builds its own engine from it
+            (closed when the session finishes), seeding the sampling executor
+            it builds for ``shots`` with the config's ``seed``.  With a shared
+            ``engine`` it carries this session's policy (``shots``,
+            ``allocation``, ``pruning``, ``streaming``, ``stopping``,
+            ``qubit_limit``, ``recursion_depth``, ``optimize_overhead``); its
+            engine-level fields (``max_workers``, ``chunk_size``,
+            ``cache_size``, ``devices``, ``routing``) must equal the engine's
+            own, otherwise :class:`~repro.exceptions.CuttingError` names the
+            fields that differ.  A config ``seed`` alongside a supplied
             executor or engine raises :class:`~repro.exceptions.CuttingError`
-            (seed those at construction instead).
-        shots: total finite-shot budget (``None`` = exact execution).
-        allocation: shot-allocation policy (``"uniform"``, ``"weighted"``,
-            ``"variance"``).
-        pruning: truncated-contraction policy (name or
-            :class:`~repro.engine.PruningPolicy`).
-        streaming: a :class:`~repro.service.StreamingConfig` spreading the
-            budget over cumulative rounds (needs ``shots``); ``None`` (the
-            default, unless the engine config sets one) runs one round.
-        stopping: a :class:`~repro.service.StoppingRule` checked after every
-            round (needs ``shots``; implies a default ``StreamingConfig`` when
-            ``streaming`` is unset).  Early termination records its reason on
-            ``EvaluationResult.termination_reason``.
-        qubit_limit: dynamic-definition reconstruction for probability
-            workloads: never materialise the
-            full ``2**n`` output vector; contract into binned distributions of
-            at most ``2**qubit_limit`` elements per recursion level, zoom into
-            the heavy bins, and report a sparse
-            :class:`~repro.cutting.DynamicDefinitionResult` on
-            ``EvaluationResult.dynamic_result`` (``probabilities`` stays
-            ``None``).  Under streaming, each round's chunk is folded in the
-            binned space and the recorded chunk history re-runs through every
-            recursion level, so the stopping rule's confidence interval and the
-            per-level intervals compose with the zoom.
-        recursion_depth: recursion levels for the dynamic-definition zoom
-            (needs ``qubit_limit``); ``None`` spends exactly enough levels to
-            fully resolve every zoomed path.
-        optimize_overhead: cut-parameter sampling-overhead minimization mode
-            (``"none"`` or ``"weights"``).
-            With ``"weights"`` the session optimizes the per-cut basis
-            sampling weights after enumeration (see
-            :mod:`repro.cutting.shot_overhead`) and feeds the reduced-variance
-            per-variant weights to the shot allocator, the pruning ranking and
-            the streaming re-planner; a ``shots`` budget under the default
-            ``"uniform"`` allocation is upgraded to ``"weighted"`` over the
-            optimized weights.  The :class:`~repro.cutting.OverheadReport`
-            lands on ``EvaluationResult.overhead_report``.  ``"none"`` is
-            bit-identical to the pre-optimizer pipeline.
+            (seed those at construction instead).  ``None`` uses the
+            engine's config, or the defaults.
+
+    A ``stopping`` rule without ``streaming`` runs the default
+    :class:`~repro.service.StreamingConfig` cadence, and
+    ``optimize_overhead="weights"`` with a ``shots`` budget upgrades a
+    ``"uniform"`` allocation to ``"weighted"`` (a uniform split would ignore
+    the optimized weights); :attr:`settings` holds the config with both
+    resolved.
 
     Drive it either with :meth:`run` (prepare, consume every round, finish) or
     manually — ``prepare()``, then ``step()`` until it returns ``False``, then
@@ -189,39 +171,27 @@ class EvaluationSession:
         force_greedy: bool = False,
         engine: Optional[ParallelEngine] = None,
         engine_config: Optional[EngineConfig] = None,
-        shots: Optional[int] = None,
-        allocation: Optional[str] = None,
-        pruning: Optional[object] = None,
-        streaming: Optional[StreamingConfig] = None,
-        stopping: Optional[StoppingRule] = None,
-        qubit_limit: Optional[int] = None,
-        recursion_depth: Optional[int] = None,
-        optimize_overhead: Optional[str] = None,
     ) -> None:
         if workload.kind == WorkloadKind.PROBABILITY and config.enable_gate_cuts:
             raise CuttingError(
                 "gate cutting cannot be used for probability-vector workloads (Section 2.3.2)"
             )
-        if engine is not None and (executor is not None or engine_config is not None):
-            raise CuttingError(
-                "pass either a prebuilt engine or executor/engine_config, not both"
-            )
-        overrides = {
-            "shots": shots,
-            "allocation": allocation,
-            "pruning": pruning,
-            "streaming": streaming,
-            "stopping": stopping,
-            "qubit_limit": qubit_limit,
-            "recursion_depth": recursion_depth,
-            "optimize_overhead": optimize_overhead,
-        }
-        base = engine.config if engine is not None else (engine_config or EngineConfig())
+        if engine is not None and executor is not None:
+            raise CuttingError("pass either a prebuilt engine or an executor, not both")
+        settings = engine_config or (engine.config if engine is not None else EngineConfig())
+        if engine is not None:
+            mismatched = [
+                name
+                for name in _ENGINE_FIELDS
+                if getattr(settings, name) != getattr(engine.config, name)
+            ]
+            if mismatched:
+                raise CuttingError(
+                    f"engine_config must match the shared engine's config on "
+                    f"{', '.join(mismatched)}: those configure the engine itself"
+                )
         # EngineConfig validates every knob (and knob combination) it holds;
         # only the checks that need the workload, executor or engine stay here.
-        settings = base.with_(
-            **{name: value for name, value in overrides.items() if value is not None}
-        )
         if settings.seed is not None and (engine is not None or executor is not None):
             raise CuttingError(
                 "seed only applies to the SamplingExecutor the session builds "
@@ -233,42 +203,36 @@ class EvaluationSession:
                 "probability vector and only applies to probability workloads; "
                 "expectation values are already scalar"
             )
+        if settings.stopping is not None and settings.streaming is None:
+            # A stopping rule without an explicit round plan still needs
+            # rounds to check itself between; give it the default cadence.
+            settings = settings.with_(streaming=StreamingConfig())
+        if (
+            settings.optimize_overhead != "none"
+            and settings.shots is not None
+            and settings.allocation == "uniform"
+        ):
+            # A uniform split ignores per-variant weights entirely; the
+            # optimized split is the whole point of the pass.
+            settings = settings.with_(allocation="weighted")
 
         self.workload = workload
         self.config = config
         self.compute_reference = compute_reference
         self.force_greedy = force_greedy
-        self.shots = settings.shots
-        self.allocation_policy = settings.allocation
-        self.pruning_policy = PruningPolicy.resolve(settings.pruning)
-        # A stopping rule without an explicit round plan still needs rounds to
-        # check itself between; give it the default cadence.
-        self.streaming = settings.streaming
-        if settings.stopping is not None and self.streaming is None:
-            self.streaming = StreamingConfig()
-        self.stopping = settings.stopping
-        self.qubit_limit = settings.qubit_limit
-        self.recursion_depth = settings.recursion_depth
-        self.optimize_overhead = settings.optimize_overhead
+        self.settings = settings
 
         self.owns_engine = engine is None
         if engine is None:
-            if executor is None and self.shots is not None:
+            if executor is None and settings.shots is not None:
                 executor = SamplingExecutor(
-                    shots=self.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
+                    shots=settings.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
                 )
             engine = ParallelEngine(executor, settings)
-        if self.shots is not None and not isinstance(engine.executor, SamplingExecutor):
+        if settings.shots is not None and not isinstance(engine.executor, SamplingExecutor):
             raise CuttingError(
-                f"shots={self.shots} needs a sampling-capable executor with per-variant "
+                f"shots={settings.shots} needs a sampling-capable executor with per-variant "
                 f"shot allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
-            )
-        if self.shots is not None and engine.farm is not None and engine.farm.is_heterogeneous:
-            raise CuttingError(
-                "shots cannot combine with a heterogeneous device farm (devices "
-                "with noise/executor_factory run their own backends and would "
-                "silently ignore the per-variant shot allocation); use devices "
-                "that share the engine executor, or drop shots"
             )
         self.engine = engine
 
@@ -338,13 +302,19 @@ class EvaluationSession:
         return self._termination_reason
 
     @property
+    def shots(self) -> Optional[int]:
+        """The session's finite-shot budget (``None`` = exact execution)."""
+        return self.settings.shots
+
+    @property
     def streaming_active(self) -> bool:
         """Whether this session consumes its budget in cumulative rounds."""
-        return self.streaming is not None and self.shots is not None
+        return self.settings.streaming is not None
 
     @property
     def _z_value(self) -> float:
-        return self.stopping.z_value if self.stopping is not None else 1.96
+        stopping = self.settings.stopping
+        return stopping.z_value if stopping is not None else 1.96
 
     # ------------------------------------------------------------------ lifecycle
     def prepare(self) -> None:
@@ -353,6 +323,8 @@ class EvaluationSession:
             raise CuttingError(f"prepare() called on a session in state {self._state!r}")
         from ..core.pipeline import cut_circuit
 
+        settings = self.settings
+        pruning = PruningPolicy.resolve(settings.pruning)
         self._started = perf_clock()
         self._open_window()
         try:
@@ -369,13 +341,10 @@ class EvaluationSession:
             )
 
             needs_weights = (
-                not self.pruning_policy.is_none
-                or (
-                    self.shots is not None
-                    and self.allocation_policy in ("weighted", "variance")
-                )
-                or (self.streaming_active and self.streaming.replan)
-                or self.optimize_overhead != "none"
+                not pruning.is_none
+                or (settings.shots is not None and settings.allocation in ("weighted", "variance"))
+                or (self.streaming_active and settings.streaming.replan)
+                or settings.optimize_overhead != "none"
             )
             weights: Optional[Dict[str, float]] = {} if needs_weights else None
             # Enumeration is phase one of reconstruction: the "reconstruct"
@@ -391,39 +360,33 @@ class EvaluationSession:
                     )
             self._weights = weights
 
-            if self.optimize_overhead != "none":
+            if settings.optimize_overhead != "none":
                 optimized, overhead_report = optimize_overhead_weights(batch, weights or {})
                 self._ledger["optimize"] = overhead_report.optimize_seconds
-                effective: Optional[str] = None
-                if self.shots is not None:
-                    if self.allocation_policy == "uniform":
-                        # A uniform split ignores per-variant weights entirely;
-                        # the optimized split is the whole point of the pass.
-                        self.allocation_policy = "weighted"
-                    effective = self.allocation_policy
+                effective = settings.allocation if settings.shots is not None else None
                 self._overhead_report = dataclass_replace(
                     overhead_report, effective_allocation=effective
                 )
                 self._weights = optimized
 
             missing = "execute"
-            if not self.pruning_policy.is_none:
+            if not pruning.is_none:
                 with self._stage("prune"):
                     # The optimized weights (if any) rank the drop; the bias
                     # bound is taken over the true contraction weights.
                     batch, self._pruning_report = prune_requests(
-                        batch, self._weights, self.pruning_policy, bound_weights=weights
+                        batch, self._weights, pruning, bound_weights=weights
                     )
                 missing = "skip"
             self._batch = batch
 
             totals: Dict[str, int] = {}
-            if self.shots is not None:
+            if settings.shots is not None:
                 with self._stage("allocate"):
                     shot_allocation = allocate_shots(
                         batch,
-                        self.shots,
-                        self.allocation_policy,
+                        settings.shots,
+                        settings.allocation,
                         weights=self._weights,
                         engine=self.engine,
                     )
@@ -458,12 +421,13 @@ class EvaluationSession:
             observable = self.workload.observable
             self._contract = partial(rec.reconstruct_expectation, observable, missing=missing)
             self._final = ("expectation_value", self._contract)
-        elif self.qubit_limit is None:
+        elif self.settings.qubit_limit is None:
             self._contract = partial(rec.reconstruct_probabilities, missing=missing)
             self._final = ("probabilities", self._contract)
         else:
+            settings = self.settings
             dd_plan = plan_dynamic_definition(
-                rec.solution, rec.specs, self.qubit_limit, self.recursion_depth
+                rec.solution, rec.specs, settings.qubit_limit, settings.recursion_depth
             )
             root = dd_plan.space(0, ())
             self._contract = partial(binned_probabilities, rec, root, missing=missing)
@@ -485,7 +449,7 @@ class EvaluationSession:
         (empty in exact mode, where nothing is sampled).
         """
         self._seed_totals = totals
-        requested = self.streaming.rounds if self.streaming_active else 1
+        requested = self.settings.streaming.rounds if self.streaming_active else 1
         # Every variant must receive >= 1 fresh shot per round (the allocator's
         # own floor), so the round count is clamped to the smallest allocation.
         rounds = max(1, min(requested, min(totals.values(), default=1)))
@@ -500,7 +464,7 @@ class EvaluationSession:
 
     def _chunk_for_round(self, round_index: int) -> Dict[str, int]:
         """This round's fresh-shot counts per variant (re-planned when asked)."""
-        if round_index == 0 or not self.streaming.replan:
+        if round_index == 0 or not self.settings.streaming.replan:
             return {key: chunks[round_index] for key, chunks in self._base_chunks.items()}
         # Neyman re-split of this round's chunk budget from the variances
         # observed in the cumulative sample so far (same weight as the batch
@@ -534,7 +498,7 @@ class EvaluationSession:
             # the seed and cache key of a one-round plan (build_cache_key
             # omits seed counts equal to the drawn ones).
             plan = None
-            if self.shots is not None:
+            if self.settings.shots is not None:
                 plan = ShotPlan(cumulative, seed_shots_by_fingerprint=self._seed_totals)
             with self._stage("execute"):
                 table = self.engine.run_batch(self._batch, shots=plan)
@@ -558,12 +522,13 @@ class EvaluationSession:
             pending = self._rounds_done < len(self._round_budgets)
             if self._incremental is not None:
                 reason = None
-                if self.stopping is not None:
-                    reason = self.stopping.should_stop(
+                stopping = self.settings.stopping
+                if stopping is not None:
+                    reason = stopping.should_stop(
                         rounds=self._rounds_done,
                         shots_spent=self._shots_spent,
                         elapsed_seconds=perf_clock() - self._started,
-                        half_width=self._incremental.half_width(self.stopping.z_value),
+                        half_width=self._incremental.half_width(stopping.z_value),
                     )
                 if reason is None and not pending:
                     reason = "completed"
@@ -611,9 +576,8 @@ class EvaluationSession:
         result.termination_reason = self._termination_reason
         if self._incremental is not None:
             result.half_width = self._incremental.half_width(self._z_value)
-            result.confidence = (
-                self.stopping.confidence if self.stopping is not None else 0.95
-            )
+            stopping = self.settings.stopping
+            result.confidence = stopping.confidence if stopping is not None else 0.95
         result.timings = dict(self._ledger, total=sum(self._ledger.values()))
         report = result.contraction_report
         if report is not None:

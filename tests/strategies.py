@@ -169,6 +169,19 @@ def small_workload():
     return make_workload("VQE", 5, layers=1)
 
 
+def without_durations(payload):
+    """A ``to_dict()`` payload with every wall-clock field removed."""
+    if isinstance(payload, dict):
+        return {
+            key: without_durations(value)
+            for key, value in payload.items()
+            if key not in ("timings", "solve_time") and not key.endswith("_seconds")
+        }
+    if isinstance(payload, list):
+        return [without_durations(value) for value in payload]
+    return payload
+
+
 # ----------------------------------------------------------------- strategies
 @st.composite
 def variant_groups(draw):

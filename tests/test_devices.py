@@ -355,17 +355,13 @@ class TestEngineIntegration:
             assert engine.stats.devices[0].assigned == 0
 
     def test_shot_allocation_rejected_on_heterogeneous_farms(self):
-        from repro.exceptions import AllocationError
+        from repro.exceptions import AllocationError, ConfigError
         from repro.simulator import NoiseModel
 
-        workload = make_workload("VQE", 5, layers=1)
         noisy = [DeviceSpec("n", 3, noise=NoiseModel(0.01, 0.001, 0.0))]
-        with pytest.raises(CuttingError, match="heterogeneous"):
-            evaluate_workload(
-                workload,
-                CutConfig(device_size=3, max_subcircuits=2),
-                engine_config=EngineConfig(shots=1000, seed=1, devices=noisy),
-            )
+        # The config that would combine them cannot be built.
+        with pytest.raises(ConfigError, match="heterogeneous"):
+            EngineConfig(shots=1000, seed=1, devices=noisy)
         # Direct engine users hit the same wall when a batch brings a plan.
         from repro.cutting import SamplingExecutor
 
@@ -466,7 +462,7 @@ class TestPipelineIntegration:
         # A supplied engine carries its own farm; a per-call one cannot join it.
         workload = self._workload()
         with ParallelEngine(ExactExecutor()) as engine:
-            with pytest.raises(CuttingError, match="not both"):
+            with pytest.raises(CuttingError, match="devices"):
                 evaluate_workload(
                     workload,
                     self.CONFIG,

@@ -342,7 +342,9 @@ class TestEngineConfigValidation:
 
         with pytest.raises(ConfigError, match="optimize_overhead"):
             EvaluationSession(
-                ising_workload, ising_config, optimize_overhead="weights!"
+                ising_workload,
+                ising_config,
+                engine_config=EngineConfig(optimize_overhead="weights!"),
             )
 
     def test_optimize_overhead_is_config_only(self, ising_workload, ising_config):
@@ -366,12 +368,24 @@ class TestEngineConfigValidation:
             ("stopping", None),
             ("qubit_limit", 2),
             ("recursion_depth", 1),
+            ("optimize_overhead", "weights"),
         ],
     )
     def test_engine_knobs_are_config_only(self, ising_workload, ising_config, name, value):
-        # The keyword spellings these knobs once had are gone for good.
+        # The keyword spellings these knobs once had are gone for good, from
+        # every entry point: each takes one EngineConfig instead.
+        from repro.cutting import SamplingExecutor
+        from repro.engine import ParallelEngine
+        from repro.service import EvaluationSession, ServiceQueue
+
         with pytest.raises(TypeError):
             evaluate_workload(ising_workload, ising_config, **{name: value})
+        with pytest.raises(TypeError):
+            EvaluationSession(ising_workload, ising_config, **{name: value})
+        queue = ServiceQueue(ParallelEngine(SamplingExecutor(shots=512, seed=0)))
+        with pytest.raises(TypeError):
+            queue.submit(ising_workload, ising_config, **{name: value})
+        assert queue.tickets == []
 
 
 class TestDeprecatedEngineKwargs:

@@ -365,9 +365,7 @@ class TestSamplingOnBranchRows:
             CutConfig(device_size=3, max_subcircuits=2),
             compute_reference=False,
             engine=ParallelEngine(executor),
-            shots=4096,
-            allocation="variance",
-            streaming=streaming,
+            engine_config=EngineConfig(shots=4096, allocation="variance", streaming=streaming),
         )
         session.prepare()  # runs the variance policy's pilot pass
         assert executor._stream_memo == {}

@@ -1,13 +1,17 @@
 """Tests for the multi-tenant service queue: admission control (backpressure
 and per-tenant shot budgets), round-robin interleaving of concurrent sessions
-over one shared engine, refunds on early termination, failure isolation, and
-per-session stats windows that sum to the engine's executed work."""
+over one shared engine, refunds on early termination, failure isolation,
+per-session stats windows that sum to the engine's executed work, and one
+``EngineConfig`` as the only spelling of a session's settings."""
+
+import json
 
 import pytest
 
 from repro import (
     ConfigError,
     CutConfig,
+    CuttingError,
     EvaluationSession,
     ServiceQueue,
     StoppingRule,
@@ -15,14 +19,17 @@ from repro import (
     evaluate_workload,
 )
 from repro.cutting import SamplingExecutor
-from repro.engine import DeviceSpec, EngineConfig, ParallelEngine
+from repro.engine import DeviceSpec, EngineConfig, ParallelEngine, PruningPolicy, ResultCache
 from repro.workloads import make_workload
+
+from strategies import without_durations
 
 CONFIG = CutConfig(device_size=3, max_subcircuits=2)
 #: Cut search cannot fit a 5-qubit VQE onto width-2 devices (InfeasibleError
 #: at prepare time) — used to exercise failure isolation.
 INFEASIBLE = CutConfig(device_size=2, max_subcircuits=2)
 SHOTS = 4096
+SAMPLED = EngineConfig(shots=SHOTS)
 
 
 def workload(seed=3):
@@ -64,8 +71,7 @@ class TestConcurrentSessions:
                 workload(seed),
                 CONFIG,
                 tenant=f"tenant-{seed}",
-                shots=SHOTS,
-                streaming=StreamingConfig(rounds=3),
+                engine_config=EngineConfig(shots=SHOTS, streaming=StreamingConfig(rounds=3)),
             )
             for seed in seeds
         ]
@@ -97,9 +103,7 @@ class TestConcurrentSessions:
             queue.submit(
                 workload(seed),
                 CONFIG,
-                shots=shots,
-                allocation=policy,
-                streaming=streaming,
+                engine_config=EngineConfig(shots=shots, allocation=policy, streaming=streaming),
                 compute_reference=False,
             )
             for seed, shots, policy in cases
@@ -132,7 +136,11 @@ class TestConcurrentSessions:
         # while the memo holds the first session's longer streams.
         engine = shared_engine()
         streaming = StreamingConfig(rounds=3)
-        kwargs = dict(compute_reference=False, engine=engine, shots=SHOTS, streaming=streaming)
+        kwargs = dict(
+            compute_reference=False,
+            engine=engine,
+            engine_config=EngineConfig(shots=SHOTS, streaming=streaming),
+        )
         first = EvaluationSession(workload(), CONFIG, **kwargs)
         first.prepare()
         assert first.step() and first.step()
@@ -164,7 +172,7 @@ class TestConcurrentSessions:
         before = engine.stats
         queue = ServiceQueue(engine, max_pending=4)
         tickets = [
-            queue.submit(workload(seed), CONFIG, shots=SHOTS) for seed in (3, 4)
+            queue.submit(workload(seed), CONFIG, engine_config=SAMPLED) for seed in (3, 4)
         ]
         queue.run()
         lifetime = engine.stats.since(before)
@@ -188,8 +196,9 @@ class TestConcurrentSessions:
             SamplingExecutor(shots=SHOTS, seed=0), EngineConfig(devices=farm)
         )
         queue = ServiceQueue(engine, max_pending=4)
+        sampled = engine.config.with_(shots=SHOTS)
         tickets = [
-            queue.submit(workload(seed), CONFIG, shots=SHOTS) for seed in (3, 4)
+            queue.submit(workload(seed), CONFIG, engine_config=sampled) for seed in (3, 4)
         ]
         queue.run()
         lifetime = {u.name: u.assigned for u in engine.stats.devices}
@@ -205,21 +214,21 @@ class TestConcurrentSessions:
 class TestAdmissionControl:
     def test_backpressure_rejects_with_queue_full(self):
         queue = ServiceQueue(shared_engine(), max_pending=1)
-        first = queue.submit(workload(), CONFIG, shots=SHOTS)
-        second = queue.submit(workload(), CONFIG, shots=SHOTS)
+        first = queue.submit(workload(), CONFIG, engine_config=SAMPLED)
+        second = queue.submit(workload(), CONFIG, engine_config=SAMPLED)
         assert first.status == "queued"
         assert second.status == "rejected" and second.reason == "queue_full"
         # Draining the queue restores admission.
         queue.run()
-        third = queue.submit(workload(), CONFIG, shots=SHOTS)
+        third = queue.submit(workload(), CONFIG, engine_config=SAMPLED)
         assert third.status == "queued"
 
     def test_budget_overdraft_rejected_and_never_exceeded(self):
         queue = ServiceQueue(
             shared_engine(), max_pending=4, budgets={"alice": SHOTS + SHOTS // 2}
         )
-        first = queue.submit(workload(3), CONFIG, tenant="alice", shots=SHOTS)
-        second = queue.submit(workload(4), CONFIG, tenant="alice", shots=SHOTS)
+        first = queue.submit(workload(3), CONFIG, tenant="alice", engine_config=SAMPLED)
+        second = queue.submit(workload(4), CONFIG, tenant="alice", engine_config=SAMPLED)
         assert first.status == "queued"
         assert second.status == "rejected" and second.reason == "budget_exceeded"
         queue.run()
@@ -227,16 +236,35 @@ class TestAdmissionControl:
         assert queue.shots_spent("alice") <= SHOTS + SHOTS // 2
 
     def test_invalid_configuration_rejected_with_message(self):
+        # A valid EngineConfig the session still refuses: dynamic definition
+        # on an expectation workload.
+        queue = ServiceQueue(shared_engine(), max_pending=4)
+        ticket = queue.submit(workload(), CONFIG, engine_config=EngineConfig(qubit_limit=2))
+        assert ticket.status == "rejected"
+        assert "probability workloads" in ticket.reason
+
+    def test_engine_field_mismatch_rejected_with_message(self):
         queue = ServiceQueue(shared_engine(), max_pending=4)
         ticket = queue.submit(
-            workload(), CONFIG, streaming=StreamingConfig(rounds=2)  # no shots
+            workload(), CONFIG, engine_config=SAMPLED.with_(max_workers=2, cache_size=8)
         )
-        assert ticket.status == "rejected"
-        assert "shot budget" in ticket.reason
+        assert ticket.status == "rejected" and ticket.session is None
+        assert "max_workers, cache_size" in ticket.reason
+
+    def test_programming_errors_propagate(self):
+        # Only library errors (an invalid configuration) become rejections; a
+        # misspelt keyword or a wrong argument type is the caller's bug and
+        # leaves no ticket behind.
+        queue = ServiceQueue(shared_engine(), max_pending=4)
+        with pytest.raises(TypeError):
+            queue.submit(workload(), CONFIG, shot=1000)
+        with pytest.raises(AttributeError):
+            queue.submit(None, CONFIG, engine_config=SAMPLED)
+        assert queue.tickets == [] and queue.pending == 0
 
     def test_rejected_tickets_reserve_nothing(self):
         queue = ServiceQueue(shared_engine(), max_pending=4, budgets={"alice": 100})
-        ticket = queue.submit(workload(), CONFIG, tenant="alice", shots=SHOTS)
+        ticket = queue.submit(workload(), CONFIG, tenant="alice", engine_config=SAMPLED)
         assert ticket.status == "rejected"
         assert queue.remaining_budget("alice") == 100
 
@@ -266,9 +294,11 @@ class TestAccounting:
             workload(),
             CONFIG,
             tenant="alice",
-            shots=SHOTS,
-            streaming=StreamingConfig(rounds=8),
-            stopping=StoppingRule(max_rounds=2),
+            engine_config=EngineConfig(
+                shots=SHOTS,
+                streaming=StreamingConfig(rounds=8),
+                stopping=StoppingRule(max_rounds=2),
+            ),
         )
         queue.run()
         assert ticket.status == "done"
@@ -281,7 +311,7 @@ class TestAccounting:
     def test_failure_in_prepare_refunds_its_reservation(self):
         budget = 2 * SHOTS
         queue = ServiceQueue(shared_engine(), max_pending=4, budgets={"alice": budget})
-        ticket = queue.submit(workload(), INFEASIBLE, tenant="alice", shots=SHOTS)
+        ticket = queue.submit(workload(), INFEASIBLE, tenant="alice", engine_config=SAMPLED)
         assert ticket.status == "queued"
         assert queue.remaining_budget("alice") == budget - SHOTS
         queue.run()
@@ -310,8 +340,7 @@ class TestAccounting:
             workload(),
             CONFIG,
             tenant="alice",
-            shots=SHOTS,
-            streaming=StreamingConfig(rounds=4),
+            engine_config=EngineConfig(shots=SHOTS, streaming=StreamingConfig(rounds=4)),
         )
         queue.run()
         assert ticket.status == "failed"
@@ -323,16 +352,91 @@ class TestAccounting:
     def test_failure_does_not_take_down_the_batch(self):
         engine = shared_engine()
         queue = ServiceQueue(engine, max_pending=4)
-        bad = queue.submit(workload(3), INFEASIBLE, shots=SHOTS)
-        good = queue.submit(workload(4), CONFIG, shots=SHOTS)
+        bad = queue.submit(workload(3), INFEASIBLE, engine_config=SAMPLED)
+        good = queue.submit(workload(4), CONFIG, engine_config=SAMPLED)
         queue.run()
         assert bad.status == "failed"
         assert good.status == "done" and good.result is not None
 
     def test_tickets_are_fifo_and_copied(self):
         queue = ServiceQueue(shared_engine(), max_pending=4)
-        ids = [queue.submit(workload(), CONFIG, shots=SHOTS).ticket_id for _ in range(3)]
+        ids = [queue.submit(workload(), CONFIG, engine_config=SAMPLED).ticket_id for _ in range(3)]
         assert ids == [0, 1, 2]
         tickets = queue.tickets
         tickets.clear()
         assert len(queue.tickets) == 3
+
+
+def _qft5():
+    return make_workload("QFT", 5)
+
+
+#: One case per policy family, each run three ways below.  Shared engines
+#: take no config seed, so the sampling executor is seeded instead.
+SPELLING_CASES = {
+    "exact": (workload, EngineConfig()),
+    "shots-variance": (workload, EngineConfig(shots=SHOTS, allocation="variance")),
+    "streaming-stopping": (
+        workload,
+        EngineConfig(
+            shots=SHOTS, streaming=StreamingConfig(rounds=4), stopping=StoppingRule(max_rounds=2)
+        ),
+    ),
+    "pruning": (workload, EngineConfig(pruning=PruningPolicy.budget_fraction(0.05))),
+    "optimize-overhead": (workload, EngineConfig(shots=SHOTS, optimize_overhead="weights")),
+    "qubit-limit": (_qft5, EngineConfig(qubit_limit=2)),
+}
+
+
+class TestOneConfigSpelling:
+    """A session's settings are one EngineConfig, whichever entry point takes it."""
+
+    @staticmethod
+    def _fresh_engine(engine_config):
+        executor = None
+        if engine_config.shots is not None:
+            executor = SamplingExecutor(
+                shots=engine_config.shots, seed=0, cache=ResultCache(engine_config.cache_size)
+            )
+        return ParallelEngine(executor)
+
+    @pytest.mark.parametrize("case", sorted(SPELLING_CASES))
+    def test_same_config_same_result_through_every_entry_point(self, case):
+        make, engine_config = SPELLING_CASES[case]
+        seeded = engine_config.with_(seed=0) if engine_config.shots is not None else engine_config
+        direct = evaluate_workload(make(), CONFIG, compute_reference=False, engine_config=seeded)
+        with self._fresh_engine(engine_config) as engine:
+            session = EvaluationSession(
+                make(), CONFIG, compute_reference=False, engine=engine, engine_config=engine_config
+            ).run()
+        with self._fresh_engine(engine_config) as engine:
+            queue = ServiceQueue(engine)
+            ticket = queue.submit(
+                make(), CONFIG, engine_config=engine_config, compute_reference=False
+            )
+            queue.run()
+        assert ticket.status == "done"
+        payloads = [
+            json.dumps(without_durations(result.to_dict()), sort_keys=True)
+            for result in (direct, session, ticket.result)
+        ]
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_shared_engine_config_is_the_default(self):
+        engine = ParallelEngine(SamplingExecutor(shots=SHOTS, seed=0), SAMPLED)
+        session = EvaluationSession(workload(), CONFIG, engine=engine)
+        assert session.settings is engine.config and session.shots == SHOTS
+
+    def test_engine_field_mismatch_rejected_at_construction(self):
+        engine = ParallelEngine(SamplingExecutor(shots=SHOTS, seed=0))
+        with pytest.raises(CuttingError, match="chunk_size, routing"):
+            EvaluationSession(
+                workload(),
+                CONFIG,
+                engine=engine,
+                engine_config=SAMPLED.with_(chunk_size=4, routing="round_robin"),
+            )
+        with pytest.raises(CuttingError, match="not both"):
+            EvaluationSession(
+                workload(), CONFIG, engine=engine, executor=SamplingExecutor(shots=SHOTS)
+            )

@@ -27,7 +27,7 @@ from repro.service.incremental import StreamingMoments, difference_tables
 from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.workloads import make_workload
 
-from strategies import moment_chunks, small_workload
+from strategies import moment_chunks, small_workload, without_durations
 
 SMALL_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
 #: Plenty per variant for the 60-variant VQE cut, and divisible many ways.
@@ -403,19 +403,6 @@ class TestSingleFoldPath:
             assert streamed.half_width == streamed.dynamic_result.levels[0].half_width
 
 
-def _without_durations(payload):
-    """A to_dict() payload with every wall-clock field removed."""
-    if isinstance(payload, dict):
-        return {
-            key: _without_durations(value)
-            for key, value in payload.items()
-            if key not in ("timings", "solve_time") and not key.endswith("_seconds")
-        }
-    if isinstance(payload, list):
-        return [_without_durations(value) for value in payload]
-    return payload
-
-
 class TestOneRoundLoop:
     """A session without streaming is a one-round stream without the fold."""
 
@@ -436,7 +423,7 @@ class TestOneRoundLoop:
         assert batch.half_width is None and streamed.half_width is None
         payloads = []
         for result in (batch, streamed):
-            payload = _without_durations(result.to_dict())
+            payload = without_durations(result.to_dict())
             del payload["termination_reason"], payload["confidence"]
             payloads.append(json.dumps(payload, sort_keys=True))
         assert payloads[0] == payloads[1]
@@ -445,7 +432,7 @@ class TestOneRoundLoop:
         # Exact mode has no shots, so no stream (a StreamingConfig is
         # rejected): its one round executes every variant unsampled.
         with pytest.raises(ConfigError, match="shot budget"):
-            EvaluationSession(small_workload(), SMALL_CONFIG, streaming=StreamingConfig(rounds=1))
+            EngineConfig(streaming=StreamingConfig(rounds=1))
         session = EvaluationSession(small_workload(), SMALL_CONFIG, compute_reference=False)
         try:
             session.prepare()
@@ -714,8 +701,9 @@ class TestReplan:
             SMALL_CONFIG,
             compute_reference=False,
             engine=engine,
-            shots=SMALL_SHOTS,
-            streaming=StreamingConfig(rounds=rounds, replan=True),
+            engine_config=EngineConfig(
+                shots=SMALL_SHOTS, streaming=StreamingConfig(rounds=rounds, replan=True)
+            ),
         )
         result = session.run()
         totals = result.shot_allocation.shots_by_fingerprint

@@ -37,7 +37,8 @@ MODULES = (
 )
 
 #: (module, name): every parameter of these callables/classes must appear in
-#: their docstring (class doc + __init__ doc for classes).
+#: their docstring (class doc + __init__ doc for classes).  A dotted
+#: ``Class.method`` name checks that method's parameters against its own doc.
 FLAGSHIP = (
     ("repro", "evaluate_workload"),
     ("repro", "cut_circuit"),
@@ -56,6 +57,7 @@ FLAGSHIP = (
     ("repro.engine", "DeviceFarm"),
     ("repro.service", "EvaluationSession"),
     ("repro.service", "ServiceQueue"),
+    ("repro.service", "ServiceQueue.submit"),
     ("repro.service", "StreamingConfig"),
     ("repro.service", "StoppingRule"),
     ("repro.cutting", "optimize_overhead_weights"),
@@ -100,8 +102,9 @@ def check_docstrings() -> List[str]:
 def check_flagship_parameters() -> List[str]:
     errors: List[str] = []
     for module_name, name in FLAGSHIP:
-        module = importlib.import_module(module_name)
-        obj = getattr(module, name)
+        obj = importlib.import_module(module_name)
+        for attribute in name.split("."):
+            obj = getattr(obj, attribute)
         if inspect.isclass(obj):
             doc = (inspect.getdoc(obj) or "") + "\n" + (inspect.getdoc(obj.__init__) or "")
             try:
