@@ -6,10 +6,11 @@ once the cut count grows (Table 1's deeper QFT/ADD rows).  This harness times
 that stage in isolation: one variant table is executed per workload, then
 reconstructed repeatedly under
 
-* ``contraction="naive"`` — the reference scalar walk (itself vectorized);
-* ``contraction="planned"`` serially — the cost-modelled fused kernels of
+* the naive walk — the reference scalar walk of
+  ``tests/reference_contraction.py`` (itself vectorized);
+* the planned contraction serially — the cost-modelled fused kernels of
   :mod:`repro.cutting.contraction` on one shard;
-* ``contraction="planned"`` sharded across ``--jobs`` workers.
+* the planned contraction sharded across ``--jobs`` workers.
 
 Workloads are deterministic ripple-carry-style chains — the linear
 entanglement structure the ILP finds for Table 1's ADD family — cut into
@@ -37,7 +38,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
+from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -47,6 +50,9 @@ from repro.cutting import CutReconstructor, CutSolution, WireCut
 from repro.engine import EngineConfig, ParallelEngine
 
 from harness import add_smoke_argument, publish, smoke_passed
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_contraction import naive_probabilities  # noqa: E402
 
 #: Chain widths benchmarked (qubits); each yields ``width/2 - 1`` wire cuts.
 SIZES = (12, 14)
@@ -123,21 +129,15 @@ def generate_contraction_rows(
                 table = _pruned(full_table) if pruned else full_table
                 missing = "skip" if pruned else "execute"
                 naive_s, naive = _timed(
-                    lambda: serial.reconstruct_probabilities(
-                        table=table, missing=missing, contraction="naive"
-                    ),
+                    lambda: naive_probabilities(serial, table, missing),
                     repeats,
                 )
                 serial_s, planned = _timed(
-                    lambda: serial.reconstruct_probabilities(
-                        table=table, missing=missing, contraction="planned"
-                    ),
+                    lambda: serial.reconstruct_probabilities(table=table, missing=missing),
                     repeats,
                 )
                 sharded_s, parallel = _timed(
-                    lambda: sharded.reconstruct_probabilities(
-                        table=table, missing=missing, contraction="planned"
-                    ),
+                    lambda: sharded.reconstruct_probabilities(table=table, missing=missing),
                     repeats,
                 )
                 report = sharded.last_contraction_report

@@ -2,8 +2,8 @@
 
 The reconstruction contraction (Eq. 3 / Eq. 4) sums, over every wire-cut basis
 assignment (and every gate-cut instance combination), a product of per-subcircuit
-effective values.  The naive path walks those loops in Python, one scalar term at
-a time.  This module turns the same sum into *planned* dense tensor work:
+effective values.  Walking those loops in Python costs one scalar term at a time;
+this module turns the same sum into *planned* dense tensor work:
 
 * :func:`plan_contraction` inspects the cut structure (how many of the ``k`` wire
   cuts and ``m`` gate cuts touch each subcircuit, and each subcircuit's output
@@ -15,18 +15,23 @@ a time.  This module turns the same sum into *planned* dense tensor work:
 * the kernels (:func:`contract_probability_shard`,
   :func:`contract_expectation_terms`) evaluate the contraction with vectorized
   NumPy products in a **documented fixed reduction order** (below), so the
-  planned path is bit-identical to the naive scalar walk.
+  planned path is bit-identical to the scalar walk (kept test-side, in
+  ``tests/reference_contraction.py``, as the reference the tests and
+  ``benchmarks/bench_contraction.py`` compare against),
+* :class:`BinSpace` partitions the output qubits into active, merged and fixed
+  ones; the reconstructor builds one contraction structure per bin space, and
+  the full vector is the bin space with every qubit active.
 
 Fixed reduction order (the bitwise contract)
 --------------------------------------------
 
 Floating-point addition is not associative, so "same sum, different order" is
-not bit-identical.  The planned path therefore *never reassociates* the naive
-reduction; it only vectorizes it:
+not bit-identical.  The planned path therefore *never reassociates* the scalar
+walk's reduction; it only vectorizes it:
 
 1. **Products associate left, in subcircuit order.**  The per-assignment
    Kronecker product is built pairwise left-to-right over the subcircuits
-   (``((v0 x v1) x v2) ...``), exactly like the naive ``np.kron`` /
+   (``((v0 x v1) x v2) ...``), exactly like the scalar walk's ``np.kron`` /
    ``float * float`` chain.  Batched kron uses broadcasting
    (``(K[:, :, None] * R[:, None, :]).reshape(rows, -1)``), which performs the
    identical per-element multiplications.
@@ -36,7 +41,7 @@ reduction; it only vectorizes it:
    ``value += contribution`` per combination (expectation) — never a pairwise
    ``np.sum``/``einsum`` tree reduction.
 3. **Zero-coefficient terms may be added, never skipped differently.**  The
-   naive walk skips combinations whose coefficient is exactly ``0.0``; the
+   scalar walk skips combinations whose coefficient is exactly ``0.0``; the
    vectorized kernels include them as ``±0.0`` contributions.  Adding ``±0.0``
    to a running sum that started at ``+0.0`` never changes its bits under IEEE
    round-to-nearest, so both paths agree bit for bit.
@@ -56,8 +61,8 @@ Per subcircuit ``S`` touched by ``c_S`` wire cuts and ``g_S`` gate cuts with
 ``4**c_S * 6**g_S`` rows (each row one effective value/vector) — exponential
 only in the *local* cut count, not the global one.  The fused contraction then
 costs about ``4**k * prod_S 2**w_S`` multiply-adds (probability) or
-``4**k * 6**m * num_subcircuits`` (expectation), versus the naive walk's
-additional large per-term Python interpreter constant.  The planner uses these
+``4**k * 6**m * num_subcircuits`` (expectation), with no per-term Python
+interpreter constant.  The planner uses these
 estimates to decide whether sharding is worth the process-pool transport at all
 (:data:`MIN_SHARD_FLOPS`) and how many kron rows to batch per chunk
 (:data:`CHUNK_ELEMENT_BUDGET`).
@@ -74,8 +79,8 @@ from ..utils.timing import perf_clock
 
 __all__ = [
     "CHUNK_ELEMENT_BUDGET",
-    "CONTRACTION_MODES",
     "MIN_SHARD_FLOPS",
+    "BinSpace",
     "ContractionCost",
     "ContractionPlan",
     "ContractionReport",
@@ -88,12 +93,8 @@ __all__ = [
     "plan_contraction",
 ]
 
-#: Reconstruction contraction modes, chosen per ``reconstruct_*`` call:
-#: ``"planned"`` (the default) or ``"naive"``, the reference walk it pins.
-CONTRACTION_MODES = ("planned", "naive")
-
-#: Estimated interpreter cost (in flop-equivalents) of one per-subcircuit visit
-#: in the naive Python walk: dict building, memo lookups, float boxing.
+#: Estimated interpreter cost (in flop-equivalents) of filling one row of an
+#: expectation-mode value table in Python: dict building, lookups, float boxing.
 PYTHON_VISIT_FLOPS = 48.0
 
 #: Below this estimated fused-contraction cost, sharding is not worth the
@@ -136,6 +137,27 @@ class SpecAxis:
 
 
 @dataclass(frozen=True)
+class BinSpace:
+    """A partition of the output qubits that a probability contraction bins into.
+
+    ``active`` qubits (ascending) are materialised — bin index bit ``r``
+    carries the value of ``active[r]``.  ``merged`` qubits are summed over.
+    ``fixed`` pins qubits zoomed through at earlier dynamic-definition levels
+    to the bit values of the bin being descended into.  The full probability
+    vector is the space with every circuit qubit active and none merged.
+    """
+
+    active: Tuple[int, ...]
+    merged: Tuple[int, ...]
+    fixed: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def num_bins(self) -> int:
+        """Bins this space materialises (``2**len(active)``)."""
+        return 1 << len(self.active)
+
+
+@dataclass(frozen=True)
 class ContractionCost:
     """The planner's flop estimates for one contraction (see the module docstring)."""
 
@@ -143,14 +165,8 @@ class ContractionCost:
     instance_combos: int
     output_elements: int
     table_rows: int
-    naive_flops: float
     fused_flops: float
     per_shard_flops: float
-
-    @property
-    def predicted_speedup(self) -> float:
-        """Modelled naive/planned cost ratio (a planning heuristic, not a promise)."""
-        return self.naive_flops / max(1.0, self.per_shard_flops)
 
 
 @dataclass(frozen=True)
@@ -286,11 +302,11 @@ def plan_contraction(
         num_terms: observable term count (expectation mode only; bounds the
             term-level shard count).
         output_widths: per-subcircuit output widths overriding the default
-            ``2**len(spec.output_qubits)`` — the dynamic-definition path plans
-            over *binned* widths (``2**active_bits`` per subcircuit) so the
-            schedule, shard blocks and chunk sizes are sized for the reduced
-            stacks.  When every width equals the default, the plan is
-            identical to the unbinned one.
+            ``2**len(spec.output_qubits)`` — a :class:`BinSpace` structure
+            plans over *binned* widths (``2**active_bits`` per subcircuit) so
+            the schedule, shard blocks and chunk sizes are sized for the
+            reduced stacks.  When every width equals the default (every qubit
+            active), the plan is identical to the unbinned one.
 
     Returns:
         The plan: per-subcircuit axes, the cost model, the shard schedule and
@@ -341,15 +357,9 @@ def plan_contraction(
     table_rows = sum(axis.table_rows for axis in axes)
 
     if kind == "probability":
-        # Naive: per assignment, a Python visit per subcircuit plus a kron and
-        # a scatter over the full combined vector.
-        naive_flops = float(assignments) * (
-            len(axes) * PYTHON_VISIT_FLOPS + 2.0 * output_elements
-        )
         fill_flops = float(sum(axis.table_rows * axis.output_width for axis in axes))
         fused_flops = 2.0 * assignments * output_elements + fill_flops
     else:
-        naive_flops = float(combos) * (len(axes) * PYTHON_VISIT_FLOPS + len(axes) + 2.0)
         fill_flops = float(table_rows) * PYTHON_VISIT_FLOPS
         fused_flops = float(combos) * (len(axes) + 2.0) + fill_flops
 
@@ -385,7 +395,6 @@ def plan_contraction(
         instance_combos=instance_combos,
         output_elements=output_elements,
         table_rows=table_rows,
-        naive_flops=naive_flops,
         fused_flops=fused_flops,
         per_shard_flops=fill_flops + (fused_flops - fill_flops) / num_shards,
     )
@@ -492,7 +501,7 @@ def contract_expectation_terms(
     ``0.5**k * instance_coefficient`` per flat combination.  The running
     product goes left-to-right in subcircuit order; the final scalar
     accumulation is a sequential Python loop in flat combination order —
-    bit-identical to the naive walk (zero-coefficient combinations contribute
+    bit-identical to the scalar walk (zero-coefficient combinations contribute
     ``±0.0``, which never changes the running sum's bits).
 
     Returns ``([term_value, ...], busy_seconds)``.

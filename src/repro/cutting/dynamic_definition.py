@@ -30,12 +30,13 @@ over :meth:`~repro.engine.ParallelEngine.map_shards`.  The full ``2**n``
 vector is never formed; peak memory per recursion level is
 ``O(2**qubit_limit)`` plus the (tiny) per-subcircuit stacks.
 
-**Bit-identity in the full-width case.**  When every output qubit is active
-(``qubit_limit >= num_output_qubits``) the reduction is the identity — each
-stack passes through untouched, the plan (built with matching
-``output_widths``) is the one the planned contractor uses, and the kernels
-therefore produce bit-identical accumulators.  ``benchmarks/bench_dynamic.py``
-gates this in CI.
+**Bit-identity in the full-width case.**  The structure of every bin space
+(plan, index maps, scatter blocks, stack reductions) comes from the
+reconstructor's one builder, and the full-vector contraction is the bin space
+with every qubit active.  When every output qubit is active
+(``qubit_limit >= num_output_qubits``) each stack passes through untouched and
+the kernels produce the full-vector accumulators bit for bit.
+``benchmarks/bench_dynamic.py`` gates this in CI.
 
 **Streaming.**  Each recursion level can consume the streaming CI machinery:
 given the session's per-round chunk history, the driver folds per-chunk binned
@@ -56,11 +57,10 @@ import numpy as np
 from ..exceptions import ReconstructionError
 from ..utils.timing import perf_clock
 from .contraction import (
+    BinSpace,
     ContractionReport,
     ShardUtilization,
     contract_probability_shard,
-    output_index_blocks,
-    plan_contraction,
 )
 from .reconstruction import GATE_CUT_MESSAGE
 
@@ -85,26 +85,6 @@ MASS_COVERAGE_SLACK = 1e-9
 #: ``as_dense`` refuses to materialise more elements than this — asking for a
 #: dense vector wider than ~2**26 defeats the point of dynamic definition.
 _DENSE_ELEMENT_LIMIT = 1 << 26
-
-
-@dataclass(frozen=True)
-class BinSpace:
-    """One recursion level's partition of the output qubits.
-
-    ``active`` qubits (ascending) are materialised — bin index bit ``r``
-    carries the value of ``active[r]``.  ``merged`` qubits are summed over.
-    ``fixed`` pins qubits zoomed through at earlier levels to the bit values
-    of the bin being descended into.
-    """
-
-    active: Tuple[int, ...]
-    merged: Tuple[int, ...]
-    fixed: Tuple[Tuple[int, int], ...] = ()
-
-    @property
-    def num_bins(self) -> int:
-        """Bins this space materialises (``2**len(active)``)."""
-        return 1 << len(self.active)
 
 
 @dataclass(frozen=True)
@@ -313,118 +293,6 @@ class DynamicDefinitionResult:
         }
 
 
-@dataclass(frozen=True)
-class _SpecReduction:
-    """How one subcircuit's stack folds into a bin space (value-independent)."""
-
-    passthrough: bool
-    num_merged: int
-    fixed_bits: Tuple[Tuple[int, int], ...]  # (local bit, original qubit)
-    base_cols: np.ndarray = field(repr=False)  # (2**active, 2**merged) column gather
-    bin_positions: Tuple[int, ...]  # bin-index bit of each local active bit
-
-
-def _binned_structure(
-    reconstructor: Any, space: BinSpace, workers: int
-) -> Dict[str, object]:
-    """Cached plan, index maps, scatter blocks and stack reductions for ``space``.
-
-    Everything here depends only on the qubit *partition* (not on the fixed
-    bit values, which enter as a per-call column offset), so one structure
-    serves every bin zoomed at the same recursion level.
-    """
-    key = (
-        "dynamic",
-        workers,
-        space.active,
-        space.merged,
-        tuple(qubit for qubit, _ in space.fixed),
-    )
-    structure = reconstructor._contraction_memo.get(key)
-    if structure is not None:
-        return structure
-    specs = reconstructor.specs
-    active_rank = {qubit: rank for rank, qubit in enumerate(space.active)}
-    merged_set = set(space.merged)
-    fixed_set = {qubit for qubit, _ in space.fixed}
-    reductions: List[_SpecReduction] = []
-    widths: List[int] = []
-    for spec in specs:
-        spec_active = [(b, q) for b, q in enumerate(spec.output_qubits) if q in active_rank]
-        spec_merged = [b for b, q in enumerate(spec.output_qubits) if q in merged_set]
-        spec_fixed = [(b, q) for b, q in enumerate(spec.output_qubits) if q in fixed_set]
-        if len(spec_active) + len(spec_merged) + len(spec_fixed) != len(spec.output_qubits):
-            missing = [
-                q
-                for q in spec.output_qubits
-                if q not in active_rank and q not in merged_set and q not in fixed_set
-            ]
-            raise ReconstructionError(
-                f"bin space does not cover output qubit(s) {missing} of "
-                f"subcircuit {spec.index}"
-            )
-        num_active = len(spec_active)
-        num_merged = len(spec_merged)
-        local = np.arange(1 << num_active, dtype=np.int64)
-        cols_active = np.zeros_like(local)
-        for position, (bit, _) in enumerate(spec_active):
-            cols_active |= ((local >> position) & 1) << bit
-        merged_index = np.arange(1 << num_merged, dtype=np.int64)
-        cols_merged = np.zeros_like(merged_index)
-        for position, bit in enumerate(spec_merged):
-            cols_merged |= ((merged_index >> position) & 1) << bit
-        reductions.append(
-            _SpecReduction(
-                passthrough=(num_merged == 0 and not spec_fixed),
-                num_merged=num_merged,
-                fixed_bits=tuple(spec_fixed),
-                base_cols=cols_active[:, None] + cols_merged[None, :],
-                bin_positions=tuple(active_rank[q] for _, q in spec_active),
-            )
-        )
-        widths.append(1 << num_active)
-    plan = plan_contraction(
-        reconstructor.solution,
-        specs,
-        workers=workers,
-        kind="probability",
-        output_widths=widths,
-    )
-    structure = {
-        "plan": plan,
-        "index_maps": [reconstructor._layout(spec, "probability").keys for spec in specs],
-        "blocks": output_index_blocks(
-            plan,
-            [list(reduction.bin_positions) for reduction in reductions],
-            len(space.active),
-        ),
-        "reductions": reductions,
-    }
-    reconstructor._contraction_memo[key] = structure
-    return structure
-
-
-def _reduce_stack(
-    stack: np.ndarray, reduction: _SpecReduction, fixed_values: Mapping[int, int]
-) -> np.ndarray:
-    """Marginalise one stack over its merged bits and select its fixed bits.
-
-    The passthrough case returns the stack object untouched — no gather, no
-    arithmetic — which is what makes the full-active contraction bit-identical
-    to the planned contractor.  With merged bits the per-column sum is exact
-    marginalisation; with only fixed bits it is a pure gather.
-    """
-    if reduction.passthrough:
-        return stack
-    offset = 0
-    for bit, qubit in reduction.fixed_bits:
-        offset += int(fixed_values[qubit]) << bit
-    cols = reduction.base_cols + offset
-    if reduction.num_merged:
-        return stack[:, cols].sum(axis=2)  # qrcclint: disable=unstable-reduction -- merged-bit marginalisation over a fixed (rows, bins, merged) gather: shape and stride are identical for every call with this plan, so the reduction order is pinned
-    return np.ascontiguousarray(stack[:, cols[:, 0]])
-
-
 def binned_probabilities(
     reconstructor: Any,
     space: BinSpace,
@@ -434,20 +302,34 @@ def binned_probabilities(
 ) -> np.ndarray:
     """Contract directly into ``space``'s binned distribution (never ``2**n``).
 
-    Runs the planned sharded probability contraction over reduced stacks:
-    entry ``j`` of the returned ``space.num_bins`` vector is the (quasi-)
-    probability mass of the basis states matching ``space.fixed`` whose active
-    qubits spell ``j``.  ``stacks`` (from a previous call over the same
-    ``table``) skips rebuilding the per-subcircuit stacks; otherwise ``table``
-    is contracted (and is required).  Shards are dispatched over
-    :meth:`~repro.engine.ParallelEngine.map_shards` and the run is recorded on
-    ``reconstructor.last_contraction_report`` with mode ``"dynamic"``.
+    Runs the planned sharded probability contraction over reduced stacks,
+    with the structure the reconstructor caches per bin space (the full
+    vector's, when every qubit is active and none merged).  Shards are
+    dispatched over :meth:`~repro.engine.ParallelEngine.map_shards` and the
+    run is recorded on ``reconstructor.last_contraction_report`` with mode
+    ``"dynamic"``.
+
+    Args:
+        reconstructor: the :class:`~repro.cutting.CutReconstructor` to
+            contract through (wire cuts only).
+        space: the :class:`~repro.cutting.contraction.BinSpace` to bin into.
+        table: results for the enumerated batch; required unless ``stacks``
+            is given.
+        missing: the table-miss mode, as for
+            :meth:`~repro.cutting.CutReconstructor.reconstruct_probabilities`.
+        stacks: per-subcircuit stacks from a previous call over the same
+            ``table``; skips rebuilding them.
+
+    Returns:
+        A ``space.num_bins`` vector whose entry ``j`` is the (quasi-)
+        probability mass of the basis states matching ``space.fixed`` whose
+        active qubits spell ``j``.
     """
     if reconstructor.solution.gate_cuts:
         raise ReconstructionError(GATE_CUT_MESSAGE)
     plan_start = perf_clock()
     workers = reconstructor.engine.workers
-    structure = _binned_structure(reconstructor, space, workers)
+    structure = reconstructor._binned_structure(space, workers)
     plan = structure["plan"]
     plan_seconds = perf_clock() - plan_start
 
@@ -458,7 +340,7 @@ def binned_probabilities(
         stacks = reconstructor._value_stacks("probability", None, table, missing, {})
     fixed_values = {qubit: bit for qubit, bit in space.fixed}
     reduced = [
-        _reduce_stack(stack, reduction, fixed_values)
+        reduction.reduce(stack, fixed_values)
         for stack, reduction in zip(stacks, structure["reductions"])
     ]
     coefficient = 0.5 ** len(reconstructor.solution.wire_cuts)

@@ -31,6 +31,14 @@ subcircuit evaluations per restricted Pauli term, for the ``c_S`` wire and
 ``g_S`` gate cuts touching ``S``: evaluations add up over the subcircuits, they
 do not multiply.
 
+Each mode has one contraction: the planned, sharded kernels of
+:mod:`repro.cutting.contraction`.  Probability mode builds its structure (plan,
+index maps, scatter blocks and per-subcircuit stack reductions) once per
+:class:`~repro.cutting.contraction.BinSpace` and worker count; the full vector
+is the bin space with every qubit active, and dynamic definition's binned
+contractions read the same cache.  The scalar walk the kernels are pinned
+against bit for bit lives test-side, in ``tests/reference_contraction.py``.
+
 Between the two phases an optional *pruning* pass (:mod:`repro.engine.pruning`)
 may drop small-|contraction-weight| requests; phase two then contracts over the
 resulting *partial* table with ``missing="skip"`` — an absent variant contributes
@@ -40,7 +48,7 @@ exactly zero, and the induced bias is bounded a priori by the pruning report.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,7 +58,7 @@ from ..exceptions import ReconstructionError
 from ..utils.pauli import PauliObservable, PauliString
 from ..utils.timing import perf_clock
 from .contraction import (
-    CONTRACTION_MODES,
+    BinSpace,
     ContractionReport,
     ShardUtilization,
     balanced_blocks,
@@ -115,6 +123,35 @@ class _TableLayout:
     starts: np.ndarray
     rows: np.ndarray
     weights: np.ndarray
+
+
+@dataclass(frozen=True)
+class _SpecReduction:
+    """How one subcircuit's stack folds into a bin space (value-independent)."""
+
+    passthrough: bool
+    num_merged: int
+    fixed_bits: Tuple[Tuple[int, int], ...]  # (local bit, original qubit)
+    base_cols: np.ndarray = field(repr=False)  # (2**active, 2**merged) column gather
+    bin_positions: Tuple[int, ...]  # bin-index bit of each local active bit
+
+    def reduce(self, stack: np.ndarray, fixed_values: Mapping[int, int]) -> np.ndarray:
+        """Marginalise ``stack`` over its merged bits and select its fixed bits.
+
+        The passthrough case returns the stack object untouched — no gather, no
+        arithmetic — which is what makes an all-active contraction bit-identical
+        to the full-vector one.  With merged bits the per-column sum is exact
+        marginalisation; with only fixed bits it is a pure gather.
+        """
+        if self.passthrough:
+            return stack
+        offset = 0
+        for bit, qubit in self.fixed_bits:
+            offset += int(fixed_values[qubit]) << bit
+        cols = self.base_cols + offset
+        if self.num_merged:
+            return stack[:, cols].sum(axis=2)  # qrcclint: disable=unstable-reduction -- merged-bit marginalisation over a fixed (rows, bins, merged) gather: shape and stride are identical for every call with this plan, so the reduction order is pinned
+        return np.ascontiguousarray(stack[:, cols[:, 0]])
 
 
 class _Walk:
@@ -196,9 +233,9 @@ class CutReconstructor:
         self._layouts: Dict[Tuple[int, str], _TableLayout] = {}
         self._tables: Dict[Tuple, VariantTable] = {}
         # Structure-only contraction state (plans, index maps) keyed by
-        # (kind, workers[, num_terms]).  These never depend on the results
-        # table, so caching them across calls is safe — unlike the per-call
-        # value stacks below.
+        # (kind, workers, bin space | num_terms).  These never depend on the
+        # results table, so caching them across calls is safe — unlike the
+        # per-call value stacks below.
         self._contraction_memo: Dict[Tuple, Dict[str, object]] = {}
         #: How the most recent reconstruct_* call's contraction ran (stage
         #: timings, shard utilization); ``None`` before the first call.
@@ -239,7 +276,7 @@ class CutReconstructor:
         products = np.tile(self._instance_products(), 4**k)
         combos = np.flatnonzero(products)
         for term in observable.terms:
-            if self._inactive_qubit_factor(term) == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the naive walk bit for bit
+            if self._inactive_qubit_factor(term) == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the scalar walk bit for bit
                 continue
             coefficient = term.coefficient * 0.5**k
             self._walk(walk, "expectation", term, combos, coefficient * products[combos])
@@ -249,12 +286,15 @@ class CutReconstructor:
         self,
         table: Optional[Mapping[str, VariantResult]] = None,
         missing: str = "execute",
-        contraction: str = "planned",
     ) -> np.ndarray:
         """Full probability vector of the original circuit (wire cuts only).
 
-        For outputs too wide for a dense vector, use dynamic definition
-        instead: :func:`~repro.cutting.reconstruct_dynamic` with a plan from
+        The planned contraction over the all-qubit bin space: cost-modelled
+        vectorized kernels, sharded across the engine's workers, with the
+        run's stage timings and shard utilization on
+        :attr:`last_contraction_report`.  For outputs too wide for a dense
+        vector, use dynamic definition instead:
+        :func:`~repro.cutting.reconstruct_dynamic` with a plan from
         :func:`~repro.cutting.plan_dynamic_definition`.
 
         Args:
@@ -267,13 +307,6 @@ class CutReconstructor:
                 exactly zero (truncated contraction over a *pruned* batch, see
                 :mod:`repro.engine.pruning`), ``"error"`` raises
                 :class:`~repro.exceptions.ReconstructionError`.
-            contraction: ``"planned"`` (the default: cost-modelled
-                vectorized kernels, sharded across the engine's workers) or
-                ``"naive"`` (the serial scalar walk, kept as the reference
-                implementation).  Both paths are bit-identical (see
-                :mod:`repro.cutting.contraction`); only wall clock differs.
-                The run's stage timings and shard utilization land on
-                :attr:`last_contraction_report`.
 
         Returns:
             The reconstructed quasi-probability vector over all
@@ -281,7 +314,6 @@ class CutReconstructor:
             executors; a statistical/truncated estimate otherwise).
         """
         self._check_missing_mode(missing)
-        self._check_contraction_mode(contraction)
         if self.solution.gate_cuts:
             raise ReconstructionError(GATE_CUT_MESSAGE)
         if table is None:
@@ -291,19 +323,19 @@ class CutReconstructor:
         # reusing them across calls would silently return stale results.  The
         # cache also never crosses the process boundary — shard workers receive
         # the dense stacks themselves.
-        cache: Dict[Tuple, np.ndarray] = {}
-        if contraction == "planned":
-            return self._reconstruct_probabilities_planned(table, missing, cache)
-        return self._reconstruct_probabilities_naive(table, missing, cache)
+        return self._reconstruct_probabilities_planned(table, missing, {})
 
     def reconstruct_expectation(
         self,
         observable: PauliObservable,
         table: Optional[Mapping[str, VariantResult]] = None,
         missing: str = "execute",
-        contraction: str = "planned",
     ) -> float:
         """Expectation value of ``observable`` on the original circuit's output.
+
+        The planned contraction: vectorized kernels, observable terms sharded
+        across the engine's workers, the run recorded on
+        :attr:`last_contraction_report`.
 
         Args:
             observable: the Pauli observable to reconstruct.
@@ -313,23 +345,15 @@ class CutReconstructor:
                 from ``table`` — ``"execute"`` (default) runs it on demand,
                 ``"skip"`` contributes exactly zero (truncated contraction over
                 a pruned batch), ``"error"`` raises.
-            contraction: ``"planned"`` (the default: vectorized kernels,
-                observable terms sharded across the engine's workers) or
-                ``"naive"`` (the serial scalar walk).  Bit-identical either
-                way; see :meth:`reconstruct_probabilities`.
 
         Returns:
             The reconstructed expectation value (a float).
         """
         self._check_missing_mode(missing)
-        self._check_contraction_mode(contraction)
         if table is None:
             table = self.engine.run_batch(self.enumerate_expectation_requests(observable))
         # Per-call stacks, for the same staleness reason as reconstruct_probabilities.
-        cache: Dict[Tuple, np.ndarray] = {}
-        if contraction == "planned":
-            return self._reconstruct_expectation_planned(observable, table, missing, cache)
-        return self._reconstruct_expectation_naive(observable, table, missing, cache)
+        return self._reconstruct_expectation_planned(observable, table, missing, {})
 
     @staticmethod
     def _check_missing_mode(missing: str) -> None:
@@ -338,109 +362,81 @@ class CutReconstructor:
                 f"missing must be 'execute', 'skip' or 'error', got {missing!r}"
             )
 
-    @staticmethod
-    def _check_contraction_mode(contraction: str) -> None:
-        if contraction not in CONTRACTION_MODES:
-            raise ReconstructionError(
-                f"contraction must be one of {CONTRACTION_MODES}, got {contraction!r}"
-            )
+    # ------------------------------------------------------------ contraction paths
+    def _binned_structure(self, space: BinSpace, workers: int) -> Dict[str, object]:
+        """Cached plan, index maps, scatter blocks and stack reductions for ``space``.
 
-    # ------------------------------------------------------- naive contraction paths
-    def _reconstruct_probabilities_naive(
-        self,
-        table: Mapping[str, VariantResult],
-        missing: str,
-        cache: Dict[Tuple, np.ndarray],
-    ) -> np.ndarray:
-        """The serial scalar walk: one kron + scatter per global assignment."""
-        contract_start = perf_clock()
-        num_qubits = self.solution.circuit.num_qubits
-        total = np.zeros(2**num_qubits)
-        coefficient_per_assignment = 0.5 ** len(self.solution.wire_cuts)
-        # The qubit order (and therefore the scatter index map) is the same for
-        # every assignment; hoisting it out of the 4**k loop is most of the
-        # naive path's win.
-        orders = [list(spec.output_qubits) for spec in self.specs]
-        order_lsb: List[int] = []
-        for order in orders:
-            order_lsb = list(order) + order_lsb
-        index_map = _output_index_map(order_lsb, num_qubits)
-        stacks = self._value_stacks("probability", None, table, missing, cache)
-        keys = [self._layout(spec, "probability").keys for spec in self.specs]
-        for assignment in range(4 ** len(self.solution.wire_cuts)):
-            vectors = [stack[key[assignment]] for stack, key in zip(stacks, keys)]
-            combined, _ = _combine_subcircuit_vectors(vectors, orders)
-            _scatter_into(
-                total,
-                combined,
-                order_lsb,
-                coefficient_per_assignment,
-                num_qubits,
-                index_map=index_map,
-            )
-        contract_seconds = perf_clock() - contract_start
-        self.last_contraction_report = ContractionReport(
-            mode="naive",
-            kind="probability",
-            workers=1,
-            num_shards=1,
-            plan_seconds=0.0,
-            contract_seconds=contract_seconds,
-            merge_seconds=0.0,
-            shards=(ShardUtilization(shard=0, elements=total.size, seconds=contract_seconds),),
+        Everything here depends only on the qubit *partition* (not on the fixed
+        bit values, which enter as a per-call column offset), so one structure
+        serves every bin zoomed at the same recursion level.  The full vector's
+        space (every qubit active) reduces every stack by passthrough and plans
+        over the unbinned widths.
+        """
+        key = (
+            "probability",
+            workers,
+            space.active,
+            space.merged,
+            tuple(qubit for qubit, _ in space.fixed),
         )
-        return total
-
-    def _reconstruct_expectation_naive(
-        self,
-        observable: PauliObservable,
-        table: Mapping[str, VariantResult],
-        missing: str,
-        cache: Dict[Tuple, np.ndarray],
-    ) -> float:
-        """The serial scalar walk over ``4**k * 6**m`` combinations per term."""
-        contract_start = perf_clock()
-        value = float(
-            sum(
-                term.coefficient * self._term_value(term, table, missing, cache)
-                for term in observable.terms
-            )
-        )
-        contract_seconds = perf_clock() - contract_start
-        self.last_contraction_report = ContractionReport(
-            mode="naive",
-            kind="expectation",
-            workers=1,
-            num_shards=1,
-            plan_seconds=0.0,
-            contract_seconds=contract_seconds,
-            merge_seconds=0.0,
-            shards=(
-                ShardUtilization(
-                    shard=0, elements=len(observable.terms), seconds=contract_seconds
-                ),
-            ),
-        )
-        return value
-
-    # ----------------------------------------------------- planned contraction paths
-    def _probability_structure(self, workers: int) -> Dict[str, object]:
-        """Cached plan, index maps and scatter blocks for probability mode."""
-        key = ("probability", workers)
         structure = self._contraction_memo.get(key)
         if structure is not None:
             return structure
+        active_rank = {qubit: rank for rank, qubit in enumerate(space.active)}
+        merged_set = set(space.merged)
+        fixed_set = {qubit for qubit, _ in space.fixed}
+        reductions: List[_SpecReduction] = []
+        widths: List[int] = []
+        for spec in self.specs:
+            spec_active = [(b, q) for b, q in enumerate(spec.output_qubits) if q in active_rank]
+            spec_merged = [b for b, q in enumerate(spec.output_qubits) if q in merged_set]
+            spec_fixed = [(b, q) for b, q in enumerate(spec.output_qubits) if q in fixed_set]
+            if len(spec_active) + len(spec_merged) + len(spec_fixed) != len(spec.output_qubits):
+                missing = [
+                    q
+                    for q in spec.output_qubits
+                    if q not in active_rank and q not in merged_set and q not in fixed_set
+                ]
+                raise ReconstructionError(
+                    f"bin space does not cover output qubit(s) {missing} of "
+                    f"subcircuit {spec.index}"
+                )
+            num_active = len(spec_active)
+            num_merged = len(spec_merged)
+            local = np.arange(1 << num_active, dtype=np.int64)
+            cols_active = np.zeros_like(local)
+            for position, (bit, _) in enumerate(spec_active):
+                cols_active |= ((local >> position) & 1) << bit
+            merged_index = np.arange(1 << num_merged, dtype=np.int64)
+            cols_merged = np.zeros_like(merged_index)
+            for position, bit in enumerate(spec_merged):
+                cols_merged |= ((merged_index >> position) & 1) << bit
+            reductions.append(
+                _SpecReduction(
+                    passthrough=(num_merged == 0 and not spec_fixed),
+                    num_merged=num_merged,
+                    fixed_bits=tuple(spec_fixed),
+                    base_cols=cols_active[:, None] + cols_merged[None, :],
+                    bin_positions=tuple(active_rank[q] for _, q in spec_active),
+                )
+            )
+            widths.append(1 << num_active)
         plan = plan_contraction(
-            self.solution, self.specs, workers=workers, kind="probability"
+            self.solution,
+            self.specs,
+            workers=workers,
+            kind="probability",
+            output_widths=widths,
         )
         structure = {
             "plan": plan,
             "index_maps": [self._layout(spec, "probability").keys for spec in self.specs],
             "blocks": output_index_blocks(
                 plan,
-                [list(spec.output_qubits) for spec in self.specs],
-                self.solution.circuit.num_qubits,
+                [list(reduction.bin_positions) for reduction in reductions],
+                len(space.active),
             ),
+            "reductions": reductions,
         }
         self._contraction_memo[key] = structure
         return structure
@@ -451,16 +447,18 @@ class CutReconstructor:
         missing: str,
         cache: Dict[Tuple, np.ndarray],
     ) -> np.ndarray:
-        """Planned path: dense per-subcircuit stacks, sharded vectorized kron."""
+        """Dense per-subcircuit stacks, sharded vectorized kron, all qubits active."""
         plan_start = perf_clock()
         workers = self.engine.workers
-        structure = self._probability_structure(workers)
+        space = BinSpace(active=tuple(range(self.solution.circuit.num_qubits)), merged=())
+        structure = self._binned_structure(space, workers)
         plan = structure["plan"]
         plan_seconds = perf_clock() - plan_start
 
         contract_start = perf_clock()
         # One stack per subcircuit over its *local* assignments (4**c_S rows,
-        # not 4**k): the same stacks the naive walk reads.
+        # not 4**k).  Every reduction of this space is a passthrough, so the
+        # stacks go to the kernels as they are.
         stacks = self._value_stacks("probability", None, table, missing, cache)
         coefficient = 0.5 ** len(self.solution.wire_cuts)
         tasks = []
@@ -521,7 +519,7 @@ class CutReconstructor:
             "plan": plan,
             "index_maps": [self._layout(spec, "expectation").keys for spec in self.specs],
             "coefficients": np.tile(0.5**k * products, 4**k),
-            # All-zero products: the naive walk skips every combination.
+            # All-zero products: the scalar walk skips every combination.
             "gate_ok": bool(np.any(products)),
         }
         self._contraction_memo[key] = structure
@@ -547,8 +545,8 @@ class CutReconstructor:
         if structure["gate_ok"]:
             for index, term in enumerate(observable.terms):
                 inactive_factor = self._inactive_qubit_factor(term)
-                if inactive_factor == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the naive walk bit for bit
-                    continue  # the naive walk returns exactly 0.0 for these
+                if inactive_factor == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the scalar walk bit for bit
+                    continue  # the scalar walk returns exactly 0.0 for these
                 jobs.append(
                     (
                         index,
@@ -578,7 +576,7 @@ class CutReconstructor:
         contract_seconds = perf_clock() - contract_start
 
         merge_start = perf_clock()
-        # Same final reduction as the naive path: term contributions summed in
+        # Same final reduction as the scalar walk: term contributions summed in
         # observable term order, regardless of which shard computed them.
         value = float(
             sum(
@@ -875,36 +873,6 @@ class CutReconstructor:
             values = full
         return values.reshape(-1, width) if mode == "probability" else values.reshape(-1)
 
-    def _term_value(
-        self,
-        term: PauliString,
-        table: Mapping[str, VariantResult],
-        missing: str,
-        cache: Dict[Tuple, np.ndarray],
-    ) -> float:
-        inactive_factor = self._inactive_qubit_factor(term)
-        if inactive_factor == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the naive walk bit for bit
-            return 0.0
-        stacks = [
-            stack.tolist()
-            for stack in self._value_stacks("expectation", term, table, missing, cache)
-        ]
-        keys = [self._layout(spec, "expectation").keys.tolist() for spec in self.specs]
-        products = self._instance_products().tolist()
-        value = 0.0
-        base_coefficient = 0.5 ** len(self.solution.wire_cuts)
-        for combo in range(len(keys[0])):
-            coefficient = base_coefficient * products[combo % len(products)]
-            if coefficient == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the naive walk bit for bit
-                continue
-            product = 1.0
-            for stack, key in zip(stacks, keys):
-                product *= stack[key[combo]]
-                if product == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on a product of assigned coefficients
-                    break
-            value += coefficient * product
-        return value * inactive_factor
-
     def _inactive_qubit_factor(self, term: PauliString) -> float:
         """Pauli factors on qubits no subcircuit outputs (idle qubits stay in |0>)."""
         covered = set()
@@ -929,66 +897,3 @@ def _basis_slice(values: np.ndarray, axis: int, basis: str) -> np.ndarray:
     for label, coefficient in INIT_STATE_DECOMPOSITION[basis]:
         total = total + coefficient * np.take(values, WIRE_CUT_INIT_LABELS.index(label), axis=axis)
     return total
-
-
-def _combine_subcircuit_vectors(
-    vectors: Sequence[np.ndarray], orders: Sequence[Sequence[int]]
-) -> Tuple[np.ndarray, List[int]]:
-    """Kronecker-combine per-subcircuit vectors; return (vector, LSB-first qubit list).
-
-    Built as a left-to-right chain of outer products (``np.multiply.outer`` +
-    ravel): the same pairwise multiplications ``np.kron`` performs, in the same
-    association, without kron's reshape overhead — bit-identical output.
-    """
-    if not vectors:
-        return np.array([1.0]), []
-    combined = np.asarray(vectors[0])
-    order_lsb: List[int] = list(orders[0])
-    for vector, order in zip(vectors[1:], orders[1:]):
-        combined = np.multiply.outer(combined, np.asarray(vector)).reshape(-1)
-        order_lsb = list(order) + order_lsb
-    return combined, order_lsb
-
-
-def _output_index_map(order_lsb: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Global basis index for every element of a combined vector.
-
-    ``order_lsb[position]`` is the circuit qubit carried by bit ``position``
-    (LSB first) of the combined vector's flat index.  The map is a bijection
-    onto the output-qubit subspace — duplicate qubits would make the fancy
-    in-place ``+=`` in :func:`_scatter_into` silently drop contributions, so
-    they are rejected here.
-    """
-    if len(set(order_lsb)) != len(order_lsb):
-        raise ReconstructionError(f"duplicate output qubits in {list(order_lsb)}")
-    indices = np.arange(2 ** len(order_lsb))
-    global_indices = np.zeros_like(indices)
-    for position, qubit in enumerate(order_lsb):
-        if qubit >= num_qubits:
-            raise ReconstructionError(f"output qubit {qubit} outside circuit")
-        global_indices |= ((indices >> position) & 1) << qubit
-    return global_indices
-
-
-def _scatter_into(
-    total: np.ndarray,
-    combined: np.ndarray,
-    order_lsb: Sequence[int],
-    coefficient: float,
-    num_qubits: int,
-    index_map: Optional[np.ndarray] = None,
-) -> None:
-    """Scatter a combined vector into the global basis ordering of ``num_qubits``.
-
-    ``index_map`` (from :func:`_output_index_map`) can be precomputed once and
-    reused across the ``4**k`` assignments — the map only depends on the qubit
-    order.  The indices are unique (enforced by ``_output_index_map``), so the
-    scatter is a plain fancy-indexed ``+=`` rather than the much slower
-    ``np.add.at``; element for element the additions are identical.
-    """
-    # Exact integer width check — float log2 can misround for wide vectors.
-    if len(combined) != 2 ** len(order_lsb):
-        raise ReconstructionError("qubit order does not match combined vector size")
-    if index_map is None:
-        index_map = _output_index_map(order_lsb, num_qubits)
-    total[index_map] += coefficient * combined

@@ -229,10 +229,19 @@ class EvaluationSession:
                     shots=settings.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
                 )
             engine = ParallelEngine(executor, settings)
-        if settings.shots is not None and not isinstance(engine.executor, SamplingExecutor):
+        samples = isinstance(engine.executor, SamplingExecutor)
+        if settings.shots is not None and not samples:
             raise CuttingError(
                 f"shots={settings.shots} needs a sampling-capable executor with per-variant "
                 f"shot allocation (e.g. SamplingExecutor), got {type(engine.executor).__name__}"
+            )
+        if settings.shots is None and samples:
+            # Without a budget the executor would sample every variant at its
+            # own default shots, unallocated and unmetered.
+            raise ConfigError(
+                f"an exact evaluation (shots=None) cannot run on a sampling executor "
+                f"({type(engine.executor).__name__}): set EngineConfig.shots to the "
+                f"shot budget to spend"
             )
         self.engine = engine
 

@@ -15,13 +15,14 @@ from repro.cutting import (
     GateCut,
     plan_contraction,
 )
-from repro.cutting.contraction import CONTRACTION_MODES, balanced_blocks
+from repro.cutting.contraction import BinSpace, balanced_blocks
+from repro.cutting.dynamic_definition import binned_probabilities
 from repro.engine import EngineConfig, ParallelEngine
-from repro.exceptions import ReconstructionError
 from repro.simulator import simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 
 from fake_pools import BreakingPool
+from reference_contraction import naive_expectation, naive_probabilities
 from strategies import (
     float_bits as _bits,
     mixed_cut_solution as _mixed_cut_solution,
@@ -56,7 +57,6 @@ class TestPlannerCostModel:
         _, two_cut = _two_cut_solution()
         reconstructor_two = CutReconstructor(two_cut)
         plan_two = plan_contraction(two_cut, reconstructor_two.specs, workers=1)
-        assert plan_two.cost.naive_flops > plan_one.cost.naive_flops
         assert plan_two.cost.fused_flops > plan_one.cost.fused_flops
 
     def test_small_problems_stay_unsharded(self, chain_wire_cut_solution):
@@ -95,7 +95,7 @@ class TestPlannerCostModel:
         sharded = plan_contraction(solution, reconstructor.specs, workers=2)
         assert sharded.num_shards == 2
         assert sharded.cost.per_shard_flops < serial.cost.per_shard_flops
-        assert serial.cost.predicted_speedup > 0.0
+        assert serial.cost.per_shard_flops == serial.cost.fused_flops
 
     def test_chunk_rows_bounds(self, chain_wire_cut_solution):
         reconstructor = CutReconstructor(chain_wire_cut_solution)
@@ -131,10 +131,8 @@ class TestBitIdentity:
         table = reconstructor.engine.run_batch(
             reconstructor.enumerate_probability_requests()
         )
-        naive = reconstructor.reconstruct_probabilities(table=table, contraction="naive")
-        planned = reconstructor.reconstruct_probabilities(
-            table=table, contraction="planned"
-        )
+        naive = naive_probabilities(reconstructor, table)
+        planned = reconstructor.reconstruct_probabilities(table=table)
         assert naive.tobytes() == planned.tobytes()
 
     def test_probability_sharded_equals_naive(self, monkeypatch):
@@ -143,14 +141,12 @@ class TestBitIdentity:
         circuit, solution = _two_cut_solution()
         serial = CutReconstructor(solution)
         table = serial.engine.run_batch(serial.enumerate_probability_requests())
-        naive = serial.reconstruct_probabilities(table=table, contraction="naive")
+        naive = naive_probabilities(serial, table)
         with ParallelEngine(
             config=EngineConfig(max_workers=3)
         ) as engine:
             sharded = CutReconstructor(solution, engine=engine)
-            planned = sharded.reconstruct_probabilities(
-                table=table, contraction="planned"
-            )
+            planned = sharded.reconstruct_probabilities(table=table)
             report = sharded.last_contraction_report
         assert naive.tobytes() == planned.tobytes()
         assert report.num_shards > 1
@@ -167,12 +163,8 @@ class TestBitIdentity:
         )
         # Deterministically drop part of the table: a truncated contraction.
         kept = dict(sorted(table.items())[::2])
-        naive = reconstructor.reconstruct_probabilities(
-            table=kept, missing="skip", contraction="naive"
-        )
-        planned = reconstructor.reconstruct_probabilities(
-            table=kept, missing="skip", contraction="planned"
-        )
+        naive = naive_probabilities(reconstructor, kept, "skip")
+        planned = reconstructor.reconstruct_probabilities(table=kept, missing="skip")
         assert naive.tobytes() == planned.tobytes()
 
     def test_expectation_planned_equals_naive(self):
@@ -181,12 +173,8 @@ class TestBitIdentity:
         table = reconstructor.engine.run_batch(
             reconstructor.enumerate_expectation_requests(observable)
         )
-        naive = reconstructor.reconstruct_expectation(
-            observable, table=table, contraction="naive"
-        )
-        planned = reconstructor.reconstruct_expectation(
-            observable, table=table, contraction="planned"
-        )
+        naive = naive_expectation(reconstructor, observable, table)
+        planned = reconstructor.reconstruct_expectation(observable, table=table)
         assert _bits(naive) == _bits(planned)
 
     def test_pruned_expectation_table_bit_identical(self):
@@ -196,12 +184,8 @@ class TestBitIdentity:
             reconstructor.enumerate_expectation_requests(observable)
         )
         kept = dict(sorted(table.items())[::2])
-        naive = reconstructor.reconstruct_expectation(
-            observable, table=kept, missing="skip", contraction="naive"
-        )
-        planned = reconstructor.reconstruct_expectation(
-            observable, table=kept, missing="skip", contraction="planned"
-        )
+        naive = naive_expectation(reconstructor, observable, kept, "skip")
+        planned = reconstructor.reconstruct_expectation(observable, table=kept, missing="skip")
         assert _bits(naive) == _bits(planned)
 
     def test_expectation_sharded_over_terms(self, monkeypatch):
@@ -211,16 +195,12 @@ class TestBitIdentity:
         table = serial.engine.run_batch(
             serial.enumerate_expectation_requests(observable)
         )
-        naive = serial.reconstruct_expectation(
-            observable, table=table, contraction="naive"
-        )
+        naive = naive_expectation(serial, observable, table)
         with ParallelEngine(
             config=EngineConfig(max_workers=2)
         ) as engine:
             sharded = CutReconstructor(solution, engine=engine)
-            planned = sharded.reconstruct_expectation(
-                observable, table=table, contraction="planned"
-            )
+            planned = sharded.reconstruct_expectation(observable, table=table)
             report = sharded.last_contraction_report
         assert _bits(naive) == _bits(planned)
         assert report.kind == "expectation"
@@ -231,12 +211,8 @@ class TestBitIdentity:
         op_index = gate_cut_solution.gate_cuts[0].op_index
         reconstructor._gate_cut_instances[op_index] = (0.0,) * 6
         table = {}
-        naive = reconstructor.reconstruct_expectation(
-            zz_observable, table=table, missing="skip", contraction="naive"
-        )
-        planned = reconstructor.reconstruct_expectation(
-            zz_observable, table=table, missing="skip", contraction="planned"
-        )
+        naive = naive_expectation(reconstructor, zz_observable, table, "skip")
+        planned = reconstructor.reconstruct_expectation(zz_observable, table=table, missing="skip")
         assert naive == planned == 0.0
 
     @settings(max_examples=10, deadline=None)
@@ -247,19 +223,13 @@ class TestBitIdentity:
         table = reconstructor.engine.run_batch(
             reconstructor.enumerate_probability_requests()
         )
-        naive = reconstructor.reconstruct_probabilities(table=table, contraction="naive")
-        planned = reconstructor.reconstruct_probabilities(
-            table=table, contraction="planned"
-        )
+        naive = naive_probabilities(reconstructor, table)
+        planned = reconstructor.reconstruct_probabilities(table=table)
         assert naive.tobytes() == planned.tobytes()
         # Pruned partial table stays bit-identical too.
         kept = dict(sorted(table.items())[::2])
-        naive_pruned = reconstructor.reconstruct_probabilities(
-            table=kept, missing="skip", contraction="naive"
-        )
-        planned_pruned = reconstructor.reconstruct_probabilities(
-            table=kept, missing="skip", contraction="planned"
-        )
+        naive_pruned = naive_probabilities(reconstructor, kept, "skip")
+        planned_pruned = reconstructor.reconstruct_probabilities(table=kept, missing="skip")
         assert naive_pruned.tobytes() == planned_pruned.tobytes()
 
     @settings(max_examples=10, deadline=None)
@@ -288,24 +258,51 @@ class TestBitIdentity:
         table = reconstructor.engine.run_batch(
             reconstructor.enumerate_expectation_requests(observable)
         )
-        naive = reconstructor.reconstruct_expectation(
-            observable, table=table, contraction="naive"
-        )
-        planned = reconstructor.reconstruct_expectation(
-            observable, table=table, contraction="planned"
-        )
+        naive = naive_expectation(reconstructor, observable, table)
+        planned = reconstructor.reconstruct_expectation(observable, table=table)
         assert _bits(naive) == _bits(planned)
+
+
+# ------------------------------------------------------------- shared structure
+class TestSharedStructure:
+    def test_full_vector_is_the_all_qubit_bin_space(self, monkeypatch):
+        """One structure cache: binning into every qubit reuses the full vector's plan."""
+        import repro.cutting.dynamic_definition as dynamic_module
+        import repro.cutting.reconstruction as reconstruction_module
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("kind"))
+            return plan_contraction(*args, **kwargs)
+
+        # Count the planner under every module name it is imported by.
+        for module in (reconstruction_module, dynamic_module):
+            if hasattr(module, "plan_contraction"):
+                monkeypatch.setattr(module, "plan_contraction", counting)
+        _, solution = _two_cut_solution()
+        reconstructor = CutReconstructor(solution)
+        table = reconstructor.engine.run_batch(
+            reconstructor.enumerate_probability_requests()
+        )
+        full = reconstructor.reconstruct_probabilities(table=table)
+        planned = len(calls)
+        space = BinSpace(active=tuple(range(solution.circuit.num_qubits)), merged=())
+        binned = binned_probabilities(reconstructor, space, table=table)
+        assert planned == 1
+        assert len(calls) == planned
+        assert binned.tobytes() == full.tobytes()
 
 
 # ------------------------------------------------------------- config + engine
 class TestConfigAndEngine:
-    def test_contraction_modes_exported(self):
-        assert CONTRACTION_MODES == ("planned", "naive")
-
-    def test_reconstructor_rejects_bad_mode(self, chain_wire_cut_solution):
+    def test_contraction_keyword_removed(self, chain_wire_cut_solution, zz_observable):
+        # One contraction per mode: the scalar walk is a test-side reference.
         reconstructor = CutReconstructor(chain_wire_cut_solution)
-        with pytest.raises(ReconstructionError, match="contraction"):
-            reconstructor.reconstruct_probabilities(contraction="wat")
+        with pytest.raises(TypeError, match="contraction"):
+            reconstructor.reconstruct_probabilities(contraction="naive")
+        with pytest.raises(TypeError, match="contraction"):
+            reconstructor.reconstruct_expectation(zz_observable, contraction="naive")
 
     def test_shard_workers_follow_max_workers(self):
         assert ParallelEngine(config=EngineConfig(max_workers=3)).workers == 3
@@ -340,14 +337,12 @@ class TestBrokenPoolSalvage:
         _, solution = _two_cut_solution()
         serial = CutReconstructor(solution)
         table = serial.engine.run_batch(serial.enumerate_probability_requests())
-        naive = serial.reconstruct_probabilities(table=table, contraction="naive")
+        naive = naive_probabilities(serial, table)
         engine = ParallelEngine(config=EngineConfig(max_workers=3))
         engine._pool = BreakingPool()
         reconstructor = CutReconstructor(solution, engine=engine)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            planned = reconstructor.reconstruct_probabilities(
-                table=table, contraction="planned"
-            )
+            planned = reconstructor.reconstruct_probabilities(table=table)
         report = reconstructor.last_contraction_report
         assert planned.tobytes() == naive.tobytes()
         assert report.serial_fallback is True
@@ -387,7 +382,6 @@ class TestPipelineIntegration:
         reconstructor = CutReconstructor(
             planned.plan.solution, specs=planned.plan.subcircuits
         )
-        naive = reconstructor.reconstruct_probabilities(contraction="naive")
+        naive = naive_probabilities(reconstructor)
         assert planned.probabilities.tobytes() == naive.tobytes()
-        assert reconstructor.last_contraction_report.mode == "naive"
         assert planned.contraction_report.mode == "planned"

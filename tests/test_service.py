@@ -243,6 +243,18 @@ class TestAdmissionControl:
         assert ticket.status == "rejected"
         assert "probability workloads" in ticket.reason
 
+    def test_exact_session_on_sampling_engine_rejected(self):
+        # Without a shot budget the sampling executor would sample every
+        # variant at its own default shots, and nothing would be metered.
+        queue = ServiceQueue(shared_engine(), budgets={"alice": 100})
+        ticket = queue.submit(workload(), CONFIG, tenant="alice")
+        assert ticket.status == "rejected" and ticket.session is None
+        assert "shots=None" in ticket.reason
+        assert queue.remaining_budget("alice") == 100
+        assert queue.shots_spent("alice") == 0
+        with pytest.raises(ConfigError, match="sampling executor"):
+            EvaluationSession(workload(), CONFIG, engine=shared_engine())
+
     def test_engine_field_mismatch_rejected_with_message(self):
         queue = ServiceQueue(shared_engine(), max_pending=4)
         ticket = queue.submit(

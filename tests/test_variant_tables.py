@@ -40,6 +40,7 @@ from repro.simulator import simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads.qft import qft_circuit
 
+from reference_contraction import naive_expectation, naive_probabilities
 from strategies import mixed_cut_solution, random_angle_chain_solution
 
 Plan = List[Tuple[float, SubcircuitVariant]]
@@ -378,8 +379,8 @@ def test_probability_values_match_the_plan_walk(name, solution):
     table = full_table(reconstructor, reconstructor.enumerate_probability_requests())
     oracle = PlanOracle(solution, reconstructor.specs)
     expected = oracle.probabilities(table)
-    planned = reconstructor.reconstruct_probabilities(table=table, contraction="planned")
-    naive = reconstructor.reconstruct_probabilities(table=table, contraction="naive")
+    planned = reconstructor.reconstruct_probabilities(table=table)
+    naive = naive_probabilities(reconstructor, table)
     dd_plan = plan_dynamic_definition(
         solution, reconstructor.specs, qubit_limit=solution.circuit.num_qubits
     )
@@ -402,8 +403,8 @@ def test_expectation_values_match_the_plan_walk(name, solution, observable):
         reconstructor, reconstructor.enumerate_expectation_requests(observable)
     )
     expected = PlanOracle(solution, reconstructor.specs).expectation(observable, table)
-    planned = reconstructor.reconstruct_expectation(observable, table, contraction="planned")
-    naive = reconstructor.reconstruct_expectation(observable, table, contraction="naive")
+    planned = reconstructor.reconstruct_expectation(observable, table)
+    naive = naive_expectation(reconstructor, observable, table)
     assert np.float64(planned).tobytes() == np.float64(naive).tobytes()
     assert abs(planned - expected) <= 1e-12
     if max_init_cuts(reconstructor.specs) <= 1:
@@ -471,9 +472,10 @@ def test_skip_contracts_a_pruned_table_like_the_plan_walk(contraction):
     reconstructor = CutReconstructor(solution)
     table = pruned(full_table(reconstructor, reconstructor.enumerate_probability_requests()))
     expected = PlanOracle(solution, reconstructor.specs).probabilities(table)
-    vector = reconstructor.reconstruct_probabilities(
-        table=table, missing="skip", contraction=contraction
-    )
+    if contraction == "planned":
+        vector = reconstructor.reconstruct_probabilities(table=table, missing="skip")
+    else:
+        vector = naive_probabilities(reconstructor, table, "skip")
     np.testing.assert_allclose(vector, expected, rtol=0.0, atol=1e-12)
 
 

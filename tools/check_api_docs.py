@@ -46,6 +46,9 @@ FLAGSHIP = (
     ("repro", "EngineConfig"),
     ("repro", "PruningPolicy"),
     ("repro.cutting", "CutReconstructor"),
+    ("repro.cutting", "CutReconstructor.reconstruct_probabilities"),
+    ("repro.cutting", "CutReconstructor.reconstruct_expectation"),
+    ("repro.cutting", "binned_probabilities"),
     ("repro.cutting", "VariantExecutor"),
     ("repro.cutting", "VariantTable"),
     ("repro.cutting", "SubcircuitVariant"),
