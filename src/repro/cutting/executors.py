@@ -62,6 +62,7 @@ from ..engine.cache import (
     scoped_cache_namespace,
 )
 from ..engine.requests import (
+    RequestBatch,
     VariantResult,
     request_key,
     seed_from_fingerprint,
@@ -233,21 +234,21 @@ class VariantExecutor(ABC):
     ) -> Dict[str, VariantResult]:
         """Execute a batch of variants; return ``fingerprint -> VariantResult``.
 
-        Requests are deduped by fingerprint and satisfied from the shared cache
-        where possible; only the unique misses are executed (serially, or by the
-        supplied ``dispatch`` backend).  The ``executions`` counter advances by
-        exactly the number of unique misses.  ``shots`` reaches the seed, the
-        cache key and the execution of every request.
+        ``variants`` is a :class:`~repro.engine.RequestBatch` or any iterable
+        of variants, each item one read.  Its distinct requests are deduped by
+        fingerprint and satisfied from the shared cache where possible; only
+        the unique misses are executed (serially, or by the supplied
+        ``dispatch`` backend).  The ``requests`` counter advances by the
+        number of reads, ``executions`` by exactly the number of unique
+        misses.  ``shots`` reaches the seed, the cache key and the execution
+        of every request.
         """
         namespace = self._scoped_namespace()
-        batch = list(variants)
+        batch = RequestBatch.of(variants)
         table: Dict[str, VariantResult] = {}
         pending: List[Tuple[str, SubcircuitVariant, Optional[Tuple[int, ...]]]] = []
         scheduled: set = set()
-        # A batch lists one handle per contraction read, so the same object
-        # repeats many times: collapse repeats by identity first (first-seen
-        # order), then dedup the distinct objects by fingerprint.
-        for variant in {id(variant): variant for variant in batch}.values():
+        for variant in batch.variants:
             key = request_key(variant)
             if key in table or key in scheduled:
                 continue

@@ -19,10 +19,14 @@ initialised cuts and nonzero-coefficient instance of its gate cuts, in
 mixed-radix row order.  A row is a handle holding one choice index per cut end,
 not a built circuit.  Phase one *enumerates*: the contraction loops are walked
 with integer local keys into the tables, and every key's Eq. 3 terms (the rows
-its decomposition reads) join one batch the first time the walk reaches the
-key.  The batch goes to the execution engine (:mod:`repro.engine`), which dedups
-it by fingerprint, satisfies repeats from the shared cache and runs the unique
-requests, serially or across a worker pool.  Phase two *contracts*: each
+its decomposition reads) are read the first time the walk reaches the key.
+The walk returns a :class:`~repro.engine.RequestBatch`: each row read, once,
+in order of first read, with an integer array of read counts, whose total is
+what the engine counts as requests.  The batch goes to the execution engine
+(:mod:`repro.engine`), which dedups it by fingerprint (each table hashes its
+rows at once, :attr:`~repro.cutting.variants.VariantTable.fingerprints`),
+satisfies repeats from the shared cache and runs the unique requests,
+serially or across a worker pool.  Phase two *contracts*: each
 table's results are gathered into one dense array, Eq. 3's basis change turns
 every initialised cut's four label slices into its four basis slices, and the
 contraction reads those stacks — no executor calls happen inside it.  The
@@ -47,13 +51,12 @@ exactly zero, and the induced bias is bounded a priori by the pruning report.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..engine import ParallelEngine, VariantResult, request_key
+from ..engine import ParallelEngine, RequestBatch, VariantResult, request_key
 from ..exceptions import ReconstructionError
 from ..utils.pauli import PauliObservable, PauliString
 from ..utils.timing import perf_clock
@@ -155,40 +158,57 @@ class _SpecReduction:
 
 
 class _Walk:
-    """Phase-one state shared by every term of one enumeration call."""
+    """Phase-one state shared by every term of one enumeration call.
+
+    Rows have walk-wide ids (``offset``); ``reads`` lists every read's id.
+    """
 
     def __init__(self, weights: Optional[Dict[str, float]]) -> None:
-        self.batch: List[SubcircuitVariant] = []
         self.weights = weights
         self.scheduled: Dict[Tuple, np.ndarray] = {}
+        self.reads: List[np.ndarray] = []
         self.ids: List[np.ndarray] = []
         self.values: List[np.ndarray] = []
         self._offsets: Dict[Tuple, int] = {}
-        self._fingerprints: List[str] = []
+        self._tables: List[VariantTable] = []
+        self._rows = 0
 
     def offset(self, table_key: Tuple, table: VariantTable) -> int:
-        """First id of a table's rows in this walk's fingerprint list."""
+        """First id of a table's rows in this walk."""
         if table_key not in self._offsets:
-            self._offsets[table_key] = len(self._fingerprints)
-            self._fingerprints.extend(variant.fingerprint for variant in table.variants)
+            self._offsets[table_key] = self._rows
+            self._tables.append(table)
+            self._rows += len(table)
         return self._offsets[table_key]
 
-    def finish(self) -> List[SubcircuitVariant]:
+    def finish(self) -> RequestBatch:
         """Fold the accumulated weights into ``weights`` and return the batch.
 
-        Sums run per fingerprint in walk order (``np.add.at`` is sequential),
-        and new fingerprints enter the dict in order of first visit.
+        Weight sums run per fingerprint in walk order (``np.add.at`` is
+        sequential), and new fingerprints enter the dict in order of first visit.
         """
+        variants = [variant for table in self._tables for variant in table.variants]
         if self.weights is not None and self.ids:
             ids = np.concatenate(self.ids)
             unique, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-            fingerprints = [self._fingerprints[i] for i in unique.tolist()]
+            fingerprints = [variants[i].fingerprint for i in unique.tolist()]
             totals = np.array([self.weights.get(fp, 0.0) for fp in fingerprints])
             np.add.at(totals, inverse, np.concatenate(self.values))
             totals_list = totals.tolist()
             for j in np.argsort(first, kind="stable").tolist():
                 self.weights[fingerprints[j]] = totals_list[j]
-        return self.batch
+        reads = np.concatenate(self.reads) if self.reads else np.zeros(0, dtype=np.int64)
+        first_read = np.full(self._rows, reads.size)
+        np.minimum.at(first_read, reads, np.arange(reads.size))
+        read = np.flatnonzero(first_read < reads.size)
+        order = read[np.argsort(first_read[read])]
+        counts = np.bincount(reads, minlength=self._rows)[order]
+        return RequestBatch([variants[i] for i in order.tolist()], counts)
+
+
+def _slices(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(start[i], start[i] + length[i])`` over ``i``."""
+    return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
 
 
 class CutReconstructor:
@@ -244,15 +264,19 @@ class CutReconstructor:
     # ------------------------------------------------------------------ public API
     def enumerate_probability_requests(
         self, weights_out: Optional[Dict[str, float]] = None
-    ) -> List[SubcircuitVariant]:
+    ) -> RequestBatch:
         """Phase one of probability reconstruction: every variant the contraction needs.
 
-        The returned batch may contain duplicates across local keys (one Eq. 3
-        term list per key); the engine dedups by fingerprint.  Benchmarks use
-        this to drive :meth:`ParallelEngine.run_batch` directly.
-        ``weights_out``, when given, accumulates each fingerprint's |contraction
-        weight| during the same walk (for shot allocation), so no second pass
-        over the exponential loop is needed.
+        Args:
+            weights_out: when given, accumulates each fingerprint's |contraction
+                weight| during the same walk (for pruning, shot allocation and
+                the overhead optimizer), so no second pass over the
+                exponential loop is needed.
+
+        Returns:
+            A :class:`~repro.engine.RequestBatch`: each table row read, once,
+            in order of first read, with its read count (one read per Eq. 3
+            term of every local key that needs the row).
         """
         if self.solution.gate_cuts:
             raise ReconstructionError(GATE_CUT_MESSAGE)
@@ -265,11 +289,18 @@ class CutReconstructor:
         self,
         observable: PauliObservable,
         weights_out: Optional[Dict[str, float]] = None,
-    ) -> List[SubcircuitVariant]:
+    ) -> RequestBatch:
         """Phase one of expectation reconstruction for every term of ``observable``.
 
-        ``weights_out``, when given, accumulates each fingerprint's |contraction
-        weight| during the same walk (see :meth:`enumerate_probability_requests`).
+        Args:
+            observable: the Pauli observable whose terms are walked, in order.
+            weights_out: when given, accumulates each fingerprint's |contraction
+                weight| during the same walk (see
+                :meth:`enumerate_probability_requests`).
+
+        Returns:
+            The :class:`~repro.engine.RequestBatch` of every term's reads,
+            as for :meth:`enumerate_probability_requests`.
         """
         walk = _Walk(weights_out)
         k = len(self.solution.wire_cuts)
@@ -733,13 +764,17 @@ class CutReconstructor:
         """Phase one for one term: visit ``combos`` (global combinations, walk order).
 
         At every combination each subcircuit reads its local key's Eq. 3 terms.
-        A key's variants join the batch the first time the walk reaches it;
-        ``|coefficient * weight|`` of every term read accumulates per
+        A key's terms are read into the batch the first time the walk reaches
+        it; ``|coefficient * weight|`` of every term read accumulates per
         fingerprint, in walk order.
         """
-        events: List[Tuple[int, int, int]] = []
-        visits: List[Tuple[_TableLayout, VariantTable, np.ndarray, Tuple]] = []
-        for position, spec in enumerate(self.specs):
+        starts: List[np.ndarray] = []
+        lengths: List[np.ndarray] = []
+        first_visits: List[np.ndarray] = []
+        rows: List[np.ndarray] = []
+        weights: List[np.ndarray] = []
+        entries = 0
+        for spec in self.specs:
             layout = self._layout(spec, mode)
             table_key, table = self._table(spec, mode, term)
             keys = layout.keys[combos]
@@ -747,38 +782,27 @@ class CutReconstructor:
                 table_key, np.zeros(layout.starts.size - 1, dtype=bool)
             )
             unique, first = np.unique(keys, return_index=True)
-            fresh = ~done[unique]
+            first_visit = np.zeros(keys.size, dtype=bool)
+            first_visit[first[~done[unique]]] = True
             done[unique] = True
-            events.extend(
-                zip(first[fresh].tolist(), itertools.repeat(position), unique[fresh].tolist())
-            )
-            visits.append((layout, table, keys, table_key))
-        events.sort()
-        for _, position, key in events:
-            layout, table = visits[position][:2]
-            variants = table.variants
-            rows = layout.rows[layout.starts[key] : layout.starts[key + 1]]
-            walk.batch.extend([variants[row] for row in rows.tolist()])
-        if walk.weights is None:
-            return
-        # The same reads, vectorised: entries of every (combination, subcircuit)
-        # pair in walk order, over the concatenated per-subcircuit term arrays.
-        starts: List[np.ndarray] = []
-        lengths: List[np.ndarray] = []
-        rows: List[np.ndarray] = []
-        weights: List[np.ndarray] = []
-        entries = 0
-        for layout, table, keys, table_key in visits:
             starts.append(layout.starts[keys] + entries)
             lengths.append(layout.starts[keys + 1] - layout.starts[keys])
+            first_visits.append(first_visit)
             rows.append(layout.rows + walk.offset(table_key, table))
             weights.append(layout.weights)
             entries += layout.rows.size
-        length = np.stack(lengths, axis=1).ravel()
-        start = np.stack(starts, axis=1).ravel()
-        index = np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
-        coefficient = np.repeat(np.repeat(coefficients, len(visits)), length)
-        walk.ids.append(np.concatenate(rows)[index])
+        # Entries of every (combination, subcircuit) pair in walk order, over
+        # the concatenated per-subcircuit term arrays.
+        start, length, fresh = (
+            np.stack(parts, axis=1).ravel() for parts in (starts, lengths, first_visits)
+        )
+        all_rows = np.concatenate(rows)
+        walk.reads.append(all_rows[_slices(start[fresh], length[fresh])])
+        if walk.weights is None:
+            return
+        index = _slices(start, length)
+        coefficient = np.repeat(np.repeat(coefficients, len(rows)), length)
+        walk.ids.append(all_rows[index])
         walk.values.append(np.abs(coefficient * np.concatenate(weights)[index]))
 
     def _instance_products(self) -> np.ndarray:
@@ -832,21 +856,26 @@ class CutReconstructor:
     ) -> np.ndarray:
         layout = self._layout(spec, mode)
         width = 2 ** len(spec.output_qubits) if mode == "probability" else 1
+        keys = [request_key(variant) for variant in variants]
+        results = [table.get(key) for key in keys]
+        absent = [variant for variant, result in zip(variants, results) if result is None]
+        if absent and missing == "error":
+            raise ReconstructionError(
+                f"results table is missing variant {request_key(absent[0])[:12]}... "
+                f"for subcircuit {spec.index} (missing='error')"
+            )
+        if absent and missing == "execute":
+            # The table's absent rows run as one batch; per-fingerprint seeds
+            # give each row the result a batch of its own would.
+            fetched = self.engine.run_batch(absent)
+            results = [fetched[k] if r is None else r for k, r in zip(keys, results)]
         values = np.zeros((len(variants), width))
-        for row, variant in enumerate(variants):
-            result = table.get(request_key(variant))
+        for row, result in enumerate(results):
             if result is None:
-                if missing == "skip":
-                    # Truncated contraction: the variant was pruned out; its
-                    # contribution is exactly zero (the bias this introduces is
-                    # bounded a priori by PruningReport.bias_bound).
-                    continue
-                if missing == "error":
-                    raise ReconstructionError(
-                        f"results table is missing variant {request_key(variant)[:12]}... "
-                        f"for subcircuit {variant.subcircuit_index} (missing='error')"
-                    )
-                result = self.engine.lookup(variant)
+                # Truncated contraction (missing="skip"): the variant was
+                # pruned out; its contribution is exactly zero (the bias this
+                # introduces is bounded a priori by PruningReport.bias_bound).
+                continue
             payload = result.distribution if mode == "probability" else result.value
             if payload is None:
                 kind = "distribution" if mode == "probability" else "expectation value"

@@ -45,13 +45,13 @@ path stays bit-identical to the unoptimized pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from ..engine.config import OVERHEAD_MODES
-from ..engine.requests import request_key
+from ..engine.requests import RequestBatch, request_key
 from ..exceptions import ReproError
 from ..utils.timing import perf_clock
 from .variants import WIRE_CUT_INIT_LABELS, WIRE_CUT_MEASUREMENT_BASES, SubcircuitVariant
@@ -292,12 +292,10 @@ class _OverheadModel:
         return variance * scale
 
 
-def _build_model(
-    batch: Iterable[SubcircuitVariant], weights: Mapping[str, float]
-) -> _OverheadModel:
+def _build_model(batch: RequestBatch, weights: Mapping[str, float]) -> _OverheadModel:
     """Collect the unique-fingerprint profiles and weights into dense arrays."""
     profile_of: Dict[str, Tuple[Tuple[str, str], ...]] = {}
-    for variant in batch:
+    for variant in batch.variants:
         key = request_key(variant)
         if key not in profile_of:
             # First-seen profile wins: distinct settings can (rarely) build
@@ -435,15 +433,16 @@ def _cut_breakdown(model: _OverheadModel, q: np.ndarray) -> Tuple[CutBasisWeight
 
 
 def optimize_overhead_weights(
-    batch: Sequence[SubcircuitVariant],
+    batch: Iterable[SubcircuitVariant],
     weights: Mapping[str, float],
 ) -> Tuple[Dict[str, float], OverheadReport]:
     """Optimize the per-cut basis sampling weights for an enumerated batch.
 
     Args:
-        batch: the phase-one enumeration output (may contain duplicate
-            fingerprints; the first-seen variant provides each fingerprint's
-            cut-parameter profile).
+        batch: the phase-one enumeration output, a
+            :class:`~repro.engine.RequestBatch` (or any iterable of variants,
+            each item one read); the first-seen variant provides each
+            fingerprint's cut-parameter profile.
         weights: accumulated |contraction weight| per fingerprint, as
             collected by the enumeration walk's ``weights_out``.
 
@@ -456,6 +455,7 @@ def optimize_overhead_weights(
         :class:`OverheadReport` with the pre/post overhead and per-cut
         breakdown.  Both are deterministic functions of the inputs.
     """
+    batch = RequestBatch.of(batch)
     if not batch:
         raise ReproError("cannot optimize sampling overhead over an empty batch")
     start = perf_clock()

@@ -19,9 +19,10 @@ plus one *slot* per cut end, whose choices are the runs that end can take — an
 initialised cut's preparation (nothing, X, H, or H then S), a measured cut's
 rotation and measurement (I unsigned; Z, X after H, Y after Sdg·H signed), or one
 gate-cut side's pre-gates, optional signed measurement and post-gates.  A row is
-one choice index per slot.  Its fingerprint hashes pre-encoded operation text
-(the bytes :func:`~repro.engine.requests.variant_fingerprint` hashes over its
-circuit), the batched simulator gathers per-slot matrix stacks by row
+one choice index per slot.  A table hashes every row's fingerprint at once
+(:attr:`VariantTable.fingerprints`) from text encoded once per table: the bytes
+:func:`~repro.engine.requests.variant_fingerprint` hashes over a row's circuit.
+The batched simulator gathers per-slot matrix stacks by row
 (:meth:`VariantTable.program`), and a pool task pickles the table once plus row
 indices.  A row's :class:`~repro.circuits.Circuit` is built only when an executor
 without row support reads ``SubcircuitVariant.circuit``.
@@ -33,7 +34,8 @@ measurements are checked once, when the table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, fields
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +44,7 @@ from ..circuits import Circuit, Operation
 from ..circuits.gates import measure as measure_op
 from ..circuits.gates import operation as _gate
 from ..circuits.gates import reset
-from ..engine.requests import operation_field, variant_fingerprint
+from ..engine.requests import fingerprint_head, operation_field
 from ..exceptions import CuttingError
 from ..simulator.batched import Program, compile_program
 from ..utils.pauli import PauliString
@@ -108,19 +110,19 @@ class SubcircuitVariant:
         row: the row's index in ``table``.
 
     ``subcircuit_index``, ``num_wires``, ``output_qubit_order``, ``mode`` and
-    ``pauli_term`` are the table's.  ``settings``, ``circuit`` and
-    ``fingerprint`` are decoded from the table on first access, then cached.
-    Wrap a bare circuit with :meth:`VariantTable.of_circuit`.
+    ``pauli_term`` are the table's.  ``settings`` and ``circuit`` are decoded
+    from the table on first access, then cached; ``fingerprint`` is the row's
+    entry of :attr:`VariantTable.fingerprints`.  Wrap a bare circuit with
+    :meth:`VariantTable.of_circuit`.
     """
 
-    __slots__ = ("table", "row", "_settings", "_circuit", "_fingerprint")
+    __slots__ = ("table", "row", "_settings", "_circuit")
 
     def __init__(self, table: "VariantTable", row: int) -> None:
         self.table = table
         self.row = row
         self._settings: Optional[VariantSettings] = None
         self._circuit: Optional[Circuit] = None
-        self._fingerprint: Optional[str] = None
 
     @property
     def subcircuit_index(self) -> int:
@@ -156,10 +158,8 @@ class SubcircuitVariant:
 
     @property
     def fingerprint(self) -> str:
-        """Stable content hash identifying this request to the engine (memoised)."""
-        if self._fingerprint is None:
-            self._fingerprint = variant_fingerprint(self, self.table.operations(self.row))
-        return self._fingerprint
+        """Stable content hash identifying this request to the engine."""
+        return self.table.fingerprints[self.row]
 
     def __reduce__(self) -> Tuple[Any, ...]:
         # A row travels as (table, row): a chunk of rows ships its table once.
@@ -288,7 +288,7 @@ class VariantTable:
         self.__dict__.update(state)
         self._variants: Optional[List[SubcircuitVariant]] = None
         self._rows: Optional[List[List[int]]] = None
-        self._text: Optional[Tuple[List[bytes], List[List[bytes]]]] = None
+        self._fingerprints: Optional[List[str]] = None
         self._row_class: Optional[np.ndarray] = None
         self._programs: Dict[int, Program] = {}
 
@@ -322,19 +322,56 @@ class VariantTable:
                 circuit.append(op)
         return circuit
 
-    def operations(self, row: int) -> Tuple[int, bytes]:
-        """``row``'s circuit as :func:`variant_fingerprint` hashes it, joined from
-        text encoded once per gap and slot choice of the table."""
-        if self._text is None:
-            self._text = (
-                [_encoded(gap) for gap in self.skeleton.gaps],
-                [[_encoded(run) for run in slot.runs] for slot in self.skeleton.slots],
-            )
-        gaps, runs = self._text
-        parts = [gaps[0]]
-        for slot, choice in enumerate(self._choices(row)):
-            parts += (runs[slot][choice], gaps[slot + 1])
-        return self.skeleton.num_qubits, b"".join(parts)
+    @property
+    def fingerprints(self) -> List[str]:
+        """Every row's :func:`~repro.engine.requests.variant_fingerprint`, in row order.
+
+        All rows are hashed at once from text encoded once per table: the
+        head fields, a settings ``repr`` fragment per slot choice (slots in
+        the settings' sorted-key order) and the operation text of every gap
+        and slot choice.
+        """
+        if self._fingerprints is None:
+            head, columns = self._fingerprint_text()
+            self._fingerprints = [
+                hashlib.sha1(head + b"".join([texts[row[j]] for j, texts in columns])).hexdigest()
+                for row in map(self._choices, range(len(self)))
+            ]
+        return self._fingerprints
+
+    def _fingerprint_text(self) -> Tuple[bytes, List[Tuple[int, List[bytes]]]]:
+        """``(head, columns)``: a row hashes ``head`` and then, per column
+        ``(slot, texts)``, ``texts[its choice of slot]``.
+
+        The text is ``fingerprint_head``'s two halves around ``repr`` of the
+        row's :class:`VariantSettings`, then the row's operation fields; the
+        fixed text between two choices is folded into the choice before it.
+        """
+        before, after = fingerprint_head(self, self.skeleton.num_qubits)
+        slots, gaps = self.skeleton.slots, self.skeleton.gaps
+        pieces: List[Any] = [before + f"{VariantSettings.__qualname__}(".encode("utf-8")]
+        for position, field in enumerate(fields(VariantSettings)):
+            # VariantSettings.build sorts each field by key; a key repeated
+            # by two slots keeps the last one's value, as a dict does.
+            last = {slot.key: j for j, slot in enumerate(slots) if slot.field == field.name}
+            pieces.append(f"{', ' if position else ''}{field.name}=(".encode("utf-8"))
+            for n, (key, j) in enumerate(sorted(last.items())):
+                texts = [f"{', ' if n else ''}{(key, v)!r}" for v in _CHOICE_VALUES[field.name]]
+                pieces.append((j, [text.encode("utf-8") for text in texts]))
+            pieces.append(b",)" if len(last) == 1 else b")")
+        pieces.append(b")" + after + _encoded(gaps[0]))
+        for j, slot in enumerate(slots):
+            pieces += [(j, [_encoded(run) for run in slot.runs]), _encoded(gaps[j + 1])]
+        head, columns = b"", []
+        for piece in pieces:
+            if not isinstance(piece, bytes):
+                columns.append(piece)
+            elif columns:
+                slot, texts = columns[-1]
+                columns[-1] = (slot, [text + piece for text in texts])
+            else:
+                head += piece
+        return head, columns
 
     @property
     def row_class(self) -> np.ndarray:

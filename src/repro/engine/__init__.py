@@ -39,6 +39,7 @@ from .devices import (
 from .engine import EngineStats, ParallelEngine
 from .pruning import PRUNING_POLICIES, PruningPolicy, PruningReport, prune_requests
 from .requests import (
+    RequestBatch,
     VariantResult,
     request_key,
     seed_from_fingerprint,
@@ -60,6 +61,7 @@ __all__ = [
     "PruningPolicy",
     "PruningReport",
     "ROUTING_POLICIES",
+    "RequestBatch",
     "ResultCache",
     "ShotAllocation",
     "ShotPlan",

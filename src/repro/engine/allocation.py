@@ -34,7 +34,7 @@ from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 import numpy as np
 
 from ..exceptions import AllocationError, CuttingError
-from .requests import request_key
+from .requests import RequestBatch, request_key
 
 __all__ = [
     "ALLOCATION_POLICIES",
@@ -193,22 +193,22 @@ def largest_remainder_split(budget: int, weights: Mapping[str, float]) -> Dict[s
     return allocation
 
 
-def _unique_variants(batch: Iterable) -> Dict[str, object]:
+def _unique_variants(batch: RequestBatch) -> Dict[str, object]:
     """First-seen variant per fingerprint, in deterministic (sorted) key order."""
     unique: Dict[str, object] = {}
-    for variant in batch:
+    for variant in batch.variants:
         key = request_key(variant)
         if key not in unique:
             unique[key] = variant
     return {key: unique[key] for key in sorted(unique)}
 
 
-def _multiplicity_weights(batch: Iterable) -> Dict[str, float]:
-    """Fallback weights: how many times each fingerprint is requested."""
+def _multiplicity_weights(batch: RequestBatch) -> Dict[str, float]:
+    """Fallback weights: how many times each fingerprint is read."""
     weights: Dict[str, float] = {}
-    for variant in batch:
+    for variant, reads in zip(batch.variants, batch.reads.tolist()):
         key = request_key(variant)
-        weights[key] = weights.get(key, 0.0) + 1.0
+        weights[key] = weights.get(key, 0.0) + float(reads)
     return weights
 
 
@@ -255,11 +255,12 @@ def allocate_shots(
 ) -> ShotAllocation:
     """Split ``total_shots`` across the unique variants of ``batch``.
 
-    ``weights`` maps fingerprints to |contraction weight| (as accumulated by
-    the ``weights_out`` argument of
+    ``batch`` is a :class:`~repro.engine.RequestBatch` or any iterable of
+    variants, each item one read.  ``weights`` maps fingerprints to
+    |contraction weight| (as accumulated by the ``weights_out`` argument of
     :meth:`~repro.cutting.reconstruction.CutReconstructor.enumerate_expectation_requests`);
-    when omitted, the ``weighted`` and ``variance`` policies fall back to request
-    multiplicity within the batch.  The ``variance`` policy needs ``engine`` (a
+    when omitted, the ``weighted`` and ``variance`` policies fall back to each
+    fingerprint's read count within the batch.  The ``variance`` policy needs ``engine`` (a
     :class:`~repro.engine.ParallelEngine` over a sampling-capable executor) to
     run its pilot batch, which it passes a :class:`ShotPlan` with stage
     ``"pilot"``; pilot executions are counted in the engine's stats like any
@@ -279,7 +280,7 @@ def allocate_shots(
         )
     if total_shots < 1:
         raise AllocationError(f"total_shots must be >= 1, got {total_shots}")
-    batch = list(batch)
+    batch = RequestBatch.of(batch)
     unique = _unique_variants(batch)
     if not unique:
         raise AllocationError("cannot allocate shots over an empty batch")

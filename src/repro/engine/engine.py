@@ -2,7 +2,8 @@
 
 :class:`ParallelEngine` sits between reconstruction and the executors.  The
 reconstructor *enumerates* every subcircuit variant its contraction will need and
-hands the whole batch over; the engine dedups the batch by fingerprint, satisfies
+hands the whole batch over (a :class:`~repro.engine.RequestBatch`: distinct
+rows with read counts); the engine dedups the batch by fingerprint, satisfies
 repeats from the shared LRU cache, and dispatches the remaining unique requests —
 serially in-process when ``max_workers == 1``, otherwise chunked across a
 process pool.  With a device farm configured (:mod:`repro.engine.devices`),
@@ -224,8 +225,11 @@ class ParallelEngine:
     ) -> Dict[str, VariantResult]:
         """Execute a batch of variants; return ``fingerprint -> VariantResult``.
 
-        The returned table covers every distinct fingerprint in ``variants``
-        (deduped requests map to the single shared result).  ``shots`` is the
+        ``variants`` is a :class:`~repro.engine.RequestBatch` (distinct rows
+        with read counts, as enumeration returns it) or any iterable of
+        variants, each item one read.  The returned table covers every
+        distinct fingerprint in it (deduped requests map to the single shared
+        result).  ``shots`` is the
         :class:`~repro.engine.allocation.ShotPlan` this batch draws (see
         :meth:`run_batch_timed`); ``None`` samples every request at the
         executor's default ``shots``.
@@ -270,16 +274,6 @@ class ParallelEngine:
         self._execute_seconds += seconds
         self._batches += 1
         return table, seconds
-
-    def lookup(self, variant: Any) -> VariantResult:
-        """Result for one variant, executing it on demand if it was never batched.
-
-        Passes no shot plan: a session's table holds every fingerprint it
-        enumerated, so its contractions never reach this on-demand path.
-        """
-        from .requests import request_key
-
-        return self.run_batch([variant])[request_key(variant)]
 
     # ------------------------------------------------------------------ sharding
     @property

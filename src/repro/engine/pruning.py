@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..exceptions import PruningError
-from .requests import request_key
+from .requests import RequestBatch, request_key
 
 __all__ = ["PRUNING_POLICIES", "PruningPolicy", "PruningReport", "prune_requests"]
 
@@ -237,12 +237,12 @@ class PruningReport:
 
 
 def _unique_scores(
-    batch: Iterable, weights: Mapping[str, float]
+    batch: RequestBatch, weights: Mapping[str, float]
 ) -> Tuple[List[str], Dict[str, float]]:
     """Unique fingerprints in first-seen order with their accumulated |weight|."""
     order: List[str] = []
     scores: Dict[str, float] = {}
-    for variant in batch:
+    for variant in batch.variants:
         key = request_key(variant)
         if key not in scores:
             order.append(key)
@@ -283,12 +283,14 @@ def prune_requests(
     weights: Mapping[str, float],
     policy: Union[str, PruningPolicy, None],
     bound_weights: Optional[Mapping[str, float]] = None,
-) -> Tuple[List, PruningReport]:
+) -> Tuple[RequestBatch, PruningReport]:
     """Drop the small-|weight| tail of an enumerated variant batch.
 
     Args:
-        batch: the phase-one enumeration output (may contain duplicate
-            fingerprints; order is preserved among survivors).
+        batch: the phase-one enumeration output, a
+            :class:`~repro.engine.RequestBatch` (or any iterable of variants,
+            each item one read).  Order is preserved among survivors, and
+            each survivor keeps its read count.
         weights: accumulated |contraction weight| per fingerprint, as produced
             by the ``weights_out`` parameter of
             :meth:`~repro.cutting.reconstruction.CutReconstructor.enumerate_expectation_requests`
@@ -303,10 +305,11 @@ def prune_requests(
             only for true weights.  ``None`` uses ``weights``.
 
     Returns:
-        ``(kept_batch, report)`` — the surviving requests in their original
-        order, and the :class:`PruningReport` with the a-priori
+        ``(kept_batch, report)`` — a :class:`~repro.engine.RequestBatch` of
+        the surviving requests in their original order, and the
+        :class:`PruningReport` with the a-priori
         :attr:`~PruningReport.bias_bound`.  With the ``"none"`` policy the
-        batch is returned as given (same list contents, zero bias bound).
+        batch is returned unchanged (zero bias bound).
 
     The drop is deterministic: requests are ranked by ``(weight, fingerprint)``
     so equal-weight ties never depend on enumeration order.  At least one
@@ -315,7 +318,7 @@ def prune_requests(
     per-table contraction (streaming fold and final estimate alike) that mode.
     """
     policy = PruningPolicy.resolve(policy)
-    batch = list(batch)
+    batch = RequestBatch.of(batch)
     order, scores = _unique_scores(batch, weights)
     bound = scores if bound_weights is None else _unique_scores(batch, bound_weights)[1]
     total = sum(bound.values())
@@ -332,9 +335,8 @@ def prune_requests(
         return batch, report
     dropped = _dropped_set(policy, scores)
     dropped_lookup = set(dropped)
-    kept_batch = [
-        variant for variant in batch if request_key(variant) not in dropped_lookup
-    ]
+    kept = [i for i, v in enumerate(batch.variants) if request_key(v) not in dropped_lookup]
+    kept_batch = RequestBatch([batch.variants[i] for i in kept], batch.reads[kept])
     dropped_weight = sum(bound[key] for key in dropped)
     report = PruningReport(
         policy=policy.describe(),

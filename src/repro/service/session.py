@@ -45,6 +45,7 @@ from ..engine import (
     EngineStats,
     ParallelEngine,
     PruningPolicy,
+    RequestBatch,
     ResultCache,
     ShotAllocation,
     ShotPlan,
@@ -252,7 +253,7 @@ class EvaluationSession:
         self._started: Optional[float] = None
         self._plan = None
         self._reconstructor: Optional[CutReconstructor] = None
-        self._batch: Optional[List] = None
+        self._batch: Optional[RequestBatch] = None
         self._weights: Optional[Dict[str, float]] = None
         self._overhead_report = None
         self._pruning_report = None

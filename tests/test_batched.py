@@ -50,9 +50,9 @@ def _table_rows():
     """Every unique row of a wire-cut probability batch and a mixed-cut expectation batch."""
     _, wire_solution = two_cut_solution()
     _, mixed_solution, observable = mixed_cut_solution()
-    batch = CutReconstructor(wire_solution).enumerate_probability_requests()
-    batch += CutReconstructor(mixed_solution).enumerate_expectation_requests(observable)
-    return list({request_key(variant): variant for variant in batch}.values())
+    rows = CutReconstructor(wire_solution).enumerate_probability_requests().variants
+    rows += CutReconstructor(mixed_solution).enumerate_expectation_requests(observable).variants
+    return list({request_key(variant): variant for variant in rows}.values())
 
 
 def _gate_measures(variant):
@@ -153,7 +153,7 @@ class TestVariantGroupKey:
                 op_subcircuit={0: 0, 1: 0, 2: 0, 3: 1},
                 wire_cuts=[WireCut(qubit=1, downstream_op=3)],
             )
-            rows += CutReconstructor(solution).enumerate_probability_requests()
+            rows += CutReconstructor(solution).enumerate_probability_requests().variants
         unique = list({request_key(v): v for v in rows}.values())
         for positions in pass_batches(unique, 1 << 40):
             assert len({id(unique[p].table) for p in positions}) == 1

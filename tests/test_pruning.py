@@ -1,5 +1,7 @@
 """Variant pruning: policies, partial-table reconstruction, pipeline composition."""
 
+import hashlib
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from repro.engine import (
 from repro.exceptions import PruningError, ReconstructionError, ReproError
 from repro.workloads import Workload, WorkloadKind, make_workload
 from repro.workloads.qaoa import maxcut_observable, qaoa_circuit
+
+from test_variant_tables import three_init_cut_solution
 
 
 def small_angle_ring(num_qubits: int = 6, gamma: float = 0.05) -> Workload:
@@ -426,6 +430,28 @@ class TestPipelineComposition:
         allocation = result.shot_allocation
         assert allocation.assigned_shots == shots
         assert allocation.num_variants == result.pruning_report.kept_variants
+
+    def test_read_count_fallback_over_a_pruned_batch(self):
+        """``weighted`` without weights splits by the survivors' read counts
+        (1, 4, 16 and 64 reads here), as over the plain list of reads."""
+        reconstructor = CutReconstructor(three_init_cut_solution())
+        weights = {}
+        batch = reconstructor.enumerate_probability_requests(weights_out=weights)
+        kept, report = prune_requests(batch, weights, PruningPolicy.budget_fraction(0.05))
+        allocation = allocate_shots(kept, 10_000, "weighted")
+        assert allocation.shots_by_fingerprint == (
+            allocate_shots(list(kept), 10_000, "weighted").shots_by_fingerprint
+        )
+        shots = repr(sorted(allocation.shots_by_fingerprint.items())).encode("ascii")
+        # Recorded when a batch was one list entry per read.
+        assert hashlib.sha256(shots).hexdigest() == (
+            "aea242a406f8c24c45eaf712a4061e50545eb46fb9d456d220878f642ad33520"
+        )
+        assert sorted(set(kept.reads.tolist())) == [1, 4, 16, 64]
+        engine = ParallelEngine()
+        engine.run_batch(kept)
+        assert (engine.stats.requests, engine.stats.unique_executions) == (997, 61)
+        assert report.kept_variants == 61
 
     def test_allocation_level_renormalisation(self, ring_setup):
         """allocate_shots over a pruned batch splits the budget over survivors."""

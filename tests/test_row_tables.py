@@ -5,7 +5,10 @@ never circuits; a row's :class:`~repro.circuits.Circuit` is materialised only
 on demand.  For every row of every table of a spread of cuts, these tests pin:
 
 * its fingerprint equals :func:`~repro.engine.requests.variant_fingerprint`
-  over the materialised circuit;
+  over the materialised circuit, and so does every entry of its table's
+  :attr:`~repro.cutting.VariantTable.fingerprints`, which hashes all rows at
+  once (checked for every table that every instance of each perf workload's
+  first seed-0 round, the golden workloads and the random cuts build);
 * the row-native :class:`~repro.cutting.BatchedExactExecutor` result equals
   :class:`~repro.cutting.ExactExecutor` on that circuit, byte for byte;
 * :class:`~repro.cutting.SamplingExecutor` at a fixed seed gives the bytes the
@@ -21,7 +24,9 @@ Cases: the solutions of ``test_variant_tables.py``, the two workloads of
 two large perf cases (prob-wire: 8,192 rows, dd-wide: 544) the scalar
 simulator would need ~50 s for every row, so its comparison runs on a seeded
 sample in which every slot takes each of its choices; fingerprints and
-sampling still cover every row.  A pool chunk's transport is pinned here too.
+sampling still cover every row.  A pool chunk's transport is pinned here too,
+and so are the engine's request counts on the perf instances: a batch holds
+distinct rows with read counts, and ``requests`` still counts the reads.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import pickletools
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 import pytest
@@ -49,7 +54,7 @@ from repro.cutting import (
     VariantTable,
 )
 from repro.cutting.sampling import SamplingExecutor
-from repro.engine import EngineConfig, ParallelEngine, request_key
+from repro.engine import EngineConfig, ParallelEngine, RequestBatch, request_key
 from repro.engine.requests import variant_fingerprint
 from repro.exceptions import CuttingError
 from repro.utils.pauli import PauliObservable, PauliString
@@ -76,26 +81,34 @@ SEED = 7
 GOLDEN_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
 
 
-def _reconstructed(solution, specs=None, observable=None) -> List:
+def _enumerated(solution, specs=None, observable=None) -> Tuple[CutReconstructor, RequestBatch]:
     reconstructor = CutReconstructor(solution, specs=specs)
     if observable is None:
-        return reconstructor.enumerate_probability_requests()
-    return reconstructor.enumerate_expectation_requests(observable)
+        return reconstructor, reconstructor.enumerate_probability_requests()
+    return reconstructor, reconstructor.enumerate_expectation_requests(observable)
 
 
-def _workload_batch(workload, config, force_greedy=False) -> List:
+def _reconstructed(solution, specs=None, observable=None) -> RequestBatch:
+    return _enumerated(solution, specs, observable)[1]
+
+
+def _workload_enumerated(workload, config, force_greedy=False):
     plan = cut_circuit(workload.circuit, config, force_greedy=force_greedy)
     observable = workload.observable if workload.kind == WorkloadKind.EXPECTATION else None
-    return _reconstructed(plan.solution, plan.subcircuits, observable)
+    return _enumerated(plan.solution, plan.subcircuits, observable)
 
 
-def _perf_batch(name: str) -> List:
+def _workload_batch(workload, config, force_greedy=False) -> RequestBatch:
+    return _workload_enumerated(workload, config, force_greedy)[1]
+
+
+def _perf_batch(name: str) -> RequestBatch:
     instance = perf_workloads.WORKLOADS[name].pool(0)[0][0]
     return _workload_batch(instance.workload, instance.cut_config, instance.force_greedy)
 
 
-def _cases() -> Dict[str, Callable[[], List]]:
-    cases: Dict[str, Callable[[], List]] = {}
+def _cases() -> Dict[str, Callable[[], RequestBatch]]:
+    cases: Dict[str, Callable[[], RequestBatch]] = {}
     for name, solution in PROBABILITY:
         cases[f"tables-probability-{name}"] = lambda s=solution: _reconstructed(s)
     for name, solution, observable in EXPECTATION:
@@ -174,16 +187,48 @@ def sampling_digest(rows) -> str:
     return result_digest(SamplingExecutor(shots=SHOTS, seed=SEED).run_batch(rows))
 
 
-def _assert_rows_identical(rows) -> None:
-    """Fingerprints and exact results of every row against its circuit."""
-    for row in rows:
-        assert row.fingerprint == variant_fingerprint(row)
+def _assert_table_fingerprints(tables) -> None:
+    """Each table's fingerprints, hashed at once, against its rows' circuits."""
+    for table in tables:
+        assert table.fingerprints == [variant_fingerprint(row) for row in table.variants]
+
+
+def _assert_rows_identical(reconstructor, batch) -> None:
+    """Fingerprints of every table built and exact results of every row
+    against the row's circuit."""
+    _assert_table_fingerprints(reconstructor._tables.values())
+    rows = list({request_key(v): v for v in batch.variants}.values())
     assert_tables_bit_identical(
         ExactExecutor().run_batch(rows), BatchedExactExecutor().run_batch(rows)
     )
 
 
 # --------------------------------------------------------------------------- fixed cases
+def _table_cases() -> Dict[str, Callable[[], CutReconstructor]]:
+    """Every instance of each perf workload's first seed-0 round and the golden workloads."""
+    cases: Dict[str, Callable[[], CutReconstructor]] = {
+        "golden-vqe5": lambda: _workload_enumerated(small_workload(), GOLDEN_CONFIG)[0],
+        "golden-qft5": lambda: _workload_enumerated(make_workload("QFT", 5), GOLDEN_CONFIG)[0],
+    }
+    for name, spec in perf_workloads.WORKLOADS.items():
+        for i in spec.pool(0)[0]:
+            cases[f"perf-{name}-{i.workload.name}"] = lambda i=i: _workload_enumerated(
+                i.workload, i.cut_config, i.force_greedy
+            )[0]
+    return cases
+
+
+TABLE_CASES = _table_cases()
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CASES))
+def test_table_fingerprints_match_materialised_circuits(name):
+    """Every table the enumeration builds hashes each row as its circuit does."""
+    tables = list(TABLE_CASES[name]()._tables.values())
+    assert tables
+    _assert_table_fingerprints(tables)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_row_fingerprints_match_materialised_circuits(name):
     rows = _unique_rows(name)
@@ -226,7 +271,7 @@ def test_sampling_bytes_match_the_recorded_digest(name):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(solution=two_cut_probability_solutions())
 def test_random_probability_cut_rows(solution):
-    _assert_rows_identical(list({request_key(v): v for v in _reconstructed(solution)}.values()))
+    _assert_rows_identical(*_enumerated(solution))
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -240,8 +285,35 @@ def test_random_expectation_cut_rows(seed, block, labels):
     observable = PauliObservable.from_terms(
         [PauliString.from_dict({0: labels[0], 3: labels[1]}, 1.0), PauliString.from_dict({}, 0.5)]
     )
-    batch = _reconstructed(solution, observable=observable)
-    _assert_rows_identical(list({request_key(v): v for v in batch}.values()))
+    _assert_rows_identical(*_enumerated(solution, observable=observable))
+
+
+# --------------------------------------------------------------------------- request counts
+#: ``(requests, unique executions)`` of one evaluation of each instance of a
+#: perf workload's first seed-0 round, as counted before batches were
+#: row-keyed: ``requests`` counts contraction reads, and ``benchmarks/
+#: baseline.json`` gates their ratio (``engine.dedup_ratio``).
+PERF_REQUESTS = {
+    ("prob-wire", "qft_ladder_7"): (410_240, 8_192),
+    ("expect-gate", "vqe_8"): (168, 96),
+    ("expect-gate", "reg_8"): (11_256, 960),
+    ("expect-gate", "bar_8"): (12_192, 960),
+    ("expect-gate", "vqe_10"): (210, 120),
+    ("qaoa-sweep", "ring_8"): (4_608, 2_592),
+    ("dd-wide", "peaked_chain_24"): (3_280, 544),
+}
+
+
+@pytest.mark.parametrize("name, workload", sorted(PERF_REQUESTS))
+def test_perf_instances_keep_their_request_counts(name, workload):
+    (instance,) = [
+        i for i in perf_workloads.WORKLOADS[name].pool(0)[0] if i.workload.name == workload
+    ]
+    batch = _workload_batch(instance.workload, instance.cut_config, instance.force_greedy)
+    assert len(batch) == int(batch.reads.sum()) == len(list(batch))
+    assert len({request_key(v) for v in batch.variants}) == len(batch.variants)
+    stats = instance.evaluate().engine_stats
+    assert (stats.requests, stats.unique_executions) == PERF_REQUESTS[(name, workload)]
 
 
 # --------------------------------------------------------------------------- transport

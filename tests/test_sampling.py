@@ -258,8 +258,8 @@ class TestSamplingOnBranchRows:
         chain = CutReconstructor(chain_wire_cut_solution, engine=ParallelEngine(ExactExecutor()))
         gate = CutReconstructor(gate_cut_solution, engine=ParallelEngine(ExactExecutor()))
         variants = (
-            chain.enumerate_probability_requests()
-            + gate.enumerate_expectation_requests(zz_observable)
+            chain.enumerate_probability_requests().variants
+            + gate.enumerate_expectation_requests(zz_observable).variants
         )
         unique = {request_key(variant): variant for variant in variants}
         assert {variant.mode for variant in unique.values()} == {"probability", "expectation"}

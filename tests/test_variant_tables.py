@@ -10,6 +10,7 @@ tests pin that the batch, the weights and the values did not move.
 
 from __future__ import annotations
 
+import collections
 import itertools
 from typing import Dict, Iterator, List, Mapping, Optional, Tuple
 
@@ -34,7 +35,7 @@ from repro.cutting.variants import (
     VariantBuilder,
     VariantSettings,
 )
-from repro.engine import VariantResult, request_key
+from repro.engine import ParallelEngine, VariantResult, request_key
 from repro.exceptions import ReconstructionError
 from repro.simulator import simulate_statevector
 from repro.utils.pauli import PauliObservable, PauliString
@@ -319,6 +320,16 @@ def max_init_cuts(specs) -> int:
 
 
 # ----------------------------------------------------------------------- enumeration
+def assert_reads_match(batch, expected: List[SubcircuitVariant]) -> None:
+    """``batch`` holds the oracle's reads: its distinct fingerprints in order of
+    first read, each with its number of reads."""
+    keys = [request_key(v) for v in expected]
+    reads = collections.Counter(keys)
+    assert [request_key(v) for v in batch.variants] == list(reads)
+    assert batch.reads.tolist() == list(reads.values())
+    assert len(batch) == len(expected)
+
+
 @pytest.mark.parametrize("name, solution", PROBABILITY, ids=[c[0] for c in PROBABILITY])
 def test_probability_batch_and_weights_match_the_plan_walk(name, solution):
     reconstructor = CutReconstructor(solution)
@@ -327,7 +338,7 @@ def test_probability_batch_and_weights_match_the_plan_walk(name, solution):
     expected_weights: Dict[str, float] = {}
     batch = reconstructor.enumerate_probability_requests(weights_out=weights)
     expected = oracle.enumerate_probability(expected_weights)
-    assert [request_key(v) for v in batch] == [request_key(v) for v in expected]
+    assert_reads_match(batch, expected)
     assert list(weights.items()) == list(expected_weights.items())
 
 
@@ -342,7 +353,7 @@ def test_expectation_batch_and_weights_match_the_plan_walk(name, solution, obser
     weights, expected_weights = dict(seed), dict(seed)
     batch = reconstructor.enumerate_expectation_requests(observable, weights_out=weights)
     expected = oracle.enumerate_expectation(observable, expected_weights)
-    assert [request_key(v) for v in batch] == [request_key(v) for v in expected]
+    assert_reads_match(batch, expected)
     assert list(weights.items()) == list(expected_weights.items())
 
 
@@ -498,13 +509,24 @@ def test_error_raises_on_a_missing_row():
         reconstructor.reconstruct_expectation(observable, table, missing="error")
 
 
-def test_execute_runs_only_the_absent_unique_variants():
+def test_execute_runs_only_the_absent_unique_variants(monkeypatch):
     solution = three_init_cut_solution()
     first = CutReconstructor(solution)
     table = full_table(first, first.enumerate_probability_requests())
     partial = pruned(table)
     second = CutReconstructor(solution)  # a fresh engine: nothing cached
+    batches = []
+    run_batch_timed = ParallelEngine.run_batch_timed
+
+    def counted(engine, variants, shots=None):
+        batches.append(len(variants))
+        return run_batch_timed(engine, variants, shots=shots)
+
+    monkeypatch.setattr(ParallelEngine, "run_batch_timed", counted)
     vector = second.reconstruct_probabilities(table=partial, missing="execute")
+    # One batch per subcircuit table with absent rows, each row read once.
+    assert 0 < len(batches) <= len(second.specs)
+    assert sum(batches) == second.engine.stats.requests == len(table) - len(partial)
     assert second.engine.executions == len(table) - len(partial)
     assert vector.tobytes() == first.reconstruct_probabilities(table=table).tobytes()
 

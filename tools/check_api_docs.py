@@ -46,6 +46,8 @@ FLAGSHIP = (
     ("repro", "EngineConfig"),
     ("repro", "PruningPolicy"),
     ("repro.cutting", "CutReconstructor"),
+    ("repro.cutting", "CutReconstructor.enumerate_probability_requests"),
+    ("repro.cutting", "CutReconstructor.enumerate_expectation_requests"),
     ("repro.cutting", "CutReconstructor.reconstruct_probabilities"),
     ("repro.cutting", "CutReconstructor.reconstruct_expectation"),
     ("repro.cutting", "binned_probabilities"),
@@ -54,6 +56,7 @@ FLAGSHIP = (
     ("repro.cutting", "SubcircuitVariant"),
     ("repro.engine", "allocate_shots"),
     ("repro.engine", "ShotPlan"),
+    ("repro.engine", "RequestBatch"),
     ("repro.cutting", "SamplingExecutor"),
     ("repro.engine", "prune_requests"),
     ("repro.engine", "DeviceSpec"),
