@@ -25,14 +25,13 @@ from ..cutting import (
     ContractionReport,
     CutSolution,
     DynamicDefinitionResult,
-    GateCut,
     SubcircuitSpec,
     VariantExecutor,
-    WireCut,
     effective_wire_cuts,
     extract_subcircuits,
     postprocessing_cost,
 )
+from ..cutting.reconstruction import CutStructure
 from ..cutting.shot_overhead import OverheadReport
 from ..engine import (
     EngineConfig,
@@ -60,58 +59,24 @@ DEFAULT_ILP_SIZE_LIMIT = 4000
 PLAN_CACHE_SIZE = 128
 
 
-@dataclass(frozen=True)
-class _CutDecision:
-    """The angle-free part of a :class:`CutSolution`: everything but its circuit."""
-
-    op_subcircuit: Dict[int, int]
-    wire_cuts: Tuple[WireCut, ...]
-    gate_cuts: Tuple[GateCut, ...]
-    gate_cut_placement: Dict[int, Tuple[int, int]]
-    metadata: Dict[str, object]
-
-    @classmethod
-    def of(cls, solution: CutSolution) -> "_CutDecision":
-        return cls(
-            op_subcircuit=dict(solution.op_subcircuit),
-            wire_cuts=tuple(solution.wire_cuts),
-            gate_cuts=tuple(solution.gate_cuts),
-            gate_cut_placement=dict(solution.gate_cut_placement),
-            metadata=dict(solution.metadata),
-        )
-
-    def solution_over(self, padded: Circuit) -> CutSolution:
-        """The decision applied to ``padded`` (fresh containers, validated)."""
-        solution = CutSolution(
-            circuit=padded,
-            op_subcircuit=dict(self.op_subcircuit),
-            wire_cuts=list(self.wire_cuts),
-            gate_cuts=list(self.gate_cuts),
-            gate_cut_placement=dict(self.gate_cut_placement),
-            metadata=dict(self.metadata),
-        )
-        solution.validate()
-        return solution
-
-
-#: Cut decisions by circuit structure (see :func:`cut_circuit`).  Keys hold no
+#: Cut structures by circuit structure (see :func:`cut_circuit`).  Keys hold no
 #: angles and values no circuits, so an entry is the same whichever angles
 #: solved it first.
-_PLAN_CACHE: "OrderedDict[Tuple[Any, ...], _CutDecision]" = OrderedDict()  # qrcclint: disable=mutable-default-arg -- deliberate process-local memo: the cut search reads only the structure key, entries are immutable once stored, access holds _PLAN_CACHE_LOCK, bounded by PLAN_CACHE_SIZE
+_PLAN_CACHE: "OrderedDict[Tuple[Any, ...], CutStructure]" = OrderedDict()  # qrcclint: disable=mutable-default-arg -- deliberate process-local memo: the cut search reads only the structure key, each entry's decision and specs are fixed when stored and its memo fills only with deterministic functions of the key, access holds _PLAN_CACHE_LOCK, bounded by PLAN_CACHE_SIZE
 _PLAN_CACHE_LOCK = threading.Lock()
 
 
-def _cached_decision(key: Tuple[Any, ...]) -> Optional[_CutDecision]:
+def _cached_structure(key: Tuple[Any, ...]) -> Optional[CutStructure]:
     with _PLAN_CACHE_LOCK:
-        decision = _PLAN_CACHE.get(key)
-        if decision is not None:
+        structure = _PLAN_CACHE.get(key)
+        if structure is not None:
             _PLAN_CACHE.move_to_end(key)
-        return decision
+        return structure
 
 
-def _store_decision(key: Tuple[Any, ...], decision: _CutDecision) -> None:
+def _store_structure(key: Tuple[Any, ...], structure: CutStructure) -> None:
     with _PLAN_CACHE_LOCK:
-        _PLAN_CACHE[key] = decision
+        _PLAN_CACHE[key] = structure
         _PLAN_CACHE.move_to_end(key)
         while len(_PLAN_CACHE) > PLAN_CACHE_SIZE:
             _PLAN_CACHE.popitem(last=False)
@@ -119,14 +84,20 @@ def _store_decision(key: Tuple[Any, ...], decision: _CutDecision) -> None:
 
 @dataclass
 class CutPlan:
-    """A cutting decision plus the metrics every table in the paper reports."""
+    """A cutting decision, its angle-free ``structure`` (shared by every plan of
+    the decision) and the metrics every table in the paper reports."""
 
     circuit: Circuit
     config: CutConfig
     solution: CutSolution
-    subcircuits: List[SubcircuitSpec]
+    structure: CutStructure
     solve_time: float
     method: str
+
+    @property
+    def subcircuits(self) -> List[SubcircuitSpec]:
+        """The extracted subcircuit specs (the structure's; do not mutate)."""
+        return self.structure.specs
 
     @property
     def num_subcircuits(self) -> int:
@@ -370,7 +341,8 @@ def cut_circuit(
     angles, so the decision is reused: a call whose qubit count, operation
     names, qubits and tags, ``config`` and method (ILP or greedy) match an
     earlier call in this process applies that call's decision to this circuit
-    instead of solving again.  A parameter sweep therefore solves once.  The
+    instead of solving again, with that call's ``structure`` (specs, layouts
+    and contraction plans).  A parameter sweep therefore solves once.  The
     last :data:`PLAN_CACHE_SIZE` decisions are kept; failed searches are not.
     On a reused decision ``solve_time`` is the time this call took, not the
     original solve's.
@@ -400,24 +372,25 @@ def cut_circuit(
 
     padded = QRAwareDag(circuit).padded_circuit
     use_greedy = force_greedy or (len(padded) > DEFAULT_ILP_SIZE_LIMIT and not force_ilp)
-    structure = tuple((op.name, op.qubits, op.tag) for op in circuit.operations)
-    key = (circuit.num_qubits, structure, config, use_greedy)
-    decision = _cached_decision(key)
-    if decision is not None:
-        solution = decision.solution_over(padded)
+    operations = tuple((op.name, op.qubits, op.tag) for op in circuit.operations)
+    key = (circuit.num_qubits, operations, config, use_greedy)
+    structure = _cached_structure(key)
+    if structure is not None:
+        solution = structure.solution_over(padded)
+    elif use_greedy:
+        solution = GreedyCutter(circuit, config).cut()
     else:
-        if use_greedy:
-            solution = GreedyCutter(circuit, config).cut()
-        else:
-            solution = CuttingFormulation(circuit, config).solve_and_decode()
-        _store_decision(key, _CutDecision.of(solution))
+        solution = CuttingFormulation(circuit, config).solve_and_decode()
     solve_time = perf_clock() - start
-    specs = extract_subcircuits(solution, enable_reuse=config.enable_qubit_reuse)
+    if structure is None:
+        specs = extract_subcircuits(solution, enable_reuse=config.enable_qubit_reuse)
+        structure = CutStructure(solution, specs)
+        _store_structure(key, structure)
     return CutPlan(
         circuit=circuit,
         config=config,
         solution=solution,
-        subcircuits=specs,
+        structure=structure,
         solve_time=solve_time,
         method="greedy" if use_greedy else "ilp",
     )

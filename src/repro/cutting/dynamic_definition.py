@@ -31,8 +31,8 @@ vector is never formed; peak memory per recursion level is
 ``O(2**qubit_limit)`` plus the (tiny) per-subcircuit stacks.
 
 **Bit-identity in the full-width case.**  The structure of every bin space
-(plan, index maps, scatter blocks, stack reductions) comes from the
-reconstructor's one builder, and the full-vector contraction is the bin space
+(plan, index maps, scatter blocks, stack reductions) comes from
+``CutStructure.contraction``, and the full-vector contraction is the bin space
 with every qubit active.  When every output qubit is active
 (``qubit_limit >= num_output_qubits``) each stack passes through untouched and
 the kernels produce the full-vector accumulators bit for bit.
@@ -303,7 +303,7 @@ def binned_probabilities(
     """Contract directly into ``space``'s binned distribution (never ``2**n``).
 
     Runs the planned sharded probability contraction over reduced stacks,
-    with the structure the reconstructor caches per bin space (the full
+    with the structure its cut structure keeps per bin space (the full
     vector's, when every qubit is active and none merged).  Shards are
     dispatched over :meth:`~repro.engine.ParallelEngine.map_shards` and the
     run is recorded on ``reconstructor.last_contraction_report`` with mode
@@ -329,8 +329,8 @@ def binned_probabilities(
         raise ReconstructionError(GATE_CUT_MESSAGE)
     plan_start = perf_clock()
     workers = reconstructor.engine.workers
-    structure = reconstructor._binned_structure(space, workers)
-    plan = structure["plan"]
+    structure = reconstructor.structure.contraction(workers, space)
+    plan = structure.plan
     plan_seconds = perf_clock() - plan_start
 
     contract_start = perf_clock()
@@ -341,7 +341,7 @@ def binned_probabilities(
     fixed_values = {qubit: bit for qubit, bit in space.fixed}
     reduced = [
         reduction.reduce(stack, fixed_values)
-        for stack, reduction in zip(stacks, structure["reductions"])
+        for stack, reduction in zip(stacks, structure.reductions)
     ]
     coefficient = 0.5 ** len(reconstructor.solution.wire_cuts)
     tasks = []
@@ -350,7 +350,7 @@ def binned_probabilities(
             stack if index != plan.shard_axis else np.ascontiguousarray(stack[:, lo:hi])
             for index, stack in enumerate(reduced)
         ]
-        tasks.append((shard_stacks, structure["index_maps"], coefficient, plan.chunk_rows))
+        tasks.append((shard_stacks, structure.index_maps, coefficient, plan.chunk_rows))
     outputs, fell_back = reconstructor.engine.map_shards(contract_probability_shard, tasks)
     contract_seconds = perf_clock() - contract_start
 
@@ -358,7 +358,7 @@ def binned_probabilities(
     binned = np.zeros(space.num_bins)
     utilization = []
     for shard, (indices, (accumulator, seconds)) in enumerate(
-        zip(structure["blocks"], outputs)
+        zip(structure.blocks, outputs)
     ):
         binned[indices] = accumulator
         utilization.append(

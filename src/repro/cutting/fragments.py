@@ -19,7 +19,7 @@ ILP constrains (Eq. 11).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..circuits import Circuit, CircuitDag
@@ -82,6 +82,9 @@ class SubcircuitSpec:
             hosted by this subcircuit.
         output_qubits: original-circuit qubits whose final state this subcircuit
             holds (fragments ending at the circuit output).
+        elements: every ``(fragment, element)`` pair in emission order: by
+            layer, op index and operand position, a topological order in which
+            a reused wire finishes its earlier fragment before the next starts.
     """
 
     index: int
@@ -92,6 +95,7 @@ class SubcircuitSpec:
     downstream_cuts: List[WireCut]
     gate_cut_sides: Dict[int, str]
     output_qubits: List[int]
+    elements: List[Tuple[Fragment, FragmentElement]] = field(repr=False)
 
     def fragment_on_wire(self, wire: int) -> List[Fragment]:
         """Fragments scheduled on a physical wire, ordered by start layer."""
@@ -203,6 +207,14 @@ def extract_subcircuits(solution: CutSolution, enable_reuse: bool = True) -> Lis
                 if element.role in ("top", "bottom"):
                     gate_sides[element.op_index] = element.role
         outputs = sorted(f.qubit for f in members if f.ends_at_output)
+        elements = sorted(
+            ((fragment, element) for fragment in members for element in fragment.elements),
+            key=lambda pair: (
+                layer_of[pair[1].op_index],
+                pair[1].op_index,
+                circuit.operations[pair[1].op_index].qubits.index(pair[0].qubit),
+            ),
+        )
         specs.append(
             SubcircuitSpec(
                 index=subcircuit_index,
@@ -213,6 +225,7 @@ def extract_subcircuits(solution: CutSolution, enable_reuse: bool = True) -> Lis
                 downstream_cuts=sorted(downstream),
                 gate_cut_sides=gate_sides,
                 output_qubits=outputs,
+                elements=elements,
             )
         )
     _validate_output_coverage(specs, circuit)

@@ -36,12 +36,14 @@ subcircuit evaluations per restricted Pauli term, for the ``c_S`` wire and
 do not multiply.
 
 Each mode has one contraction: the planned, sharded kernels of
-:mod:`repro.cutting.contraction`.  Probability mode builds its structure (plan,
-index maps, scatter blocks and per-subcircuit stack reductions) once per
-:class:`~repro.cutting.contraction.BinSpace` and worker count; the full vector
-is the bin space with every qubit active, and dynamic definition's binned
-contractions read the same cache.  The scalar walk the kernels are pinned
-against bit for bit lives test-side, in ``tests/reference_contraction.py``.
+:mod:`repro.cutting.contraction`.  What no angle can change lives on the cut
+decision's :class:`CutStructure`: specs, table layouts and contraction
+structures (plan, index maps and, per
+:class:`~repro.cutting.contraction.BinSpace`, scatter blocks and stack
+reductions).  The full vector is the bin space with every qubit active, and
+dynamic definition's binned contractions read the same structures.  The
+scalar walk the kernels are pinned against bit for bit lives test-side, in
+``tests/reference_contraction.py``.
 
 Between the two phases an optional *pruning* pass (:mod:`repro.engine.pruning`)
 may drop small-|contraction-weight| requests; phase two then contracts over the
@@ -52,16 +54,18 @@ exactly zero, and the induced bias is bounded a priori by the pruning report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..circuits import Circuit
 from ..engine import ParallelEngine, RequestBatch, VariantResult, request_key
 from ..exceptions import ReconstructionError
 from ..utils.pauli import PauliObservable, PauliString
 from ..utils.timing import perf_clock
 from .contraction import (
     BinSpace,
+    ContractionPlan,
     ContractionReport,
     ShardUtilization,
     balanced_blocks,
@@ -211,13 +215,257 @@ def _slices(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.repeat(start - np.cumsum(length) + length, length) + np.arange(length.sum())
 
 
+@dataclass(frozen=True)
+class _Contraction:
+    """One planned contraction's value-independent state; probability entries
+    add each shard's scatter indices and each subcircuit's stack reduction."""
+
+    plan: ContractionPlan
+    index_maps: List[np.ndarray]
+    blocks: List[np.ndarray] = field(default_factory=list)
+    reductions: List[_SpecReduction] = field(default_factory=list)
+
+
+class CutStructure:
+    """Everything about one cut decision that no rotation angle can change.
+
+    Args:
+        solution: a solution carrying the decision; its circuit is not kept.
+        specs: the decision's subcircuit specs, in contraction order.
+
+    Holds the decision, its ``specs``, the qubits they output
+    (``covered_qubits``) and a memo of table layouts and contraction
+    structures, each built on first use by a deterministic function of its
+    key.  :func:`~repro.core.cut_circuit` keeps one per cached decision.
+    Gate-cut coefficients carry angles and stay on the reconstructor with its
+    tables, stacks and programs; a layout's key holds its nonzero instances.
+    """
+
+    def __init__(self, solution: CutSolution, specs: Sequence[SubcircuitSpec]) -> None:
+        self.op_subcircuit = dict(solution.op_subcircuit)
+        self.wire_cuts = tuple(solution.wire_cuts)
+        self.gate_cuts = tuple(solution.gate_cuts)
+        self.gate_cut_placement = dict(solution.gate_cut_placement)
+        self.metadata = dict(solution.metadata)
+        self.specs: List[SubcircuitSpec] = list(specs)
+        self.covered_qubits = frozenset(q for spec in self.specs for q in spec.output_qubits)
+        # Concurrent readers may build an entry twice; setdefault keeps the first.
+        self._memo: Dict[Tuple, Any] = {}  # qrcclint: disable=mutable-default-arg -- deliberate memo shared through the plan cache: entries are deterministic functions of their key and the angle-free decision, never mutated once stored, bounded per structure by its specs, bin spaces and term counts, and in number by PLAN_CACHE_SIZE
+
+    def solution_over(self, padded: Circuit) -> CutSolution:
+        """The decision applied to ``padded`` (fresh containers, validated)."""
+        solution = CutSolution(
+            circuit=padded,
+            op_subcircuit=dict(self.op_subcircuit),
+            wire_cuts=list(self.wire_cuts),
+            gate_cuts=list(self.gate_cuts),
+            gate_cut_placement=dict(self.gate_cut_placement),
+            metadata=dict(self.metadata),
+        )
+        solution.validate()
+        return solution
+
+    def _memoised(self, key: Tuple, build: Callable[[], Any]) -> Any:
+        entry = self._memo.get(key)
+        if entry is None:
+            entry = self._memo.setdefault(key, build())
+        return entry
+
+    def contraction(
+        self, workers: int, space: Optional[BinSpace] = None, num_terms: int = 1
+    ) -> _Contraction:
+        """The contraction structure for at most ``workers`` shards, into the bin
+        ``space`` (probability) or over ``num_terms`` terms (expectation).  It depends
+        on ``space``'s qubit partition, not its fixed bit values."""
+        if space is None:
+            return self._memoised(
+                ("expectation", workers, num_terms),
+                lambda: _Contraction(
+                    plan=plan_contraction(
+                        self, self.specs, workers=workers, kind="expectation", num_terms=num_terms
+                    ),
+                    index_maps=[self._local_keys(spec, "expectation") for spec in self.specs],
+                ),
+            )
+        fixed = tuple(qubit for qubit, _ in space.fixed)
+        key = ("probability", workers, space.active, space.merged, fixed)
+        return self._memoised(key, lambda: self._binned(space, workers))
+
+    def _binned(self, space: BinSpace, workers: int) -> _Contraction:
+        active_rank = {qubit: rank for rank, qubit in enumerate(space.active)}
+        merged_set = set(space.merged)
+        fixed_set = {qubit for qubit, _ in space.fixed}
+        reductions: List[_SpecReduction] = []
+        widths: List[int] = []
+        for spec in self.specs:
+            spec_active = [(b, q) for b, q in enumerate(spec.output_qubits) if q in active_rank]
+            spec_merged = [b for b, q in enumerate(spec.output_qubits) if q in merged_set]
+            spec_fixed = [(b, q) for b, q in enumerate(spec.output_qubits) if q in fixed_set]
+            if len(spec_active) + len(spec_merged) + len(spec_fixed) != len(spec.output_qubits):
+                missing = [
+                    q
+                    for q in spec.output_qubits
+                    if q not in active_rank and q not in merged_set and q not in fixed_set
+                ]
+                raise ReconstructionError(
+                    f"bin space does not cover output qubit(s) {missing} of "
+                    f"subcircuit {spec.index}"
+                )
+            num_active = len(spec_active)
+            num_merged = len(spec_merged)
+            local = np.arange(1 << num_active, dtype=np.int64)
+            cols_active = np.zeros_like(local)
+            for position, (bit, _) in enumerate(spec_active):
+                cols_active |= ((local >> position) & 1) << bit
+            merged_index = np.arange(1 << num_merged, dtype=np.int64)
+            cols_merged = np.zeros_like(merged_index)
+            for position, bit in enumerate(spec_merged):
+                cols_merged |= ((merged_index >> position) & 1) << bit
+            reductions.append(
+                _SpecReduction(
+                    passthrough=(num_merged == 0 and not spec_fixed),
+                    num_merged=num_merged,
+                    fixed_bits=tuple(spec_fixed),
+                    base_cols=cols_active[:, None] + cols_merged[None, :],
+                    bin_positions=tuple(active_rank[q] for _, q in spec_active),
+                )
+            )
+            widths.append(1 << num_active)
+        plan = plan_contraction(
+            self, self.specs, workers=workers, kind="probability", output_widths=widths
+        )
+        return _Contraction(
+            plan=plan,
+            index_maps=[self._local_keys(spec, "probability") for spec in self.specs],
+            blocks=output_index_blocks(
+                plan,
+                [list(reduction.bin_positions) for reduction in reductions],
+                len(space.active),
+            ),
+            reductions=reductions,
+        )
+
+    def _positions(self, spec: SubcircuitSpec, mode: str) -> Tuple[List[int], List[int], List[int]]:
+        """Solution positions of ``spec``'s measured, initialised and gate cuts."""
+        position = {cut.identifier(): p for p, cut in enumerate(self.wire_cuts)}
+        measured = [position[cut.identifier()] for cut in spec.upstream_cuts]
+        initialised = [position[cut.identifier()] for cut in spec.downstream_cuts]
+        gates: List[int] = []
+        if mode == "expectation":
+            gates = [
+                p for p, cut in enumerate(self.gate_cuts) if cut.op_index in spec.gate_cut_sides
+            ]
+        return measured, initialised, gates
+
+    def _local_keys(self, spec: SubcircuitSpec, mode: str) -> np.ndarray:
+        """Global combination -> ``spec``'s local key, the kernels' gather index: the
+        combination's base-4 wire-cut and base-6 gate-cut digits (assignment-major)
+        of ``spec``'s cuts, most significant first by cut position."""
+
+        def build() -> np.ndarray:
+            measured, initialised, gates = self._positions(spec, mode)
+            k = len(self.wire_cuts)
+            m = len(self.gate_cuts) if mode == "expectation" else 0
+            flat = np.arange(4**k * 6**m, dtype=np.int64)
+            keys = np.zeros_like(flat)
+            for p in sorted(measured + initialised):
+                keys = keys * 4 + (((flat // 6**m) >> (2 * (k - 1 - p))) & 3)
+            for p in gates:
+                keys = keys * 6 + (flat % 6**m) // 6 ** (m - 1 - p) % 6
+            return keys
+
+        return self._memoised(("keys", spec.index, mode), build)
+
+    def layout(
+        self, spec: SubcircuitSpec, mode: str, instances: Tuple[Tuple[int, ...], ...]
+    ) -> _TableLayout:
+        """The row structure of ``spec``'s variant tables in ``mode``, with a row per
+        instance number that ``instances`` lists for each gate cut ``spec`` hosts."""
+        return self._memoised(
+            ("layout", spec.index, mode, instances), lambda: self._layout(spec, mode, instances)
+        )
+
+    def _layout(
+        self, spec: SubcircuitSpec, mode: str, instances: Tuple[Tuple[int, ...], ...]
+    ) -> _TableLayout:
+        measured, initialised, gates = self._positions(spec, mode)
+        wires = sorted(measured + initialised)
+        gate_ops = [self.gate_cuts[p].op_index for p in gates]
+        num_cuts = len(measured) + len(initialised)
+        shape = (4,) * num_cuts + tuple(len(numbers) for numbers in instances)
+        setting_axes = (
+            [("measurement_bases", cut.identifier()) for cut in spec.upstream_cuts]
+            + [("init_labels", cut.identifier()) for cut in spec.downstream_cuts]
+            + [("gate_instances", op_index) for op_index in gate_ops]
+        )
+        # Row r's digits, most significant axis first (itertools.product
+        # order); a gate axis digit picks a nonzero instance, choice number - 1.
+        choices = (
+            np.indices(shape).reshape(len(shape), -1).T
+            if shape
+            else np.zeros((1, 0), dtype=np.int64)
+        )
+        for j, numbers in enumerate(instances):
+            choices[:, num_cuts + j] = (np.asarray(numbers) - 1)[choices[:, num_cuts + j]]
+        # Local key -> its Eq. 3 terms: (table row, decomposition weight) pairs.
+        local = np.arange(4 ** len(wires) * 6 ** len(gates), dtype=np.int64)
+
+        def wire_digit(key: np.ndarray, p: int) -> np.ndarray:
+            return ((key // 6 ** len(gates)) >> (2 * (len(wires) - 1 - wires.index(p)))) & 3
+
+        strides = [int(np.prod(shape[axis + 1 :])) for axis in range(len(shape))]
+        rows = np.zeros_like(local)
+        valid = np.ones(local.size, dtype=bool)
+        for axis, p in enumerate(measured):
+            rows += wire_digit(local, p) * strides[axis]
+        for j, numbers in enumerate(instances):
+            column = np.full(6, -1, dtype=np.int64)
+            column[np.asarray(numbers, dtype=np.int64) - 1] = np.arange(len(numbers))
+            digit = column[(local % 6 ** len(gates)) // 6 ** (len(gates) - 1 - j) % 6]
+            valid &= digit >= 0
+            rows += digit * strides[num_cuts + j]
+        sizes = np.array([len(INIT_STATE_DECOMPOSITION[b]) for b in WIRE_CUT_MEASUREMENT_BASES])
+        labels = np.zeros((4, int(sizes.max())), dtype=np.int64)
+        coefficients = np.zeros(labels.shape)
+        for digit, basis in enumerate(WIRE_CUT_MEASUREMENT_BASES):
+            for choice, (label, coefficient) in enumerate(INIT_STATE_DECOMPOSITION[basis]):
+                labels[digit, choice] = WIRE_CUT_INIT_LABELS.index(label)
+                coefficients[digit, choice] = coefficient
+        entry_keys, rows = local[valid], rows[valid]
+        weights = np.ones(entry_keys.size)
+        for axis, p in enumerate(initialised, len(measured)):
+            # Each entry splits into its basis's decomposition terms, in
+            # INIT_STATE_DECOMPOSITION order: itertools.product order overall.
+            basis = wire_digit(entry_keys, p)
+            counts = sizes[basis]
+            choice = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+            basis = np.repeat(basis, counts)
+            entry_keys = np.repeat(entry_keys, counts)
+            rows = np.repeat(rows, counts) + labels[basis, choice] * strides[axis]
+            weights = np.repeat(weights, counts) * coefficients[basis, choice]
+        axes = measured + initialised
+        order = sorted(range(num_cuts), key=axes.__getitem__) + list(range(num_cuts, len(shape)))
+        return _TableLayout(
+            shape=shape,
+            axes=tuple(setting_axes),
+            choices=choices,
+            instances=instances,
+            order=tuple(order),
+            keys=self._local_keys(spec, mode),
+            starts=np.searchsorted(entry_keys, np.arange(local.size + 1)),
+            rows=rows,
+            weights=weights,
+        )
+
+
 class CutReconstructor:
     """Reconstructs the original circuit's output from a cut solution.
 
     Args:
         solution: the cut solution to reconstruct from.
-        specs: pre-extracted subcircuit specs; extracted from ``solution``
-            (with qubit reuse) when omitted.
+        specs: pre-extracted subcircuit specs, or ``CutPlan.structure`` to share
+            its specs, layouts and plans with every reconstructor of the
+            decision; extracted from ``solution`` (with reuse) when omitted.
         engine: a :class:`~repro.engine.ParallelEngine` to execute variant
             batches through (shared caches, worker pools); ``None`` builds a
             serial engine around its configured default exact backend.  Wrap
@@ -225,20 +473,25 @@ class CutReconstructor:
 
     Example::
 
-        reconstructor = CutReconstructor(plan.solution, specs=plan.subcircuits)
+        reconstructor = CutReconstructor(plan.solution, specs=plan.structure)
         value = reconstructor.reconstruct_expectation(observable)
     """
 
     def __init__(
         self,
         solution: CutSolution,
-        specs: Optional[Sequence[SubcircuitSpec]] = None,
+        specs: Union[Sequence[SubcircuitSpec], CutStructure, None] = None,
         engine: Optional[ParallelEngine] = None,
     ) -> None:
         self.solution = solution
-        self.specs: List[SubcircuitSpec] = list(
-            specs if specs is not None else extract_subcircuits(solution)
-        )
+        if not isinstance(specs, CutStructure):
+            specs = CutStructure(
+                solution, extract_subcircuits(solution) if specs is None else specs
+            )
+        elif specs.wire_cuts + specs.gate_cuts != tuple(solution.wire_cuts + solution.gate_cuts):
+            raise ReconstructionError("the cut structure belongs to another cut decision")
+        self.structure = specs
+        self.specs = self.structure.specs
         self.engine = engine if engine is not None else ParallelEngine()
         self._builders: Dict[int, VariantBuilder] = {
             spec.index: VariantBuilder(solution, spec) for spec in self.specs
@@ -249,14 +502,9 @@ class CutReconstructor:
             self._gate_cut_instances[cut.op_index] = tuple(
                 instance.coefficient for instance in decomposition.instances
             )
-        # Variant tables and their row layouts, keyed by (spec, mode[, term]).
-        self._layouts: Dict[Tuple[int, str], _TableLayout] = {}
+        # Variant tables, keyed by (spec, mode, restricted term): their rows
+        # carry this circuit's angles, so they are never shared.
         self._tables: Dict[Tuple, VariantTable] = {}
-        # Structure-only contraction state (plans, index maps) keyed by
-        # (kind, workers, bin space | num_terms).  These never depend on the
-        # results table, so caching them across calls is safe — unlike the
-        # per-call value stacks below.
-        self._contraction_memo: Dict[Tuple, Dict[str, object]] = {}
         #: How the most recent reconstruct_* call's contraction ran (stage
         #: timings, shard utilization); ``None`` before the first call.
         self.last_contraction_report: Optional[ContractionReport] = None
@@ -349,12 +597,58 @@ class CutReconstructor:
             raise ReconstructionError(GATE_CUT_MESSAGE)
         if table is None:
             table = self.engine.run_batch(self.enumerate_probability_requests())
-        # Value stacks are per call: successive calls may pass tables with
-        # different values (different seeds, allocations or prunings), so
-        # reusing them across calls would silently return stale results.  The
-        # cache also never crosses the process boundary — shard workers receive
-        # the dense stacks themselves.
-        return self._reconstruct_probabilities_planned(table, missing, {})
+        plan_start = perf_clock()
+        workers = self.engine.workers
+        space = BinSpace(active=tuple(range(self.solution.circuit.num_qubits)), merged=())
+        structure = self.structure.contraction(workers, space)
+        plan = structure.plan
+        plan_seconds = perf_clock() - plan_start
+
+        contract_start = perf_clock()
+        # One stack per subcircuit over its *local* assignments (4**c_S rows,
+        # not 4**k), built per call: successive calls may pass tables with
+        # different values.  Every reduction of this space is a passthrough,
+        # so the stacks go to the kernels as they are.
+        stacks = self._value_stacks("probability", None, table, missing, {})
+        coefficient = 0.5 ** len(self.solution.wire_cuts)
+        tasks = []
+        for lo, hi in plan.shard_blocks:
+            shard_stacks = [
+                stack
+                if index != plan.shard_axis
+                else np.ascontiguousarray(stack[:, lo:hi])
+                for index, stack in enumerate(stacks)
+            ]
+            tasks.append((shard_stacks, structure.index_maps, coefficient, plan.chunk_rows))
+        outputs, fell_back = self.engine.map_shards(contract_probability_shard, tasks)
+        contract_seconds = perf_clock() - contract_start
+
+        merge_start = perf_clock()
+        total = np.zeros(2**self.solution.circuit.num_qubits)
+        utilization = []
+        for shard, (indices, (accumulator, seconds)) in enumerate(
+            zip(structure.blocks, outputs)
+        ):
+            # Disjoint writes: every global index belongs to exactly one shard,
+            # so the merge moves bits without any floating-point arithmetic.
+            total[indices] = accumulator
+            utilization.append(
+                ShardUtilization(shard=shard, elements=int(indices.size), seconds=seconds)
+            )
+        merge_seconds = perf_clock() - merge_start
+        self.last_contraction_report = ContractionReport(
+            mode="planned",
+            kind="probability",
+            workers=workers,
+            num_shards=plan.num_shards,
+            plan_seconds=plan_seconds,
+            contract_seconds=contract_seconds,
+            merge_seconds=merge_seconds,
+            serial_fallback=fell_back,
+            shards=tuple(utilization),
+            plan=plan,
+        )
+        return total
 
     def reconstruct_expectation(
         self,
@@ -383,197 +677,21 @@ class CutReconstructor:
         self._check_missing_mode(missing)
         if table is None:
             table = self.engine.run_batch(self.enumerate_expectation_requests(observable))
-        # Per-call stacks, for the same staleness reason as reconstruct_probabilities.
-        return self._reconstruct_expectation_planned(observable, table, missing, {})
-
-    @staticmethod
-    def _check_missing_mode(missing: str) -> None:
-        if missing not in ("execute", "skip", "error"):
-            raise ReconstructionError(
-                f"missing must be 'execute', 'skip' or 'error', got {missing!r}"
-            )
-
-    # ------------------------------------------------------------ contraction paths
-    def _binned_structure(self, space: BinSpace, workers: int) -> Dict[str, object]:
-        """Cached plan, index maps, scatter blocks and stack reductions for ``space``.
-
-        Everything here depends only on the qubit *partition* (not on the fixed
-        bit values, which enter as a per-call column offset), so one structure
-        serves every bin zoomed at the same recursion level.  The full vector's
-        space (every qubit active) reduces every stack by passthrough and plans
-        over the unbinned widths.
-        """
-        key = (
-            "probability",
-            workers,
-            space.active,
-            space.merged,
-            tuple(qubit for qubit, _ in space.fixed),
-        )
-        structure = self._contraction_memo.get(key)
-        if structure is not None:
-            return structure
-        active_rank = {qubit: rank for rank, qubit in enumerate(space.active)}
-        merged_set = set(space.merged)
-        fixed_set = {qubit for qubit, _ in space.fixed}
-        reductions: List[_SpecReduction] = []
-        widths: List[int] = []
-        for spec in self.specs:
-            spec_active = [(b, q) for b, q in enumerate(spec.output_qubits) if q in active_rank]
-            spec_merged = [b for b, q in enumerate(spec.output_qubits) if q in merged_set]
-            spec_fixed = [(b, q) for b, q in enumerate(spec.output_qubits) if q in fixed_set]
-            if len(spec_active) + len(spec_merged) + len(spec_fixed) != len(spec.output_qubits):
-                missing = [
-                    q
-                    for q in spec.output_qubits
-                    if q not in active_rank and q not in merged_set and q not in fixed_set
-                ]
-                raise ReconstructionError(
-                    f"bin space does not cover output qubit(s) {missing} of "
-                    f"subcircuit {spec.index}"
-                )
-            num_active = len(spec_active)
-            num_merged = len(spec_merged)
-            local = np.arange(1 << num_active, dtype=np.int64)
-            cols_active = np.zeros_like(local)
-            for position, (bit, _) in enumerate(spec_active):
-                cols_active |= ((local >> position) & 1) << bit
-            merged_index = np.arange(1 << num_merged, dtype=np.int64)
-            cols_merged = np.zeros_like(merged_index)
-            for position, bit in enumerate(spec_merged):
-                cols_merged |= ((merged_index >> position) & 1) << bit
-            reductions.append(
-                _SpecReduction(
-                    passthrough=(num_merged == 0 and not spec_fixed),
-                    num_merged=num_merged,
-                    fixed_bits=tuple(spec_fixed),
-                    base_cols=cols_active[:, None] + cols_merged[None, :],
-                    bin_positions=tuple(active_rank[q] for _, q in spec_active),
-                )
-            )
-            widths.append(1 << num_active)
-        plan = plan_contraction(
-            self.solution,
-            self.specs,
-            workers=workers,
-            kind="probability",
-            output_widths=widths,
-        )
-        structure = {
-            "plan": plan,
-            "index_maps": [self._layout(spec, "probability").keys for spec in self.specs],
-            "blocks": output_index_blocks(
-                plan,
-                [list(reduction.bin_positions) for reduction in reductions],
-                len(space.active),
-            ),
-            "reductions": reductions,
-        }
-        self._contraction_memo[key] = structure
-        return structure
-
-    def _reconstruct_probabilities_planned(
-        self,
-        table: Mapping[str, VariantResult],
-        missing: str,
-        cache: Dict[Tuple, np.ndarray],
-    ) -> np.ndarray:
-        """Dense per-subcircuit stacks, sharded vectorized kron, all qubits active."""
+        # Stacks are per call, like reconstruct_probabilities', and shared by
+        # the terms whose restrictions coincide.
+        cache: Dict[Tuple, np.ndarray] = {}
         plan_start = perf_clock()
         workers = self.engine.workers
-        space = BinSpace(active=tuple(range(self.solution.circuit.num_qubits)), merged=())
-        structure = self._binned_structure(space, workers)
-        plan = structure["plan"]
-        plan_seconds = perf_clock() - plan_start
-
-        contract_start = perf_clock()
-        # One stack per subcircuit over its *local* assignments (4**c_S rows,
-        # not 4**k).  Every reduction of this space is a passthrough, so the
-        # stacks go to the kernels as they are.
-        stacks = self._value_stacks("probability", None, table, missing, cache)
-        coefficient = 0.5 ** len(self.solution.wire_cuts)
-        tasks = []
-        for lo, hi in plan.shard_blocks:
-            shard_stacks = [
-                stack
-                if index != plan.shard_axis
-                else np.ascontiguousarray(stack[:, lo:hi])
-                for index, stack in enumerate(stacks)
-            ]
-            tasks.append((shard_stacks, structure["index_maps"], coefficient, plan.chunk_rows))
-        outputs, fell_back = self.engine.map_shards(contract_probability_shard, tasks)
-        contract_seconds = perf_clock() - contract_start
-
-        merge_start = perf_clock()
-        total = np.zeros(2**self.solution.circuit.num_qubits)
-        utilization = []
-        for shard, (indices, (accumulator, seconds)) in enumerate(
-            zip(structure["blocks"], outputs)
-        ):
-            # Disjoint writes: every global index belongs to exactly one shard,
-            # so the merge moves bits without any floating-point arithmetic.
-            total[indices] = accumulator
-            utilization.append(
-                ShardUtilization(shard=shard, elements=int(indices.size), seconds=seconds)
-            )
-        merge_seconds = perf_clock() - merge_start
-        self.last_contraction_report = ContractionReport(
-            mode="planned",
-            kind="probability",
-            workers=workers,
-            num_shards=plan.num_shards,
-            plan_seconds=plan_seconds,
-            contract_seconds=contract_seconds,
-            merge_seconds=merge_seconds,
-            serial_fallback=fell_back,
-            shards=tuple(utilization),
-            plan=plan,
-        )
-        return total
-
-    def _expectation_structure(self, workers: int, num_terms: int) -> Dict[str, object]:
-        """Cached plan, flat index maps and coefficient vector for expectation mode."""
-        key = ("expectation", workers, num_terms)
-        structure = self._contraction_memo.get(key)
-        if structure is not None:
-            return structure
-        plan = plan_contraction(
-            self.solution,
-            self.specs,
-            workers=workers,
-            kind="expectation",
-            num_terms=num_terms,
-        )
-        products = self._instance_products()
-        k = len(self.solution.wire_cuts)
-        structure = {
-            "plan": plan,
-            "index_maps": [self._layout(spec, "expectation").keys for spec in self.specs],
-            "coefficients": np.tile(0.5**k * products, 4**k),
-            # All-zero products: the scalar walk skips every combination.
-            "gate_ok": bool(np.any(products)),
-        }
-        self._contraction_memo[key] = structure
-        return structure
-
-    def _reconstruct_expectation_planned(
-        self,
-        observable: PauliObservable,
-        table: Mapping[str, VariantResult],
-        missing: str,
-        cache: Dict[Tuple, np.ndarray],
-    ) -> float:
-        """Planned path: dense value tables, terms sharded over the pool."""
-        plan_start = perf_clock()
-        workers = self.engine.workers
-        structure = self._expectation_structure(workers, len(observable.terms))
-        plan = structure["plan"]
+        structure = self.structure.contraction(workers, num_terms=len(observable.terms))
+        plan = structure.plan
         plan_seconds = perf_clock() - plan_start
 
         contract_start = perf_clock()
         term_values = [0.0] * len(observable.terms)
         jobs: List[Tuple[int, List[np.ndarray], float]] = []
-        if structure["gate_ok"]:
+        products = self._instance_products()
+        # All-zero products: the scalar walk skips every combination.
+        if np.any(products):
             for index, term in enumerate(observable.terms):
                 inactive_factor = self._inactive_qubit_factor(term)
                 if inactive_factor == 0.0:  # qrcclint: disable=float-equality -- exact-zero short-circuit on assigned coefficients; matches the scalar walk bit for bit
@@ -589,10 +707,12 @@ class CutReconstructor:
         utilization = []
         if jobs:
             blocks = balanced_blocks(len(jobs), min(plan.num_shards, len(jobs)))
+            k = len(self.solution.wire_cuts)
+            coefficients = np.tile(0.5**k * products, 4**k)
             tasks = [
                 (
-                    structure["index_maps"],
-                    structure["coefficients"],
+                    structure.index_maps,
+                    coefficients,
                     [(tables, factor) for _, tables, factor in jobs[lo:hi]],
                 )
                 for lo, hi in blocks
@@ -630,111 +750,25 @@ class CutReconstructor:
         )
         return value
 
+    @staticmethod
+    def _check_missing_mode(missing: str) -> None:
+        if missing not in ("execute", "skip", "error"):
+            raise ReconstructionError(
+                f"missing must be 'execute', 'skip' or 'error', got {missing!r}"
+            )
+
+
+
     # ------------------------------------------------------------------ variant tables
     def _layout(self, spec: SubcircuitSpec, mode: str) -> _TableLayout:
-        """The (memoised) row structure of ``spec``'s variant tables in ``mode``."""
-        layout = self._layouts.get((spec.index, mode))
-        if layout is not None:
-            return layout
-        solution = self.solution
-        position = {cut.identifier(): p for p, cut in enumerate(solution.wire_cuts)}
-        measured = [position[cut.identifier()] for cut in spec.upstream_cuts]
-        initialised = [position[cut.identifier()] for cut in spec.downstream_cuts]
-        wires = sorted(measured + initialised)
-        gates: List[int] = []
-        if mode == "expectation":
-            gates = [
-                p for p, cut in enumerate(solution.gate_cuts) if cut.op_index in spec.gate_cut_sides
-            ]
-        gate_ops = [solution.gate_cuts[p].op_index for p in gates]
+        """``spec``'s table layout in ``mode`` for this circuit's gate-cut coefficients."""
+        gates = spec.gate_cut_sides if mode == "expectation" else {}
         instances = tuple(
-            tuple(
-                number
-                for number, coefficient in enumerate(self._gate_cut_instances[op_index], 1)
-                if coefficient  # nonzero, like the walk's skip
-            )
-            for op_index in gate_ops
+            tuple(number for number, c in enumerate(self._gate_cut_instances[cut.op_index], 1) if c)
+            for cut in self.solution.gate_cuts
+            if cut.op_index in gates
         )
-        num_cuts = len(measured) + len(initialised)
-        shape = (4,) * num_cuts + tuple(len(numbers) for numbers in instances)
-        setting_axes = (
-            [("measurement_bases", cut.identifier()) for cut in spec.upstream_cuts]
-            + [("init_labels", cut.identifier()) for cut in spec.downstream_cuts]
-            + [("gate_instances", op_index) for op_index in gate_ops]
-        )
-        # Row r's digits, most significant axis first (itertools.product
-        # order); a gate axis digit picks a nonzero instance, choice number - 1.
-        choices = (
-            np.indices(shape).reshape(len(shape), -1).T
-            if shape
-            else np.zeros((1, 0), dtype=np.int64)
-        )
-        for j, numbers in enumerate(instances):
-            choices[:, num_cuts + j] = (np.asarray(numbers) - 1)[choices[:, num_cuts + j]]
-        # Global combination -> local key, the contraction kernels' gather index.
-        # Globally, wire cut p is the base-4 digit of weight 4**(k-1-p) and gate
-        # cut p the base-6 digit of weight 6**(m-1-p) (itertools.product order,
-        # assignment-major); a local key packs this subcircuit's digits, most
-        # significant first in ascending cut position.
-        k = len(solution.wire_cuts)
-        m = len(solution.gate_cuts) if mode == "expectation" else 0
-        flat = np.arange(4**k * 6**m, dtype=np.int64)
-        keys = np.zeros_like(flat)
-        for p in wires:
-            keys = keys * 4 + (((flat // 6**m) >> (2 * (k - 1 - p))) & 3)
-        for p in gates:
-            keys = keys * 6 + (flat % 6**m) // 6 ** (m - 1 - p) % 6
-        # Local key -> its Eq. 3 terms: (table row, decomposition weight) pairs.
-        local = np.arange(4 ** len(wires) * 6 ** len(gates), dtype=np.int64)
-
-        def wire_digit(key: np.ndarray, p: int) -> np.ndarray:
-            return ((key // 6 ** len(gates)) >> (2 * (len(wires) - 1 - wires.index(p)))) & 3
-
-        strides = [int(np.prod(shape[axis + 1 :])) for axis in range(len(shape))]
-        rows = np.zeros_like(local)
-        valid = np.ones(local.size, dtype=bool)
-        for axis, p in enumerate(measured):
-            rows += wire_digit(local, p) * strides[axis]
-        for j, numbers in enumerate(instances):
-            column = np.full(6, -1, dtype=np.int64)
-            column[np.asarray(numbers, dtype=np.int64) - 1] = np.arange(len(numbers))
-            digit = column[(local % 6 ** len(gates)) // 6 ** (len(gates) - 1 - j) % 6]
-            valid &= digit >= 0
-            rows += digit * strides[num_cuts + j]
-        sizes = np.array([len(INIT_STATE_DECOMPOSITION[b]) for b in WIRE_CUT_MEASUREMENT_BASES])
-        labels = np.zeros((4, int(sizes.max())), dtype=np.int64)
-        coefficients = np.zeros(labels.shape)
-        for digit, basis in enumerate(WIRE_CUT_MEASUREMENT_BASES):
-            for choice, (label, coefficient) in enumerate(INIT_STATE_DECOMPOSITION[basis]):
-                labels[digit, choice] = WIRE_CUT_INIT_LABELS.index(label)
-                coefficients[digit, choice] = coefficient
-        entry_keys, rows = local[valid], rows[valid]
-        weights = np.ones(entry_keys.size)
-        for axis, p in enumerate(initialised, len(measured)):
-            # Each entry splits into its basis's decomposition terms, in
-            # INIT_STATE_DECOMPOSITION order: itertools.product order overall.
-            basis = wire_digit(entry_keys, p)
-            counts = sizes[basis]
-            choice = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-            basis = np.repeat(basis, counts)
-            entry_keys = np.repeat(entry_keys, counts)
-            rows = np.repeat(rows, counts) + labels[basis, choice] * strides[axis]
-            weights = np.repeat(weights, counts) * coefficients[basis, choice]
-        axes = measured + initialised
-        order = sorted(range(num_cuts), key=axes.__getitem__) + list(range(num_cuts, len(shape)))
-        layout = _TableLayout(
-            shape=shape,
-            axes=tuple(setting_axes),
-            choices=choices,
-            instances=instances,
-            order=tuple(order),
-            keys=keys,
-            starts=np.searchsorted(entry_keys, np.arange(local.size + 1)),
-            rows=rows,
-            weights=weights,
-        )
-        self._layouts[(spec.index, mode)] = layout
-        return layout
+        return self.structure.layout(spec, mode, instances)
 
     def _table(
         self, spec: SubcircuitSpec, mode: str, term: Optional[PauliString]
@@ -904,17 +938,10 @@ class CutReconstructor:
 
     def _inactive_qubit_factor(self, term: PauliString) -> float:
         """Pauli factors on qubits no subcircuit outputs (idle qubits stay in |0>)."""
-        covered = set()
-        for spec in self.specs:
-            covered.update(spec.output_qubits)
-        factor = 1.0
-        for qubit, label in term.paulis:
-            if qubit in covered:
-                continue
-            if label == "Z":
-                continue
+        covered = self.structure.covered_qubits
+        if any(label != "Z" for qubit, label in term.paulis if qubit not in covered):
             return 0.0
-        return factor
+        return 1.0
 
 
 def _basis_slice(values: np.ndarray, axis: int, basis: str) -> np.ndarray:

@@ -49,7 +49,7 @@ from ..exceptions import CuttingError
 from ..simulator.batched import Program, compile_program
 from ..utils.pauli import PauliString
 from .cuts import CutSolution
-from .fragments import Fragment, SubcircuitSpec, _assign_layers
+from .fragments import Fragment, SubcircuitSpec
 from .gate_cut import NUM_GATE_CUT_INSTANCES, GateCutDecomposition, decompose_gate_cut
 
 __all__ = [
@@ -437,16 +437,13 @@ class VariantBuilder:
         self._solution = solution
         self._spec = spec
         self._circuit = solution.circuit
-        self._layer_of = _assign_layers(self._circuit)
         self._decompositions: Dict[int, GateCutDecomposition] = {
             op_index: decompose_gate_cut(self._circuit.operations[op_index])
             for op_index in spec.gate_cut_sides
         }
-        self._fragment_of_element: Dict[Tuple[int, int], Fragment] = {}
-        for fragment in spec.fragments:
-            for element in fragment.elements:
-                self._fragment_of_element[(element.op_index, fragment.qubit)] = fragment
-        self._sorted_elements = self._sort_elements()
+        self._fragment_of_element: Dict[Tuple[int, int], Fragment] = {
+            (element.op_index, fragment.qubit): fragment for fragment, element in spec.elements
+        }
         self._skeletons: Dict[Tuple, _Skeleton] = {}
 
     # ------------------------------------------------------------------ building
@@ -503,24 +500,6 @@ class VariantBuilder:
         return self.table(axes, np.array([row]), mode, pauli_term).variants[0]
 
     # ------------------------------------------------------------------ internals
-    def _sort_elements(self) -> List[Tuple[Fragment, object]]:
-        """All (fragment, element) pairs sorted by (layer, program index).
-
-        Layer order is a valid topological order of the original circuit and is
-        consistent with the interval-based wire scheduling, so reused wires always
-        finish their earlier fragment before the later fragment starts.
-        """
-        pairs = []
-        for fragment in self._spec.fragments:
-            for element in fragment.elements:
-                operation = self._circuit.operations[element.op_index]
-                operand_position = operation.qubits.index(fragment.qubit)
-                pairs.append((fragment, element, operand_position))
-        pairs.sort(
-            key=lambda pair: (self._layer_of[pair[1].op_index], pair[1].op_index, pair[2])
-        )
-        return [(fragment, element) for fragment, element, _ in pairs]
-
     def _local_wire(self, fragment: Fragment) -> int:
         return self._spec.wire_of_fragment[fragment.index]
 
@@ -533,7 +512,7 @@ class VariantBuilder:
         walk = _Skeleton(max(self._spec.num_wires, 1), f"sub{self._spec.index}")
         wire_started: Dict[int, bool] = {}
         entered_fragments: set = set()
-        for fragment, element in self._sorted_elements:
+        for fragment, element in self._spec.elements:
             self._ensure_entered(walk, fragment, wire_started, entered_fragments)
             self._emit_element(walk, fragment, element, wire_started, entered_fragments)
             if fragment.elements[-1] is element:

@@ -347,7 +347,7 @@ class EvaluationSession:
             if self.engine.farm is not None:
                 self.engine.farm.check_width(self._plan.max_width)
             self._reconstructor = CutReconstructor(
-                self._plan.solution, specs=self._plan.subcircuits, engine=self.engine
+                self._plan.solution, specs=self._plan.structure, engine=self.engine
             )
 
             needs_weights = (

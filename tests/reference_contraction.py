@@ -5,7 +5,7 @@ sharded kernels of :mod:`repro.cutting.contraction`.  This module keeps the
 walk those kernels vectorize — one kron + scatter per global wire-cut
 assignment (probability), one scalar product per assignment and gate-cut
 instance combination (expectation) — over the reconstructor's own value
-stacks and local-key maps.  The tests and ``benchmarks/bench_contraction.py``
+stacks and its cut structure's local-key maps.  The tests and ``benchmarks/bench_contraction.py``
 compare the library's results with it byte for byte; the bench also times it
 as the serial baseline.  It records no contraction report.
 
@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cutting import CutReconstructor
+from repro.cutting import BinSpace, CutReconstructor
 from repro.engine import VariantResult
 from repro.exceptions import ReconstructionError
 from repro.utils.pauli import PauliObservable, PauliString
@@ -79,7 +79,8 @@ def _reconstruct_probabilities_naive(
         order_lsb = list(order) + order_lsb
     index_map = _output_index_map(order_lsb, num_qubits)
     stacks = reconstructor._value_stacks("probability", None, table, missing, cache)
-    keys = [reconstructor._layout(spec, "probability").keys for spec in reconstructor.specs]
+    space = BinSpace(active=tuple(range(num_qubits)), merged=())
+    keys = reconstructor.structure.contraction(reconstructor.engine.workers, space).index_maps
     for assignment in range(4 ** len(reconstructor.solution.wire_cuts)):
         vectors = [stack[key[assignment]] for stack, key in zip(stacks, keys)]
         combined, _ = _combine_subcircuit_vectors(vectors, orders)
@@ -125,7 +126,10 @@ def _term_value(
         for stack in reconstructor._value_stacks("expectation", term, table, missing, cache)
     ]
     keys = [
-        reconstructor._layout(spec, "expectation").keys.tolist() for spec in reconstructor.specs
+        index_map.tolist()
+        for index_map in reconstructor.structure.contraction(
+            reconstructor.engine.workers, num_terms=1
+        ).index_maps
     ]
     products = reconstructor._instance_products().tolist()
     value = 0.0

@@ -6,19 +6,25 @@ import dataclasses
 import json
 import sys
 import threading
+from collections import Counter
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import repro.core.pipeline as pipeline
+import repro.cutting.reconstruction as reconstruction
 from repro.circuits import Circuit
 from repro.core import CutConfig, cut_circuit, cut_circuit_cutqc, evaluate_workload
 from repro.core.greedy import GreedyCutter
-from repro.exceptions import InfeasibleError
+from repro.cutting import BinSpace, CutReconstructor
+from repro.engine import EngineConfig
+from repro.exceptions import InfeasibleError, ReconstructionError
 from repro.ilp import ScipyMilpBackend
 from repro.workloads import Workload, WorkloadKind
 from repro.workloads.qaoa import maxcut_observable, qaoa_circuit
+
+import strategies
 
 
 @pytest.fixture(autouse=True)
@@ -334,3 +340,161 @@ class TestFailuresAndBound:
         assert failures == []
         assert len(sizes) == 8 * 6
         assert max(sizes) <= 2
+
+
+def qft_ladder(angles, num_qubits: int = 5) -> Workload:
+    """The QFT gate ladder with each Hadamard a RY: probability mode, wire cuts."""
+    circuit = Circuit(num_qubits, "qft_ladder")
+    values = iter(angles)
+    for target in range(num_qubits):
+        circuit.ry(next(values), target)
+        for offset in range(1, num_qubits - target):
+            circuit.cp(next(values), target + offset, target)
+    return Workload(
+        name="qft_ladder", acronym="QFT", circuit=circuit, kind=WorkloadKind.PROBABILITY
+    )
+
+
+class TestStructureReuse:
+    """Every evaluation after a structure's first reuses its specs, layouts and plans."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Calls of every structure builder, by name."""
+        counts = Counter()
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for module in (pipeline, reconstruction):
+            monkeypatch.setattr(
+                module,
+                "extract_subcircuits",
+                counting("extract_subcircuits", module.extract_subcircuits),
+            )
+        monkeypatch.setattr(
+            reconstruction,
+            "plan_contraction",
+            counting("plan_contraction", reconstruction.plan_contraction),
+        )
+        monkeypatch.setattr(
+            reconstruction.CutStructure,
+            "_layout",
+            counting("layout", reconstruction.CutStructure._layout),
+        )
+        return counts
+
+    @staticmethod
+    def sweep(workloads, config, builds, engine_config=None):
+        """Each point's builder calls on a warm cache, after checking that its
+        payload is byte-equal to a cold call's."""
+
+        def payload(workload):
+            result = evaluate_workload(workload, config, engine_config=engine_config)
+            return json.dumps(strategies.without_durations(result.to_dict()))
+
+        cold = []
+        for workload in workloads:
+            pipeline._PLAN_CACHE.clear()
+            cold.append(payload(workload))
+        pipeline._PLAN_CACHE.clear()
+        calls = []
+        for workload, expected in zip(workloads, cold):
+            before = Counter(builds)
+            assert payload(workload) == expected
+            calls.append(dict(builds - before))
+        assert all(calls[0].values())
+        return calls[1:]
+
+    def test_qaoa_angle_sweep_with_gate_cuts(self, builds):
+        config = CutConfig(device_size=3, enable_gate_cuts=True, max_wire_cuts=0)
+        graph = nx.cycle_graph(5)
+        gammas = [float(gamma) for gamma in np.linspace(0.15, 1.45, 19)]
+        # gamma = 0 zeroes instances 2-6 of every gate cut: a new nonzero
+        # pattern on the same structure, taken after a generic angle.
+        gammas.insert(10, 0.0)
+        workloads = [
+            Workload(
+                name="ring_5",
+                acronym="QAOA",
+                circuit=qaoa_circuit(graph, gammas=[gamma], betas=[0.35 + 0.05 * i]),
+                kind=WorkloadKind.EXPECTATION,
+                observable=maxcut_observable(graph),
+            )
+            for i, gamma in enumerate(gammas)
+        ]
+        calls = self.sweep(workloads, config, builds)
+        assert len(calls) == 19
+        zero = calls.pop(9)
+        assert set(zero) == {"layout"}
+        assert calls == [{}] * 18
+
+    def test_qft_ladder_probability_sweep(self, builds):
+        config = CutConfig(device_size=3, max_subcircuits=3)
+        workloads = [
+            qft_ladder(np.random.default_rng(seed).uniform(0.3, 2.8, size=15))
+            for seed in range(5)
+        ]
+        assert self.sweep(workloads, config, builds) == [{}] * 4
+
+    def test_qubit_limit_sweep(self, builds):
+        config = CutConfig(device_size=3, max_subcircuits=3)
+        workloads = [
+            qft_ladder(np.random.default_rng(seed).uniform(0.3, 2.8, size=15))
+            for seed in range(5)
+        ]
+        calls = self.sweep(workloads, config, builds, EngineConfig(qubit_limit=3))
+        assert calls == [{}] * 4
+
+    def test_concurrent_reconstructors_build_each_entry_once(self):
+        """Threads racing to fill a fresh structure all read one entry per key."""
+        config = CutConfig(device_size=3, max_subcircuits=3)
+        plan = cut_circuit(qft_ladder(np.linspace(0.3, 2.8, 15)).circuit, config)
+        space = BinSpace(active=tuple(range(5)), merged=())
+        seen = []
+        failures = []
+
+        def worker() -> None:
+            try:
+                for _ in range(3):
+                    reconstructor = CutReconstructor(plan.solution, specs=plan.structure)
+                    batch = reconstructor.enumerate_probability_requests()
+                    seen.append(
+                        (
+                            plan.structure.contraction(1, space),
+                            [plan.structure.layout(s, "probability", ()) for s in plan.subcircuits],
+                            [row.fingerprint for row in batch.variants],
+                        )
+                    )
+            except Exception as error:
+                failures.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert len(seen) == 8 * 3
+        contraction, layouts, fingerprints = seen[0]
+        for other in seen[1:]:
+            assert other[0] is contraction
+            assert all(a is b for a, b in zip(other[1], layouts))
+            assert other[2] == fingerprints
+
+    def test_structure_of_another_decision_is_rejected(self):
+        config = CutConfig(device_size=3, max_subcircuits=3)
+        ladder_plan = cut_circuit(ladder(np.full(16, 0.5)), config)
+        qft_plan = cut_circuit(qft_ladder(np.full(15, 0.5)).circuit, config)
+        with pytest.raises(ReconstructionError, match="another cut decision"):
+            CutReconstructor(qft_plan.solution, specs=ladder_plan.structure)

@@ -37,7 +37,7 @@ import pickletools
 import sys
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 import numpy as np
 import pytest
@@ -81,25 +81,17 @@ SEED = 7
 GOLDEN_CONFIG = CutConfig(device_size=3, max_subcircuits=2)
 
 
-def _enumerated(solution, specs=None, observable=None) -> Tuple[CutReconstructor, RequestBatch]:
+def _reconstructed(solution, specs=None, observable=None) -> RequestBatch:
     reconstructor = CutReconstructor(solution, specs=specs)
     if observable is None:
-        return reconstructor, reconstructor.enumerate_probability_requests()
-    return reconstructor, reconstructor.enumerate_expectation_requests(observable)
-
-
-def _reconstructed(solution, specs=None, observable=None) -> RequestBatch:
-    return _enumerated(solution, specs, observable)[1]
-
-
-def _workload_enumerated(workload, config, force_greedy=False):
-    plan = cut_circuit(workload.circuit, config, force_greedy=force_greedy)
-    observable = workload.observable if workload.kind == WorkloadKind.EXPECTATION else None
-    return _enumerated(plan.solution, plan.subcircuits, observable)
+        return reconstructor.enumerate_probability_requests()
+    return reconstructor.enumerate_expectation_requests(observable)
 
 
 def _workload_batch(workload, config, force_greedy=False) -> RequestBatch:
-    return _workload_enumerated(workload, config, force_greedy)[1]
+    plan = cut_circuit(workload.circuit, config, force_greedy=force_greedy)
+    observable = workload.observable if workload.kind == WorkloadKind.EXPECTATION else None
+    return _reconstructed(plan.solution, plan.subcircuits, observable)
 
 
 def _perf_batch(name: str) -> RequestBatch:
@@ -193,10 +185,15 @@ def _assert_table_fingerprints(tables) -> None:
         assert table.fingerprints == [variant_fingerprint(row) for row in table.variants]
 
 
-def _assert_rows_identical(reconstructor, batch) -> None:
-    """Fingerprints of every table built and exact results of every row
+def _batch_tables(batch):
+    """Every table the batch reads a row of, in first-read order."""
+    return list({id(row.table): row.table for row in batch.variants}.values())
+
+
+def _assert_rows_identical(batch) -> None:
+    """Fingerprints of every table read and exact results of every row
     against the row's circuit."""
-    _assert_table_fingerprints(reconstructor._tables.values())
+    _assert_table_fingerprints(_batch_tables(batch))
     rows = list({request_key(v): v for v in batch.variants}.values())
     assert_tables_bit_identical(
         ExactExecutor().run_batch(rows), BatchedExactExecutor().run_batch(rows)
@@ -204,17 +201,17 @@ def _assert_rows_identical(reconstructor, batch) -> None:
 
 
 # --------------------------------------------------------------------------- fixed cases
-def _table_cases() -> Dict[str, Callable[[], CutReconstructor]]:
+def _table_cases() -> Dict[str, Callable[[], RequestBatch]]:
     """Every instance of each perf workload's first seed-0 round and the golden workloads."""
-    cases: Dict[str, Callable[[], CutReconstructor]] = {
-        "golden-vqe5": lambda: _workload_enumerated(small_workload(), GOLDEN_CONFIG)[0],
-        "golden-qft5": lambda: _workload_enumerated(make_workload("QFT", 5), GOLDEN_CONFIG)[0],
+    cases: Dict[str, Callable[[], RequestBatch]] = {
+        "golden-vqe5": lambda: _workload_batch(small_workload(), GOLDEN_CONFIG),
+        "golden-qft5": lambda: _workload_batch(make_workload("QFT", 5), GOLDEN_CONFIG),
     }
     for name, spec in perf_workloads.WORKLOADS.items():
         for i in spec.pool(0)[0]:
-            cases[f"perf-{name}-{i.workload.name}"] = lambda i=i: _workload_enumerated(
+            cases[f"perf-{name}-{i.workload.name}"] = lambda i=i: _workload_batch(
                 i.workload, i.cut_config, i.force_greedy
-            )[0]
+            )
     return cases
 
 
@@ -223,8 +220,8 @@ TABLE_CASES = _table_cases()
 
 @pytest.mark.parametrize("name", sorted(TABLE_CASES))
 def test_table_fingerprints_match_materialised_circuits(name):
-    """Every table the enumeration builds hashes each row as its circuit does."""
-    tables = list(TABLE_CASES[name]()._tables.values())
+    """Every table the enumeration reads hashes each row as its circuit does."""
+    tables = _batch_tables(TABLE_CASES[name]())
     assert tables
     _assert_table_fingerprints(tables)
 
@@ -271,7 +268,7 @@ def test_sampling_bytes_match_the_recorded_digest(name):
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(solution=two_cut_probability_solutions())
 def test_random_probability_cut_rows(solution):
-    _assert_rows_identical(*_enumerated(solution))
+    _assert_rows_identical(_reconstructed(solution))
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -285,7 +282,7 @@ def test_random_expectation_cut_rows(seed, block, labels):
     observable = PauliObservable.from_terms(
         [PauliString.from_dict({0: labels[0], 3: labels[1]}, 1.0), PauliString.from_dict({}, 0.5)]
     )
-    _assert_rows_identical(*_enumerated(solution, observable=observable))
+    _assert_rows_identical(_reconstructed(solution, observable=observable))
 
 
 # --------------------------------------------------------------------------- request counts
