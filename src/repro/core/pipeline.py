@@ -177,8 +177,9 @@ class EvaluationResult:
     contraction-side sibling of ``device_utilization``).  Every stage is timed
     around the call this evaluation itself makes, never from deltas of the
     engine's lifetime counters, so sharing an engine across threads cannot
-    inflate another call's numbers.  ``engine_stats`` is likewise a *per-call*
-    delta (``EngineStats.since`` of two lifetime snapshots): on an engine
+    inflate another call's numbers.  ``engine_stats`` is likewise *per-call*:
+    the sum of the session's window deltas (``EngineStats.since`` around
+    prepare, every step and finish, added with ``+``), so on an engine
     shared across plans each evaluation reports only its own requests,
     executions, cache traffic and device utilization instead of conflating
     unrelated workloads; the engine's cumulative view stays available as

@@ -70,11 +70,13 @@ estimates to decide whether sharding is worth the process-pool transport at all
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..exceptions import ReconstructionError
 from ..utils.timing import perf_clock
 
 __all__ = [
@@ -144,12 +146,23 @@ class BinSpace:
     carries the value of ``active[r]``.  ``merged`` qubits are summed over.
     ``fixed`` pins qubits zoomed through at earlier dynamic-definition levels
     to the bit values of the bin being descended into.  The full probability
-    vector is the space with every circuit qubit active and none merged.
+    vector is the space with every circuit qubit active and none merged.  A
+    qubit listed twice (within or across the three) raises
+    :class:`~repro.exceptions.ReconstructionError`.
     """
 
     active: Tuple[int, ...]
     merged: Tuple[int, ...]
     fixed: Tuple[Tuple[int, int], ...] = ()
+
+    def __post_init__(self) -> None:
+        listed = Counter([*self.active, *self.merged, *(qubit for qubit, _ in self.fixed)])
+        repeated = sorted(qubit for qubit, count in listed.items() if count > 1)
+        if repeated:
+            raise ReconstructionError(
+                f"bin space lists qubit(s) {repeated} more than once across "
+                f"active, merged and fixed"
+            )
 
     @property
     def num_bins(self) -> int:

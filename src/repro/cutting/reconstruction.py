@@ -301,12 +301,12 @@ class CutStructure:
             spec_active = [(b, q) for b, q in enumerate(spec.output_qubits) if q in active_rank]
             spec_merged = [b for b, q in enumerate(spec.output_qubits) if q in merged_set]
             spec_fixed = [(b, q) for b, q in enumerate(spec.output_qubits) if q in fixed_set]
-            if len(spec_active) + len(spec_merged) + len(spec_fixed) != len(spec.output_qubits):
-                missing = [
-                    q
-                    for q in spec.output_qubits
-                    if q not in active_rank and q not in merged_set and q not in fixed_set
-                ]
+            missing = [
+                q
+                for q in spec.output_qubits
+                if q not in active_rank and q not in merged_set and q not in fixed_set
+            ]
+            if missing:
                 raise ReconstructionError(
                     f"bin space does not cover output qubit(s) {missing} of "
                     f"subcircuit {spec.index}"

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..engine.config import OVERHEAD_MODES
 from ..engine.requests import RequestBatch, request_key
@@ -391,6 +390,8 @@ def _scipy_polish(
     strictly improved the objective; otherwise the input is returned
     unchanged (``used = False``).
     """
+    # Deferred: loading scipy.optimize costs more than the rest of the package.
+    from scipy.optimize import minimize
 
     def objective_log(theta: np.ndarray) -> float:
         return float(np.log(max(model.objective(np.exp(theta)), _MIN_TOKEN_WEIGHT)))

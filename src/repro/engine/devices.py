@@ -189,16 +189,6 @@ class DeviceUtilization:
             "queue_seconds": round(self.queue_seconds, 4),
         }
 
-    def since(self, baseline: "DeviceUtilization") -> "DeviceUtilization":
-        """Per-call delta of the lifetime counters against ``baseline``."""
-        return DeviceUtilization(
-            name=self.name,
-            max_qubits=self.max_qubits,
-            assigned=self.assigned - baseline.assigned,
-            busy_seconds=self.busy_seconds - baseline.busy_seconds,
-            queue_seconds=self.queue_seconds - baseline.queue_seconds,
-        )
-
 
 class DeviceFarm:
     """Routes variant requests onto a fleet of width-limited devices.

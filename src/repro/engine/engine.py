@@ -23,10 +23,11 @@ completion order.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import warnings
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exceptions import AllocationError
@@ -77,6 +78,20 @@ def _execute_chunk(
     return _run_chunk(executor_cls(*spawn_args), chunk, shots)
 
 
+#: The fields of EngineStats, keys of its cache dict and fields of each
+#: DeviceUtilization that count work; every other one is state.
+_COUNTERS = (
+    "requests",
+    "unique_executions",
+    "dedup_hits",
+    "cache_hits",
+    "batches",
+    "execute_seconds",
+)
+_CACHE_COUNTERS = ("hits", "misses", "evictions")
+_DEVICE_COUNTERS = ("assigned", "busy_seconds", "queue_seconds")
+
+
 @dataclass(frozen=True)
 class EngineStats:
     """Aggregate counters of an engine's lifetime (all batches so far).
@@ -85,7 +100,9 @@ class EngineStats:
     authoritative source for ``EvaluationResult.num_variant_evaluations``.
     ``devices`` / ``routing`` report the device farm's per-device utilization
     and the active routing policy (``None`` without a farm).  Per-call numbers
-    for one evaluation come from :meth:`since` on two snapshots.
+    come from :meth:`since` on two snapshots, and ``+`` sums such deltas; both
+    go through one field-wise helper, the only code that knows which fields
+    are counters.
     """
 
     requests: int
@@ -115,34 +132,42 @@ class EngineStats:
     def since(self, baseline: "EngineStats") -> "EngineStats":
         """Per-call delta of this snapshot against an earlier ``baseline``.
 
-        Monotonic counters (requests, executions, hits, batches, seconds, the
-        cache's hit/miss/eviction counts, per-device utilization) are
-        differenced; state descriptors (cache size/capacity and routing) keep
-        this snapshot's values.  This is what makes one evaluation's stats
-        meaningful on an engine shared across workloads — lifetime counters
-        conflate them.
+        This is what makes one evaluation's stats meaningful on an engine
+        shared across workloads — lifetime counters conflate them.
         """
+        return self._combine(baseline, operator.sub)
+
+    def __add__(self, later: "EngineStats") -> "EngineStats":
+        """Accumulate the ``later`` window's delta onto this one.
+
+        Summing the consecutive ``since`` deltas of snapshots ``s0..sn`` gives
+        ``sn.since(s0)``: counters add up, state comes from the last window.
+        """
+        return later._combine(self, operator.add)
+
+    def _combine(self, earlier: "EngineStats", op: Callable[[Any, Any], Any]) -> "EngineStats":
+        """``op(self, earlier)`` on every counter; state fields keep this snapshot's values.
+
+        Devices are matched by name; a device missing from ``earlier`` keeps
+        its own counters.
+        """
+
+        def counters(later: Any, before: Any, names: Sequence[str]) -> Dict[str, Any]:
+            return {name: op(getattr(later, name), getattr(before, name)) for name in names}
+
         cache = dict(self.cache)
-        for counter in ("hits", "misses", "evictions"):
-            cache[counter] = cache.get(counter, 0) - baseline.cache.get(counter, 0)
-        devices: Optional[Tuple[DeviceUtilization, ...]] = None
-        if self.devices is not None:
-            before = {report.name: report for report in (baseline.devices or ())}
+        for key in _CACHE_COUNTERS:
+            cache[key] = op(cache.get(key, 0), earlier.cache.get(key, 0))
+        devices = self.devices
+        if devices is not None:
+            before = {report.name: report for report in (earlier.devices or ())}
             devices = tuple(
-                report.since(before[report.name]) if report.name in before else report
-                for report in self.devices
+                replace(report, **counters(report, before[report.name], _DEVICE_COUNTERS))
+                if report.name in before
+                else report
+                for report in devices
             )
-        return EngineStats(
-            requests=self.requests - baseline.requests,
-            unique_executions=self.unique_executions - baseline.unique_executions,
-            dedup_hits=self.dedup_hits - baseline.dedup_hits,
-            cache_hits=self.cache_hits - baseline.cache_hits,
-            batches=self.batches - baseline.batches,
-            execute_seconds=self.execute_seconds - baseline.execute_seconds,
-            cache=cache,
-            devices=devices,
-            routing=self.routing,
-        )
+        return replace(self, cache=cache, devices=devices, **counters(self, earlier, _COUNTERS))
 
 
 class ParallelEngine:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, sparse
 
 from ..exceptions import SolverError
 from ..utils.timing import perf_clock
@@ -31,6 +30,9 @@ class ScipyMilpBackend:
         self.mip_rel_gap = mip_rel_gap
 
     def solve(self, model: Model) -> SolveResult:
+        # Deferred: loading scipy.optimize costs more than the rest of the package.
+        from scipy import optimize, sparse
+
         if model.num_variables == 0:
             return SolveResult(SolveStatus.OPTIMAL, model.objective.constant, {}, 0.0, self.name)
 

@@ -22,8 +22,9 @@ engine by interleaving their ``step()`` calls.  Each step passes its own
 :class:`~repro.engine.ShotPlan` with its batch, so no session's shot counts
 are ever left on the shared engine for another to draw.  Per-session engine
 statistics stay correct under that interleaving because every engine
-interaction is wrapped in a snapshot window and the deltas are accumulated
-per session.
+interaction (``prepare``, each ``step``, ``finish``) runs inside one
+``_window()``, which adds ``EngineStats.since`` of the snapshots around it to
+the session's running total with ``EngineStats.__add__``.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from ..engine import (
     neyman_weight,
     prune_requests,
 )
-from ..engine.devices import DeviceUtilization
+from ..engine.allocation import samples_shots
 from ..exceptions import ConfigError, CuttingError
 from ..utils.timing import perf_clock
 from ..workloads import Workload, WorkloadKind
@@ -66,49 +67,6 @@ __all__ = ["EvaluationSession"]
 #: EngineConfig fields that configure the engine itself (pool, cache, device
 #: farm); a session on a shared engine cannot change them.
 _ENGINE_FIELDS = ("max_workers", "chunk_size", "cache_size", "devices", "routing")
-
-
-def _merge_stats(total: Optional[EngineStats], delta: EngineStats) -> EngineStats:
-    """Accumulate one snapshot-window delta into a session's running total.
-
-    Monotonic counters add; state descriptors (cache size/capacity, routing)
-    keep the latest window's values — exactly what a single ``since()`` over
-    an uninterleaved span would report.
-    """
-    if total is None:
-        return delta
-    cache = dict(delta.cache)
-    for counter in ("hits", "misses", "evictions"):
-        cache[counter] = cache.get(counter, 0) + total.cache.get(counter, 0)
-    devices = None
-    if delta.devices is not None or total.devices is not None:
-        merged: Dict[str, DeviceUtilization] = {
-            report.name: report for report in (total.devices or ())
-        }
-        for report in delta.devices or ():
-            earlier = merged.get(report.name)
-            if earlier is None:
-                merged[report.name] = report
-            else:
-                merged[report.name] = DeviceUtilization(
-                    name=report.name,
-                    max_qubits=report.max_qubits,
-                    assigned=earlier.assigned + report.assigned,
-                    busy_seconds=earlier.busy_seconds + report.busy_seconds,
-                    queue_seconds=earlier.queue_seconds + report.queue_seconds,
-                )
-        devices = tuple(merged.values())
-    return EngineStats(
-        requests=total.requests + delta.requests,
-        unique_executions=total.unique_executions + delta.unique_executions,
-        dedup_hits=total.dedup_hits + delta.dedup_hits,
-        cache_hits=total.cache_hits + delta.cache_hits,
-        batches=total.batches + delta.batches,
-        execute_seconds=total.execute_seconds + delta.execute_seconds,
-        cache=cache,
-        devices=devices,
-        routing=delta.routing,
-    )
 
 
 class EvaluationSession:
@@ -230,7 +188,7 @@ class EvaluationSession:
                     shots=settings.shots, seed=settings.seed, cache=ResultCache(settings.cache_size)
                 )
             engine = ParallelEngine(executor, settings)
-        samples = isinstance(engine.executor, SamplingExecutor)
+        samples = samples_shots(engine.executor)
         if settings.shots is not None and not samples:
             raise CuttingError(
                 f"shots={settings.shots} needs a sampling-capable executor with per-variant "
@@ -248,8 +206,8 @@ class EvaluationSession:
 
         # ---------------------------------------------------------- run state
         self._state = "created"
+        # Sum of the engine-stats deltas of every window (see _window).
         self._stats_delta: Optional[EngineStats] = None
-        self._window_before: Optional[EngineStats] = None
         self._started: Optional[float] = None
         self._plan = None
         self._reconstructor: Optional[CutReconstructor] = None
@@ -281,14 +239,16 @@ class EvaluationSession:
         yield
         self._ledger[name] = self._ledger.get(name, 0.0) + perf_clock() - start
 
-    # ------------------------------------------------------------------ stats windows
-    def _open_window(self) -> None:
-        self._window_before = self.engine.stats
-
-    def _close_window(self) -> None:
-        delta = self.engine.stats.since(self._window_before)
-        self._stats_delta = _merge_stats(self._stats_delta, delta)
-        self._window_before = None
+    @contextmanager
+    def _window(self) -> Iterator[None]:
+        """Add the engine work done inside the block to the session's stats."""
+        before = self.engine.stats
+        try:
+            yield
+        finally:
+            delta = self.engine.stats.since(before)
+            total = self._stats_delta
+            self._stats_delta = delta if total is None else total + delta
 
     # ------------------------------------------------------------------ properties
     @property
@@ -336,8 +296,7 @@ class EvaluationSession:
         settings = self.settings
         pruning = PruningPolicy.resolve(settings.pruning)
         self._started = perf_clock()
-        self._open_window()
-        try:
+        with self._window():
             with self._stage("cut"):
                 self._plan = cut_circuit(
                     self.workload.circuit,
@@ -415,8 +374,6 @@ class EvaluationSession:
             self._pick_contractions(missing)
             if self.streaming_active:
                 self._incremental = IncrementalReconstructor(self._contract)
-        finally:
-            self._close_window()
         self._state = "prepared"
 
     def _pick_contractions(self, missing: str) -> None:
@@ -498,8 +455,7 @@ class EvaluationSession:
         """
         if self._state != "prepared":
             raise CuttingError(f"step() called on a session in state {self._state!r}")
-        self._open_window()
-        try:
+        with self._window():
             chunk = self._chunk_for_round(self._rounds_done)
             cumulative = {key: self._cum.get(key, 0) + count for key, count in chunk.items()}
             # Same stage ("") and seed totals every round: the prefix-stable
@@ -547,8 +503,6 @@ class EvaluationSession:
             if not pending:
                 self._state = "done"
             return pending
-        finally:
-            self._close_window()
 
     def finish(self) -> Any:
         """Contract the final estimate, build and return the ``EvaluationResult``."""
@@ -562,14 +516,11 @@ class EvaluationSession:
         result.shot_allocation = self._shot_allocation
         result.overhead_report = self._overhead_report
 
-        self._open_window()
-        try:
+        with self._window():
             field, contract = self._final
             with self._stage("reconstruct"):
                 setattr(result, field, contract(self._table))
             result.contraction_report = self._reconstructor.last_contraction_report
-        finally:
-            self._close_window()
 
         if self.compute_reference:
             with self._stage("reference"):

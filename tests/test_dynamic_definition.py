@@ -75,6 +75,28 @@ class TestPlanning:
             )
 
 
+# ------------------------------------------------------------ bin-space checks
+class TestBinSpaceValidation:
+    def test_overlapping_sets_are_rejected_at_construction(self):
+        with pytest.raises(ReconstructionError, match=r"qubit\(s\) \[3\] more than once"):
+            BinSpace(active=(0, 1, 2, 3), merged=(3,))
+        with pytest.raises(ReconstructionError, match=r"qubit\(s\) \[0, 2\] more than once"):
+            BinSpace(active=(1,), merged=(2, 3), fixed=((0, 1), (2, 0), (0, 0)))
+
+    def test_duplicate_active_qubit_is_rejected_at_construction(self):
+        # Once accepted, this space binned 4 qubits into a 32-bin vector.
+        with pytest.raises(ReconstructionError, match=r"qubit\(s\) \[0\] more than once"):
+            BinSpace(active=(0, 0, 1, 2, 3), merged=())
+
+    def test_uncovered_qubit_is_named(self):
+        _, solution = two_cut_solution()
+        reconstructor = CutReconstructor(solution)
+        table = _exact_table(reconstructor)
+        space = BinSpace(active=(0, 1, 2), merged=())
+        with pytest.raises(ReconstructionError, match=r"does not cover output qubit\(s\) \[3\]"):
+            binned_probabilities(reconstructor, space, table=table)
+
+
 # ----------------------------------------------------------- binned == marginal
 class TestBinnedMarginal:
     @settings(max_examples=10, deadline=None)

@@ -13,10 +13,14 @@ from repro.cutting import (
     ExactExecutor,
     GateCut,
     NoisyExecutor,
+    SamplingExecutor,
     extract_subcircuits,
 )
 from repro.cutting.variants import VariantBuilder, VariantSettings
 from repro.engine import (
+    DeviceSpec,
+    DeviceUtilization,
+    EngineStats,
     ParallelEngine,
     ResultCache,
     VariantResult,
@@ -257,6 +261,80 @@ class ScaledExactExecutor(ExactExecutor):
             if base.distribution is None
             else base.distribution * self.scale,
         )
+
+
+class TestStatsWindows:
+    def test_window_deltas_compose_into_the_span_delta(self, chain_wire_cut_solution):
+        # Consecutive snapshot windows add up to the window over the whole
+        # span on every counter; state fields come from the last snapshot.
+        farm = (DeviceSpec("w-a", 4), DeviceSpec("w-b", 4))
+        executor = SamplingExecutor(shots=64, seed=0, cache=ResultCache(maxsize=1))
+        a, b, c, d = _some_variants(chain_wire_cut_solution, count=4)
+        config = EngineConfig(devices=farm, routing="least_loaded")
+        with ParallelEngine(executor, config) as engine:
+            engine.run_batch([a, b, c, d])  # so that s0 is not all zeros
+            snapshots = [engine.stats]
+            for batch in ([a, b, c, d], [c, d, c], [d, a, b, c], [a]):
+                engine.run_batch(batch)
+                snapshots.append(engine.stats)
+        first, last = snapshots[0], snapshots[-1]
+        total = last.since(first)
+        deltas = [after.since(before) for before, after in zip(snapshots, snapshots[1:])]
+        summed = deltas[0]
+        for delta in deltas[1:]:
+            summed = summed + delta
+
+        counters = ("requests", "unique_executions", "dedup_hits", "cache_hits", "batches")
+        for name in counters:
+            assert getattr(total, name) == getattr(last, name) - getattr(first, name), name
+            assert getattr(summed, name) == getattr(total, name), name
+        # Float counters telescope only up to rounding.
+        assert summed.execute_seconds == pytest.approx(total.execute_seconds)
+        for key in ("hits", "misses", "evictions"):
+            assert total.cache[key] == last.cache[key] - first.cache[key], key
+            assert summed.cache[key] == total.cache[key], key
+        assert total.cache["evictions"] > 0 and total.cache_hits > 0
+        for key in ("size", "maxsize", "nbytes", "max_bytes"):
+            assert summed.cache[key] == total.cache[key] == last.cache[key], key
+        assert summed.routing == total.routing == last.routing == "least_loaded"
+
+        assert [r.name for r in summed.devices] == [r.name for r in last.devices]
+        reports = zip(summed.devices, total.devices, first.devices, last.devices)
+        for got, want, start, end in reports:
+            for name in ("assigned", "busy_seconds", "queue_seconds"):
+                assert getattr(want, name) == getattr(end, name) - getattr(start, name), name
+                assert getattr(got, name) == pytest.approx(getattr(want, name)), name
+            assert got.max_qubits == want.max_qubits == end.max_qubits
+        assert all(report.assigned > 0 for report in total.devices)
+        assert any(report.queue_seconds > 0 for report in total.devices)
+        assert any(report.queue_seconds > 0 for report in first.devices)
+        assert sum(r.assigned for r in total.devices) == total.unique_executions
+
+    def test_state_fields_come_from_the_later_operand(self):
+        def snapshot(requests, size, routing, devices):
+            cache = {"size": size, "maxsize": 8, "hits": requests, "misses": 0, "evictions": 0}
+            reports = tuple(
+                DeviceUtilization(name, width, assigned, 0.5 * assigned, 0.0)
+                for name, width, assigned in devices
+            )
+            seconds = 0.25 * requests
+            return EngineStats(requests, requests, 0, 0, 1, seconds, cache, reports, routing)
+
+        earlier = snapshot(2, 1, "best_fit", [("x", 3, 1), ("y", 4, 1)])
+        later = snapshot(5, 2, "least_loaded", [("y", 5, 3), ("z", 6, 4)])
+        cases = ((later.since(earlier), 3, 0, 2), (earlier + later, 7, 2, 4))
+        for combined, requests, batches, assigned in cases:
+            assert combined.requests == combined.unique_executions == requests
+            assert combined.batches == batches
+            assert combined.execute_seconds == 0.25 * requests
+            assert combined.cache == dict(later.cache, hits=requests)
+            assert combined.routing == "least_loaded"
+            # Devices follow the later operand, matched by name: "y" combines
+            # (keeping the later width), "z" has nothing to combine with.
+            assert combined.devices == (
+                DeviceUtilization("y", 5, assigned, 0.5 * assigned, 0.0),
+                later.devices[1],
+            )
 
 
 class TestResultSharing:

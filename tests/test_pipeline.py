@@ -1,5 +1,10 @@
 """End-to-end tests for the QRCC pipeline (cut -> execute -> reconstruct)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +111,15 @@ class TestEvaluateWorkload:
         )
         result = evaluate_workload(workload, config)
         assert result.expectation_error < 1e-8
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize costs more to load than the whole package; only the ILP
+    # solve and the overhead polish need it, and they import it themselves.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    probe = "import sys, repro; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "False"
