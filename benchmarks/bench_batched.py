@@ -18,6 +18,11 @@ Two hard claims are checked on every row and enforced under ``--smoke`` (CI):
   throughput (the two run in the same process on the same machine, so the ratio
   is robust to CI hardware noise).
 
+The ``evolved_rows`` column counts the rows the batched passes evolved: one per
+twin class (variants that differ only in which measurements are signed, such
+as a wire cut's I and Z bases).  ``--smoke`` also asserts that the QFT family,
+whose wire cuts all have I/Z twins, evolves fewer rows than it returns.
+
 Run directly (``python benchmarks/bench_batched.py [--smoke]``); results are
 archived as ``benchmarks/results/batched.json`` for the CI regression gate.
 """
@@ -26,12 +31,14 @@ from __future__ import annotations
 
 import argparse
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import cut_circuit
 from repro.core.config import CutConfig
 from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
 from repro.engine import ParallelEngine, request_key
+from repro.simulator import batched
 from repro.workloads import Workload, WorkloadKind, make_workload
 
 from bench_engine import halved_ring_solution, ring_qaoa_workload
@@ -100,6 +107,23 @@ def _batched_executor_with_cap(variants, cap: int) -> BatchedExactExecutor:
     return BatchedExactExecutor(max_batch_elements=cap * per_variant)
 
 
+@contextmanager
+def _evolved_rows() -> Iterator[List[int]]:
+    """Count the rows every batched pass evolves while the block runs."""
+    counter = [0]
+    evolve = batched._evolve
+
+    def counting(program, choices, prune_threshold):
+        counter[0] += choices.shape[0]
+        return evolve(program, choices, prune_threshold)
+
+    batched._evolve = counting
+    try:
+        yield counter
+    finally:
+        batched._evolve = evolve
+
+
 def _timed_run(make_executor, variants, repeats: int) -> Tuple[float, Dict[str, Tuple]]:
     """Best-of-``repeats`` wall clock for one executor over ``variants``.
 
@@ -125,11 +149,14 @@ def generate_batched_rows(smoke: bool = False, repeats: int = 3) -> List[Dict[st
             seconds, comparable = _timed_run(
                 lambda: _batched_executor_with_cap(variants, cap), variants, repeats
             )
+            with _evolved_rows() as evolved:
+                _batched_executor_with_cap(variants, cap).run_batch(variants)
             rows.append(
                 {
                     "workload": workload.name,
                     "mode": workload.kind,
                     "unique_variants": len(variants),
+                    "evolved_rows": evolved[0],
                     "batch_cap": cap,
                     "scalar_s": round(scalar_seconds, 4),
                     "batched_s": round(seconds, 4),
@@ -171,7 +198,11 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
                 f"{workload}: expected >= 5x batched-vs-scalar throughput at "
                 f"batch >= 16, got {best}x"
             )
-        smoke_passed("bit-identical, >= 5x at batch >= 16")
+        qft = [row for row in rows if row["workload"] == "quantum_fourier_transform"]
+        assert qft and all(row["evolved_rows"] < row["unique_variants"] for row in qft), (
+            f"QFT: expected the I/Z twins to evolve once, got {qft}"
+        )
+        smoke_passed("bit-identical, >= 5x at batch >= 16, QFT twins evolved once")
 
 
 if __name__ == "__main__":

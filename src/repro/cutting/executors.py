@@ -353,22 +353,27 @@ class BatchedExactExecutor(VariantExecutor):
     group through :func:`~repro.simulator.batched.simulate_variant_group` — a
     single ``(batch, 2**n)`` array walked gate by gate, with per-row slot
     matrices gathered from the table — instead of one full scalar pass per
-    variant.
+    variant.  The array holds one row per *twin class*: rows whose slot
+    choices differ only in whether a measurement is signed (a wire cut's I
+    and Z bases) evolve once, and each takes the class's branches with its
+    own signs, read off the recorded outcomes of the twin measurements.
 
     Results are **bit-identical** to :class:`ExactExecutor`: both run the same
     elementwise gate kernel and the batched path reproduces the scalar
     branching simulator's projection sums, branch order and accumulation order
-    exactly (see :mod:`repro.simulator.batched`).  Fingerprints, cache keys,
-    dedup and the ``executions`` counter behave identically, so the two
-    executors are drop-in interchangeable.
+    exactly (see :mod:`repro.simulator.batched`); twins gather byte-equal
+    matrices at every step, so their shared evolution is each one's own, and
+    signs are exact ±1 integers.  Fingerprints, cache keys, dedup and the
+    ``executions`` counter behave identically (a twin is still one
+    execution), so the two executors are drop-in interchangeable.
 
     Args:
         cache: the shared bounded result cache (as on every executor).
         max_batch_elements: sizing budget per batched pass, in complex
             amplitudes; ``2**23`` (~128 MB) by default.  Groups are split into
-            sub-batches so that ``batch`` times the pass program's
-            :attr:`~repro.simulator.batched.Program.row_elements` stays under
-            it.  That estimate caps its worst case at ``2**12`` branches, so
+            sub-batches of whole twin classes so that ``classes`` times the
+            pass program's :attr:`~repro.simulator.batched.Program.row_elements`
+            stays under it.  That estimate caps its worst case at ``2**12`` branches, so
             this is a *sizing heuristic*, not a hard memory guarantee: a
             measurement-heavy group whose branches genuinely fan out past the
             cap can exceed the budget — exactly as the scalar simulator's

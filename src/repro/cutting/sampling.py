@@ -176,8 +176,12 @@ class SamplingExecutor(VariantExecutor):
         Rows depend only on the circuit, never on the shot count or seed, so
         they are memoised per fingerprint: streaming sessions (which re-sample
         every variant each round) simulate each variant once.  Memo misses
-        run in one batched pass per (table, skeleton class); every
-        request then draws from its own seed exactly as a lone request would.
+        run in one batched pass per (table, skeleton class), which evolves
+        each twin class once (a wire cut's I and Z rows share one evolution and
+        differ only in the signs read off its recorded outcome), so the rows,
+        and the draws from them, are byte for byte those of each variant
+        alone; every request then draws from its own seed exactly as a lone
+        request would.
         A streaming round resumes each request's saved generator and draws
         only the shots added since the last round (see :meth:`_draw`).
         """

@@ -46,7 +46,7 @@ from ..circuits.gates import operation as _gate
 from ..circuits.gates import reset
 from ..engine.requests import fingerprint_head, operation_field
 from ..exceptions import CuttingError
-from ..simulator.batched import Program, compile_program
+from ..simulator.batched import Program, compile_program, first_seen_classes, twin_choices
 from ..utils.pauli import PauliString
 from .cuts import CutSolution
 from .fragments import Fragment, SubcircuitSpec
@@ -290,6 +290,7 @@ class VariantTable:
         self._rows: Optional[List[List[int]]] = None
         self._fingerprints: Optional[List[str]] = None
         self._row_class: Optional[np.ndarray] = None
+        self._twin_class: Optional[np.ndarray] = None
         self._programs: Dict[int, Program] = {}
 
     def __len__(self) -> int:
@@ -385,6 +386,25 @@ class VariantTable:
                 classes |= measures[self.choices[:, index]].astype(np.int64) << bit
             self._row_class = classes
         return self._row_class
+
+    @property
+    def twin_class(self) -> np.ndarray:
+        """Each row's twin class, numbered in order of first appearance: rows
+        share one when they share a skeleton class and every slot choice is a
+        twin of the other's (:func:`~repro.simulator.batched.twin_choices`,
+        the rule the class program's
+        :meth:`~repro.simulator.batched.Program.canonical` applies), so their
+        circuits differ at most in which measurements are signed.  A batched
+        pass evolves each twin class once."""
+        if self._twin_class is None:
+            keys = self.choices.astype(np.int64)
+            for index, slot in enumerate(self.skeleton.slots):
+                layers = _layers(index, slot.runs)
+                if layers:
+                    first = twin_choices(layers, self.output_qubit_order)
+                    keys[:, index] = first[self.choices[:, index]]
+            _, self._twin_class = first_seen_classes(np.column_stack([self.row_class, keys]))
+        return self._twin_class
 
     def _optional(self) -> List[int]:
         return [

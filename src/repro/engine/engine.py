@@ -356,8 +356,9 @@ class ParallelEngine:
         device's parallelism never exceeds what its hardware could offer, and
         all devices' tasks share one worker pool (devices execute
         concurrently, like a real farm).  Lanes are built in device
-        declaration order and requests keep their enumeration order inside a
-        lane, so results stay bit-identical for any worker count.  Every chunk
+        declaration order and requests keep a deterministic order inside a
+        lane (enumeration order, grouped by table and twin class), so results
+        stay bit-identical for any worker count.  Every chunk
         carries the batch's ``shots`` plan, and routing charges each request
         the shots that plan draws for it.
         """
@@ -388,25 +389,31 @@ class ParallelEngine:
 
     @staticmethod
     def _grouped(pending: Sequence[PendingRequest]) -> Sequence[PendingRequest]:
-        """Reorder pending requests so rows of one variant table sit together.
+        """Reorder pending requests by (variant table, twin class).
 
-        Chunking then hands each worker contiguous rows of few tables, so
-        batch-capable executors keep their per-table passes and a chunk's
-        pickle carries each of its tables once.  Tables come in first-seen
-        order and requests keep their order within a table; foreign payloads
+        Chunking then hands each worker contiguous rows of few tables, and
+        whole twin classes (``VariantTable.twin_class``: rows a batched pass
+        evolves once), so batch-capable executors keep their per-table
+        passes, evolve each class once and a chunk's pickle carries each of
+        its tables once.  Tables and their classes come in first-seen order
+        and requests keep their order within a class; foreign payloads
         (duck-typed executors' requests without a table) form one group of
         their own.
         As for any reordering, results are unaffected: every request is
         evaluated independently and collected by fingerprint.
         """
-        first_seen: Dict[int, int] = {}
-        ranks = [
-            first_seen.setdefault(id(getattr(variant, "table", None)), len(first_seen))
-            for _, variant, _ in pending
-        ]
-        if len(first_seen) < 2:
-            return pending
-        order = sorted(range(len(pending)), key=lambda index: (ranks[index], index))
+        owners: Dict[int, List[int]] = {}
+        for index, (_, variant, _) in enumerate(pending):
+            owners.setdefault(id(getattr(variant, "table", None)), []).append(index)
+        order: List[int] = []
+        for indices in owners.values():
+            table = getattr(pending[indices[0]][1], "table", None)
+            if table is not None:
+                twins = table.twin_class[[pending[index][1].row for index in indices]].tolist()
+                rank = {twin: n for n, twin in enumerate(dict.fromkeys(twins))}
+                ranked = sorted(zip([rank[twin] for twin in twins], indices))
+                indices = [index for _, index in ranked]
+            order += indices
         return [pending[index] for index in order]
 
     def _chunked_lane(

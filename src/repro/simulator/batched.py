@@ -21,6 +21,19 @@ own circuit's gates, in its own program order, one matrix at a time (never
 fused).  Rows of one table share a pass exactly when their skeleton class
 agrees: the same gate-cut sides measure.
 
+**Twins.**  :func:`twin_choices` is the one rule that decides which choices
+of a slot are *twins*: every layer of the slot gives them byte-equal
+matrices, the same ``out:`` position and the same measurement presence, so
+only the ``signed`` flag may differ (a wire-cut exit's I, measured unsigned,
+and Z, measured signed).  :func:`compile_program` applies it to every slot
+column, :meth:`Program.canonical` maps every choice to the first of its
+twins, and rows of a pass whose canonical choices agree form a
+*twin class*.  A pass evolves each twin class once; at a twin measurement
+whose sign flags differ it records the branch's outcome as a bit of a
+per-branch word instead of folding the sign, and then gives each requested
+row its class's branch rows with ``sign = sign_u * (-1)**popcount(bits &
+mask_r)``.  A pass without twins is the one-member-per-class case.
+
 **Bitwise contract.**  Row ``b`` of a batched run is bit-identical to running
 variant ``b`` alone through :class:`~repro.simulator.dynamic.BranchingSimulator`:
 both paths share the elementwise gate kernel of
@@ -30,11 +43,15 @@ from one ``np.add.reduce(..., axis=1)`` over C-contiguous float64 ``|amp|**2``
 blocks, which runs NumPy's 1-D pairwise sum on every row and so equals the
 scalar ``_project``'s per-row ``np.sum`` byte for byte; branch rows are
 interleaved in the scalar enumeration order (outcome 0 then 1 per parent, dead
-branches dropped); and the final per-variant value is read off
-``np.add.accumulate`` (strictly sequential, like the scalar left-to-right
-``+=`` loop of :meth:`~repro.simulator.dynamic.BranchedResult.expectation_of_signs`)
-while distributions are built by ``np.add.at`` (repeated indices applied in
-row order, like the scalar ``+=`` loop).  Those three NumPy claims
+branches dropped); and one ``np.add.at`` into ``zeros(variants)`` sums every
+variant's ``sign * prob`` in row order from ``0.0`` (strictly sequential,
+like the scalar left-to-right ``+=`` loop of
+:meth:`~repro.simulator.dynamic.BranchedResult.expectation_of_signs`), while
+one more deposits every distribution entry into a flat array (repeated
+indices applied in row order, like the scalar ``+=`` loop).  Twin expansion
+is exact: twins gather byte-equal matrices at every step, so one evolution
+yields the amplitudes, probabilities, output indices and pruning decisions of
+each, and the signs are exact ±1 integers.  Those NumPy claims
 are pinned by ``tests/test_batched.py::TestPinnedReductionOrders``; other axis
 reductions are not bit-stable across shapes and strides (``np.add.reduceat``,
 for one, sums pairwise inside each segment) and stay out of this module.
@@ -63,6 +80,8 @@ __all__ = [
     "BranchRows",
     "Program",
     "compile_program",
+    "first_seen_classes",
+    "twin_choices",
     "simulate_variant_group",
     "pass_batches",
 ]
@@ -93,6 +112,11 @@ def _gate_matrix(op: Any) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------- programs
+#: Twin measurements one pass can record as outcome bits (of an int64 word);
+#: a slot with one takes four table rows, so no enumerable table comes near.
+_TWIN_BITS = 62
+
+
 @dataclass(frozen=True)
 class Program:
     """The steps every row of one batched pass walks.
@@ -101,15 +125,23 @@ class Program:
     matrix)`` a shared multi-qubit gate and ``("r", qubit)`` a reset.  ``("v",
     qubit, column, stack)`` applies to each row the ``(2, 2)`` entry of
     ``stack`` its choice in slot ``column`` selects.  ``("m", qubit, column,
-    signed, out)`` measures: ``signed`` flips the sign on outcome 1 and ``out``
-    (>= 0) records the outcome at that output position, both scalars when
-    ``column`` is ``None`` and per-choice arrays otherwise.  ``branch_points``
-    counts measurements and resets.
+    signed, out, bit)`` measures: ``signed`` flips the sign on outcome 1 and
+    ``out`` (>= 0) records the outcome at that output position, both scalars
+    when ``column`` is ``None`` and per-choice arrays otherwise; ``bit`` >= 0
+    marks a *twin* measurement, whose outcome the pass records as that bit of
+    a per-branch word instead of folding its sign.  ``branch_points`` counts
+    measurements and resets.
+
+    ``twins`` holds ``(column, first)`` per slot column with twin choices:
+    ``first[c]`` is the lowest choice whose every step gathers what choice
+    ``c`` gathers apart from ``signed``, so rows that agree after
+    :meth:`canonical` evolve identically and differ only in signs.
     """
 
     num_qubits: int
     steps: Tuple[Tuple, ...]
     branch_points: int
+    twins: Tuple[Tuple[int, np.ndarray], ...]
 
     @property
     def row_elements(self) -> int:
@@ -125,6 +157,14 @@ class Program:
         the scalar simulator's branch list would.
         """
         return 2**self.num_qubits * 2 ** min(self.branch_points, 12)
+
+    def canonical(self, choices: np.ndarray) -> np.ndarray:
+        """``choices`` (rows x slot columns) with every choice replaced by the
+        first of its twins: rows with equal canonical choices are twins."""
+        canonical = choices.copy()
+        for column, first in self.twins:
+            canonical[:, column] = first[choices[:, column]]
+        return canonical
 
 
 def _measure_flags(op: Optional[Operation], order: Dict[int, int]) -> Tuple[bool, int]:
@@ -149,25 +189,23 @@ def compile_program(
     slot layer ``(column, ops)`` whose ``ops[c]`` rows with choice ``c`` apply:
     single-qubit gates (``None`` is the identity) or measurements (``None`` for
     choices that never reach it), all on one qubit.  Matrices are hoisted and
-    measurement tags read once, against ``output_qubit_order``.
+    measurement tags read once, against ``output_qubit_order``.  Each column's
+    twins come from :func:`twin_choices`, and each twin measurement whose
+    ``signed`` flags differ gets an outcome bit.
     """
     _validate_size(num_qubits)
     order = {qubit: position for position, qubit in enumerate(output_qubit_order)}
     steps: List[Tuple] = []
+    # Per slot column, its layers' signature rows and its measurement steps.
+    signatures: Dict[int, List[np.ndarray]] = {}
+    measures: Dict[int, List[int]] = {}
     for entry in entries:
         if isinstance(entry, tuple):
-            column, ops = entry
-            live = [op for op in ops if op is not None]
-            kinds = {(op.qubits, op.is_measurement) for op in live}
-            if len(kinds) != 1 or len(live[0].qubits) != 1:
-                raise SimulationError("a slot layer needs one qubit and one kind of operation")
-            qubit = live[0].qubits[0]
-            if live[0].is_measurement:
-                signed, out = zip(*(_measure_flags(op, order) for op in ops))
-                steps.append(("m", qubit, column, np.array(signed), np.array(out)))
-            else:
-                matrices = [_IDENTITY_2 if op is None else _gate_matrix(op) for op in ops]
-                steps.append(("v", qubit, column, np.stack(matrices).astype(complex)))
+            step, signature = _slot_layer(*entry, order)
+            if step[0] == "m":
+                measures.setdefault(step[2], []).append(len(steps))
+            steps.append(step)
+            signatures.setdefault(step[2], []).append(signature)
         elif entry.name in SINGLE_QUBIT_GATES:
             steps.append(("g", entry.qubits[0], _gate_matrix(entry)))
         elif entry.is_unitary:
@@ -175,14 +213,86 @@ def compile_program(
             _validate_gate(matrix, entry.qubits, num_qubits)
             steps.append(("u", entry.qubits, matrix))
         elif entry.is_measurement:
-            steps.append(("m", entry.qubits[0], None, *_measure_flags(entry, order)))
+            steps.append(("m", entry.qubits[0], None, *_measure_flags(entry, order), -1))
         else:
             steps.append(("r", entry.qubits[0]))
+    twins: List[Tuple[int, np.ndarray]] = []
+    bits = 0
+    for column, parts in signatures.items():
+        first = _first_twins(parts)
+        if np.array_equal(first, np.arange(len(first))):
+            continue
+        for index in measures.get(column, ()):
+            if np.any(steps[index][3] != steps[index][3][first]):
+                steps[index] = steps[index][:5] + (bits,)
+                bits += 1
+        twins.append((column, first))
+    if bits > _TWIN_BITS:
+        raise SimulationError(f"a program records at most {_TWIN_BITS} twin measurements")
     points = sum(1 for step in steps if step[0] in ("m", "r"))
-    return Program(num_qubits, tuple(steps), points)
+    return Program(num_qubits, tuple(steps), points, tuple(twins))
+
+
+def twin_choices(
+    layers: Sequence[Tuple[int, Sequence[Optional[Operation]]]],
+    output_qubit_order: Sequence[int] = (),
+) -> np.ndarray:
+    """The first twin of every choice of one slot, from its layers ``(column, ops)``.
+
+    Two choices are *twins* when every layer gives them bit-equal matrices,
+    the same ``out:`` position and the same measurement presence: only
+    ``signed`` may differ (a wire-cut exit's I and Z).  Their rows' amplitudes,
+    probabilities, output indices and pruning are then equal byte for byte.
+    :func:`compile_program` applies this rule to every slot column.
+    """
+    order = {qubit: position for position, qubit in enumerate(output_qubit_order)}
+    return _first_twins([_slot_layer(column, ops, order)[1] for column, ops in layers])
+
+
+def _slot_layer(
+    column: int, ops: Sequence[Optional[Operation]], order: Dict[int, int]
+) -> Tuple[Tuple, np.ndarray]:
+    """A slot layer's program step and, per choice, a signature row of what
+    the choice gathers there apart from ``signed``: its matrix bits, or its
+    measurement presence and ``out:`` position."""
+    live = [op for op in ops if op is not None]
+    kinds = {(op.qubits, op.is_measurement) for op in live}
+    if len(kinds) != 1 or len(live[0].qubits) != 1:
+        raise SimulationError("a slot layer needs one qubit and one kind of operation")
+    qubit = live[0].qubits[0]
+    if live[0].is_measurement:
+        signed, out = zip(*(_measure_flags(op, order) for op in ops))
+        signature = np.array([[op is None for op in ops], out], dtype=np.int64).T
+        return ("m", qubit, column, np.array(signed), np.array(out), -1), signature
+    matrices = [_IDENTITY_2 if op is None else _gate_matrix(op) for op in ops]
+    stack = np.stack(matrices).astype(complex)
+    return ("v", qubit, column, stack), stack.view(np.int64).reshape(len(ops), -1)
+
+
+def _first_twins(signatures: Sequence[np.ndarray]) -> np.ndarray:
+    """Per choice, the first choice whose signature rows all equal its own."""
+    keys = np.ascontiguousarray(np.concatenate(signatures, axis=1))
+    seen: Dict[bytes, int] = {}
+    return np.array([seen.setdefault(key.tobytes(), c) for c, key in enumerate(keys)])
 
 
 # --------------------------------------------------------------------------- passes
+def first_seen_classes(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(first, class_of)`` of the distinct rows of the 2-D array ``keys``.
+
+    Classes are numbered in first-seen order: ``first[k]`` is the position of
+    class ``k``'s first row and ``class_of[i]`` the class of row ``i``.
+    """
+    # Each row as one opaque bytes item: a 1-D unique, cheaper than axis=0.
+    keys = np.ascontiguousarray(keys if keys.shape[1] else np.zeros((len(keys), 1)))
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).reshape(-1)
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def _pass_groups(variants: Sequence) -> List[List[int]]:
     """Positions of ``variants`` per batched pass, passes in first-seen order.
 
@@ -215,18 +325,25 @@ def pass_batches(variants: Sequence, max_batch_elements: int) -> List[List[int]]
     """Positions of ``variants`` split into batched-pass sized sub-batches.
 
     Rows of one table's skeleton class share a pass (passes in first-seen
-    order, rows in their order), each cut so that ``batch`` times the pass
-    program's :attr:`Program.row_elements` stays under
-    ``max_batch_elements``.  A ragged final sub-batch, even a single row, runs
-    through the same batched pass and stays bit-identical.
+    order, rows in their order).  A pass evolves each twin class once
+    (``table.twin_class``), so a sub-batch takes whole twin classes, in
+    first-seen order, as many as keep ``classes`` times the pass program's
+    :attr:`Program.row_elements` under ``max_batch_elements``.  A ragged
+    final sub-batch, even a single class, runs through the same batched pass
+    and stays bit-identical.
     """
     batches: List[List[int]] = []
     for positions in _pass_groups(variants):
         program, _ = _pass_program(variants, positions[:1])
         limit = max(1, max_batch_elements // program.row_elements)
-        batches.extend(
-            positions[start : start + limit] for start in range(0, len(positions), limit)
-        )
+        if len(positions) <= limit:
+            batches.append(positions)
+            continue
+        table = variants[positions[0]].table
+        twin_class = table.twin_class[[variants[position].row for position in positions]]
+        _, class_of = first_seen_classes(twin_class[:, np.newaxis])
+        members, batch_of = np.asarray(positions), class_of // limit
+        batches.extend(members[batch_of == batch].tolist() for batch in range(batch_of.max() + 1))
     return batches
 
 
@@ -281,7 +398,8 @@ def simulate_variant_group(
     ``variants`` are variant-table rows (``table``, ``row``, ``mode`` and
     ``output_qubit_order`` attributes —
     :class:`repro.cutting.variants.SubcircuitVariant`).  Rows of one table
-    whose skeleton class agrees share a pass.  Returns, per variant and in order,
+    whose skeleton class agrees share a pass, which evolves each twin class
+    once (see :func:`twin_choices`).  Returns, per variant and in order,
     ``(value, distribution)``: the sign-weighted expectation of the recorded
     measurement signs and, for ``"probability"``-mode variants, the
     sign-weighted quasi-distribution over the variant's output qubits
@@ -321,10 +439,42 @@ def _merge(passes: Sequence[Tuple[List[int], BranchRows]], count: int) -> Branch
 
 
 def _program_rows(program: Program, choices: np.ndarray, prune_threshold: float) -> BranchRows:
-    """One pass: evolve every row through ``program`` and branch it.
+    """One pass: evolve each twin class once, then give every row its class's branches.
 
-    ``choices`` holds each row's choice per slot column; slot steps gather
-    their per-choice matrices, sign flags and output positions by it.
+    ``choices`` holds each row's choice per slot column.  Rows whose
+    :meth:`Program.canonical` choices agree are twins: one evolution yields
+    their ``prob``, ``out_index`` and pruning byte for byte.  Row ``r`` takes
+    its class's branch rows with ``sign = sign_u * (-1)**popcount(bits &
+    mask_r)``, where ``bits`` holds a branch's twin-measurement outcomes and
+    ``mask_r`` the twin measurements row ``r`` signs: exact ±1 integers, the
+    sign the row's own evolution would fold.
+    """
+    canonical = program.canonical(choices)
+    first, class_of = first_seen_classes(canonical)
+    evolved, bits = _evolve(program, canonical[first], prune_threshold)
+    lengths = np.diff(evolved.bounds)[class_of]
+    bounds = np.zeros(len(choices) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=bounds[1:])
+    variant_of = np.repeat(np.arange(len(choices), dtype=np.int64), lengths)
+    picked = np.repeat(evolved.bounds[class_of] - bounds[:-1], lengths) + np.arange(bounds[-1])
+    masks = np.zeros(len(choices), dtype=np.int64)
+    for kind, _, column, signed, _, bit in (step for step in program.steps if step[0] == "m"):
+        if bit >= 0:
+            masks |= signed[choices[:, column]].astype(np.int64) << bit
+    sign = evolved.sign[picked]
+    odd = np.bitwise_count(bits[picked] & masks[variant_of]) & 1
+    sign = np.where(odd == 1, -sign, sign)
+    return BranchRows(evolved.prob[picked], sign, variant_of, evolved.out_index[picked], bounds)
+
+
+def _evolve(
+    program: Program, choices: np.ndarray, prune_threshold: float
+) -> Tuple[BranchRows, np.ndarray]:
+    """Evolve every row of ``choices`` through ``program`` and branch it.
+
+    Slot steps gather their per-choice matrices, sign flags and output
+    positions by the row's choice.  Returns the branch rows and, per branch,
+    the word of its twin-measurement outcome bits (``Program`` ``bit``).
     """
     num_qubits = program.num_qubits
     dim = 2**num_qubits
@@ -338,6 +488,7 @@ def _program_rows(program: Program, choices: np.ndarray, prune_threshold: float)
     sign = np.ones(batch, dtype=np.int64)
     variant_of = np.arange(batch, dtype=np.int64)
     out_index = np.zeros(batch, dtype=np.int64)
+    bits = np.zeros(batch, dtype=np.int64)
     for kind, qubit, *data in program.steps:
         if kind == "g":
             states = _apply_matrix(states, data[0], (qubit,), num_qubits)
@@ -347,30 +498,30 @@ def _program_rows(program: Program, choices: np.ndarray, prune_threshold: float)
             column, stack = data
             states = _apply_matrix(states, stack[choices[variant_of, column]], (qubit,), num_qubits)
         else:
-            signed, out = np.zeros(batch, dtype=bool), np.full(batch, -1)
-            if kind == "m" and data[0] is None:
-                signed, out = np.full(batch, data[1]), np.full(batch, data[2])
-            elif kind == "m":
-                signed, out = data[1][choices[:, data[0]]], data[2][choices[:, data[0]]]
-            states, prob, sign, variant_of, out_index = _branch_rows(
+            signed, out, bit = np.zeros(batch, dtype=bool), np.full(batch, -1), -1
+            if kind == "m":
+                column, signed, out, bit = data
+                if column is None:
+                    signed, out = np.full(batch, signed), np.full(batch, out)
+                else:
+                    signed, out = signed[choices[:, column]], out[choices[:, column]]
+            states, prob, sign, variant_of, out_index, bits = _branch_rows(
                 states,
-                prob,
-                sign,
-                variant_of,
-                out_index,
+                (prob, sign, variant_of, out_index, bits),
                 qubit,
                 num_qubits,
                 prune_threshold,
                 kind == "r",
                 signed,
                 out,
+                bit,
             )
             if not len(prob):
                 # Every branch was pruned, as the scalar simulator's empty
                 # branch list: nothing is left to evolve.
                 break
     bounds = np.searchsorted(variant_of, np.arange(batch + 1))
-    return BranchRows(prob, sign, variant_of, out_index, bounds)
+    return BranchRows(prob, sign, variant_of, out_index, bounds), bits
 
 
 def _extract(
@@ -379,53 +530,64 @@ def _extract(
     """Per-variant ``(value, distribution)``, accumulated as the scalar path does.
 
     The scalar path adds up ``sign * prob`` left to right from ``0.0`` and
-    deposits each branch with ``distribution[index] += weight``.
-    ``np.add.accumulate`` is strictly sequential, so its last entry is that
-    total (the ``0.0 +`` supplies the zero start, which only shows for an all
-    ``-0.0`` segment), and ``np.add.at`` applies repeated indices in row order.
+    deposits each branch with ``distribution[index] += weight``.  One
+    ``np.add.at`` into ``zeros(variants)`` applies every row in order, so each
+    variant's value is that sequential sum from ``0.0`` (its rows are
+    contiguous); a second one deposits every probability-mode row into one
+    flat array at its variant's offset plus its ``out_index``, and each
+    variant's distribution is its slice of it.
     """
     contributions = branch_rows.sign * branch_rows.prob
-    bounds = branch_rows.bounds.tolist()
-    results: List[Tuple[float, Optional[np.ndarray]]] = []
-    for column, variant in enumerate(variants):
-        start, stop = bounds[column], bounds[column + 1]
-        segment = contributions[start:stop]
-        value = 0.0 + float(np.add.accumulate(segment)[-1]) if stop > start else 0.0
-        distribution: Optional[np.ndarray] = None
-        if variant.mode == "probability":
-            distribution = np.zeros(2 ** len(variant.output_qubit_order))
-            np.add.at(distribution, branch_rows.out_index[start:stop], segment)
-        results.append((value, distribution))
-    return results
+    values = np.zeros(len(variants))
+    np.add.at(values, branch_rows.variant_of, contributions)
+    sizes = np.array(
+        [2 ** len(v.output_qubit_order) if v.mode == "probability" else 0 for v in variants],
+        dtype=np.int64,
+    )
+    offsets = np.zeros(len(variants) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    flat = np.zeros(offsets[-1])
+    recorded = sizes[branch_rows.variant_of] > 0
+    owners = branch_rows.variant_of[recorded]
+    np.add.at(flat, offsets[owners] + branch_rows.out_index[recorded], contributions[recorded])
+    bounds = offsets.tolist()
+    return [
+        (value, flat[bounds[v] : bounds[v + 1]] if sizes[v] else None)
+        for v, value in enumerate(values.tolist())
+    ]
 
 
 def _branch_rows(
     states: np.ndarray,
-    prob: np.ndarray,
-    sign: np.ndarray,
-    variant_of: np.ndarray,
-    out_index: np.ndarray,
+    rows: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     qubit: int,
     num_qubits: int,
     prune_threshold: float,
     is_reset: bool,
     signed: np.ndarray,
     out_position: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    bit: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Split every row on a measure/reset of ``qubit``; drop pruned branches.
 
+    ``rows`` is the per-branch ``(prob, sign, variant_of, out_index, bits)``.
     Children are interleaved ``(row 0, outcome 0), (row 0, outcome 1),
     (row 1, outcome 0), ...`` — the scalar enumeration order — so per-variant
     row blocks stay contiguous and ordered.  The per-row projection
     probability equals the scalar ``_project``'s ``np.sum`` over
-    ``state[mask]`` byte for byte (see the comment below).
+    ``state[mask]`` byte for byte (see the comment below).  A measurement
+    with ``bit`` >= 0 sets that bit of ``bits`` on outcome 1 instead of
+    flipping ``sign``.
     """
+    prob, sign, variant_of, out_index, bits = rows
     dim = states.shape[1]
-    rows = states.shape[0]
-    # The masked halves in index order, as C-contiguous (rows, dim/2) blocks,
+    count = states.shape[0]
+    # The masked halves in index order, as C-contiguous (count, dim/2) blocks,
     # so row r of each block holds exactly the scalar ``state[mask]``.
-    split = states.reshape(rows, dim // 2 ** (qubit + 1), 2, 2**qubit)
-    halves = [np.ascontiguousarray(split[:, :, bit, :]).reshape(rows, dim // 2) for bit in (0, 1)]
+    split = states.reshape(count, dim // 2 ** (qubit + 1), 2, 2**qubit)
+    halves = [
+        np.ascontiguousarray(split[:, :, value, :]).reshape(count, dim // 2) for value in (0, 1)
+    ]
     # A last-axis reduce of a C-contiguous float64 block runs NumPy's 1-D
     # pairwise sum on each row: the same bytes as a per-row np.sum, without a
     # Python loop over rows.
@@ -441,11 +603,11 @@ def _branch_rows(
     # scalar ``np.where(mask, state, 0.0) / np.sqrt(p)``, element for element.
     children = np.zeros((alive.size, dim), dtype=complex)
     view = children.reshape(alive.size, dim // 2 ** (qubit + 1), 2, 2**qubit)
-    for bit, half in enumerate(halves):
-        picked = np.flatnonzero(outcome == bit)
+    for value, half in enumerate(halves):
+        picked = np.flatnonzero(outcome == value)
         if picked.size:
             block = half[parent[picked]] / scale[picked, np.newaxis]
-            view[picked, :, bit, :] = block.reshape((picked.size,) + view.shape[1:2] + (2**qubit,))
+            view[picked, :, value, :] = block.reshape((picked.size,) + view.shape[1:2] + (2**qubit,))
     if is_reset and np.any(outcome == 1):
         flipped = outcome == 1
         children[flipped] = _apply_matrix(children[flipped], _FLIP, (qubit,), num_qubits)
@@ -453,15 +615,19 @@ def _branch_rows(
     variant_of = variant_of[parent]
     sign = sign[parent]
     out_index = out_index[parent]
+    bits = bits[parent]
     if not is_reset:
-        flips = signed[variant_of] & (outcome == 1)
-        sign = np.where(flips, -sign, sign)
+        if bit >= 0:
+            bits |= outcome << bit
+        else:
+            flips = signed[variant_of] & (outcome == 1)
+            sign = np.where(flips, -sign, sign)
         positions = out_position[variant_of]
         records = positions >= 0
         if np.any(records):
             # Scalar branches *overwrite* a re-measured outcome key (last write
             # wins), so clear the bit before depositing this measurement.
-            bits = np.int64(1) << positions[records]
-            cleared = out_index[records] & ~bits
-            out_index[records] = cleared | (outcome[records] * bits)
-    return children, prob, sign, variant_of, out_index
+            masks = np.int64(1) << positions[records]
+            cleared = out_index[records] & ~masks
+            out_index[records] = cleared | (outcome[records] * masks)
+    return children, prob, sign, variant_of, out_index, bits

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro.circuits import Circuit
 from repro.cutting import (
+    CutReconstructor,
     CutSolution,
     GateCut,
     SubcircuitVariant,
@@ -243,3 +244,38 @@ def two_cut_probability_solutions(draw):
             WireCut(qubit=1, downstream_op=5),
         ],
     )
+
+
+@st.composite
+def wire_cut_tables(draw):
+    """Every variant table of a random wire-cut solution, in either mode.
+
+    The solution is a random-angle RY/CX/RZ chain cut into blocks (inner
+    blocks have an initialised entry and a measured exit) or the two-cut
+    middle-wire circuit above.  Expectation mode draws a random Pauli
+    observable, so output qubits are rotated and measured signed.
+    """
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        solution = random_angle_chain_solution(
+            draw(st.integers(min_value=3, max_value=5)), draw(st.integers(1, 2)), rng
+        )
+    else:
+        solution = draw(two_cut_probability_solutions())
+    reconstructor = CutReconstructor(solution)
+    if draw(st.booleans()):
+        batch = reconstructor.enumerate_probability_requests()
+    else:
+        qubits = st.integers(min_value=0, max_value=solution.circuit.num_qubits - 1)
+        terms = draw(
+            st.lists(
+                st.dictionaries(qubits, st.sampled_from("XYZ"), min_size=1, max_size=3),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        observable = PauliObservable.from_terms(
+            [PauliString.from_dict(term, 1.0) for term in terms]
+        )
+        batch = reconstructor.enumerate_expectation_requests(observable)
+    return list({id(v.table): v.table for v in batch.variants}.values())

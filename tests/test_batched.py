@@ -12,12 +12,18 @@ branch rows the sampler draws from.
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.circuits import Circuit
+from repro.circuits.gates import measure as measure_op
+from repro.circuits.gates import operation as gate_op
 from repro.core import cut_circuit, evaluate_workload
 from repro.core.config import CutConfig
 from repro.cutting import (
@@ -30,8 +36,8 @@ from repro.cutting import (
 from repro.cutting.executors import branch_output_index
 from repro.engine import EngineConfig, ParallelEngine, request_key
 from repro.exceptions import CuttingError
-from repro.simulator import BranchingSimulator, simulate_variant_group
-from repro.simulator.batched import pass_batches
+from repro.simulator import BranchingSimulator, batched, simulate_variant_group
+from repro.simulator.batched import compile_program, pass_batches, twin_choices
 from repro.workloads import make_workload
 
 from strategies import (
@@ -42,7 +48,11 @@ from strategies import (
     scalar_reference as _scalar_reference,
     two_cut_solution,
     variant_groups,
+    wire_cut_tables,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks" / "perf"))
+import workloads as perf_workloads  # noqa: E402
 
 
 # --------------------------------------------------------------------------- table rows
@@ -53,6 +63,11 @@ def _table_rows():
     rows = CutReconstructor(wire_solution).enumerate_probability_requests().variants
     rows += CutReconstructor(mixed_solution).enumerate_expectation_requests(observable).variants
     return list({request_key(variant): variant for variant in rows}.values())
+
+
+def _twin_class(variant):
+    table = getattr(variant, "table", None)
+    return None if table is None else int(table.twin_class[variant.row])
 
 
 def _gate_measures(variant):
@@ -345,6 +360,37 @@ class TestPinnedReductionOrders:
         assert vectorised.tobytes() == looped.tobytes()
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        parts=segments,
+        width=st.integers(min_value=0, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_add_at_extracts_every_segment(self, parts, width, seed):
+        """The batched extraction: one ``np.add.at`` for all values and one for
+        all distributions equal the per-segment extraction and the scalar loop."""
+        values = np.array([value for part in parts for value in part], dtype=np.float64)
+        owner = np.repeat(np.arange(len(parts)), [len(part) for part in parts])
+        indexes = np.random.default_rng(seed).integers(0, 2**width, size=len(values))
+        totals = np.zeros(len(parts))
+        np.add.at(totals, owner, values)
+        flat = np.zeros(len(parts) * 2**width)
+        np.add.at(flat, owner * 2**width + indexes, values)
+        start = 0
+        for column, part in enumerate(parts):
+            span = slice(start, start + len(part))
+            segment = values[span]
+            start += len(part)
+            accumulated = 0.0 + float(np.add.accumulate(segment)[-1]) if len(part) else 0.0
+            looped = 0.0
+            for value in segment.tolist():
+                looped += value
+            assert float_bits(totals[column]) == float_bits(accumulated) == float_bits(looped)
+            alone = np.zeros(2**width)
+            np.add.at(alone, indexes[span], segment)
+            assert flat[column * 2**width : (column + 1) * 2**width].tobytes() == alone.tobytes()
+
+
 # --------------------------------------------------------------------------- branch rows
 def _with_outputs(variant):
     """The variant measured on every wire into ``out:`` tags (probability mode)."""
@@ -391,6 +437,140 @@ class TestBranchRows:
         rows = simulate_variant_group(variants, rows=True)
         assert len(rows.prob) > 2 * len(variants)
         _assert_rows_match_branches(variants, rows)
+
+
+# --------------------------------------------------------------------------- twin classes
+def _twin_keys(variants):
+    return [(id(variant.table), _twin_class(variant)) for variant in variants]
+
+
+@pytest.fixture
+def pass_rows(monkeypatch):
+    """Rows each batched pass was asked for and rows it evolved, per pass."""
+    counts = {"requested": [], "evolved": []}
+    program_rows, evolve = batched._program_rows, batched._evolve
+
+    def requested(program, choices, prune_threshold):
+        counts["requested"].append(choices.shape[0])
+        return program_rows(program, choices, prune_threshold)
+
+    def evolved(program, choices, prune_threshold):
+        counts["evolved"].append(choices.shape[0])
+        return evolve(program, choices, prune_threshold)
+
+    monkeypatch.setattr(batched, "_program_rows", requested)
+    monkeypatch.setattr(batched, "_evolve", evolved)
+    return counts
+
+
+#: A measurement layer's choices: unsigned, signed after H, an ``out:``
+#: record, no measurement, and the first choice's signed twin.
+TWIN_TAGS = ("cut:a", "signed:cut:a", "out:0", None, "signed:cut:a")
+
+#: Rows requested and evolved on the first seed-0 round of each perf workload,
+#: run serially.  qaoa-sweep's rzz gate cuts add twins beyond I/Z: a side
+#: whose instances run the same operations (top 3 and 4, bottom 5 and 6).
+PERF_EVOLVED_ROWS = {
+    "prob-wire": (8192, 4044),
+    "expect-gate": (2136, 1850),
+    "qaoa-sweep": (288, 215),
+    "dd-wide": (544, 312),
+}
+
+
+class TestTwinClasses:
+    """A pass evolves each twin class once and expands it, byte for byte."""
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tables=wire_cut_tables())
+    def test_table_rows_equal_each_row_alone(self, tables):
+        for table in tables:
+            variants = table.variants
+            rows = simulate_variant_group(variants, rows=True)
+            results = simulate_variant_group(variants)
+            for column, variant in enumerate(variants):
+                alone = simulate_variant_group([variant], rows=True)
+                span = slice(rows.bounds[column], rows.bounds[column + 1])
+                assert rows.prob[span].tobytes() == alone.prob.tobytes()
+                assert rows.sign[span].tobytes() == alone.sign.tobytes()
+                assert rows.out_index[span].tobytes() == alone.out_index.tobytes()
+                assert set(rows.variant_of[span].tolist()) <= {column}
+                value, distribution = simulate_variant_group([variant])[0]
+                assert float_bits(results[column][0]) == float_bits(value)
+                if distribution is not None:
+                    assert results[column][1].tobytes() == distribution.tobytes()
+            _assert_rows_match_branches(variants, rows)
+
+    def test_compile_program_twins_differ_only_in_signs(self):
+        """Presence, ``out:`` positions and matrices split choices; signs do not."""
+        entries = [
+            gate_op("ry", [0], (0.7,)),
+            (0, (None, gate_op("h", [0]), None, None, None)),
+            (0, tuple(None if tag is None else measure_op(0, tag) for tag in TWIN_TAGS)),
+            gate_op("rx", [0], (0.4,)),
+            measure_op(0, "out:0"),
+        ]
+        program = compile_program(1, entries, (0,))
+        ((column, first),) = program.twins
+        assert column == 0 and first.tolist() == [0, 1, 2, 3, 0]
+        assert twin_choices(entries[1:3], (0,)).tolist() == first.tolist()
+        assert [step[-1] for step in program.steps if step[0] == "m"] == [0, -1]
+        choices = np.arange(len(TWIN_TAGS), dtype=np.int8)[:, np.newaxis]
+        whole = batched._program_rows(program, choices, 1e-14)
+        for row in range(len(choices)):
+            alone = batched._program_rows(program, choices[row : row + 1], 1e-14)
+            span = slice(whole.bounds[row], whole.bounds[row + 1])
+            for name in ("prob", "sign", "out_index"):
+                assert getattr(whole, name)[span].tobytes() == getattr(alone, name).tobytes()
+
+    def test_exit_twins_share_a_class(self):
+        """I and Z of one wire-cut exit are twins; X and Y are not."""
+        _, solution = two_cut_solution()
+        batch = CutReconstructor(solution).enumerate_probability_requests()
+        for table in {id(v.table): v.table for v in batch.variants}.values():
+            seen = {}
+            for variant in table.variants:
+                bases = variant.settings.measurement_bases
+                key = tuple((cut, "Z" if basis == "I" else basis) for cut, basis in bases)
+                key += tuple(variant.settings.init_labels)
+                assert seen.setdefault(key, _twin_class(variant)) == _twin_class(variant)
+            assert len(seen) == len(set(table.twin_class.tolist()))
+
+    def test_passes_evolve_one_row_per_twin_class(self, pass_rows):
+        rows = _table_rows()
+        keys = _twin_keys(rows)
+        _assert_tables_bit_identical(
+            ExactExecutor().run_batch(rows), BatchedExactExecutor().run_batch(rows)
+        )
+        expected = [
+            len({keys[p] for p in positions}) for positions in pass_batches(rows, 1 << 23)
+        ]
+        assert pass_rows["evolved"] == expected
+        assert sum(expected) == len(set(keys)) < len(rows) == sum(pass_rows["requested"])
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(limit=st.integers(min_value=1, max_value=9))
+    def test_ragged_limits_never_split_a_class(self, limit):
+        rows = _table_rows()
+        keys = _twin_keys(rows)
+        budget = limit * max(2**row.table.skeleton.num_qubits * 2**12 for row in rows)
+        batch_of = {}
+        for index, positions in enumerate(pass_batches(rows, budget)):
+            table, row = rows[positions[0]].table, rows[positions[0]].row
+            program = table.program(int(table.row_class[row]))
+            classes = {keys[p] for p in positions}
+            assert len(classes) <= max(1, budget // program.row_elements)
+            for key in classes:
+                assert batch_of.setdefault(key, index) == index
+        assert sorted(p for ps in pass_batches(rows, budget) for p in ps) == list(range(len(rows)))
+
+    @pytest.mark.parametrize("name", sorted(PERF_EVOLVED_ROWS))
+    def test_perf_first_round_evolved_rows(self, name, pass_rows):
+        for instance in perf_workloads.WORKLOADS[name].pool(0)[0]:
+            serial = dataclasses.replace(instance.engine_config, max_workers=1)
+            dataclasses.replace(instance, engine_config=serial).evaluate()
+        requested, evolved = PERF_EVOLVED_ROWS[name]
+        assert (sum(pass_rows["requested"]), sum(pass_rows["evolved"])) == (requested, evolved)
 
 
 # --------------------------------------------------------------------------- executor protocol
@@ -507,12 +687,39 @@ class TestEngineGrouping:
         assert len(runs) == len(set(owners))  # every table is one contiguous run
         first_seen = list(dict.fromkeys(id(getattr(v, "table", None)) for _, v, _ in pending))
         assert runs == first_seen
+        # Inside a table, twin classes are contiguous in first-seen order and
+        # requests keep their order within a class.
+        merged = 0
         for owner in set(owners):
+            mine = [p for p in pending if id(getattr(p[1], "table", None)) == owner]
+            classes = [_twin_class(variant) for _, variant, _ in mine]
+            rank = {twin: n for n, twin in enumerate(dict.fromkeys(classes))}
+            order = sorted(range(len(mine)), key=lambda n: (rank[classes[n]], n))
             assert [p for p in grouped if id(getattr(p[1], "table", None)) == owner] == [
-                p for p in pending if id(getattr(p[1], "table", None)) == owner
+                mine[n] for n in order
             ]
+            merged += len(classes) - len(rank)
+        assert merged > 0  # some I/Z twins were gathered
         chunks = engine._chunked(grouped)
         assert [p for chunk in chunks for p in chunk] == grouped
+
+    def test_single_table_batch_groups_twin_classes_for_the_pool(self):
+        """One table's batch is reordered too, and a 2-worker pool gives serial bytes."""
+        _, solution = two_cut_solution()
+        batch = CutReconstructor(solution).enumerate_probability_requests()
+        table = max({id(v.table): v.table for v in batch.variants}.values(), key=len)
+        pending = [(request_key(v), v, None) for v in table.variants]
+        with ParallelEngine(
+            BatchedExactExecutor(), EngineConfig(max_workers=2, chunk_size=3)
+        ) as engine:
+            grouped = engine._grouped(pending)
+            classes = [_twin_class(variant) for _, variant, _ in grouped]
+            runs = [c for i, c in enumerate(classes) if i == 0 or classes[i - 1] != c]
+            assert len(runs) == len(set(classes)) < len(classes)
+            assert grouped != pending
+            pooled = engine.run_batch(table.variants)
+        _assert_tables_bit_identical(BatchedExactExecutor().run_batch(table.variants), pooled)
+        _assert_tables_bit_identical(ExactExecutor().run_batch(table.variants), pooled)
 
     def test_grouping_tolerates_foreign_payloads(self):
         engine = ParallelEngine(BatchedExactExecutor(), EngineConfig(max_workers=1))
