@@ -4,7 +4,7 @@ QRCC's classical evaluation cost is the ``4^(wire cuts) x 6^(gate cuts)``
 subcircuit variants behind every reconstruction.  This harness measures the
 :class:`~repro.cutting.executors.BatchedExactExecutor` (same-structure variants
 stacked into one ``(batch, 2**n)`` pass, see :mod:`repro.simulator.batched`)
-against the scalar :class:`~repro.cutting.executors.ExactExecutor` on the
+against the scalar ``ExactExecutor`` of ``tests/reference_executors.py`` on the
 enumerated variant batches of three workload families — QFT and a ripple-carry
 adder (probability mode, wire cuts) and a QAOA MaxCut ring (expectation mode,
 wire + gate cuts) — across batch-size caps, including caps smaller than the
@@ -30,19 +30,24 @@ archived as ``benchmarks/results/batched.json`` for the CI regression gate.
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core import cut_circuit
 from repro.core.config import CutConfig
-from repro.cutting import BatchedExactExecutor, CutReconstructor, ExactExecutor
+from repro.cutting import BatchedExactExecutor, CutReconstructor
 from repro.engine import ParallelEngine, request_key
 from repro.simulator import batched
 from repro.workloads import Workload, WorkloadKind, make_workload
 
 from bench_engine import halved_ring_solution, ring_qaoa_workload
 from harness import add_smoke_argument, publish, smoke_passed
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_executors import ExactExecutor  # noqa: E402
 
 #: Batch-size caps swept per workload (1 = scalar-shaped batches, ragged tails
 #: included whenever the cap does not divide a group).

@@ -11,8 +11,9 @@ different worker counts.
 Reported per engine configuration: unique variants executed (after dedup),
 wall-clock seconds, variants/second, speedup over serial, and whether the result
 table is numerically identical to the serial run — it must be, bit for bit, for
-both the exact executor and the (deterministically per-request seeded) noisy
-executor.
+the scalar exact executor (``ExactExecutor``, the reference kept in
+``tests/reference_executors.py``), the batched one, and the (deterministically
+per-request seeded) noisy executor.
 
 Run directly (``python benchmarks/bench_engine.py --jobs 4 [--qubits 16]``) or
 under pytest-benchmark (``QRCC_BENCH_JOBS=4 pytest benchmarks/bench_engine.py``).
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import argparse
 import os
+import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -34,7 +37,6 @@ from repro.cutting import (
     BatchedExactExecutor,
     CutReconstructor,
     CutSolution,
-    ExactExecutor,
     GateCut,
     NoisyExecutor,
     WireCut,
@@ -46,6 +48,9 @@ from repro.workloads import Workload, WorkloadKind
 from repro.workloads.qaoa import maxcut_observable, qaoa_circuit
 
 from harness import add_engine_arguments, bench_jobs, publish, run_once
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference_executors import ExactExecutor  # noqa: E402
 
 #: Default ring size; the acceptance workload is the 16-qubit QAOA ring.
 DEFAULT_QUBITS = int(os.environ.get("QRCC_BENCH_ENGINE_QUBITS", "16"))

@@ -25,7 +25,7 @@ from .dynamic_definition import (
     plan_dynamic_definition,
     reconstruct_dynamic,
 )
-from .executors import BatchedExactExecutor, ExactExecutor, NoisyExecutor, VariantExecutor
+from .executors import BatchedExactExecutor, NoisyExecutor, VariantExecutor
 from .fragments import Fragment, FragmentElement, SubcircuitSpec, extract_subcircuits
 from .gate_cut import (
     CUTTABLE_GATES,
@@ -74,7 +74,6 @@ __all__ = [
     "CutSolution",
     "DynamicDefinitionPlan",
     "DynamicDefinitionResult",
-    "ExactExecutor",
     "HeavyBin",
     "LevelReport",
     "Fragment",

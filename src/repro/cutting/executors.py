@@ -19,32 +19,27 @@ single-variant convenience API is kept and routed through the same path, so the
 dedup-aware ``executions`` counter is authoritative however the executor is
 driven.
 
-Four executors are provided:
+Three executors are provided, all simulating through the batched passes of
+:mod:`repro.simulator.batched`:
 
-* :class:`ExactExecutor` — exact branching simulation (the default; makes the
-  reconstruction identities hold to numerical precision),
-* :class:`BatchedExactExecutor` — the vectorized fast path: cache-miss requests
-  that are rows of one variant table (:class:`~repro.cutting.variants.VariantTable`)
-  and share its skeleton class run in one ``(batch, 2**n)`` pass read straight
-  off the table, bit-identical to :class:`ExactExecutor` but several times
-  faster on variant families.  Every variant is a table row, and a table's
-  ``out:`` measurements were checked when it was built, so the row paths run
-  without validating again,
+* :class:`BatchedExactExecutor` — exact evaluation, the engine's default:
+  cache-miss requests that are rows of one variant table
+  (:class:`~repro.cutting.variants.VariantTable`) and share its skeleton class
+  run in one ``(batch, 2**n)`` pass read straight off the table,
 * :class:`~repro.cutting.sampling.SamplingExecutor` (in
   :mod:`repro.cutting.sampling`) — finite-shot estimation: every variant value is
   the mean of ``shots`` multinomial samples, with per-variant counts passed
   with each batch as a :class:`~repro.engine.allocation.ShotPlan` (Section
-  2.2's shots-based model).  It draws from the exact branch rows of the same
-  per-table batched passes, so only :class:`ExactExecutor` and
-  :class:`NoisyExecutor` still walk variants through the scalar branching
-  simulator — and only they (plus device-farm and duck-typed backends) ever
-  materialise a row's circuit,
+  2.2's shots-based model), drawn from the exact branch rows of the same
+  per-table batched passes,
 * :class:`NoisyExecutor` — the "small quantum device" of the Table 3 experiment: the
   variant is compiled to the device basis, Pauli noise is injected stochastically
   per trajectory, and finite-shot statistical noise is emulated; results are averaged
-  over trajectories.  Each request is seeded deterministically from its fingerprint,
-  so serial and parallel batch runs are bit-identical, and results are cached under
-  seed-aware keys.
+  over trajectories, which run as the rows of one batched program.
+
+Each is pinned byte for byte to a scalar walk of the branching simulator, one
+variant or trajectory at a time; those oracles live with the tests
+(``tests/reference_executors.py``), not in the library.
 """
 
 from __future__ import annotations
@@ -54,7 +49,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..circuits import Circuit, decompose_to_basis
+from ..circuits import Circuit, decompose_to_basis, operation
 from ..engine.allocation import ShotPlan
 from ..engine.cache import (
     ResultCache,
@@ -68,12 +63,16 @@ from ..engine.requests import (
     seed_from_fingerprint,
 )
 from ..exceptions import CuttingError
-from ..simulator.batched import pass_batches, simulate_variant_group
-from ..simulator.dynamic import BranchedResult, BranchingSimulator
-from ..simulator.noise import DeviceModel, inject_pauli_noise
+from ..simulator.batched import (
+    compile_program,
+    pass_batches,
+    simulate_program,
+    simulate_variant_group,
+)
+from ..simulator.noise import PAULI_ERRORS, DeviceModel, draw_pauli_errors
 from .variants import SubcircuitVariant
 
-__all__ = ["VariantExecutor", "ExactExecutor", "BatchedExactExecutor", "NoisyExecutor"]
+__all__ = ["VariantExecutor", "BatchedExactExecutor", "NoisyExecutor"]
 
 #: A dispatch backend: receives the executor, the unique cache-miss requests
 #: ``[(fingerprint, variant, seed), ...]`` and the batch's shot plan, and
@@ -87,32 +86,6 @@ DispatchFn = Callable[
 def _unpickled_executor(executor: "VariantExecutor") -> "VariantExecutor":
     """Default spawn factory: the executor itself travels by pickle."""
     return executor
-
-
-def _signed_value(result: BranchedResult) -> float:
-    return result.expectation_of_signs()
-
-
-def branch_output_index(branch: Any, variant: SubcircuitVariant) -> int:
-    """Basis index of a branch's recorded outcomes over the variant's output qubits."""
-    index = 0
-    for position, qubit in enumerate(variant.output_qubit_order):
-        outcome = branch.outcomes.get(f"out:{qubit}")
-        if outcome is None:
-            raise CuttingError(
-                f"variant for subcircuit {variant.subcircuit_index} did not record "
-                f"an outcome for original qubit {qubit}"
-            )
-        index |= outcome << position
-    return index
-
-
-def _signed_distribution(result: BranchedResult, variant: SubcircuitVariant) -> np.ndarray:
-    """Quasi-distribution over the variant's output qubits from recorded outcomes."""
-    distribution = np.zeros(2 ** len(variant.output_qubit_order))
-    for branch in result.branches:
-        distribution[branch_output_index(branch, variant)] += branch.sign * branch.probability
-    return distribution
 
 
 class VariantExecutor(ABC):
@@ -321,23 +294,6 @@ class VariantExecutor(ABC):
         return self._cache_hits
 
 
-class ExactExecutor(VariantExecutor):
-    """Exact, noise-free evaluation through the branching simulator."""
-
-    def __init__(self, cache: Optional[ResultCache] = None) -> None:
-        super().__init__(cache)
-        self._simulator = BranchingSimulator()
-
-    def execute_variant(
-        self, variant: SubcircuitVariant, seed: Optional[Tuple[int, ...]] = None
-    ) -> VariantResult:
-        result = self._simulator.run(variant.circuit)
-        distribution = (
-            _signed_distribution(result, variant) if variant.mode == "probability" else None
-        )
-        return VariantResult(value=_signed_value(result), distribution=distribution)
-
-
 #: Complex-element budget of one batched simulation pass (see
 #: :class:`BatchedExactExecutor`): ``2**23`` elements is ~128 MB of amplitudes.
 DEFAULT_MAX_BATCH_ELEMENTS = 1 << 23
@@ -347,25 +303,13 @@ class BatchedExactExecutor(VariantExecutor):
     """Vectorized exact evaluation: rows of one variant table share a batched pass.
 
     Rows of one table share their two-qubit gates and measurement/reset
-    skeleton and differ only at their cut-end slots (initialisation labels,
-    measurement-basis rotations, gate-cut instance actions).  :meth:`run_many`
-    groups cache-miss requests by (table, skeleton class) and evaluates each
-    group through :func:`~repro.simulator.batched.simulate_variant_group` — a
-    single ``(batch, 2**n)`` array walked gate by gate, with per-row slot
-    matrices gathered from the table — instead of one full scalar pass per
-    variant.  The array holds one row per *twin class*: rows whose slot
-    choices differ only in whether a measurement is signed (a wire cut's I
-    and Z bases) evolve once, and each takes the class's branches with its
-    own signs, read off the recorded outcomes of the twin measurements.
-
-    Results are **bit-identical** to :class:`ExactExecutor`: both run the same
-    elementwise gate kernel and the batched path reproduces the scalar
-    branching simulator's projection sums, branch order and accumulation order
-    exactly (see :mod:`repro.simulator.batched`); twins gather byte-equal
-    matrices at every step, so their shared evolution is each one's own, and
-    signs are exact ±1 integers.  Fingerprints, cache keys, dedup and the
-    ``executions`` counter behave identically (a twin is still one
-    execution), so the two executors are drop-in interchangeable.
+    skeleton and differ only at their cut-end slots.  :meth:`run_many` groups
+    cache-miss requests by (table, skeleton class) and runs each group as one
+    ``(batch, 2**n)`` pass (:func:`~repro.simulator.batched.simulate_variant_group`),
+    which evolves each twin class (a wire cut's I and Z rows) once.  Results are
+    **bit-identical** to walking each variant alone through the scalar branching
+    simulator, as the tests' scalar executor does (:mod:`repro.simulator.batched`
+    says why); a twin is still one execution in the ``executions`` counter.
 
     Args:
         cache: the shared bounded result cache (as on every executor).
@@ -373,12 +317,8 @@ class BatchedExactExecutor(VariantExecutor):
             amplitudes; ``2**23`` (~128 MB) by default.  Groups are split into
             sub-batches of whole twin classes so that ``classes`` times the
             pass program's :attr:`~repro.simulator.batched.Program.row_elements`
-            stays under it.  That estimate caps its worst case at ``2**12`` branches, so
-            this is a *sizing heuristic*, not a hard memory guarantee: a
-            measurement-heavy group whose branches genuinely fan out past the
-            cap can exceed the budget — exactly as the scalar simulator's
-            branch list would for the same circuits, since live branch rows
-            cost the same either way.
+            stays under it: a *sizing heuristic*, not a hard memory guarantee
+            (see that estimate for why).
     """
 
     def __init__(
@@ -427,13 +367,20 @@ class NoisyExecutor(VariantExecutor):
     variant uses fewer wires than the device has qubits, mirroring how small
     subcircuits are placed on the best-connected physical qubits).  ``trajectories``
     independent noise realisations are simulated exactly and averaged; when ``shots``
-    is given, zero-mean Gaussian noise with the binomial standard error of the shot
-    budget is added to expectation-type values.
+    (>= 1) is given, zero-mean Gaussian noise with the binomial standard error of the
+    shot budget is added to expectation-type values.
+
+    A variant's trajectories are the rows of one batched program, passes
+    sized at the default budget: the compiled circuit with an error slot (no
+    error, X, Y, Z) after each gate operand some trajectory's
+    :func:`~repro.simulator.noise.draw_pauli_errors` strikes, each row's
+    choices one trajectory's draws.  Results equal each trajectory's injected
+    circuit run alone, byte for byte.
 
     Every request draws its own RNG seeded from ``(seed, fingerprint)``, so results
     are independent of execution order (serial == parallel, bit for bit) and can be
     cached under seed-aware keys.  ``executions`` counts *variants*, not
-    trajectories, making overhead reports comparable with :class:`ExactExecutor`.
+    trajectories, making overhead reports comparable with the exact executors.
     """
 
     def __init__(
@@ -446,6 +393,8 @@ class NoisyExecutor(VariantExecutor):
     ) -> None:
         if trajectories < 1:
             raise CuttingError("trajectories must be >= 1")
+        if shots is not None and shots < 1:
+            raise CuttingError(f"shots must be >= 1 or None, got {shots}")
         super().__init__(cache)
         self._device = device
         self._shots = shots
@@ -455,7 +404,6 @@ class NoisyExecutor(VariantExecutor):
             # shippable to worker processes) even without an explicit seed.
             seed = int(np.random.SeedSequence().entropy) & 0xFFFFFFFFFFFFFFFF  # qrcclint: disable=unseeded-randomness -- one-time base-seed draw when the caller passes none; every per-request draw is then derived from (base_seed, fingerprint)
         self._base_seed = int(seed)
-        self._simulator = BranchingSimulator()
 
     # ------------------------------------------------------------------ protocol
     def seed_for(self, fingerprint: str, shots: Optional[ShotPlan] = None) -> Tuple[int, ...]:
@@ -495,22 +443,29 @@ class NoisyExecutor(VariantExecutor):
             seed = self.seed_for(request_key(variant))
         rng = np.random.default_rng(seed)
         compiled = self._prepare(variant)
-        values: List[float] = []
-        distribution_total: Optional[np.ndarray] = None
-        if variant.mode == "probability":
-            distribution_total = np.zeros(2 ** len(variant.output_qubit_order))
-        for _ in range(self._trajectories):
-            result = self._simulator.run(
-                inject_pauli_noise(compiled, self._device.noise, rng)
-            )
-            values.append(_signed_value(result))
-            if distribution_total is not None:
-                distribution_total += _signed_distribution(result, variant)
-        value = float(np.mean(values))
+        points, choices = draw_pauli_errors(compiled, self._device.noise, rng, self._trajectories)
+        # Slots only where some trajectory strikes: elsewhere every row pads I.
+        struck = np.flatnonzero(choices.any(axis=0)).tolist()
+        slots = {points[point]: column for column, point in enumerate(struck)}
+        entries: List[Any] = []
+        for index, op in enumerate(compiled):
+            entries.append(op)
+            for qubit in op.qubits:
+                if (index, qubit) in slots:
+                    errors = tuple(operation(name, (qubit,)) for name in PAULI_ERRORS)
+                    entries.append((slots[index, qubit], (None, *errors)))
+        program = compile_program(compiled.num_qubits, entries, variant.output_qubit_order)
+        outputs = len(variant.output_qubit_order) if variant.mode == "probability" else None
+        rows = simulate_program(program, choices[:, struck], DEFAULT_MAX_BATCH_ELEMENTS, outputs)
+        # Averaged as the scalar walk: np.mean, distributions summed in order.
+        value = float(np.mean([row_value for row_value, _ in rows]))
         distribution: Optional[np.ndarray] = None
-        if distribution_total is not None:
-            distribution = distribution_total / self._trajectories
-        if self._shots:
+        if outputs is not None:
+            distribution = np.zeros(2**outputs)
+            for row_distribution in (part for _, part in rows if part is not None):
+                distribution += row_distribution
+            distribution = distribution / self._trajectories
+        if self._shots is not None:
             sigma = 1.0 / np.sqrt(self._shots)
             value += float(rng.normal(0.0, sigma))
             if distribution is not None:

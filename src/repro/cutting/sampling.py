@@ -7,7 +7,7 @@ branch (drawn with the branch's probability) and yields that branch's recorded
 outcome: the cumulative ±1 sign for expectation-mode variants, the output-qubit
 bitstring (with its sign) for probability-mode variants.  The sample mean over
 ``shots`` draws is an unbiased estimator of the exact sign-weighted value /
-quasi-distribution the :class:`~repro.cutting.executors.ExactExecutor` computes,
+quasi-distribution the :class:`~repro.cutting.executors.BatchedExactExecutor` computes,
 with standard error ``O(1/sqrt(shots))`` — which is exactly what real hardware
 reports, and what makes shot *allocation* across variants matter (see
 :mod:`repro.engine.allocation`).

@@ -61,6 +61,8 @@ invisible to every output (probabilities are ``|amp|**2``).
 :func:`simulate_variant_group` can also stop before extraction and return the
 live branch rows (:class:`BranchRows`): the finite-shot sampler draws from
 those instead of walking each variant through the scalar simulator.
+:func:`simulate_program` runs one program over given choice rows: the noisy
+executor's trajectories, with Pauli-error slots after the gates they strike.
 """
 
 from __future__ import annotations
@@ -82,6 +84,7 @@ __all__ = [
     "compile_program",
     "first_seen_classes",
     "twin_choices",
+    "simulate_program",
     "simulate_variant_group",
     "pass_batches",
 ]
@@ -342,9 +345,15 @@ def pass_batches(variants: Sequence, max_batch_elements: int) -> List[List[int]]
         table = variants[positions[0]].table
         twin_class = table.twin_class[[variants[position].row for position in positions]]
         _, class_of = first_seen_classes(twin_class[:, np.newaxis])
-        members, batch_of = np.asarray(positions), class_of // limit
-        batches.extend(members[batch_of == batch].tolist() for batch in range(batch_of.max() + 1))
+        members = np.asarray(positions)
+        batches.extend(members[rows].tolist() for rows in _whole_classes(class_of, limit))
     return batches
+
+
+def _whole_classes(class_of: np.ndarray, limit: int) -> List[np.ndarray]:
+    """Row positions in sub-batches of ``limit`` whole (first-seen) classes."""
+    batch_of = class_of // limit
+    return [np.flatnonzero(batch_of == batch) for batch in range(batch_of.max() + 1)]
 
 
 # --------------------------------------------------------------------------- group runner
@@ -418,7 +427,32 @@ def simulate_variant_group(
         for positions in _pass_groups(variants)
     ]
     branch_rows = passes[0][1] if len(passes) == 1 else _merge(passes, len(variants))
-    return branch_rows if rows else _extract(branch_rows, variants)
+    if rows:
+        return branch_rows
+    sizes = [2 ** len(v.output_qubit_order) if v.mode == "probability" else 0 for v in variants]
+    return _extract(branch_rows, np.array(sizes, dtype=np.int64))
+
+
+def simulate_program(
+    program: Program, choices: np.ndarray, max_batch_elements: int, outputs: Optional[int] = None
+) -> List[Tuple[float, Optional[np.ndarray]]]:
+    """Per row of slot ``choices``, the ``(value, distribution)`` of ``program``.
+
+    Each row's result is :func:`simulate_variant_group`'s for a variant whose
+    pass gathers those choices; the distribution spans ``outputs`` ``out:``
+    positions (``None`` without).  Rows whose canonical choices agree evolve
+    once, and passes take whole such classes by the rule of :func:`pass_batches`.
+    """
+    limit = max(1, max_batch_elements // program.row_elements)
+    _, class_of = first_seen_classes(program.canonical(choices))
+    size = 0 if outputs is None else 2**outputs
+    results: List[Tuple[float, Optional[np.ndarray]]] = [(0.0, None)] * len(choices)
+    for rows in _whole_classes(class_of, limit):
+        branch_rows = _program_rows(program, choices[rows], _DEFAULT_PRUNE_THRESHOLD)
+        sizes = np.full(len(rows), size, dtype=np.int64)
+        for row, result in zip(rows.tolist(), _extract(branch_rows, sizes)):
+            results[row] = result
+    return results
 
 
 def _merge(passes: Sequence[Tuple[List[int], BranchRows]], count: int) -> BranchRows:
@@ -525,11 +559,12 @@ def _evolve(
 
 
 def _extract(
-    branch_rows: BranchRows, variants: Sequence
+    branch_rows: BranchRows, sizes: np.ndarray
 ) -> List[Tuple[float, Optional[np.ndarray]]]:
     """Per-variant ``(value, distribution)``, accumulated as the scalar path does.
 
-    The scalar path adds up ``sign * prob`` left to right from ``0.0`` and
+    ``sizes[v]`` is variant ``v``'s distribution length (``0``: none).  The
+    scalar path adds up ``sign * prob`` left to right from ``0.0`` and
     deposits each branch with ``distribution[index] += weight``.  One
     ``np.add.at`` into ``zeros(variants)`` applies every row in order, so each
     variant's value is that sequential sum from ``0.0`` (its rows are
@@ -538,13 +573,9 @@ def _extract(
     variant's distribution is its slice of it.
     """
     contributions = branch_rows.sign * branch_rows.prob
-    values = np.zeros(len(variants))
+    values = np.zeros(len(sizes))
     np.add.at(values, branch_rows.variant_of, contributions)
-    sizes = np.array(
-        [2 ** len(v.output_qubit_order) if v.mode == "probability" else 0 for v in variants],
-        dtype=np.int64,
-    )
-    offsets = np.zeros(len(variants) + 1, dtype=np.int64)
+    offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
     flat = np.zeros(offsets[-1])
     recorded = sizes[branch_rows.variant_of] > 0

@@ -90,7 +90,7 @@ class BranchedResult:
         """Sum of sign * probability (the expectation of the recorded ±1 outcomes).
 
         Accumulated strictly left to right from ``0.0``, the order the batched
-        kernel reproduces with ``np.add.accumulate``.  The loop is spelled out
+        kernel reproduces with ``np.add.at``.  The loop is spelled out
         because Python's ``sum`` compensates float rounding from 3.12 on.
         """
         total = 0.0

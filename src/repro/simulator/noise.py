@@ -18,7 +18,7 @@ of two-qubit gates and circuit depth — is preserved by this model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "DeviceModel",
     "lagos_like_device",
     "NoisySimulator",
+    "draw_pauli_errors",
     "inject_pauli_noise",
 ]
 
@@ -48,11 +49,8 @@ LAGOS_COUPLING: Tuple[Tuple[int, int], ...] = (
     (5, 6),
 )
 
-_PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+#: The Pauli errors a trajectory injects (choice ``c`` >= 1 is ``PAULI_ERRORS[c - 1]``).
+PAULI_ERRORS = ("x", "y", "z")
 
 
 @dataclass(frozen=True)
@@ -111,24 +109,44 @@ def lagos_like_device(noise: Optional[NoiseModel] = None) -> DeviceModel:
     return DeviceModel(7, LAGOS_COUPLING, noise or NoiseModel(), name="lagos-sim")
 
 
-def inject_pauli_noise(
-    circuit: Circuit, noise: NoiseModel, rng: np.random.Generator
-) -> Circuit:
-    """One stochastic noise realisation: random Pauli errors interleaved after gates.
+def draw_pauli_errors(
+    circuit: Circuit, noise: NoiseModel, rng: np.random.Generator, trajectories: int = 1
+) -> Tuple[List[Tuple[int, int]], np.ndarray]:
+    """The injection points ``(op index, qubit)`` of ``circuit`` (every operand of
+    every non-identity unitary) and a ``(trajectories, points)`` int8 matrix of
+    Pauli errors drawn there: the one rule for what noise is drawn, in which order.
 
-    This is the trajectory primitive shared by :class:`NoisySimulator` and the
-    noisy variant executor: after every (non-identity) unitary, each operand qubit
-    independently suffers an X, Y or Z error with the model's per-gate probability.
-    """
-    noisy = Circuit(circuit.num_qubits, f"{circuit.name}_noisy")
-    for op in circuit:
-        noisy.append(op)
+    Per trajectory, per point, ``rng.random() < rate`` (the gate's rate) decides
+    whether an error strikes and ``rng.integers(0, 3)`` picks it (choice ``0``
+    is none)."""
+    points: List[Tuple[int, int]] = []
+    rates: List[float] = []
+    for index, op in enumerate(circuit):
         if not op.is_unitary or op.is_identity:
             continue
-        error_rate = noise.two_qubit_error if op.is_two_qubit else noise.single_qubit_error
+        rate = noise.two_qubit_error if op.is_two_qubit else noise.single_qubit_error
         for qubit in op.qubits:
-            if rng.random() < error_rate:
-                noisy.add(("x", "y", "z")[rng.integers(0, 3)], [qubit])
+            points.append((index, qubit))
+            rates.append(rate)
+    choices = np.zeros((trajectories, len(points)), dtype=np.int8)
+    for row in choices:
+        for point, rate in enumerate(rates):
+            if rng.random() < rate:
+                row[point] = 1 + rng.integers(0, 3)
+    return points, choices
+
+
+def inject_pauli_noise(circuit: Circuit, noise: NoiseModel, rng: np.random.Generator) -> Circuit:
+    """One noise realisation: the Pauli errors of :func:`draw_pauli_errors`
+    interleaved after their gates (the trajectory of :class:`NoisySimulator`)."""
+    points, choices = draw_pauli_errors(circuit, noise, rng)
+    errors = {point: int(choice) for point, choice in zip(points, choices[0]) if choice}
+    noisy = Circuit(circuit.num_qubits, f"{circuit.name}_noisy")
+    for index, op in enumerate(circuit):
+        noisy.append(op)
+        for qubit in op.qubits:
+            if (index, qubit) in errors:
+                noisy.add(PAULI_ERRORS[errors[index, qubit] - 1], [qubit])
     return noisy
 
 
@@ -158,10 +176,6 @@ class NoisySimulator:
         return compiled
 
     # ------------------------------------------------------------------ execution
-    def _noisy_trajectory(self, circuit: Circuit) -> Circuit:
-        """One noise realisation: randomly interleave Pauli errors after gates."""
-        return inject_pauli_noise(circuit, self._device.noise, self._rng)
-
     def _apply_readout_error(self, counts: Dict[str, int]) -> Dict[str, int]:
         error = self._device.noise.readout_error
         if error <= 0.0:
@@ -197,7 +211,7 @@ class NoisySimulator:
         drawn = 0
         while drawn < shots:
             batch = min(shots_per_trajectory, shots - drawn)
-            noisy = self._noisy_trajectory(compiled)
+            noisy = inject_pauli_noise(compiled, self._device.noise, self._rng)
             if any(not op.is_unitary for op in noisy):
                 probabilities = simulate_dynamic(noisy).probabilities()
             else:

@@ -22,10 +22,11 @@ from repro.cutting import (
     VariantTable,
     WireCut,
 )
-from repro.cutting.executors import _signed_distribution, _signed_value
 from repro.simulator import BranchingSimulator
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
+
+from reference_executors import signed_distribution, signed_value
 
 # ----------------------------------------------------------------- gate pools
 ONE_QUBIT_GATES = (
@@ -73,9 +74,9 @@ def scalar_reference(variant: SubcircuitVariant):
     """The scalar branching-simulator result a batched path must reproduce."""
     result = BranchingSimulator().run(variant.circuit)
     distribution = (
-        _signed_distribution(result, variant) if variant.mode == "probability" else None
+        signed_distribution(result, variant) if variant.mode == "probability" else None
     )
-    return _signed_value(result), distribution
+    return signed_value(result), distribution
 
 
 def assert_tables_bit_identical(left, right) -> None:
@@ -279,3 +280,45 @@ def wire_cut_tables(draw):
         )
         batch = reconstructor.enumerate_expectation_requests(observable)
     return list({id(v.table): v.table for v in batch.variants}.values())
+
+
+@st.composite
+def reuse_variants(draw):
+    """One random small variant that measures, resets and reuses its wires.
+
+    A wire's stretch of random gates ends, at random points, in a
+    measurement and a reset, and the wire then carries the next of the
+    variant's logical qubits.  Probability mode records each finished
+    logical qubit as an ``out:`` outcome (so reused wires record several);
+    expectation mode measures some of them signed.
+    """
+    num_wires = draw(st.integers(min_value=1, max_value=3))
+    mode = draw(st.sampled_from(["probability", "expectation"]))
+    circuit = Circuit(num_wires)
+    output = []
+
+    def finish(wire, last):
+        tag = None
+        if mode == "probability":
+            tag = f"out:{10 + len(output)}"
+            output.append(10 + len(output))
+        elif draw(st.booleans()):
+            tag = "signed:cut:a"
+        circuit.measure(wire, tag=tag)
+        if not last:
+            circuit.reset(wire, tag="reuse:0")
+
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        kind = draw(st.sampled_from(["u1", "u2", "reuse"] if num_wires > 1 else ["u1", "reuse"]))
+        if kind == "u1":
+            # ``id`` takes no noise: it is no injection point.
+            name, params = draw(st.sampled_from(ONE_QUBIT_GATES + (("id", ()),)))
+            circuit.add(name, [draw(st.integers(0, num_wires - 1))], params)
+        elif kind == "u2":
+            name, params = draw(st.sampled_from(TWO_QUBIT_GATES))
+            circuit.add(name, list(draw(st.permutations(range(num_wires)))[:2]), params)
+        else:
+            finish(draw(st.integers(0, num_wires - 1)), last=False)
+    for wire in range(num_wires):
+        finish(wire, last=True)
+    return make_variant(circuit, mode, output)

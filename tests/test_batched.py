@@ -30,16 +30,15 @@ from repro.cutting import (
     BatchedExactExecutor,
     CutReconstructor,
     CutSolution,
-    ExactExecutor,
     WireCut,
 )
-from repro.cutting.executors import branch_output_index
 from repro.engine import EngineConfig, ParallelEngine, request_key
 from repro.exceptions import CuttingError
 from repro.simulator import BranchingSimulator, batched, simulate_variant_group
 from repro.simulator.batched import compile_program, pass_batches, twin_choices
 from repro.workloads import make_workload
 
+from reference_executors import ExactExecutor, branch_output_index
 from strategies import (
     assert_tables_bit_identical as _assert_tables_bit_identical,
     float_bits,
@@ -500,6 +499,28 @@ class TestTwinClasses:
                 if distribution is not None:
                     assert results[column][1].tobytes() == distribution.tobytes()
             _assert_rows_match_branches(variants, rows)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(tables=wire_cut_tables(), budget=st.sampled_from([1, 1 << 23]))
+    def test_simulate_program_equals_the_variant_group(self, tables, budget):
+        """A program and its rows' choices give each row's variant result,
+        whether the rows share one pass or split into one class per pass."""
+        for table in tables:
+            row_class = int(table.row_class[0])
+            rows = np.flatnonzero(table.row_class == row_class)
+            variants = [table.variants[row] for row in rows]
+            outputs = len(table.output_qubit_order) if table.mode == "probability" else None
+            results = batched.simulate_program(
+                table.program(row_class), table.choices[rows], budget, outputs
+            )
+            for (value, distribution), expected in zip(
+                results, simulate_variant_group(variants)
+            ):
+                assert float_bits(value) == float_bits(expected[0])
+                if expected[1] is None:
+                    assert distribution is None
+                else:
+                    assert distribution.tobytes() == expected[1].tobytes()
 
     def test_compile_program_twins_differ_only_in_signs(self):
         """Presence, ``out:`` positions and matrices split choices; signs do not."""

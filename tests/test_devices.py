@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import CutConfig, evaluate_workload
-from repro.cutting import ExactExecutor, NoisyExecutor, extract_subcircuits
+from repro.cutting import NoisyExecutor, extract_subcircuits
 from repro.cutting.variants import VariantBuilder, VariantSettings
 from repro.engine import (
     ROUTING_POLICIES,
@@ -26,6 +26,8 @@ from repro.exceptions import (
 from repro.simulator import NoiseModel
 from repro.utils.pauli import PauliString
 from repro.workloads import make_workload
+
+from reference_executors import ExactExecutor
 
 
 def _request(width, key, subcircuit=0):

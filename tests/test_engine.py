@@ -10,7 +10,6 @@ from repro.core import CutConfig, EngineConfig, evaluate_workload
 from repro.cutting import (
     CutReconstructor,
     CutSolution,
-    ExactExecutor,
     GateCut,
     NoisyExecutor,
     SamplingExecutor,
@@ -34,6 +33,7 @@ from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
 
 from fake_pools import BreakingPool, SubmitBreakingPool
+from reference_executors import ExactExecutor
 
 
 @pytest.fixture

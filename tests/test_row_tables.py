@@ -10,7 +10,8 @@ on demand.  For every row of every table of a spread of cuts, these tests pin:
   once (checked for every table that every instance of each perf workload's
   first seed-0 round, the golden workloads and the random cuts build);
 * the row-native :class:`~repro.cutting.BatchedExactExecutor` result equals
-  :class:`~repro.cutting.ExactExecutor` on that circuit, byte for byte;
+  the scalar ``ExactExecutor`` of ``tests/reference_executors.py`` on that
+  circuit, byte for byte;
 * :class:`~repro.cutting.SamplingExecutor` at a fixed seed gives the bytes the
   per-circuit pipeline gave before tables existed, pinned as a digest.
 
@@ -49,7 +50,6 @@ from repro.core import CutConfig, cut_circuit
 from repro.cutting import (
     BatchedExactExecutor,
     CutReconstructor,
-    ExactExecutor,
     VariantSettings,
     VariantTable,
 )
@@ -60,6 +60,7 @@ from repro.exceptions import CuttingError
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import WorkloadKind, make_workload
 
+from reference_executors import ExactExecutor
 from strategies import (
     ONE_QUBIT_GATES,
     TWO_QUBIT_GATES,

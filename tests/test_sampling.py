@@ -10,9 +10,8 @@ import pytest
 from repro import EvaluationSession, StreamingConfig
 from repro.circuits import Circuit
 from repro.core import CutConfig, EngineConfig, cut_circuit_cutqc, evaluate_workload
-from repro.cutting import CutReconstructor, ExactExecutor, SamplingExecutor
+from repro.cutting import CutReconstructor, SamplingExecutor
 from repro.cutting import sampling as sampling_module
-from repro.cutting.executors import branch_output_index
 from repro.engine import (
     ALLOCATION_POLICIES,
     ParallelEngine,
@@ -35,6 +34,7 @@ from repro.simulator.sampler import sample_weighted_counts_prefix
 from repro.utils.pauli import PauliObservable, PauliString
 from repro.workloads import make_workload
 
+from reference_executors import ExactExecutor, branch_output_index
 from strategies import make_variant
 
 
